@@ -129,6 +129,7 @@ class InterleavedExecutor:
         """Execute to completion; returns timing and the access trace."""
         program = self.program
         timing = self.config.timing
+        line_shift = self.config.line_shift
         load_exposure, store_exposure = self.model.exposures(timing)
         states = [ThreadState(thread_id=index, finished=not ops)
                   for index, ops in enumerate(program.threads)]
@@ -213,7 +214,8 @@ class InterleavedExecutor:
             if op is None:
                 continue  # thread finished
             cost, spin = self._step(proc, state, op, charge_read,
-                                    charge_write, record, timing)
+                                    charge_write, record, timing,
+                                    line_shift)
             spin_instructions += spin
             clocks[proc] = clock + cost
             heapq.heappush(heap, (clocks[proc], proc))
@@ -248,14 +250,14 @@ class InterleavedExecutor:
             state.op_index += 1
 
     def _step(self, proc, state, op, charge_read, charge_write, record,
-              timing):
+              timing, line_shift):
         """Execute one op step; returns (cycle cost, spin instructions).
 
         Unlike the chunk interpreter there is no isolation: every store
         is immediately visible, so spins re-read live memory one
-        iteration at a time.
+        iteration at a time.  ``line_shift`` is the configuration's
+        word-to-line shift, derived once per run.
         """
-        line_of = self.config.line_of
         kind = op.kind
         base = timing.base_cpi
         if kind is OpKind.COMPUTE or kind is OpKind.TRAP:
@@ -267,14 +269,14 @@ class InterleavedExecutor:
             self._advance(state)
             return count * base, 0
         if kind is OpKind.LOAD:
-            line = line_of(op.address)
+            line = op.address >> line_shift
             state.accumulator = self.memory.read(op.address)
             record(proc, line, False, op.address, state.accumulator)
             state.retired += 1
             self._advance(state)
             return base + charge_read(proc, line), 0
         if kind is OpKind.STORE:
-            line = line_of(op.address)
+            line = op.address >> line_shift
             value = op.value if op.value is not None else state.accumulator
             self.memory.write(op.address, value)
             record(proc, line, True, op.address, value)
@@ -282,7 +284,7 @@ class InterleavedExecutor:
             self._advance(state)
             return base + charge_write(proc, line), 0
         if kind is OpKind.RMW:
-            line = line_of(op.address)
+            line = op.address >> line_shift
             old = self.memory.read(op.address)
             delta = op.value if op.value is not None else 1
             self.memory.write(op.address, old + delta)
@@ -293,7 +295,7 @@ class InterleavedExecutor:
             # An atomic exposes its full round trip under every model.
             return base + charge_read(proc, line), 0
         if kind is OpKind.LOCK:
-            line = line_of(op.address)
+            line = op.address >> line_shift
             value = self.memory.read(op.address)
             cost = LOCK_SPIN_COST * base + charge_read(proc, line)
             state.retired += LOCK_SPIN_COST
@@ -305,14 +307,14 @@ class InterleavedExecutor:
             record(proc, line, False, op.address, value)
             return cost, LOCK_SPIN_COST
         if kind is OpKind.UNLOCK:
-            line = line_of(op.address)
+            line = op.address >> line_shift
             self.memory.write(op.address, 0)
             record(proc, line, True, op.address, 0)
             state.retired += 1
             self._advance(state)
             return base + charge_write(proc, line), 0
         if kind is OpKind.BARRIER:
-            line = line_of(op.address)
+            line = op.address >> line_shift
             if state.stage == _STAGE_START:
                 old = self.memory.read(op.address)
                 self.memory.write(op.address, old + 1)

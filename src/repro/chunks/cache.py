@@ -19,6 +19,11 @@ the genuinely non-deterministic component of the real hardware
 a separate stochastic early-truncation source in the machine, seeded
 differently for record and replay so the CS-log machinery is exercised
 both ways.
+
+Like the hardware, which notices the overflow at the cache set itself,
+the footprint keeps a running count of speculative lines per set
+(:class:`WriteFootprint`), so the check is one lookup per store rather
+than a scan of everything the chunk has written.
 """
 
 from __future__ import annotations
@@ -62,6 +67,32 @@ class CacheConfig:
         return self.ways
 
 
+class WriteFootprint:
+    """The distinct lines one chunk has speculatively written, with a
+    running count of them per cache set.
+
+    :meth:`add` is the only place ``lines`` grows, and it counts the
+    new line in its set in the same step, so ``per_set[s]`` always
+    equals the number of ``lines`` mapping to set ``s``.
+    """
+
+    __slots__ = ("lines", "per_set", "_set_mask")
+
+    def __init__(self, config: CacheConfig | None = None) -> None:
+        config = config or CacheConfig()
+        self.lines: set[int] = set()
+        self.per_set = [0] * config.sets
+        self._set_mask = config.sets - 1
+
+    def add(self, line: int) -> bool:
+        """Add a written line; True when the footprint did not hold it."""
+        if line in self.lines:
+            return False
+        self.lines.add(line)
+        self.per_set[line & self._set_mask] += 1
+        return True
+
+
 class SharedL2Filter:
     """A bounded LRU set of lines standing in for the shared 8MB L2.
 
@@ -102,6 +133,11 @@ class SpeculativeCache:
         self.shared_l2 = shared_l2
         self._sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.config.sets)]
+        # Geometry read on every access, derived once (the same mapping
+        # as CacheConfig.set_of).
+        self._set_mask = self.config.sets - 1
+        self._ways = self.config.ways
+        self._speculative_ways = self.config.speculative_ways
         self.hits = 0
         self.l2_hits = 0
         self.memory_accesses = 0
@@ -112,7 +148,7 @@ class SpeculativeCache:
 
         Returns the serving level: ``"l1"``, ``"l2"`` or ``"memory"``.
         """
-        cache_set = self._sets[self.config.set_of(line)]
+        cache_set = self._sets[line & self._set_mask]
         if line in cache_set:
             cache_set.move_to_end(line)
             self.hits += 1
@@ -122,7 +158,7 @@ class SpeculativeCache:
         if self.shared_l2 is not None and self.shared_l2.access(line):
             level = "l2"
         cache_set[line] = None
-        if len(cache_set) > self.config.ways:
+        if len(cache_set) > self._ways:
             cache_set.popitem(last=False)
         if level == "l2":
             self.l2_hits += 1
@@ -130,33 +166,35 @@ class SpeculativeCache:
             self.memory_accesses += 1
         return level
 
-    def invalidate(self, line: int) -> None:
-        """Coherence invalidation caused by a remote chunk commit."""
-        cache_set = self._sets[self.config.set_of(line)]
+    def invalidate(self, line: int) -> bool:
+        """Coherence invalidation caused by a remote chunk commit.
+
+        Returns True when the line was resident and has been removed.
+        """
+        cache_set = self._sets[line & self._set_mask]
         if line in cache_set:
             del cache_set[line]
             self.coherence_invalidations += 1
+            return True
+        return False
 
     def write_would_overflow(
         self,
-        chunk_write_lines: set[int],
+        footprint: WriteFootprint,
         new_line: int,
     ) -> bool:
-        """Would adding ``new_line`` to a chunk's speculative write set
-        overflow its set?
+        """Would adding ``new_line`` to a chunk's speculative write
+        footprint (built for this cache's geometry) overflow its set?
 
         True when the chunk already holds ``speculative_ways`` distinct
         written lines in the target set and ``new_line`` is not one of
         them -- the condition under which execution must stop and the
         chunk be truncated (Section 4.2.3).
         """
-        if new_line in chunk_write_lines:
+        if new_line in footprint.lines:
             return False
-        target_set = self.config.set_of(new_line)
-        resident = sum(
-            1 for line in chunk_write_lines
-            if self.config.set_of(line) == target_set)
-        return resident >= self.config.speculative_ways
+        return (footprint.per_set[new_line & self._set_mask]
+                >= self._speculative_ways)
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for the analysis layer."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.chunks.cache import WriteFootprint
 from repro.chunks.signature import Signature, SignatureConfig
 from repro.machine.program import Op, ThreadState
 
@@ -77,7 +78,9 @@ class Chunk:
     truncation: TruncationReason = TruncationReason.SIZE_LIMIT
     write_buffer: dict[int, int] = field(default_factory=dict)
     read_lines: set[int] = field(default_factory=set)
-    write_lines: set[int] = field(default_factory=set)
+    # Distinct written lines, counted per L1 set for the overflow check;
+    # a processor passes one with its own cache's geometry.
+    write_footprint: WriteFootprint = field(default_factory=WriteFootprint)
     exec_cycles: float = 0.0
     build_time: float = 0.0
     complete_time: float = 0.0
@@ -110,9 +113,15 @@ class Chunk:
 
     def record_write(self, line: int) -> None:
         """Note that the chunk wrote a cache line."""
-        if line not in self.write_lines:
-            self.write_lines.add(line)
+        if self.write_footprint.add(line):
             self.write_signature.insert(line)
+
+    @property
+    def write_lines(self) -> set[int]:
+        """Distinct cache lines the chunk has written.  Add to it only
+        through :meth:`record_write`, which keeps the footprint's
+        per-set counts in step."""
+        return self.write_footprint.lines
 
     def conflicts_with_commit(self, committing: "Chunk") -> bool:
         """Hardware conflict test against a committing chunk.

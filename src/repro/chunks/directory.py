@@ -89,9 +89,7 @@ class CommitDirectory:
             if proc_id == chunk.processor:
                 continue
             for line in chunk.write_lines:
-                before = cache.coherence_invalidations
-                cache.invalidate(line)
-                if cache.coherence_invalidations > before:
+                if cache.invalidate(line):
                     invalidations += 1
         self.traffic.invalidation_bytes += invalidations * _HEADER_BYTES
         # Committed dirty lines eventually move to the shared cache.

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.chunks.cache import SpeculativeCache
+from repro.chunks.cache import SpeculativeCache, WriteFootprint
 from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
 from repro.errors import ExecutionError
 from repro.machine.events import InterruptEvent, build_handler_ops
@@ -200,6 +200,7 @@ class ChunkProcessor:
             start_state=start_state,
             signature_config=self.config.signature,
             is_handler=is_handler,
+            write_footprint=WriteFootprint(self.cache.config),
         )
         if is_handler:
             chunk.handler_event = event
@@ -236,6 +237,7 @@ class ChunkProcessor:
             signature_config=self.config.signature,
             piece_index=piece_index,
             is_handler=False,
+            write_footprint=WriteFootprint(self.cache.config),
         )
         chunk.build_time = now
         chunk.target_size = remaining_budget
@@ -276,28 +278,14 @@ class ChunkProcessor:
         memory: MainMemory,
     ) -> int:
         """Load semantics: own buffer, older uncommitted chunks
-        (newest first), then committed memory."""
+        (newest first), then committed memory.  The LOAD path of
+        :meth:`_execute_into` inlines the same lookup."""
         if address in current.write_buffer:
             return current.write_buffer[address]
         for chunk in reversed(self.outstanding):
             if address in chunk.write_buffer:
                 return chunk.write_buffer[address]
         return memory.read(address)
-
-    def _charge_read(self, chunk: Chunk, line: int) -> None:
-        """Timing for a load: exposed fraction of any miss latency."""
-        level = self.cache.access(line)
-        timing = self.config.timing
-        if level == "l2":
-            chunk.exec_cycles += (timing.l2_hit_cycles
-                                  * timing.chunk_load_exposure)
-        elif level == "memory":
-            chunk.exec_cycles += (timing.memory_cycles
-                                  * timing.chunk_load_exposure)
-
-    def _charge_write(self, line: int) -> None:
-        """Writes update LRU state but are fully buffered (no stall)."""
-        self.cache.access(line)
 
     def _execute_into(
         self,
@@ -307,109 +295,132 @@ class ChunkProcessor:
         forced_limit: int | None,
         memory: MainMemory,
     ) -> None:
-        """Run the thread into ``chunk`` until a truncation condition."""
+        """Run the thread into ``chunk`` until a truncation condition.
+
+        The loop body runs once per op, so everything that stays fixed
+        while one chunk builds is bound before it: the line shift, the
+        load stall per serving level, and the write buffers of older
+        uncommitted chunks.  ``compute_mix`` and the cache entry points
+        are looked up here too (never at import), so wrappers installed
+        on them before the build see every call.
+        """
         state = self.spec_state
         effective = target_size
         reason_at_target = target_reason
         if forced_limit is not None and forced_limit < effective:
             effective = max(1, forced_limit)
             reason_at_target = TruncationReason.CACHE_OVERFLOW
-        line_of = self.config.line_of
+        ops = self.ops
+        op_count = len(ops)
+        line_shift = self.config.line_shift
+        mix = compute_mix
+        access = self.cache.access
+        would_overflow = self.cache.write_would_overflow
+        footprint = chunk.write_footprint
+        buffer = chunk.write_buffer
+        record_read = chunk.record_read
+        record_write = chunk.record_write
+        # Loads see older uncommitted chunks newest first; those chunks
+        # are built and memory changes only on commit, so neither moves
+        # while this chunk builds.
+        older = [c.write_buffer for c in reversed(self.outstanding)]
+        read_memory = memory.read
+        # Timing for a load: the exposed fraction of any miss latency
+        # (an L1 hit adds 0.0, which leaves the cycle sum bit-identical).
+        timing = self.config.timing
+        load_stall = {
+            "l1": 0.0,
+            "l2": timing.l2_hit_cycles * timing.chunk_load_exposure,
+            "memory": timing.memory_cycles * timing.chunk_load_exposure,
+        }
         while True:
-            op = self._current_op(state)
-            if op is None:
-                chunk.truncation = TruncationReason.PROGRAM_END
-                break
+            if state.handler_ops is None and state.op_index < op_count:
+                op = ops[state.op_index]
+            else:
+                op = self._current_op(state)
+                if op is None:
+                    chunk.truncation = TruncationReason.PROGRAM_END
+                    break
             kind = op.kind
             budget = effective - chunk.instructions
-            if kind in _BOUNDARY_KINDS:
-                chunk.pending_boundary_op = op
-                chunk.truncation = (
-                    TruncationReason.SPECIAL if kind is OpKind.SPECIAL
-                    else TruncationReason.IO_BOUNDARY)
-                break
-            if kind is OpKind.COMPUTE or kind is OpKind.TRAP:
+            if kind is OpKind.LOAD:
+                if budget < 1:
+                    chunk.truncation = reason_at_target
+                    break
+                address = op.address
+                line = address >> line_shift
+                if address in buffer:
+                    state.accumulator = buffer[address]
+                else:
+                    for older_buffer in older:
+                        if address in older_buffer:
+                            state.accumulator = older_buffer[address]
+                            break
+                    else:
+                        state.accumulator = read_memory(address)
+                record_read(line)
+                chunk.exec_cycles += load_stall[access(line)]
+                chunk.instructions += 1
+                state.retired += 1
+            elif kind is OpKind.STORE:
+                if budget < 1:
+                    chunk.truncation = reason_at_target
+                    break
+                line = op.address >> line_shift
+                if would_overflow(footprint, line):
+                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                    break
+                value = (op.value if op.value is not None
+                         else state.accumulator)
+                buffer[op.address] = value & WORD_MASK
+                record_write(line)
+                # Stores are fully buffered: LRU update, no stall.
+                access(line)
+                chunk.instructions += 1
+                state.retired += 1
+            elif kind is OpKind.COMPUTE or kind is OpKind.TRAP:
                 if budget < 1:
                     chunk.truncation = reason_at_target
                     break
                 remaining = (state.compute_remaining
                              if state.compute_remaining else op.count)
                 step = min(remaining, budget)
-                state.accumulator = compute_mix(state.accumulator, step)
+                state.accumulator = mix(state.accumulator, step)
                 chunk.instructions += step
                 state.retired += step
                 left = remaining - step
                 state.compute_remaining = left
-                if left == 0:
-                    self._advance(state)
-                continue
-            if kind is OpKind.LOAD:
+                if left:
+                    continue
+            elif kind is OpKind.RMW:
                 if budget < 1:
                     chunk.truncation = reason_at_target
                     break
-                line = line_of(op.address)
-                state.accumulator = self._read_value(
-                    op.address, chunk, memory)
-                chunk.record_read(line)
-                self._charge_read(chunk, line)
-                chunk.instructions += 1
-                state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.STORE:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                value = (op.value if op.value is not None
-                         else state.accumulator)
-                chunk.write_buffer[op.address] = value & WORD_MASK
-                chunk.record_write(line)
-                self._charge_write(line)
-                chunk.instructions += 1
-                state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.RMW:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
+                line = op.address >> line_shift
+                if would_overflow(footprint, line):
                     chunk.truncation = TruncationReason.CACHE_OVERFLOW
                     break
                 old = self._read_value(op.address, chunk, memory)
                 delta = op.value if op.value is not None else 1
-                chunk.write_buffer[op.address] = (old + delta) & WORD_MASK
-                chunk.record_read(line)
-                chunk.record_write(line)
-                self._charge_read(chunk, line)
+                buffer[op.address] = (old + delta) & WORD_MASK
+                record_read(line)
+                record_write(line)
+                chunk.exec_cycles += load_stall[access(line)]
                 state.accumulator = old
                 chunk.instructions += 1
                 state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.LOCK:
+            elif kind is OpKind.LOCK:
                 if budget < LOCK_SPIN_COST:
                     chunk.truncation = reason_at_target
                     break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
+                line = op.address >> line_shift
+                if would_overflow(footprint, line):
                     chunk.truncation = TruncationReason.CACHE_OVERFLOW
                     break
                 value = self._read_value(op.address, chunk, memory)
-                chunk.record_read(line)
-                self._charge_read(chunk, line)
-                if value == 0:
-                    chunk.write_buffer[op.address] = 1
-                    chunk.record_write(line)
-                    chunk.instructions += LOCK_SPIN_COST
-                    state.retired += LOCK_SPIN_COST
-                    self._advance(state)
-                else:
+                record_read(line)
+                chunk.exec_cycles += load_stall[access(line)]
+                if value != 0:
                     # The lock is held and, within an isolated chunk, its
                     # value cannot change: the remaining budget is pure
                     # spinning.  Charge it in bulk.
@@ -420,37 +431,37 @@ class ChunkProcessor:
                     self.stats.spin_instructions += cost
                     chunk.truncation = reason_at_target
                     break
-                continue
-            if kind is OpKind.UNLOCK:
+                buffer[op.address] = 1
+                record_write(line)
+                chunk.instructions += LOCK_SPIN_COST
+                state.retired += LOCK_SPIN_COST
+            elif kind is OpKind.UNLOCK:
                 if budget < 1:
                     chunk.truncation = reason_at_target
                     break
-                line = line_of(op.address)
-                if self.cache.write_would_overflow(chunk.write_lines, line):
+                line = op.address >> line_shift
+                if would_overflow(footprint, line):
                     chunk.truncation = TruncationReason.CACHE_OVERFLOW
                     break
-                chunk.write_buffer[op.address] = 0
-                chunk.record_write(line)
-                self._charge_write(line)
+                buffer[op.address] = 0
+                record_write(line)
+                access(line)
                 chunk.instructions += 1
                 state.retired += 1
-                self._advance(state)
-                continue
-            if kind is OpKind.BARRIER:
+            elif kind is OpKind.BARRIER:
+                line = op.address >> line_shift
                 if state.stage == _STAGE_START:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
-                    line = line_of(op.address)
-                    if self.cache.write_would_overflow(
-                            chunk.write_lines, line):
+                    if would_overflow(footprint, line):
                         chunk.truncation = TruncationReason.CACHE_OVERFLOW
                         break
                     old = self._read_value(op.address, chunk, memory)
-                    chunk.write_buffer[op.address] = (old + 1) & WORD_MASK
-                    chunk.record_read(line)
-                    chunk.record_write(line)
-                    self._charge_read(chunk, line)
+                    buffer[op.address] = (old + 1) & WORD_MASK
+                    record_read(line)
+                    record_write(line)
+                    chunk.exec_cycles += load_stall[access(line)]
                     state.barrier_target = (
                         (old // op.count + 1) * op.count)
                     state.stage = _STAGE_BARRIER_WAIT
@@ -461,17 +472,10 @@ class ChunkProcessor:
                 if budget < BARRIER_SPIN_COST:
                     chunk.truncation = reason_at_target
                     break
-                line = line_of(op.address)
                 value = self._read_value(op.address, chunk, memory)
-                chunk.record_read(line)
-                self._charge_read(chunk, line)
-                if value >= state.barrier_target:
-                    state.stage = _STAGE_START
-                    state.barrier_target = 0
-                    chunk.instructions += BARRIER_SPIN_COST
-                    state.retired += BARRIER_SPIN_COST
-                    self._advance(state)
-                else:
+                record_read(line)
+                chunk.exec_cycles += load_stall[access(line)]
+                if value < state.barrier_target:
                     spins = budget // BARRIER_SPIN_COST
                     cost = spins * BARRIER_SPIN_COST
                     chunk.instructions += cost
@@ -479,8 +483,23 @@ class ChunkProcessor:
                     self.stats.spin_instructions += cost
                     chunk.truncation = reason_at_target
                     break
-                continue
-            raise ExecutionError(f"unhandled op kind {kind}")
+                state.stage = _STAGE_START
+                state.barrier_target = 0
+                chunk.instructions += BARRIER_SPIN_COST
+                state.retired += BARRIER_SPIN_COST
+            elif kind in _BOUNDARY_KINDS:
+                chunk.pending_boundary_op = op
+                chunk.truncation = (
+                    TruncationReason.SPECIAL if kind is OpKind.SPECIAL
+                    else TruncationReason.IO_BOUNDARY)
+                break
+            else:
+                raise ExecutionError(f"unhandled op kind {kind}")
+            # The op completed: step past it (as _advance does).
+            if state.handler_ops is None:
+                state.op_index += 1
+            else:
+                state.handler_index += 1
         chunk.end_state = state.snapshot()
         chunk.exec_cycles += self.config.timing.instruction_cycles(
             chunk.instructions)

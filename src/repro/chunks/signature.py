@@ -41,6 +41,13 @@ _MULTIPLIERS = (
 _MASK64 = (1 << 64) - 1
 
 
+def _hash(line_address: int, index: int) -> int:
+    """The ``index``-th hash of a line address (before masking to the
+    signature's hash space)."""
+    mixed = ((line_address + index + 1) * _MULTIPLIERS[index]) & _MASK64
+    return mixed ^ (mixed >> 29)
+
+
 @dataclass(frozen=True)
 class SignatureConfig:
     """Geometry of a signature: hash-space size and hash count.
@@ -75,24 +82,22 @@ class Signature:
         self._keys: set[int] = set()
         self._count = 0  # lines inserted, for occupancy diagnostics
 
-    def _positions(self, line_address: int):
-        mask = self.config.size_bits - 1
-        for index in range(self.config.num_hashes):
-            mixed = ((line_address + index + 1)
-                     * _MULTIPLIERS[index]) & _MASK64
-            mixed ^= mixed >> 29
-            yield mixed & mask
-
     def insert(self, line_address: int) -> None:
         """Add a cache-line address to the signature."""
-        self._keys.update(self._positions(line_address))
+        mask = self.config.size_bits - 1
+        keys = self._keys
+        for index in range(self.config.num_hashes):
+            keys.add(_hash(line_address, index) & mask)
         self._count += 1
 
     def may_contain(self, line_address: int) -> bool:
         """Membership test; may report false positives, never false
         negatives."""
-        return all(position in self._keys
-                   for position in self._positions(line_address))
+        mask = self.config.size_bits - 1
+        for index in range(self.config.num_hashes):
+            if (_hash(line_address, index) & mask) not in self._keys:
+                return False
+        return True
 
     def intersects(self, other: "Signature") -> bool:
         """The arbiter's conflict test: do the filters share a set bit?

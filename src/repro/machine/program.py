@@ -40,6 +40,7 @@ TRAP       ``count`` handler instructions executed inline
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
@@ -103,6 +104,12 @@ _AFFINE_C = 0x14057B7EF767814F
 _WORD_MOD = 1 << 64
 
 
+# A pure function of ``count``, memoized: a benchmark pass makes ~60k
+# calls with ~60 distinct counts.  The bound, far above that, keeps
+# programs with many distinct block lengths from growing the memo
+# without limit.  Entries are immutable ints, safe to share, and nothing
+# is computed before the first call.
+@functools.lru_cache(maxsize=4096)
 def _affine_power(count: int) -> tuple[int, int]:
     """(A^n mod 2^64, 1 + A + ... + A^(n-1) mod 2^64) by fast doubling."""
     multiplier = 1

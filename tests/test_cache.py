@@ -1,9 +1,19 @@
 """Tests for the L1/L2 cache models and overflow detection."""
 
+import random
+
 import pytest
 
-from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
+from repro.chunks.cache import (
+    CacheConfig,
+    SharedL2Filter,
+    SpeculativeCache,
+    WriteFootprint,
+)
+from repro.chunks.chunk import Chunk
+from repro.chunks.signature import SignatureConfig
 from repro.errors import ConfigurationError
+from repro.machine.program import ThreadState
 
 
 class TestCacheConfig:
@@ -61,13 +71,13 @@ class TestL1Classification:
     def test_invalidate(self):
         cache = SpeculativeCache(CacheConfig(sets=4, ways=2))
         cache.access(3)
-        cache.invalidate(3)
+        assert cache.invalidate(3) is True
         assert cache.coherence_invalidations == 1
         assert cache.access(3) != "l1"
 
     def test_invalidate_absent_line_is_noop(self):
         cache = SpeculativeCache(CacheConfig(sets=4, ways=2))
-        cache.invalidate(77)
+        assert cache.invalidate(77) is False
         assert cache.coherence_invalidations == 0
 
     def test_stats_keys(self):
@@ -100,29 +110,114 @@ class TestSharedL2:
             SharedL2Filter(capacity_lines=0)
 
 
+def footprint_of(config, lines):
+    footprint = WriteFootprint(config)
+    for line in lines:
+        footprint.add(line)
+    return footprint
+
+
 class TestOverflowDetection:
     def test_no_overflow_below_capacity(self):
-        cache = SpeculativeCache(CacheConfig(sets=4, ways=4))
-        written = {0, 4, 8}       # three lines in set 0 (4 ways usable)
+        config = CacheConfig(sets=4, ways=4)
+        cache = SpeculativeCache(config)
+        written = footprint_of(config, {0, 4, 8})  # 3 lines in set 0
         assert not cache.write_would_overflow(written, 12)
 
     def test_overflow_at_set_capacity(self):
-        cache = SpeculativeCache(CacheConfig(sets=4, ways=4))
-        written = {0, 4, 8, 12}   # set 0 full of speculative lines
+        config = CacheConfig(sets=4, ways=4)
+        cache = SpeculativeCache(config)
+        written = footprint_of(config, {0, 4, 8, 12})  # set 0 full
         assert cache.write_would_overflow(written, 16)
 
     def test_rewriting_existing_line_never_overflows(self):
-        cache = SpeculativeCache(CacheConfig(sets=4, ways=4))
-        written = {0, 4, 8, 12}
+        config = CacheConfig(sets=4, ways=4)
+        cache = SpeculativeCache(config)
+        written = footprint_of(config, {0, 4, 8, 12})
         assert not cache.write_would_overflow(written, 4)
 
     def test_other_sets_unaffected(self):
-        cache = SpeculativeCache(CacheConfig(sets=4, ways=4))
-        written = {0, 4, 8, 12}   # all in set 0
+        config = CacheConfig(sets=4, ways=4)
+        cache = SpeculativeCache(config)
+        written = footprint_of(config, {0, 4, 8, 12})  # all in set 0
         assert not cache.write_would_overflow(written, 1)  # set 1
 
     def test_overflow_is_deterministic_in_footprint(self):
-        cache = SpeculativeCache(CacheConfig(sets=8, ways=4))
-        written = {0, 8, 16}
+        config = CacheConfig(sets=8, ways=4)
+        cache = SpeculativeCache(config)
+        written = footprint_of(config, {0, 8, 16})
         assert (cache.write_would_overflow(written, 24)
                 == cache.write_would_overflow(written, 24))
+
+    def test_footprint_counts_distinct_lines_per_set(self):
+        config = CacheConfig(sets=4, ways=2)
+        footprint = WriteFootprint(config)
+        assert footprint.add(5)
+        assert not footprint.add(5)  # a rewrite is not a new line
+        assert footprint.add(9)
+        assert footprint.lines == {5, 9}
+        assert footprint.per_set == [0, 2, 0, 0]
+
+
+def scan_would_overflow(config, written_lines, new_line):
+    """The overflow check as a scan of the whole write set: the
+    reference the per-set bookkeeping must agree with."""
+    if new_line in written_lines:
+        return False
+    target_set = config.set_of(new_line)
+    resident = sum(
+        1 for line in written_lines
+        if config.set_of(line) == target_set)
+    return resident >= config.speculative_ways
+
+
+class TestOverflowBookkeepingMatchesScan:
+    """Seeded write streams through :meth:`Chunk.record_write`: the O(1)
+    check must give the scan's verdict at every step."""
+
+    @pytest.mark.parametrize("sets", [1, 4, 128])
+    @pytest.mark.parametrize("ways", [2, 4, 8])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_verdict_at_every_step(self, sets, ways, seed):
+        config = CacheConfig(sets=sets, ways=ways)
+        cache = SpeculativeCache(config)
+        rng = random.Random(f"overflow:{sets}:{ways}:{seed}")
+        # Lines from a pool a few times the cache's capacity, so sets
+        # fill up and overflow, plus far-away addresses.
+        pool = sets * ways * 3
+
+        def new_chunk():
+            return Chunk(processor=0, logical_seq=1,
+                         start_state=ThreadState(thread_id=0),
+                         signature_config=SignatureConfig(),
+                         write_footprint=WriteFootprint(config))
+
+        chunk, written = new_chunk(), set()
+        overflows = 0
+        for step in range(1500):
+            roll = rng.random()
+            if written and roll < 0.3:
+                line = rng.choice(sorted(written))  # rewrite, resident
+            elif roll < 0.9:
+                line = rng.randrange(pool)  # fresh or already written
+            else:
+                line = rng.randrange(1 << 40)
+            expected = scan_would_overflow(config, written, line)
+            assert cache.write_would_overflow(
+                chunk.write_footprint, line) is expected, step
+            if expected:
+                overflows += 1
+                if rng.random() < 0.5:
+                    # Truncate: the next chunk starts with no footprint.
+                    chunk, written = new_chunk(), set()
+            elif rng.random() < 0.2:
+                pass  # a LOCK that finds the lock held writes nothing
+            else:
+                chunk.record_write(line)
+                written.add(line)
+            assert chunk.write_lines == written
+        tally = [0] * sets
+        for line in written:
+            tally[config.set_of(line)] += 1
+        assert chunk.write_footprint.per_set == tally
+        assert overflows > 0

@@ -61,6 +61,16 @@ class TestCommitDirectory:
         assert cache_map[1].coherence_invalidations == 1
         assert cache_map[2].coherence_invalidations == 1
 
+    def test_propagation_counts_only_resident_lines(self):
+        directory = CommitDirectory()
+        cache_map = caches(3)
+        cache_map[1].access(5)
+        cache_map[1].access(6)
+        cache_map[2].access(6)
+        committing = chunk_with(0, writes=[5, 6, 7])
+        assert directory.propagate_commit(committing, cache_map) == 3
+        assert directory.traffic.invalidation_bytes == 3 * 8
+
     def test_propagation_skips_committer_cache(self):
         directory = CommitDirectory()
         cache_map = caches(2)

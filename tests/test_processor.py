@@ -98,6 +98,22 @@ class TestBasicInterpretation:
         build(proc, memory)
         assert proc.spec_state.accumulator == 123
 
+    def test_reads_chain_through_older_uncommitted_chunks(self):
+        proc, memory = make_processor([
+            Op(OpKind.STORE, address=9, value=1),
+            Op(OpKind.STORE, address=9, value=2),
+            Op(OpKind.LOAD, address=9),
+            Op(OpKind.RMW, address=9, value=10),
+        ], small_config(simultaneous_chunks=4))
+        memory.write(9, 99)  # committed value, shadowed by both stores
+        build(proc, memory, target=1)
+        build(proc, memory, target=1)
+        build(proc, memory, target=1)
+        assert proc.spec_state.accumulator == 2  # newest older chunk
+        rmw = build(proc, memory, target=1)
+        assert proc.spec_state.accumulator == 2
+        assert rmw.write_buffer[9] == 12
+
     def test_instruction_count_accumulates(self):
         proc, memory = make_processor([
             Op(OpKind.COMPUTE, count=7),

@@ -122,3 +122,52 @@ class TestComputeMix:
            st.integers(min_value=1, max_value=10000))
     def test_result_stays_in_word_range(self, start, count):
         assert 0 <= compute_mix(start, count) < (1 << 64)
+
+
+def closed_form_mix(accumulator: int, count: int) -> int:
+    """``count`` affine steps without fast doubling or a memo.
+
+    A^n comes from ``pow``; the geometric sum (A^n - 1) / (A - 1) is
+    exact when A^n is reduced modulo (A - 1) * 2^64.
+    """
+    from repro.machine.program import _AFFINE_A, _AFFINE_C
+    modulus = 1 << 64
+    power = pow(_AFFINE_A, count, (_AFFINE_A - 1) * modulus)
+    geometric = (power - 1) // (_AFFINE_A - 1)
+    return (accumulator * power + _AFFINE_C * geometric) % modulus
+
+
+class TestComputeMixMemo:
+    LARGE_COUNTS = (1 << 32, (1 << 32) + 1, (1 << 40) + 12345,
+                    (1 << 63) - 1)
+
+    def test_matches_unmemoized_reference(self):
+        start = 0x0123456789ABCDEF
+        for count in range(4097):
+            assert compute_mix(start, count) == \
+                closed_form_mix(start, count), count
+        for count in self.LARGE_COUNTS:
+            assert compute_mix(start, count) == \
+                closed_form_mix(start, count), count
+
+    def test_repeated_counts_are_served_by_the_memo(self):
+        from repro.machine.program import _affine_power
+        compute_mix(1, 777)
+        hits = _affine_power.cache_info().hits
+        assert compute_mix(5, 777) == closed_form_mix(5, 777)
+        assert _affine_power.cache_info().hits == hits + 1
+
+    def test_segmentation_invariance_across_memo_hits(self):
+        start = 424242
+        for first, second in [(3, 5), (1999, 1), (1 << 33, 17),
+                              (1000, 1000)]:
+            # The second round serves every count from the memo.
+            for _ in range(2):
+                whole = compute_mix(start, first + second)
+                split = compute_mix(compute_mix(start, first), second)
+                assert whole == split == closed_form_mix(
+                    start, first + second)
+
+    def test_memo_is_bounded(self):
+        from repro.machine.program import _affine_power
+        assert _affine_power.cache_info().maxsize is not None
