@@ -156,6 +156,16 @@ class ChunkProcessor:
                 or self.spec_state.in_handler
                 or bool(self.pending_handlers))
 
+    @property
+    def committed_state(self) -> ThreadState:
+        """The committed architectural state: the oldest uncommitted
+        chunk's start state (speculation builds linearly from it and
+        squashes roll back to it), or the live state when nothing is
+        outstanding."""
+        if self.outstanding:
+            return self.outstanding[0].start_state
+        return self.spec_state
+
     def squash_count_for(self, seq: int) -> int:
         """Times the chunk with ``seq`` has been squashed and rebuilt."""
         return self._squash_counts.get(seq, 0)

@@ -1,16 +1,17 @@
 """ReplayController: time-travel debugging over deterministic replay.
 
 The controller owns a replay :class:`~repro.machine.system.ChunkMachine`
-and drives its event engine one dispatch at a time instead of running
-it to completion.  An observer hooked into the machine fires at the
-exact linearization point of every global commit (processor chunk or
-DMA burst); there the controller verifies the commit against the
-recording, evaluates breakpoints, takes periodic checkpoints, and --
-when it decides to stop -- freezes the commit pipeline mid-dispatch
-with :meth:`ChunkMachine.pause_at_boundary`.  A machine paused this way
-exposes *committed* architectural state exactly: memory holds precisely
-the first GCC commits' writes, and each processor's committed thread
-state is the start state of its oldest speculative chunk.
+and is a client of its one drive loop, :meth:`ChunkMachine.run`.  An
+observer on the machine fires at the exact linearization point of
+every global commit (processor chunk or DMA burst); there the
+controller verifies the commit against the recording, evaluates
+breakpoints, takes periodic checkpoints, and -- when it decides to
+stop -- freezes the commit pipeline mid-dispatch with
+:meth:`ChunkMachine.pause_at_boundary`, which makes ``run()`` return;
+the next ``run()`` resumes.  A machine paused this way exposes
+*committed* architectural state exactly: memory holds precisely the
+first GCC commits' writes, and each processor's committed thread state
+is the start state of its oldest speculative chunk.
 
 Backward motion is restore + re-run, the only way time travel can work
 on a record/replay substrate: ``goto n`` restores the nearest
@@ -28,10 +29,9 @@ from dataclasses import dataclass, field
 from repro.core.recorder import Recording
 from repro.debugger.breakpoints import BreakpointTable
 from repro.debugger.checkpoints import CheckpointIndex
-from repro.errors import ConfigurationError, DeadlockError, \
-    ReplayDivergenceError
+from repro.errors import ConfigurationError, ReplayDivergenceError
 from repro.machine.checkpoint import SystemCheckpoint
-from repro.machine.system import build_replay_machine
+from repro.machine.system import MachineObserver, build_replay_machine
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 
@@ -105,7 +105,7 @@ class StopInfo:
         return text
 
 
-class _Observer:
+class _Observer(MachineObserver):
     """The machine-side hook: accumulates between-boundary events and
     forwards each commit boundary to the controller."""
 
@@ -225,7 +225,7 @@ class ReplayController:
     @property
     def gcc(self) -> int:
         """Global commit count the machine is paused at."""
-        return self._base + len(self._machine._fingerprints)
+        return self._base + self._machine.commit_count
 
     @property
     def machine(self):
@@ -247,11 +247,8 @@ class ReplayController:
             start_checkpoint=checkpoint,
             tracer=self.tracer,
         )
-        self._machine.observer = _Observer(self)
+        self._machine.observers.append(_Observer(self))
         self._base = checkpoint.commit_index if checkpoint else 0
-        self._armed = False
-        self._budget: int | None = None
-        self._dispatched = 0
         self.finished = False
         self._machine_dead = False
         self.current = None
@@ -299,38 +296,22 @@ class ReplayController:
                 breakpoints=[bp.number for bp in stops])
 
     def _maybe_checkpoint(self, gcc: int) -> None:
-        """Index a restore point at this boundary (replay machines are
-        always eligible here -- a boundary cannot fall mid split-chunk,
-        but guard anyway)."""
-        machine = self._machine
-        if machine.arbiter.has_reservation or machine._piece_accum:
+        """Index a restore point at this boundary, unless a split
+        logical chunk has committed only some of its pieces."""
+        try:
+            snapshot = SystemCheckpoint.capture_committed(
+                self._machine, label=f"debug-gcc{gcc}")
+        except ConfigurationError:
             return
-        snapshot = SystemCheckpoint.capture_committed(
-            machine, label=f"debug-gcc{gcc}")
         self.checkpoints.add(snapshot.to_interval())
 
-    def _pump(self) -> StopInfo:
-        """Drive the engine until the observer stops us or the replay
+    def _run(self) -> StopInfo:
+        """Run the machine until the observer pauses it or the replay
         ends."""
         self._stop = None
-        machine = self._machine
         try:
-            if not self._armed:
-                self._budget = machine.start()
-                self._armed = True
-            elif machine.paused:
-                machine.resume_from_boundary()
-            while self._stop is None:
-                if not machine.engine.step():
-                    self._finish()
-                    break
-                self._dispatched += 1
-                if (self._budget is not None
-                        and self._dispatched > self._budget):
-                    raise DeadlockError(
-                        f"replay exceeded {self._budget} events at "
-                        f"gcc {self.gcc}; the machine is likely "
-                        f"livelocked")
+            if self._machine.run() is not None:
+                self._finish()
         except ReplayDivergenceError as error:
             # The machine detected a structural divergence (log
             # mismatch) before the fingerprint check could: surface it
@@ -344,12 +325,10 @@ class ReplayController:
         return self._stop
 
     def _finish(self) -> None:
-        """The event queue drained: the replay ran to its end."""
-        machine = self._machine
-        machine._check_drained()
+        """The machine ran to its end."""
         problems = []
         if self._base == 0:
-            problems = machine.replay_source.verify_fully_consumed()
+            problems = self._machine.replay_source.verify_fully_consumed()
         self.finished = True
         message = "; ".join(problems) if problems else "replay complete"
         self._stop = StopInfo(reason="end", gcc=self.gcc,
@@ -373,7 +352,7 @@ class ReplayController:
         self._target = None
         self._honor_breakpoints = True
         start_cycle = self._machine.engine.now
-        stop = self._pump()
+        stop = self._run()
         self._trace_motion("continue", start_cycle, 0)
         return stop
 
@@ -391,7 +370,7 @@ class ReplayController:
         self._target_reason = "step"
         self._honor_breakpoints = True
         start_cycle = self._machine.engine.now
-        stop = self._pump()
+        stop = self._run()
         self._trace_motion("step", start_cycle, 0)
         return stop
 
@@ -425,7 +404,7 @@ class ReplayController:
             self._target = target
             self._target_reason = "goto"
             self._honor_breakpoints = False
-            stop = self._pump()
+            stop = self._run()
             self._honor_breakpoints = True
             if stop is not None and stop.reason == "goto" \
                     and stop.gcc != target:
@@ -467,10 +446,7 @@ class ReplayController:
 
     def thread_state(self, proc: int):
         """Processor ``proc``'s committed architectural state."""
-        processor = self._machine.processors[proc]
-        if processor.outstanding:
-            return processor.outstanding[0].start_state
-        return processor.spec_state
+        return self._machine.processors[proc].committed_state
 
     def thread_summary(self) -> list[dict]:
         """Per-processor committed state, REPL-friendly."""

@@ -38,10 +38,24 @@ from repro.explore.bisect import minimize_schedule
 from repro.explore.frontier import Frontier
 from repro.explore.plans import pct_plan
 from repro.explore.report import ExploreReport, ScheduleResult
+from repro.machine.system import MachineObserver
 
 #: Fallback schedule-length estimate when the baseline produced no
 #: grants (degenerate program); keeps PCT sampling well-defined.
 _MIN_DEPTH = 2
+
+
+class _AccessCapture(MachineObserver):
+    """Each processor commit's exact read/write line sets, in commit
+    order (the DPOR frontier's food)."""
+
+    def __init__(self) -> None:
+        self.accesses: list[tuple] = []
+
+    def on_commit(self, chunk, fingerprint, count) -> None:
+        self.accesses.append((chunk.processor,
+                              tuple(sorted(chunk.read_lines)),
+                              tuple(sorted(chunk.write_lines))))
 
 
 def _invariant_for(spec):
@@ -77,13 +91,7 @@ def execute_explore_spec(spec, cache=None) -> dict:
         mode_config = _replace(mode_config,
                                standard_chunk_size=spec.chunk_size)
 
-    accesses: list[tuple] = []
-
-    def on_commit(chunk, count) -> None:
-        accesses.append((chunk.processor,
-                         tuple(sorted(chunk.read_lines)),
-                         tuple(sorted(chunk.write_lines))))
-
+    capture = _AccessCapture()
     report = supervise_record(
         program,
         mode=mode,
@@ -91,8 +99,9 @@ def execute_explore_spec(spec, cache=None) -> dict:
         mode_config=mode_config,
         degrade=False,
         schedule=None if plan.is_natural else plan,
-        commit_hook=on_commit,
+        observers=[capture],
     )
+    accesses = capture.accesses
 
     invariant = _invariant_for(spec)
     invariant_ok, invariant_detail = True, ""

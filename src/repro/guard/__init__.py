@@ -32,12 +32,7 @@ from repro.guard.degrade import (
     safer_mode,
     save_segmented,
 )
-from repro.guard.journal import (
-    JournalInfo,
-    RecordingJournal,
-    load_journal,
-    partial_recording,
-)
+from repro.guard.journal import JournalInfo, RecordingJournal, load_journal
 from repro.guard.limits import BudgetMeter, Budgets
 from repro.guard.supervisor import (
     SupervisionReport,
@@ -45,6 +40,7 @@ from repro.guard.supervisor import (
     supervise_replay,
 )
 from repro.guard.watchdog import Watchdog, WatchdogConfig, WatchdogTimer
+from repro.machine.system import partial_recording
 
 __all__ = [
     "BudgetMeter",

@@ -88,18 +88,14 @@ def capture_boundary(machine) -> SegmentBoundary:
     if machine.recorder is None:
         raise ConfigurationError(
             "capture_boundary needs a recording-phase machine")
-    if machine.arbiter.committing or machine.arbiter.has_reservation:
+    if not machine.quiescent:
         raise ConfigurationError(
             "capture_boundary requires a quiescent commit boundary")
     now = machine.engine.now
     thread_states = {}
     pending_handlers: dict[int, list] = {}
     for proc in machine.processors:
-        if proc.outstanding:
-            state = proc.outstanding[0].start_state
-        else:
-            state = proc.spec_state
-        thread_states[proc.proc_id] = state.snapshot()
+        thread_states[proc.proc_id] = proc.committed_state.snapshot()
         carried = []
         for chunk in proc.outstanding:
             if chunk.is_handler and chunk.piece_index == 0:
@@ -120,7 +116,7 @@ def capture_boundary(machine) -> SegmentBoundary:
            for t in arrivals[committed_dma:]]
     return SegmentBoundary(
         cycle=now,
-        gcc=len(machine._fingerprints),
+        gcc=machine.commit_count,
         memory_image=machine.memory.snapshot(),
         thread_states=thread_states,
         pending_handlers=pending_handlers,

@@ -38,7 +38,6 @@ import zlib
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from repro.analysis.stats import RunStats
 from repro.core.recorder import Recording
 from repro.core.serialization import (
     _MAGIC,
@@ -53,54 +52,7 @@ from repro.core.serialization import (
     SectionDamage,
 )
 from repro.errors import ConfigurationError, SalvageError
-
-
-def partial_recording(machine) -> Recording:
-    """Snapshot a *recording* machine's logs as a prefix Recording.
-
-    Must be called at a quiescent commit boundary (no in-flight commit,
-    no continuation reservation): there, the PI entries, CS/IO/
-    Interrupt/DMA logs and the fingerprint list all describe exactly
-    the same committed prefix, and committed memory equals the
-    architectural state.  Stratified state is deliberately dropped
-    (``finish()`` may only ever run once, at end-of-run), so prefix
-    snapshots replay via the ordered PI path.
-    """
-    recorder = machine.recorder
-    if recorder is None:
-        raise ConfigurationError(
-            "partial_recording needs a recording-phase machine")
-    if machine.arbiter.committing or machine.arbiter.has_reservation:
-        raise ConfigurationError(
-            "partial_recording requires a quiescent commit boundary")
-    stats = RunStats()
-    stats.cycles = machine.engine.now
-    for proc in machine.processors:
-        stats.merge_processor(proc.proc_id, proc.stats)
-    stats.dma_commits = machine.stats.dma_commits
-    return Recording(
-        mode_config=machine.mode_config,
-        machine_config=machine.config,
-        program=machine.program,
-        pi_log=recorder.pi_log,
-        cs_logs=recorder.cs_logs,
-        interrupt_logs=recorder.interrupt_logs,
-        io_logs=recorder.io_logs,
-        dma_log=recorder.dma_log,
-        strata=[],
-        stratified=False,
-        fingerprints=list(machine._fingerprints),
-        per_proc_fingerprints={
-            proc: list(entries) for proc, entries
-            in machine._per_proc_fingerprints.items()},
-        final_memory=machine.memory.nonzero_words(),
-        final_thread_keys={
-            p.proc_id: p.committed_fingerprint_state()
-            for p in machine.processors},
-        stats=stats,
-        memory_ordering=recorder.memory_ordering_log(),
-        interval_checkpoints=machine.interval_checkpoints,
-    )
+from repro.machine.system import partial_recording
 
 
 class RecordingJournal:
@@ -144,7 +96,7 @@ class RecordingJournal:
     def maybe_flush(self) -> bool:
         """Flush if at least ``flush_every`` commits landed since the
         last flush.  Call only at quiescent boundaries."""
-        commits = len(self.machine._fingerprints)
+        commits = self.machine.commit_count
         if commits - self.flushed_commits < self.flush_every:
             return False
         self.flush()
@@ -174,8 +126,7 @@ class RecordingJournal:
         if self.closed:
             return
         if (final_flush
-                and len(self.machine._fingerprints)
-                > self.flushed_commits):
+                and self.machine.commit_count > self.flushed_commits):
             self.flush()
         self._write(_frame_bytes(_SECTION_END, 0, 0, b""))
         self._commit_to_disk()
@@ -278,5 +229,4 @@ __all__ = [
     "RecordingJournal",
     "load_journal",
     "load_journal_file",
-    "partial_recording",
 ]

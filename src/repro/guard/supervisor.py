@@ -1,13 +1,13 @@
 """The supervisor: run a session under watchdogs, budgets, journal and
 degradation, and report what happened.
 
-:func:`supervise_record` owns the machine's event loop (it pumps
-:meth:`~repro.machine.engine.EventEngine.step` itself, like the
-debugger's replay controller does) so it can interleave execution with
-guard work at exactly the right moments:
+The supervisor runs the machine through its one drive loop,
+:meth:`~repro.machine.system.ChunkMachine.run`, with a guard observer
+attached that does the guard work at exactly the right moments:
 
 * every ``poll_stride`` dispatched events: :meth:`Watchdog.poll`
-  (stall classification) and the event-budget check;
+  (stall classification); the machine's own event budget is checked
+  after every dispatch, exactly as in an unsupervised run;
 * at every quiescent chunk boundary: :meth:`BudgetMeter.charge`
   (typed budget enforcement -- never mid-commit), journal flushing,
   and the Perfetto ``guard`` counter track;
@@ -25,6 +25,7 @@ state, and the resulting recording artifact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.core.modes import ExecutionMode, ModeConfig, preferred_config
@@ -47,13 +48,15 @@ from repro.guard.degrade import (
     safer_mode,
     segment_start_checkpoint,
 )
-from repro.guard.journal import RecordingJournal, partial_recording
+from repro.guard.journal import RecordingJournal
 from repro.guard.limits import BudgetMeter, Budgets
 from repro.guard.watchdog import Watchdog, WatchdogConfig
 from repro.machine.system import (
     ChunkMachine,
+    MachineObserver,
     build_replay_machine,
     finish_recording,
+    partial_recording,
 )
 from repro.machine.timing import MachineConfig
 from repro.telemetry.tracer import NULL_TRACER
@@ -143,95 +146,75 @@ class SupervisionReport:
         return "\n".join(lines)
 
 
-class _GuardObserver:
-    """Machine observer feeding the watchdog and the budget meter."""
+class _GuardObserver(MachineObserver):
+    """Guard work on the machine's drive loop: watchdog notes and polls,
+    and at quiescent boundaries budget charges, the Perfetto ``guard``
+    counter track and journal flushes."""
 
-    def __init__(self, machine, watchdog: Watchdog,
-                 meter: BudgetMeter, commit_hook=None) -> None:
+    def __init__(self, machine, watchdog: Watchdog, meter: BudgetMeter,
+                 journal: RecordingJournal | None, tracer) -> None:
         self.machine = machine
         self.watchdog = watchdog
         self.meter = meter
-        self.boundary_dirty = False
-        self.commit_hook = commit_hook
+        self.journal = journal
+        self.tracer = tracer
+        self.poll_stride = watchdog.config.poll_stride
+        self._last_charged = 0
+        self._m_flushes = tracer.metrics.counter("guard_journal_flushes")
 
     def on_commit(self, chunk, fingerprint, count) -> None:
         self.watchdog.note_commit(count)
-        self.boundary_dirty = True
-        if self.commit_hook is not None:
-            self.commit_hook(chunk, count)
 
     def on_dma(self, writes, fingerprint, count) -> None:
         self.watchdog.note_commit(count)
-        self.boundary_dirty = True
 
     def on_squash(self, proc, victim_seqs, cause) -> None:
         self.watchdog.note_squash(proc, cause)
         self.meter.note_squash(self.machine.engine.events_processed)
 
-    def on_interrupt(self, proc, event) -> None:
-        pass
+    def on_poll(self, events) -> None:
+        self.watchdog.poll()
+
+    def on_boundary(self) -> None:
+        machine = self.machine
+        commits = machine.commit_count
+        if commits - self._last_charged >= _CHARGE_EVERY:
+            self._last_charged = commits
+            self.meter.charge(machine)
+            tracer = self.tracer
+            if tracer.enabled:
+                engine = machine.engine
+                now = engine.now
+                tracer.counter("guard", "log_bytes", now,
+                               peak=self.meter.peak_log_bytes)
+                tracer.counter("guard", "queue_depth", now,
+                               depth=engine.pending())
+                tracer.counter(
+                    "guard", "squash_rate", now,
+                    per_1k=round(self.meter.squash_rate(
+                        engine.events_processed), 2))
+        if self.journal is not None and self.journal.maybe_flush():
+            self._m_flushes.inc()
 
 
-def _pump(machine, watchdog: Watchdog, meter: BudgetMeter,
-          journal: RecordingJournal | None, tracer,
-          max_events: int | None):
-    """Drive the machine to completion under guard supervision.
-
-    Returns the machine's RunResult; raises StallError /
-    BudgetExceeded / DeadlockError (and the machine's own fatal
-    errors) with the divergence context attached, exactly like
-    :meth:`ChunkMachine.run` does.
-    """
-    engine = machine.engine
-    arbiter = machine.arbiter
-    observer = machine.observer
-    metrics = tracer.metrics
-    m_flushes = metrics.counter("guard_journal_flushes")
-    budget = machine.start(max_events)
-    stride = watchdog.config.poll_stride
-    next_poll = engine.events_processed + stride
-    last_charged = 0
-    try:
-        while engine.step():
-            events = engine.events_processed
-            if events >= next_poll:
-                next_poll = events + stride
-                watchdog.poll()
-                if events > budget:
-                    raise DeadlockError(
-                        f"simulation exceeded {budget} events at cycle "
-                        f"{engine.now:.0f}; the machine is likely "
-                        f"livelocked")
-            if (observer.boundary_dirty and not arbiter.committing
-                    and not arbiter.has_reservation):
-                observer.boundary_dirty = False
-                commits = len(machine._fingerprints)
-                if commits - last_charged >= _CHARGE_EVERY:
-                    last_charged = commits
-                    meter.charge(machine)
-                    if tracer.enabled:
-                        now = engine.now
-                        tracer.counter("guard", "log_bytes", now,
-                                       peak=meter.peak_log_bytes)
-                        tracer.counter("guard", "queue_depth", now,
-                                       depth=engine.pending())
-                        tracer.counter(
-                            "guard", "squash_rate", now,
-                            per_1k=round(meter.squash_rate(events), 2))
-                if journal is not None and journal.maybe_flush():
-                    m_flushes.inc()
-        machine._check_drained()
-    except (ReplayDivergenceError, DeadlockError,
-            IntegrityError) as error:
-        error.context = machine._divergence_context()
-        raise
-    machine._finished = True
-    return machine._collect()
-
-
-def _quiescent(machine) -> bool:
-    return (not machine.arbiter.committing
-            and not machine.arbiter.has_reservation)
+def _stopped_fields(error, watchdog: Watchdog, metrics) -> dict:
+    """Report fields (and guard metrics) for a session that ended in
+    ``error`` instead of completing."""
+    if isinstance(error, StallError):
+        metrics.counter("guard_stalls_detected").inc()
+        metrics.counter(f"guard_stall_{error.classification}").inc()
+        return dict(outcome="stalled", classification=error.classification,
+                    stall=error.details, error=str(error))
+    if isinstance(error, BudgetExceeded):
+        metrics.counter("guard_budget_exceeded").inc()
+        return dict(outcome="budget-exceeded",
+                    classification=f"budget:{error.budget}",
+                    error=str(error))
+    deadlock = isinstance(error, DeadlockError)
+    return dict(
+        outcome="deadlock" if deadlock else "verification-failed",
+        classification="deadlock" if deadlock else "replay-divergence",
+        stall=watchdog.snapshot(), error=str(error))
 
 
 def _close_journal(journal: RecordingJournal | None,
@@ -241,7 +224,7 @@ def _close_journal(journal: RecordingJournal | None,
     if journal is None:
         return None
     try:
-        journal.close(final_flush=_quiescent(machine))
+        journal.close(final_flush=machine.quiescent)
     except ConfigurationError:
         journal.close(final_flush=False)
     return {
@@ -286,7 +269,7 @@ def supervise_record(
     max_events: int | None = None,
     tracer=None,
     schedule=None,
-    commit_hook=None,
+    observers: Sequence[MachineObserver] = (),
 ) -> SupervisionReport:
     """Record ``program`` under full supervision.
 
@@ -299,15 +282,15 @@ def supervise_record(
     ``schedule`` (a :class:`~repro.core.arbiter.SchedulePlan`) perturbs
     the first segment's arbiter grant order for schedule-space
     exploration; a degraded continuation segment records naturally
-    (the explorer runs with ``degrade=False``).  ``commit_hook`` --
-    ``hook(chunk, count)`` -- fires at every chunk's linearization
-    point, letting the explorer capture exact read/write line sets
-    without displacing the guard observer.
+    (the explorer runs with ``degrade=False``).  ``observers`` ride
+    every segment's machine after the guard's own (the explorer
+    captures exact read/write line sets this way).
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = tracer.metrics
-    m_stalls = metrics.counter("guard_stalls_detected")
-    m_budget = metrics.counter("guard_budget_exceeded")
+    # Registered up front so a clean session's metrics list them at 0.
+    metrics.counter("guard_stalls_detected")
+    metrics.counter("guard_budget_exceeded")
     m_segments = metrics.counter("guard_segments_recorded")
     m_degrades = metrics.counter("guard_mode_degradations")
 
@@ -326,7 +309,8 @@ def supervise_record(
     total_events = 0
 
     def make_report(outcome: str, **kw) -> SupervisionReport:
-        report = SupervisionReport(
+        kw.setdefault("global_commits", machine.commit_count)
+        return SupervisionReport(
             outcome=outcome, phase="record",
             mode=current_config.mode.value,
             modes=modes_seen or [current_config.mode.value],
@@ -335,8 +319,9 @@ def supervise_record(
                 "reason": seg.reason} for seg in segments],
             wall_seconds=round(total_wall, 3),
             events=total_events,
+            budgets=meter.consumption(machine),
+            cycles=machine.engine.now,
             **kw)
-        return report
 
     while True:
         if current_config.mode.value not in modes_seen:
@@ -365,76 +350,42 @@ def supervise_record(
         watchdog = Watchdog(machine, watchdog_config)
         meter = BudgetMeter(budgets)
         meter.start()
-        machine.observer = _GuardObserver(machine, watchdog, meter,
-                                          commit_hook=commit_hook)
         journal = None
         if journal_path is not None:
             seg_path = (journal_path if not segments
                         else f"{journal_path}.seg{len(segments)}")
             journal = RecordingJournal(seg_path, machine,
                                        flush_every=flush_every)
+        machine.observers.append(
+            _GuardObserver(machine, watchdog, meter, journal, tracer))
+        machine.observers.extend(observers)
 
         try:
-            result = _pump(machine, watchdog, meter, journal, tracer,
-                           max_events)
-        except StallError as error:
-            m_stalls.inc()
-            metrics.counter(
-                f"guard_stall_{error.classification}").inc()
+            result = machine.run(max_events)
+        except (StallError, BudgetExceeded, DeadlockError) as error:
             total_wall += meter.elapsed
             total_events += machine.engine.events_processed
-            return make_report(
-                "stalled",
-                classification=error.classification,
-                stall=error.details,
-                error=str(error),
-                budgets=meter.consumption(machine),
-                cycles=machine.engine.now,
-                global_commits=len(machine._fingerprints),
-                journal=_close_journal(journal, machine))
-        except BudgetExceeded as error:
-            m_budget.inc()
-            total_wall += meter.elapsed
-            total_events += machine.engine.events_processed
+            stopped = _stopped_fields(error, watchdog, metrics)
             next_mode = safer_mode(current_config.mode)
-            if (degrade and error.budget == "log-bytes"
+            if (degrade and isinstance(error, BudgetExceeded)
+                    and error.budget == "log-bytes"
                     and next_mode is not None):
                 # Cut here: the budget raised at a quiescent boundary,
                 # so the committed prefix is a clean segment.
-                segment = RecordedSegment(
+                segments.append(RecordedSegment(
                     recording=partial_recording(machine),
                     mode=current_config.mode,
                     start_checkpoint=seg_checkpoint,
-                    reason=f"degraded:{error.budget}")
-                new_boundary = capture_boundary(machine)
+                    reason=f"degraded:{error.budget}"))
+                boundary = capture_boundary(machine)
                 _close_journal(journal, machine)
-                segments.append(segment)
                 m_segments.inc()
                 m_degrades.inc()
-                boundary = new_boundary
                 current_config = preferred_config(next_mode)
                 verify_failures = 0
                 continue
             return make_report(
-                "budget-exceeded",
-                classification=f"budget:{error.budget}",
-                error=str(error),
-                budgets=meter.consumption(machine),
-                cycles=machine.engine.now,
-                global_commits=len(machine._fingerprints),
-                journal=_close_journal(journal, machine))
-        except DeadlockError as error:
-            total_wall += meter.elapsed
-            total_events += machine.engine.events_processed
-            return make_report(
-                "deadlock",
-                classification="deadlock",
-                stall=watchdog.snapshot(),
-                error=str(error),
-                budgets=meter.consumption(machine),
-                cycles=machine.engine.now,
-                global_commits=len(machine._fingerprints),
-                journal=_close_journal(journal, machine))
+                **stopped, journal=_close_journal(journal, machine))
 
         # Clean completion of this (possibly final) segment.
         total_wall += meter.elapsed
@@ -458,26 +409,17 @@ def supervise_record(
                     "verification-failed",
                     classification="replay-divergence",
                     error=detail,
-                    budgets=meter.consumption(machine),
-                    cycles=machine.engine.now,
-                    global_commits=len(recording.fingerprints),
                     journal=journal_info)
 
-        final_segment = RecordedSegment(
+        segments.append(RecordedSegment(
             recording=recording,
             mode=current_config.mode,
             start_checkpoint=seg_checkpoint,
-            reason="completed")
-        segments.append(final_segment)
+            reason="completed"))
         m_segments.inc()
 
         if len(segments) == 1:
-            report = make_report(
-                "completed",
-                budgets=meter.consumption(machine),
-                cycles=machine.engine.now,
-                global_commits=len(recording.fingerprints),
-                journal=journal_info)
+            report = make_report("completed", journal=journal_info)
             report.recording = recording
             if verify_segments:
                 report.verification = {"matches": True}
@@ -487,8 +429,6 @@ def supervise_record(
             segments=segments, program_name=program.name)
         report = make_report(
             "degraded-completed",
-            budgets=meter.consumption(machine),
-            cycles=machine.engine.now,
             global_commits=segmented.total_commits,
             journal=journal_info)
         report.segmented = segmented
@@ -523,7 +463,8 @@ def supervise_replay(
     watchdog = Watchdog(machine, watchdog_config)
     meter = BudgetMeter(budgets or Budgets())
     meter.start()
-    machine.observer = _GuardObserver(machine, watchdog, meter)
+    machine.observers.append(
+        _GuardObserver(machine, watchdog, meter, None, tracer))
 
     def make_report(outcome: str, **kw) -> SupervisionReport:
         return SupervisionReport(
@@ -533,35 +474,15 @@ def supervise_replay(
             wall_seconds=round(meter.elapsed, 3),
             events=machine.engine.events_processed,
             cycles=machine.engine.now,
-            global_commits=len(machine._fingerprints),
+            global_commits=machine.commit_count,
             budgets=meter.consumption(machine),
             **kw)
 
     try:
-        result = _pump(machine, watchdog, meter, None, tracer,
-                       max_events)
-    except StallError as error:
-        metrics.counter("guard_stalls_detected").inc()
-        metrics.counter(f"guard_stall_{error.classification}").inc()
-        return make_report(
-            "stalled", classification=error.classification,
-            stall=error.details, error=str(error))
-    except BudgetExceeded as error:
-        metrics.counter("guard_budget_exceeded").inc()
-        return make_report(
-            "budget-exceeded",
-            classification=f"budget:{error.budget}",
-            error=str(error))
-    except (ReplayDivergenceError, DeadlockError,
-            IntegrityError) as error:
-        return make_report(
-            "deadlock" if isinstance(error, DeadlockError)
-            else "verification-failed",
-            classification=("deadlock"
-                            if isinstance(error, DeadlockError)
-                            else "replay-divergence"),
-            stall=watchdog.snapshot(),
-            error=str(error))
+        result = machine.run(max_events)
+    except (StallError, BudgetExceeded, ReplayDivergenceError,
+            DeadlockError, IntegrityError) as error:
+        return make_report(**_stopped_fields(error, watchdog, metrics))
 
     problems = machine.replay_source.verify_fully_consumed()
     det = verify_determinism(

@@ -96,10 +96,13 @@ class SystemCheckpoint:
         buffers until commit.  This is how the debugger checkpoints a
         paused replay: it always pauses at the finalization of a
         global commit, where committed state is precisely the first
-        GCC commits.
+        GCC commits -- unless a split logical chunk has committed only
+        some of its pieces, which raises :class:`ConfigurationError`.
         """
+        if machine.arbiter.has_reservation or machine._piece_accum:
+            raise ConfigurationError(
+                "cannot checkpoint between the pieces of a split chunk")
         base = 0
-        gcc_local = len(machine._fingerprints)
         io_consumed: dict[int, int] = {}
         dma_consumed = 0
         if machine.is_replay:
@@ -113,20 +116,15 @@ class SystemCheckpoint:
                 proc: len(log)
                 for proc, log in machine.recorder.io_logs.items()}
             dma_consumed = len(machine.recorder.dma_log.entries)
-        thread_states = {}
-        for proc in machine.processors:
-            if proc.outstanding:
-                state = proc.outstanding[0].start_state.snapshot()
-            else:
-                state = proc.spec_state.snapshot()
-            thread_states[proc.proc_id] = state
         return cls(
             memory_image=machine.memory.snapshot(),
-            thread_states=thread_states,
+            thread_states={
+                proc.proc_id: proc.committed_state.snapshot()
+                for proc in machine.processors},
             committed_counts={
                 proc.proc_id: proc.committed_count
                 for proc in machine.processors},
-            global_commit_count=base + gcc_local,
+            global_commit_count=base + machine.commit_count,
             label=label,
             io_consumed=io_consumed,
             dma_consumed=dma_consumed,

@@ -20,17 +20,11 @@ from repro.errors import DeadlockError
 class EventEngine:
     """Priority-queue event loop with deterministic tie-breaking."""
 
-    #: Every ``dispatch_stride`` dispatches, ``dispatch_hook(now,
-    #: queue_depth, processed)`` is called (telemetry sampling).  The
-    #: hook observes only; it must not schedule or mutate machine state.
-    dispatch_stride = 64
-
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, int, Callable[[], None]]] = []
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
-        self.dispatch_hook: Callable[[float, int, int], None] | None = None
 
     @property
     def now(self) -> float:
@@ -68,48 +62,34 @@ class EventEngine:
         """Schedule ``action`` at absolute ``time`` (>= now)."""
         self.schedule(max(0.0, time - self._now), action, priority)
 
-    def run(self, max_events: int | None = None) -> None:
-        """Run until the queue drains.
+    def run(self, max_events: int | None = None,
+            hook: Callable[[], bool | None] | None = None,
+            stride: int = 1) -> bool:
+        """Dispatch events until the queue drains; True when it did.
 
-        ``max_events`` bounds total dispatches; exceeding it raises
+        ``hook()`` runs after every dispatch whose lifetime count is a
+        multiple of ``stride``; a true return stops the loop with the
+        rest of the queue intact (returning False), and a later call
+        carries on from there.  ``max_events`` bounds the dispatches
+        over the engine's lifetime; exceeding it raises
         :class:`DeadlockError`, which in practice means the simulated
         machine is livelocked (e.g. every processor spinning on a lock
         whose holder cannot commit).
         """
-        dispatched = 0
-        while self._queue:
-            time, _, _, action = heapq.heappop(self._queue)
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            time, _, _, action = pop(queue)
             self._now = time
             action()
             self._processed += 1
-            dispatched += 1
-            if (self.dispatch_hook is not None
-                    and self._processed % self.dispatch_stride == 0):
-                self.dispatch_hook(self._now, len(self._queue),
-                                   self._processed)
-            if max_events is not None and dispatched > max_events:
+            if (hook is not None and self._processed % stride == 0
+                    and hook()):
+                return False
+            if max_events is not None and self._processed > max_events:
                 raise DeadlockError(
                     f"simulation exceeded {max_events} events at cycle "
                     f"{self._now:.0f}; the machine is likely livelocked")
-
-    def step(self) -> bool:
-        """Dispatch exactly one queued event.
-
-        Returns False (without advancing time) when the queue is empty.
-        This is the debugger's drive primitive: the replay controller
-        pumps events one at a time so it can pause the machine at an
-        exact commit boundary instead of running to completion.
-        """
-        if not self._queue:
-            return False
-        time, _, _, action = heapq.heappop(self._queue)
-        self._now = time
-        action()
-        self._processed += 1
-        if (self.dispatch_hook is not None
-                and self._processed % self.dispatch_stride == 0):
-            self.dispatch_hook(self._now, len(self._queue),
-                               self._processed)
         return True
 
     def pending(self) -> int:

@@ -71,6 +71,9 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 _PRIO_FINALIZE = 0
 _PRIO_DEFAULT = 1
 
+#: Dispatches between the engine queue-depth samples of a traced run.
+_ENGINE_SAMPLE_STRIDE = 64
+
 
 class _RecordIOSource:
     """Record-phase I/O: values come from the modeled device."""
@@ -107,6 +110,50 @@ class RunResult:
     per_proc_fingerprints: dict[int, list[tuple]]
     final_memory: dict[int, int]
     final_thread_keys: dict[int, tuple]
+
+
+class MachineObserver:
+    """A client of :meth:`ChunkMachine.run`, the one drive loop.
+
+    Append instances to :attr:`ChunkMachine.observers`; every hook is a
+    no-op here, so subclasses override only what they use.
+
+    * ``on_commit``/``on_dma`` fire at the exact linearization point of
+      each global commit: committed memory holds precisely the first
+      ``count`` commits' writes, so an observer that calls
+      :meth:`ChunkMachine.pause_at_boundary` there sees the
+      architectural state at that GCC.
+    * ``on_squash`` and ``on_interrupt`` report squashes and delivered
+      interrupts as they happen.
+    * ``on_poll(events)`` fires after every dispatch whose count is a
+      multiple of ``poll_stride`` (0: never).
+    * ``on_boundary()`` fires after the first dispatch following a
+      commit at which the machine is :attr:`~ChunkMachine.quiescent`:
+      the point to charge budgets and snapshot the committed prefix.
+    """
+
+    poll_stride = 0
+
+    def on_commit(self, chunk: Chunk, fingerprint: tuple,
+                  count: int) -> None:
+        pass
+
+    def on_dma(self, writes: dict[int, int], fingerprint: tuple,
+               count: int) -> None:
+        pass
+
+    def on_squash(self, proc: int, victim_seqs: list[int],
+                  cause: str) -> None:
+        pass
+
+    def on_interrupt(self, proc: int, event: InterruptEvent) -> None:
+        pass
+
+    def on_poll(self, events: int) -> None:
+        pass
+
+    def on_boundary(self) -> None:
+        pass
 
 
 class ChunkMachine:
@@ -166,8 +213,6 @@ class ChunkMachine:
         self._h_commit_wait = metrics.histogram("commit_wait_cycles")
 
         self.engine = EventEngine()
-        if self.tracer.enabled:
-            self.engine.dispatch_hook = self._sample_engine
         self.memory = MainMemory(program.initial_memory)
         shared_l2 = SharedL2Filter(machine_config.l2_lines)
         cache_config = CacheConfig(machine_config.l1_sets,
@@ -226,16 +271,13 @@ class ChunkMachine:
             p.proc_id: None for p in self.processors}
         self._finished = False
         self._started = False
-        # Debugger hook: an object with ``on_commit(chunk, fingerprint,
-        # count)``, ``on_dma(writes, fingerprint, count)``,
-        # ``on_squash(proc, victim_seqs, cause)`` and
-        # ``on_interrupt(proc, event)`` methods (see
-        # :mod:`repro.debugger.controller`).  ``on_commit``/``on_dma``
-        # fire at the exact linearization point of each global commit:
-        # committed memory holds precisely the first ``count`` commits'
-        # writes, so an observer that pauses the machine there sees the
-        # architectural state at that GCC.  None when unobserved.
-        self.observer = None
+        self._budget: int | None = None
+        self._paused = False
+        # A commit landed since the last quiescent-boundary callback.
+        self._boundary_pending = False
+        #: :class:`MachineObserver` clients of :meth:`run`, notified in
+        #: list order.
+        self.observers: list[MachineObserver] = []
         # Interval replay (Appendix B): restore the checkpointed
         # committed state once everything else is wired.
         if start_checkpoint is not None:
@@ -328,10 +370,10 @@ class ChunkMachine:
             tracer=self.tracer,
         )
 
-    def _sample_engine(self, now: float, depth: int,
-                       processed: int) -> None:
-        """Engine dispatch hook (installed only when tracing)."""
-        self.tracer.counter("engine", "queue_depth", now, depth=depth)
+    def _sample_engine(self) -> None:
+        """Queue-depth sample of a traced run."""
+        self.tracer.counter("engine", "queue_depth", self.engine.now,
+                            depth=self.engine.pending())
 
     def _proc_active(self, proc_id: int) -> bool:
         """Architectural 'can ever commit again' predicate.
@@ -399,20 +441,15 @@ class ChunkMachine:
         if (self.recorder is None or not self._checkpoint_every
                 or len(self._fingerprints) % self._checkpoint_every):
             return
-        thread_states = {}
-        committed_counts = {}
-        for proc in self.processors:
-            if proc.outstanding:
-                state = proc.outstanding[0].start_state.snapshot()
-            else:
-                state = proc.spec_state.snapshot()
-            thread_states[proc.proc_id] = state
-            committed_counts[proc.proc_id] = proc.committed_count
         self.interval_checkpoints.add(IntervalCheckpoint(
             commit_index=len(self._fingerprints),
             memory_image=self.memory.snapshot(),
-            thread_states=thread_states,
-            committed_counts=committed_counts,
+            thread_states={
+                proc.proc_id: proc.committed_state.snapshot()
+                for proc in self.processors},
+            committed_counts={
+                proc.proc_id: proc.committed_count
+                for proc in self.processors},
             io_consumed={
                 proc: len(log)
                 for proc, log in self.recorder.io_logs.items()},
@@ -430,22 +467,28 @@ class ChunkMachine:
     # Run loop
     # ------------------------------------------------------------------
 
-    def start(self, max_events: int | None = None) -> int:
-        """Arm the machine without draining the event queue.
+    @property
+    def commit_count(self) -> int:
+        """Global commits (processor chunks and DMA bursts) so far."""
+        return len(self._fingerprints)
 
-        Schedules the external-event streams (record phase), builds the
-        first chunks, and applies any replay DMA due at GCC 0.  Returns
-        the event budget for the run.  :meth:`run` calls this and then
-        drains the queue; the debugger's replay controller calls it and
-        then pumps :meth:`EventEngine.step` itself so it can pause at
-        exact commit boundaries.
-        """
-        if self._finished or self._started:
-            raise ConfigurationError("a ChunkMachine runs only once")
+    @property
+    def quiescent(self) -> bool:
+        """No commit is in flight and no split chunk awaits its
+        continuation: the logs, the fingerprints and committed memory
+        all describe exactly the first :attr:`commit_count` commits."""
+        return (not self.arbiter.committing
+                and not self.arbiter.has_reservation)
+
+    def _start(self, max_events: int | None) -> None:
+        """Arm the machine: schedule the external-event streams (record
+        phase), build the first chunks, and apply any replay DMA due at
+        GCC 0."""
         self._started = True
         if max_events is None:
             ops = self.program.total_static_ops()
             max_events = 500_000 + 200 * ops
+        self._budget = max_events
         if not self.is_replay:
             for event in self.program.interrupts:
                 self.engine.schedule_at(
@@ -459,37 +502,27 @@ class ChunkMachine:
             self._kick(proc.proc_id)
         if self.is_replay:
             self._drain_replay_dma()
-        return max_events
 
     def pause_at_boundary(self) -> None:
-        """Debugger support: freeze the commit pipeline at the current
-        global commit boundary.
+        """Freeze the commit pipeline at the current global commit
+        boundary and make :meth:`run` return None.
 
         Called from an observer's ``on_commit``/``on_dma`` while the
         finalizing dispatch is still on the stack: granting stops,
         replay DMA draining stops, and chunk building stops, so no
-        further commit can finalize.  Events already scheduled stay
-        queued -- whoever drives the engine must stop dispatching (the
-        controller's pump loop checks :attr:`paused` after every
-        :meth:`EventEngine.step`).  :meth:`resume_from_boundary`
-        reverses the pause exactly.
+        further commit can finalize, and the engine stops dispatching
+        once the current event returns.  Events already scheduled stay
+        queued; the next :meth:`run` resumes exactly here.
         """
+        self._paused = True
         self._stopped = True
         self.arbiter.halt()
 
-    @property
-    def paused(self) -> bool:
-        """True while the machine is paused at a commit boundary."""
-        return self._stopped
-
-    def resume_from_boundary(self) -> None:
-        """Debugger support: undo :meth:`pause_at_boundary`.
-
-        Re-opens the arbiter, rebuilds any chunks the pause blocked,
-        and re-arbitrates.  The machine continues exactly where it
-        stopped: in-flight events were never cancelled, only left
-        undispatched.
-        """
+    def _resume(self) -> None:
+        """Undo :meth:`pause_at_boundary`: re-open the arbiter, rebuild
+        any chunks the pause blocked, and re-arbitrate.  In-flight
+        events were never cancelled, only left undispatched."""
+        self._paused = False
         self._stopped = False
         self.arbiter.halted = False
         for proc in self.processors:
@@ -499,11 +532,34 @@ class ChunkMachine:
         else:
             self.arbiter.try_grant(self.engine.now)
 
-    def run(self, max_events: int | None = None) -> RunResult:
-        """Execute the program to completion; returns the run capture."""
+    def run(self, max_events: int | None = None) -> RunResult | None:
+        """Drive the machine: the one event loop of record, replay,
+        supervision and debugging.
+
+        Returns the run capture once the event queue drains, or None
+        when an observer paused the machine at a commit boundary; the
+        next call resumes there.  ``max_events`` (read by the first
+        call) bounds the dispatches of the whole run.  Without
+        observers the engine runs with no per-dispatch hook (a traced
+        run samples the queue depth every 64 dispatches).
+        """
+        if self._finished:
+            raise ConfigurationError("a ChunkMachine runs only once")
         try:
-            budget = self.start(max_events)
-            self.engine.run(budget)
+            if not self._started:
+                self._start(max_events)
+            elif self._paused:
+                self._resume()
+            if self._paused:
+                return None  # paused again by a DMA applied on (re)start
+            if self.observers:
+                hook, stride = self._after_dispatch, 1
+            elif self.tracer.enabled:
+                hook, stride = self._sample_engine, _ENGINE_SAMPLE_STRIDE
+            else:
+                hook, stride = None, 1
+            if not self.engine.run(self._budget, hook, stride):
+                return None
             self._check_drained()
         except (ReplayDivergenceError, DeadlockError,
                 IntegrityError) as error:
@@ -513,6 +569,23 @@ class ChunkMachine:
             raise
         self._finished = True
         return self._collect()
+
+    def _after_dispatch(self) -> bool:
+        """Per-dispatch hook of an observed run: engine sampling, the
+        observers' polls and quiescent-boundary callbacks; true when
+        the machine paused."""
+        events = self.engine.events_processed
+        if self.tracer.enabled and events % _ENGINE_SAMPLE_STRIDE == 0:
+            self._sample_engine()
+        for observer in self.observers:
+            stride = observer.poll_stride
+            if stride and events % stride == 0:
+                observer.on_poll(events)
+        if self._boundary_pending and self.quiescent:
+            self._boundary_pending = False
+            for observer in self.observers:
+                observer.on_boundary()
+        return self._paused
 
     def _divergence_context(self) -> DivergenceContext:
         """The partial-run snapshot attached to fatal replay errors."""
@@ -587,8 +660,8 @@ class ChunkMachine:
                     proc_id, proc.next_seq)
                 if event is not None:
                     proc.pending_handlers.append(event)
-                    if self.observer is not None:
-                        self.observer.on_interrupt(proc_id, event)
+                    for observer in self.observers:
+                        observer.on_interrupt(proc_id, event)
             if not proc.can_build():
                 break
             self._clear_stall(proc_id, now)
@@ -861,8 +934,8 @@ class ChunkMachine:
             if victims:
                 for victim in victims:
                     self.directory.on_squash(victim)
-                if self.observer is not None:
-                    self.observer.on_squash(
+                for observer in self.observers:
+                    observer.on_squash(
                         other.proc_id,
                         [v.logical_seq for v in victims], cause)
                 other.exec_free_time = now + flush
@@ -926,11 +999,9 @@ class ChunkMachine:
         accum = self._piece_accum.get(proc_id)
         if chunk.piece_index == 0 and not needs_continuation:
             fingerprint = chunk.commit_fingerprint()
-            self._fingerprints.append(fingerprint)
-            self._per_proc_fingerprints[proc_id].append(fingerprint)
-            if self.observer is not None:
-                self.observer.on_commit(chunk, fingerprint,
-                                        len(self._fingerprints))
+            count = self._emit(proc_id, fingerprint)
+            for observer in self.observers:
+                observer.on_commit(chunk, fingerprint, count)
             self._maybe_interval_checkpoint()
             self._maybe_halt()
             return
@@ -962,12 +1033,18 @@ class ChunkMachine:
             end_key,
         )
         del self._piece_accum[proc_id]
+        count = self._emit(proc_id, fingerprint)
+        for observer in self.observers:
+            observer.on_commit(chunk, fingerprint, count)
+        self._maybe_halt()
+
+    def _emit(self, proc_id: int, fingerprint: tuple) -> int:
+        """Append one global commit's fingerprint; returns the new
+        global commit count."""
         self._fingerprints.append(fingerprint)
         self._per_proc_fingerprints[proc_id].append(fingerprint)
-        if self.observer is not None:
-            self.observer.on_commit(chunk, fingerprint,
-                                    len(self._fingerprints))
-        self._maybe_halt()
+        self._boundary_pending = True
+        return len(self._fingerprints)
 
     # ------------------------------------------------------------------
     # Interrupts
@@ -983,14 +1060,14 @@ class ChunkMachine:
                 f"p{event.processor}", f"irq v{event.vector}", now,
                 category="interrupt", vector=event.vector,
                 high_priority=event.high_priority)
-        if self.observer is not None:
-            self.observer.on_interrupt(event.processor, event)
+        for observer in self.observers:
+            observer.on_interrupt(event.processor, event)
         victims = proc.receive_interrupt(event, now)
         if victims:
             for victim in victims:
                 self.directory.on_squash(victim)
-            if self.observer is not None:
-                self.observer.on_squash(
+            for observer in self.observers:
+                observer.on_squash(
                     event.processor,
                     [v.logical_seq for v in victims], "interrupt")
             proc.exec_free_time = (
@@ -1039,12 +1116,9 @@ class ChunkMachine:
                 dict(chunk.write_buffer), grant_slot=chunk.grant_slot)
         fingerprint = ("dma", self._dma_sequence,
                        tuple(sorted(chunk.write_buffer.items())))
-        self._fingerprints.append(fingerprint)
-        self._per_proc_fingerprints[self.config.dma_proc_id].append(
-            fingerprint)
-        if self.observer is not None:
-            self.observer.on_dma(dict(chunk.write_buffer), fingerprint,
-                                 len(self._fingerprints))
+        count = self._emit(self.config.dma_proc_id, fingerprint)
+        for observer in self.observers:
+            observer.on_dma(dict(chunk.write_buffer), fingerprint, count)
         self._maybe_interval_checkpoint()
         self._maybe_halt()
         self.arbiter.commit_finished(chunk, now)
@@ -1066,12 +1140,9 @@ class ChunkMachine:
                 writes=len(writes))
         fingerprint = ("dma", self._dma_sequence,
                        tuple(sorted(writes.items())))
-        self._fingerprints.append(fingerprint)
-        self._per_proc_fingerprints[self.config.dma_proc_id].append(
-            fingerprint)
-        if self.observer is not None:
-            self.observer.on_dma(dict(writes), fingerprint,
-                                 len(self._fingerprints))
+        count = self._emit(self.config.dma_proc_id, fingerprint)
+        for observer in self.observers:
+            observer.on_dma(dict(writes), fingerprint, count)
         self._maybe_halt()
 
     def _drain_replay_dma(self) -> None:
@@ -1082,9 +1153,7 @@ class ChunkMachine:
         recorded order and must make its writes visible first.
         """
         policy = self.arbiter.policy
-        while (not self._stopped
-               and not self.arbiter.committing
-               and not self.arbiter.has_reservation):
+        while not self._stopped and self.quiescent:
             if (hasattr(policy, "next_is_dma") and policy.next_is_dma()):
                 self._apply_dma_replay(
                     self.replay_source.next_dma_writes())
@@ -1106,18 +1175,10 @@ class ChunkMachine:
 # ----------------------------------------------------------------------
 
 
-def finish_recording(machine: ChunkMachine, result: RunResult) -> Recording:
-    """Seal a finished record-mode machine's logs into a Recording.
-
-    Shared by :func:`record_execution`, the guard supervisor (which
-    pumps the machine itself to interleave watchdog checks) and the
-    exploration driver (which observes commits while pumping).
-    """
+def _assemble_recording(machine: ChunkMachine, result: RunResult,
+                        strata: list, stratified: bool) -> Recording:
+    """A record-mode machine's logs plus a run capture as a Recording."""
     recorder = machine.recorder
-    recorder.finish()
-    strata = []
-    if recorder.stratifier is not None:
-        strata = [s.counts for s in recorder.stratifier.strata]
     return Recording(
         mode_config=machine.mode_config,
         machine_config=machine.config,
@@ -1128,7 +1189,7 @@ def finish_recording(machine: ChunkMachine, result: RunResult) -> Recording:
         io_logs=recorder.io_logs,
         dma_log=recorder.dma_log,
         strata=strata,
-        stratified=machine.mode_config.stratify,
+        stratified=stratified,
         fingerprints=result.fingerprints,
         per_proc_fingerprints=result.per_proc_fingerprints,
         final_memory=result.final_memory,
@@ -1137,6 +1198,57 @@ def finish_recording(machine: ChunkMachine, result: RunResult) -> Recording:
         memory_ordering=recorder.memory_ordering_log(),
         interval_checkpoints=machine.interval_checkpoints,
     )
+
+
+def finish_recording(machine: ChunkMachine, result: RunResult) -> Recording:
+    """Seal a finished record-mode machine's logs into a Recording.
+
+    Shared by :func:`record_execution` and the guard supervisor, whose
+    observers ride the same :meth:`ChunkMachine.run` loop.
+    """
+    recorder = machine.recorder
+    recorder.finish()
+    strata = []
+    if recorder.stratifier is not None:
+        strata = [s.counts for s in recorder.stratifier.strata]
+    return _assemble_recording(machine, result, strata,
+                               machine.mode_config.stratify)
+
+
+def partial_recording(machine: ChunkMachine) -> Recording:
+    """Snapshot a *recording* machine's logs as a prefix Recording.
+
+    Must be called at a :attr:`~ChunkMachine.quiescent` commit
+    boundary: there, the PI entries, CS/IO/Interrupt/DMA logs and the
+    fingerprint list all describe exactly the same committed prefix,
+    and committed memory equals the architectural state.  Stratified
+    state is deliberately dropped (``finish()`` may only ever run once,
+    at end-of-run), so prefix snapshots replay via the ordered PI path.
+    """
+    if machine.recorder is None:
+        raise ConfigurationError(
+            "partial_recording needs a recording-phase machine")
+    if not machine.quiescent:
+        raise ConfigurationError(
+            "partial_recording requires a quiescent commit boundary")
+    stats = RunStats()
+    stats.cycles = machine.engine.now
+    for proc in machine.processors:
+        stats.merge_processor(proc.proc_id, proc.stats)
+    stats.dma_commits = machine.stats.dma_commits
+    prefix = RunResult(
+        stats=stats,
+        fingerprints=list(machine._fingerprints),
+        per_proc_fingerprints={
+            proc: list(entries) for proc, entries
+            in machine._per_proc_fingerprints.items()},
+        final_memory=machine.memory.nonzero_words(),
+        final_thread_keys={
+            p.proc_id: p.committed_fingerprint_state()
+            for p in machine.processors},
+    )
+    return _assemble_recording(machine, prefix, strata=[],
+                               stratified=False)
 
 
 def record_execution(
