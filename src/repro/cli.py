@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import tempfile
+import textwrap
 
 from repro.analysis.inspect import (
     commit_timeline,
@@ -43,6 +44,7 @@ from repro.faults import (
 )
 from repro.runner.retry import RetryPolicy
 from repro.runner import (
+    KINDS,
     ConsoleReporter,
     NullReporter,
     ResultCache,
@@ -68,8 +70,7 @@ from repro.workloads import (
     BUG_ZOO,
     COMMERCIAL_APPS,
     SPLASH2_APPS,
-    commercial_program,
-    splash2_program,
+    app_program,
 )
 from repro.workloads.stress import (
     handoff_program,
@@ -103,11 +104,7 @@ _MODES = {
 def _program_for(args):
     if args.workload in STRESS_APPS:
         return STRESS_APPS[args.workload](args.scale, args.seed)
-    if args.workload in COMMERCIAL_APPS:
-        return commercial_program(args.workload, scale=args.scale,
-                                  seed=args.seed)
-    return splash2_program(args.workload, scale=args.scale,
-                           seed=args.seed)
+    return app_program(args.workload, scale=args.scale, seed=args.seed)
 
 
 def _system_for(args) -> DeLoreanSystem:
@@ -1072,11 +1069,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_options(chaos)
     chaos.add_argument("--mode", default="order-only",
                        help="execution mode (separator-insensitive)")
-    chaos.add_argument("--faults", type=int, default=12,
+    chaos_defaults = KINDS["chaos"].defaults
+    chaos.add_argument("--faults", type=int,
+                       default=chaos_defaults["fault_count"],
                        help="number of faults to draw from the plan")
-    chaos.add_argument("--plan-seed", type=int, default=7,
+    chaos.add_argument("--plan-seed", type=int,
+                       default=chaos_defaults["plan_seed"],
                        help="fault-plan seed (same seed ⇒ same plan)")
-    chaos.add_argument("--checkpoint-every", type=int, default=32,
+    chaos.add_argument("--checkpoint-every", type=int,
+                       default=chaos_defaults["checkpoint_every"],
                        metavar="N",
                        help="interval-checkpoint cadence of the "
                             "baseline recording (salvage resync "
@@ -1206,11 +1207,14 @@ def build_parser() -> argparse.ArgumentParser:
     worker.set_defaults(func=_cmd_worker)
 
     submit = sub.add_parser(
-        "submit", help="submit one job to a running repro serve")
-    submit.add_argument(
-        "kind",
-        choices=["record", "replay", "consistency", "explore",
-                 "chaos", "salvage", "bench"])
+        "submit", help="submit one job to a running repro serve",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="job parameters, by kind:\n" + "\n".join(
+            textwrap.fill(", ".join(kind.params), width=76,
+                          initial_indent=f"  {kind.name:<12}",
+                          subsequent_indent=" " * 14)
+            for kind in KINDS.values()))
+    submit.add_argument("kind", choices=list(KINDS))
     submit.add_argument("--param", action="append", metavar="K=V",
                         help="job parameter (repeatable); values "
                              "parse as JSON when possible, e.g. "

@@ -78,12 +78,12 @@ def execute_explore_spec(spec, cache=None) -> dict:
     """
     from repro.guard.supervisor import supervise_record
     from repro.machine.system import replay_execution
-    from repro.runner.jobs import _base_artifact, _program_for
+    from repro.runner.jobs import base_artifact, program_for
 
     if spec.kind != "explore":
         raise ConfigurationError(
             f"execute_explore_spec got a {spec.kind!r} spec")
-    program = _program_for(spec)
+    program = program_for(spec)
     plan = spec.schedule_plan()
     mode = spec.execution_mode()
     mode_config = preferred_config(mode)
@@ -139,7 +139,7 @@ def execute_explore_spec(spec, cache=None) -> dict:
         outcome = "stall"
         classification = report.classification or report.outcome
 
-    artifact = _base_artifact(spec)
+    artifact = base_artifact(spec)
     artifact["metrics"] = {
         "outcome": outcome,
         "classification": classification,

@@ -4,7 +4,10 @@ The experiment-execution engine behind ``python -m repro bench`` and
 ``benchmarks/harness.py``:
 
 * :class:`RunSpec` -- canonical, content-hashed description of one
-  simulation run (:mod:`repro.runner.specs`);
+  simulation run, and :class:`CampaignSpec` its counterpart for the
+  campaign job kinds (:mod:`repro.runner.specs`);
+* :data:`KINDS` -- every job kind's parameters, spec builder and
+  executor, declared once (:mod:`repro.runner.jobs`);
 * :class:`ResultCache` -- content-addressed on-disk artifact store
   under ``.repro-cache/`` (:mod:`repro.runner.cache`);
 * :class:`Runner` -- process-pool fan-out with per-job timeouts,
@@ -31,6 +34,8 @@ from repro.runner.executors import (
     resolve_backend,
 )
 from repro.runner.jobs import (
+    KINDS,
+    build_job_spec,
     execute_spec,
     recording_from_artifact,
     result_from_artifact,
@@ -45,11 +50,12 @@ from repro.runner.reporting import (
     reporter_from_option,
 )
 from repro.runner.retry import AttemptFailure, FailureRecord, RetryPolicy
-from repro.runner.specs import RunSpec
+from repro.runner.specs import CampaignSpec, RunSpec
 
 __all__ = [
     "AttemptFailure",
     "BACKENDS",
+    "CampaignSpec",
     "ConsoleReporter",
     "ExecutorBackend",
     "FailureRecord",
@@ -57,6 +63,7 @@ __all__ = [
     "InlineBackend",
     "JSONLReporter",
     "JobOutcome",
+    "KINDS",
     "NullReporter",
     "ProcessPoolBackend",
     "Reporter",
@@ -68,6 +75,7 @@ __all__ = [
     "RunSpec",
     "resolve_backend",
     "collect_baseline",
+    "build_job_spec",
     "compare_baselines",
     "execute_spec",
     "load_baseline",

@@ -156,7 +156,7 @@ class ResultCache:
         """The cached artifact for ``spec``, or ``None`` on miss.
 
         ``spec`` is anything with a ``content_hash()`` -- a
-        :class:`RunSpec` or a serve-layer campaign spec.
+        :class:`RunSpec` or a :class:`~repro.runner.specs.CampaignSpec`.
         """
         return self.load_by_hash(spec.content_hash())
 

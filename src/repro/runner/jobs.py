@@ -1,12 +1,22 @@
-"""Job execution: turn a :class:`RunSpec` into a result artifact.
+"""Job kinds, and execution: turn a spec into a result artifact.
+
+:data:`KINDS` declares each job kind once: its parameter names and
+types, the builder that turns validated params into a content-hashed
+spec, and the executor that turns the spec into an artifact.  The
+RunSpec kinds (``record``, ``replay``, ``consistency``, ``explore``)
+keep their defaults in the :class:`RunSpec` constructors; the campaign
+kinds (``chaos``, ``salvage``, ``bench``) keep theirs in the table and
+resolve them into a :class:`CampaignSpec`.  Serve's validation,
+:func:`build_job_spec`, :func:`execute_spec` and ``repro submit`` all
+read the table.
 
 This module is the worker side of the runner.  :func:`execute_spec`
-runs one simulation and packages the outcome as a JSON-serializable
+runs one job and packages the outcome as a JSON-serializable
 *artifact*::
 
     {
       "schema": 1,
-      "kind": "record" | "replay" | "consistency",
+      "kind": "record" | "replay" | "consistency" | ...,
       "spec": {...canonical spec...},
       "spec_hash": "...",
       "metrics": {...figure-ready numbers...},
@@ -40,14 +50,19 @@ import pickle
 import signal
 import time
 import traceback
+from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.baselines import InterleavedExecutor
 from repro.core.delorean import DeLoreanSystem
+from repro.core.modes import ExecutionMode
 from repro.core.replayer import ReplayPerturbation
 from repro.core.serialization import load_recording, save_recording
-from repro.runner.specs import RunSpec
-from repro.workloads import (
-    COMMERCIAL_APPS,
+from repro.errors import ConfigurationError
+from repro.runner.specs import CampaignSpec, RunSpec
+from repro.workloads import app_program
+# perfbench/layers.py wraps these two by name in this module as well.
+from repro.workloads import (  # noqa: F401
     commercial_program,
     splash2_program,
 )
@@ -60,20 +75,19 @@ class JobTimeout(Exception):
     """A job exceeded its per-job wall-clock budget."""
 
 
-def _program_for(spec: RunSpec):
+def program_for(spec: RunSpec):
+    """A fresh program for a run spec's app (a ``zoo:`` specimen, or a
+    SPLASH-2/commercial stand-in)."""
     if spec.app.startswith("zoo:"):
         from repro.workloads.bugzoo import zoo_specimen
 
         return zoo_specimen(spec.app[len("zoo:"):]).build()
-    if spec.app in COMMERCIAL_APPS:
-        return commercial_program(spec.app, scale=spec.scale,
-                                  seed=spec.seed,
-                                  num_threads=spec.num_threads)
-    return splash2_program(spec.app, scale=spec.scale, seed=spec.seed,
-                           num_threads=spec.num_threads)
+    return app_program(spec.app, scale=spec.scale, seed=spec.seed,
+                       num_threads=spec.num_threads)
 
 
-def _base_artifact(spec: RunSpec) -> dict:
+def base_artifact(spec) -> dict:
+    """The fields every artifact starts with: the spec and its hash."""
     return {
         "schema": 1,
         "kind": spec.kind,
@@ -109,8 +123,8 @@ def _run_record(spec: RunSpec, cache=None) -> dict:
         machine_config=spec.machine_config(),
         chunk_size=spec.chunk_size or None,
     )
-    recording = system.record(_program_for(spec))
-    artifact = _base_artifact(spec)
+    recording = system.record(program_for(spec))
+    artifact = base_artifact(spec)
     artifact["metrics"] = _record_metrics(recording)
     artifact["payload_codec"] = "dlrn"
     artifact["payload"] = base64.b64encode(
@@ -135,7 +149,7 @@ def _run_replay(spec: RunSpec, cache=None) -> dict:
                     else ReplayPerturbation(seed=spec.perturb_seed))
     result = system.replay(recording, perturbation=perturbation,
                            use_strata=spec.use_strata)
-    artifact = _base_artifact(spec)
+    artifact = base_artifact(spec)
     artifact["metrics"] = {
         "cycles": result.cycles,
         "matches": result.determinism.matches,
@@ -152,13 +166,13 @@ def _run_replay(spec: RunSpec, cache=None) -> dict:
 
 def _run_consistency(spec: RunSpec, cache=None) -> dict:
     executor = InterleavedExecutor(
-        _program_for(spec),
+        program_for(spec),
         spec.machine_config(),
         spec.consistency_model(),
         collect_trace=spec.collect_trace,
     )
     result = executor.run()
-    artifact = _base_artifact(spec)
+    artifact = base_artifact(spec)
     artifact["metrics"] = {
         "cycles": result.cycles,
         "total_instructions": result.total_instructions,
@@ -180,22 +194,211 @@ def _run_explore(spec: RunSpec, cache=None) -> dict:
     return execute_explore_spec(spec, cache)
 
 
-_RUNNERS = {
-    "record": _run_record,
-    "replay": _run_replay,
-    "consistency": _run_consistency,
-    "explore": _run_explore,
-}
+def _run_chaos(spec: CampaignSpec, cache=None) -> dict:
+    from repro.faults.campaign import run_campaign
+
+    params = spec.param_dict
+    report = run_campaign(
+        params["app"], ExecutionMode(params["mode"]),
+        scale=params["scale"], seed=params["seed"],
+        plan_seed=params["plan_seed"],
+        fault_count=params["fault_count"],
+        checkpoint_every=params["checkpoint_every"])
+    return {
+        **base_artifact(spec),
+        "metrics": {
+            "injected": len(report.results),
+            "failures": len(report.failures),
+            "invariant_ok": report.invariant_ok,
+        },
+        "report": report.as_dict(),
+    }
 
 
-def execute_spec(spec: RunSpec, cache=None) -> dict:
-    """Run one spec to completion and return its artifact.
+def _run_salvage(spec: CampaignSpec, cache=None) -> dict:
+    from repro.faults.salvage import salvage_replay
+
+    params = spec.param_dict
+    if cache is None:
+        raise ConfigurationError(
+            "salvage jobs need a result cache to resolve "
+            "recording_hash")
+    recording_artifact = cache.load_by_hash(params["recording_hash"])
+    if recording_artifact is None:
+        raise ConfigurationError(
+            f"no cached artifact {params['recording_hash'][:12]}... "
+            f"to salvage (record it first)")
+    report = salvage_replay(recording_from_artifact(recording_artifact),
+                            max_events=params["max_events"])
+    return {
+        **base_artifact(spec),
+        "metrics": {"coverage": report.coverage},
+        "report": report.as_dict(),
+    }
+
+
+def _run_bench(spec: CampaignSpec, cache=None) -> dict:
+    from repro.runner.baseline import collect_baseline
+
+    params = spec.param_dict
+    baseline = collect_baseline(params["app"], scale=params["scale"],
+                                seed=params["seed"], jobs=params["jobs"])
+    return {
+        **base_artifact(spec),
+        "metrics": {"modes": sorted(baseline.get("modes", {}))},
+        "baseline": baseline,
+    }
+
+
+@dataclass(frozen=True)
+class JobKind:
+    """One job kind: ``params`` maps each parameter a request may
+    carry to its type, ``build(kind, params)`` turns validated params
+    into the kind's spec, and ``execute(spec, cache)`` turns the spec
+    into an artifact.  ``defaults`` holds a campaign kind's parameter
+    defaults; a parameter without one is required."""
+
+    name: str
+    params: dict
+    build: Callable[["JobKind", dict], object]
+    execute: Callable[..., dict]
+    defaults: dict = field(default_factory=dict)
+
+
+#: Serve's defaults for the RunSpec constructors' positional arguments.
+_POSITIONAL_DEFAULTS = {"app": "fft", "mode": "order_only", "model": "sc"}
+
+
+def _run_spec(constructor, config: str):
+    """Builder of a RunSpec kind.  The constructor gets only the params
+    the request carried, so its own defaults stay the only ones, plus
+    serve's defaults for its positional app and ``config`` (the mode
+    or model)."""
+    def build(kind: JobKind, params: dict) -> RunSpec:
+        params = dict(params)
+        app = params.pop("app", _POSITIONAL_DEFAULTS["app"])
+        return constructor(
+            app, params.pop(config, _POSITIONAL_DEFAULTS[config]),
+            **params)
+    return build
+
+
+def _campaign_spec(kind: JobKind, params: dict) -> CampaignSpec:
+    """Builder of a campaign kind: every default resolved in, so two
+    spellings of the same work share one cache key."""
+    for name in kind.params:
+        if name not in params and name not in kind.defaults:
+            raise ConfigurationError(
+                f"{kind.name} jobs need a {name} parameter")
+    return CampaignSpec(kind.name,
+                        tuple({**kind.defaults, **params}.items()))
+
+
+_COMMON = {"app": str, "scale": float, "seed": int}
+_SIMULATED = {**_COMMON, "mode": str, "chunk_size": int,
+              "num_threads": int}
+
+#: Every job kind, by name, in ``repro submit`` order.  Service-level
+#: scheduling parameters (``priority``, ``deadline``) never appear:
+#: admission's :func:`~repro.serve.admission.split_service_params`
+#: strips them first, so the same work at two priorities is still one
+#: cached artifact.
+KINDS = {kind.name: kind for kind in (
+    JobKind("record", {**_SIMULATED, "simultaneous": int},
+            _run_spec(RunSpec.record, "mode"), _run_record),
+    JobKind("replay", {**_SIMULATED, "use_strata": bool,
+                       "perturb_seed": int},
+            _run_spec(RunSpec.replay, "mode"), _run_replay),
+    JobKind("consistency", {**_COMMON, "model": str, "num_threads": int,
+                            "collect_trace": bool},
+            _run_spec(RunSpec.consistency, "model"), _run_consistency),
+    JobKind("explore", {**_SIMULATED, "schedule_seed": int},
+            _run_spec(RunSpec.explore, "mode"), _run_explore),
+    JobKind("chaos", {**_COMMON, "mode": str, "plan_seed": int,
+                      "fault_count": int, "checkpoint_every": int},
+            _campaign_spec, _run_chaos,
+            defaults={"app": "fft", "mode": "order_only", "scale": 0.25,
+                      "seed": 1, "plan_seed": 7, "fault_count": 12,
+                      "checkpoint_every": 32}),
+    JobKind("salvage", {"recording_hash": str, "max_events": int},
+            _campaign_spec, _run_salvage,
+            defaults={"max_events": None}),
+    JobKind("bench", {**_COMMON, "jobs": int},
+            _campaign_spec, _run_bench,
+            defaults={"app": "fft", "scale": 0.3, "seed": 11, "jobs": 1}),
+)}
+
+
+def job_kind(name: str) -> JobKind:
+    """The table entry of ``name``; a :class:`ConfigurationError`
+    names the known kinds otherwise."""
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown job kind {name!r} "
+            f"(expected one of {', '.join(KINDS)})") from None
+
+
+def _coerce(expected: type, value):
+    """``value`` as ``expected``, refusing conversions that change it:
+    bool params take only bools and no other param takes one, and int
+    params take no fractional number."""
+    if (expected is bool) != isinstance(value, bool):
+        raise TypeError(value)
+    if expected is int and isinstance(value, float) \
+            and not value.is_integer():
+        raise ValueError(value)
+    return expected(value)
+
+
+def validate_params(kind: str, params: dict) -> dict:
+    """Check and coerce a raw parameter dictionary for ``kind``.
+
+    Returns a new dictionary with every value coerced to its declared
+    type; raises :class:`ConfigurationError` on an unknown kind, an
+    unknown parameter (so a typo fails fast instead of hashing into a
+    never-hit cache key), or a value that does not convert exactly.
+    """
+    allowed = job_kind(kind).params
+    if not isinstance(params, dict):
+        raise ConfigurationError(
+            f"{kind} params must be an object, got "
+            f"{type(params).__name__}")
+    clean: dict = {}
+    for name, value in params.items():
+        if name not in allowed:
+            raise ConfigurationError(
+                f"{kind} jobs take no parameter {name!r} "
+                f"(allowed: {', '.join(sorted(allowed))})")
+        try:
+            clean[name] = _coerce(allowed[name], value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{kind} parameter {name!r} must be "
+                f"{allowed[name].__name__}, got {value!r}") from None
+    return clean
+
+
+def build_job_spec(kind: str, params: dict):
+    """Resolve a ``(kind, params)`` request to its frozen,
+    content-hashed spec (a :class:`RunSpec` or a
+    :class:`CampaignSpec`)."""
+    entry = job_kind(kind)
+    return entry.build(entry, validate_params(kind, params))
+
+
+def execute_spec(spec, cache=None) -> dict:
+    """Run one spec of any kind to completion and return its artifact.
 
     ``cache`` (a :class:`~repro.runner.cache.ResultCache`) lets jobs
-    with dependencies -- a replay needs its recording -- reuse and
-    populate cached intermediates instead of recomputing them.
+    with dependencies -- a replay needs its recording, a salvage its
+    recording's artifact -- reuse and populate cached intermediates
+    instead of recomputing them.  Module-level, so it crosses the
+    process-pool boundary as every pool's and the service's default
+    ``job_fn``.
     """
-    return _RUNNERS[spec.kind](spec, cache)
+    return job_kind(spec.kind).execute(spec, cache)
 
 
 def recording_from_artifact(artifact: dict):

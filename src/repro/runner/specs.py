@@ -17,6 +17,12 @@ the result cache:
 
 Specs are small frozen dataclasses: hashable, picklable (they cross
 the process-pool boundary) and order-insensitive to construct.
+
+The job kinds that are not a single simulation run (``chaos``,
+``salvage``, ``bench``) get a :class:`CampaignSpec` with the same
+``canonical()``/``content_hash()``/``label()`` surface, so the result
+cache and the job envelope treat every kind alike.  The kind table in
+:mod:`repro.runner.jobs` builds both.
 """
 
 from __future__ import annotations
@@ -34,7 +40,14 @@ from repro.machine.timing import MachineConfig
 #: must invalidate every cached result regardless of spec equality.
 SPEC_SCHEMA_VERSION = 1
 
-_KINDS = ("record", "replay", "consistency", "explore")
+#: Schema stamp of campaign-spec canonical forms (the cache
+#: invalidation lever of the campaign kinds, independent of RunSpec's).
+#: Schema 2 resolves every parameter default into the spec.
+CAMPAIGN_SCHEMA = 2
+
+#: The field that configures each RunSpec kind's run.
+_CONFIG_FIELD = {"record": "mode", "replay": "mode", "explore": "mode",
+                 "consistency": "model"}
 
 
 def _canon(value):
@@ -50,8 +63,23 @@ def _canon(value):
     return value
 
 
+class _ContentHashed:
+    """The cache-key surface shared by both spec types: the SHA-256 of
+    the canonical JSON encoding of :meth:`canonical`."""
+
+    def canonical_json(self) -> str:
+        """Canonical JSON encoding (the hashed byte stream)."""
+        return json.dumps(self.canonical(), sort_keys=True,
+                          separators=(",", ":"))
+
+    def content_hash(self) -> str:
+        """SHA-256 of the canonical encoding; the cache key."""
+        return hashlib.sha256(
+            self.canonical_json().encode()).hexdigest()
+
+
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(_ContentHashed):
     """One fully-determined simulation run.
 
     ``kind`` selects the job: ``record`` (DeLorean initial execution),
@@ -86,14 +114,14 @@ class RunSpec:
     machine_overrides: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        config = _CONFIG_FIELD.get(self.kind)
+        if config is None:
             raise ConfigurationError(
                 f"unknown run kind {self.kind!r} (expected one of "
-                f"{', '.join(_KINDS)})")
-        if self.kind in ("record", "replay", "explore") and not self.mode:
-            raise ConfigurationError(f"{self.kind} specs need a mode")
-        if self.kind == "consistency" and not self.model:
-            raise ConfigurationError("consistency specs need a model")
+                f"{', '.join(_CONFIG_FIELD)})")
+        if not getattr(self, config):
+            raise ConfigurationError(
+                f"{self.kind} specs need a {config}")
         object.__setattr__(self, "machine_overrides",
                            tuple(sorted(tuple(pair) for pair in
                                         self.machine_overrides)))
@@ -219,16 +247,6 @@ class RunSpec:
         data["machine"] = asdict(self.machine_config())
         return _canon(data)
 
-    def canonical_json(self) -> str:
-        """Canonical JSON encoding (the hashed byte stream)."""
-        return json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def content_hash(self) -> str:
-        """SHA-256 of the canonical encoding; the cache key."""
-        return hashlib.sha256(
-            self.canonical_json().encode()).hexdigest()
-
     def label(self) -> str:
         """Short human-readable job label for progress reporting."""
         what = self.mode or self.model
@@ -248,3 +266,39 @@ class RunSpec:
             extras.append(f"p={self.num_threads}")
         suffix = f" [{' '.join(extras)}]" if extras else ""
         return f"{self.kind}:{self.app}/{what}{suffix}"
+
+
+@dataclass(frozen=True)
+class CampaignSpec(_ContentHashed):
+    """Content-hashed spec of a campaign kind (``chaos``, ``salvage``,
+    ``bench``).
+
+    ``params`` is a sorted tuple of ``(name, value)`` pairs, so the
+    dataclass stays hashable and order-insensitive to construct.  The
+    kind table resolves every default into it, so the same work
+    always hashes the same whichever params the request spelled out.
+    """
+
+    kind: str
+    params: tuple = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "params",
+            tuple(sorted((str(k), v) for k, v in self.params)))
+
+    @property
+    def param_dict(self) -> dict:
+        return dict(self.params)
+
+    def canonical(self) -> dict:
+        """The fully-resolved, JSON-stable dictionary form."""
+        return _canon({**self.param_dict, "schema": CAMPAIGN_SCHEMA,
+                       "kind": self.kind})
+
+    def label(self) -> str:
+        """Short human-readable job label for progress reporting."""
+        params = self.param_dict
+        app = params.get("app") or \
+            params.get("recording_hash", "")[:12]
+        return f"{self.kind}:{app}" if app else self.kind

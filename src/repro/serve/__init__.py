@@ -14,9 +14,9 @@ crash-consistent service:
   streaming of job transitions (:mod:`repro.serve.http`);
 * :class:`ServeClient` -- blocking client for the CLI and CI
   (:mod:`repro.serve.client`);
-* :func:`build_job_spec` / :func:`execute_job_spec` -- the job-kind
-  registry mapping service requests onto runner specs and campaign
-  drivers (:mod:`repro.serve.kinds`);
+* the job kinds a request may name, their parameters and how each
+  builds and executes its spec, are the runner's kind table
+  (:data:`repro.runner.jobs.KINDS`);
 * :class:`AdmissionController` -- bounded queue depth, per-tenant
   quotas, guard-budget job deadlines (:mod:`repro.serve.admission`);
 * :class:`ServeWorker` -- the ``repro worker`` fleet process pulling
@@ -31,14 +31,6 @@ from repro.serve.admission import (
 )
 from repro.serve.client import ServeClient
 from repro.serve.http import ServeServer, run_server
-from repro.serve.kinds import (
-    CAMPAIGN_KINDS,
-    JOB_KINDS,
-    RUNSPEC_KINDS,
-    CampaignSpec,
-    build_job_spec,
-    execute_job_spec,
-)
 from repro.serve.model import (
     STATES,
     TERMINAL_STATES,
@@ -58,15 +50,11 @@ from repro.serve.worker import ServeWorker, run_worker
 __all__ = [
     "AdmissionController",
     "AdmissionDecision",
-    "CAMPAIGN_KINDS",
-    "CampaignSpec",
     "EventLog",
-    "JOB_KINDS",
     "Job",
     "JobQueue",
     "JobStateError",
     "Lease",
-    "RUNSPEC_KINDS",
     "ReproService",
     "STATES",
     "ServeClient",
@@ -74,8 +62,6 @@ __all__ = [
     "ServeWorker",
     "TERMINAL_STATES",
     "WorkerRegistry",
-    "build_job_spec",
-    "execute_job_spec",
     "format_sse",
     "read_journal",
     "read_journal_dir",

@@ -58,8 +58,8 @@ def split_service_params(params: dict) -> tuple[dict, dict]:
     seconds from submission (strictly positive) after which the job
     is failed at claim time.  Raises
     :class:`~repro.errors.ConfigurationError` on uncoercible values,
-    mirroring :func:`~repro.serve.kinds.validate_params` for the
-    parameters that module never sees.
+    mirroring :func:`~repro.runner.jobs.validate_params` for the
+    parameters that function never sees.
     """
     spec_params = dict(params)
     raw_priority = spec_params.pop("priority", 0)

@@ -19,7 +19,7 @@
   :class:`~repro.telemetry.tracer.Tracer`.
 
 Execution path: a claimed job's ``(kind, params)`` resolve to a
-content-hashed spec (:func:`~repro.serve.kinds.build_job_spec`), the
+content-hashed spec (:func:`~repro.runner.jobs.build_job_spec`), the
 spec runs through the runner's :func:`~repro.runner.jobs.invoke`
 envelope on the backend (same in-worker timeout and structured-failure
 semantics as a ``repro bench`` sweep), and the artifact lands in the
@@ -56,7 +56,6 @@ from repro.serve.admission import (
     AdmissionDecision,
     split_service_params,
 )
-from repro.serve.kinds import build_job_spec, execute_job_spec
 from repro.serve.lease import (
     DEFAULT_DEGRADED_AFTER,
     DEFAULT_LEASE_TTL,
@@ -88,7 +87,7 @@ class ReproService:
                  budgets: Budgets | None = None,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 job_fn=execute_job_spec,
+                 job_fn=jobs_module.execute_spec,
                  auth_token: str | None = None,
                  lease_ttl: float | None = None,
                  max_lease_expiries: int | None = None,
@@ -207,8 +206,9 @@ class ReproService:
 
     def _spec_for(self, job_or_kind, params=None):
         if isinstance(job_or_kind, Job):
-            return build_job_spec(job_or_kind.kind, job_or_kind.params)
-        return build_job_spec(job_or_kind, params or {})
+            return jobs_module.build_job_spec(job_or_kind.kind,
+                                              job_or_kind.params)
+        return jobs_module.build_job_spec(job_or_kind, params or {})
 
     # -- submission -----------------------------------------------------
 

@@ -53,7 +53,6 @@ from repro.runner import jobs as jobs_module
 from repro.runner.cache import encode_artifact
 from repro.runner.retry import RetryPolicy, retrying_call
 from repro.serve.client import ServeClient
-from repro.serve.kinds import build_job_spec, execute_job_spec
 from repro.serve.lease import heartbeat_interval
 
 #: Idle delay between claim attempts when the queue is empty.
@@ -94,7 +93,7 @@ class ServeWorker:
                  max_jobs: int | None = None,
                  idle_exit: float | None = None,
                  retry: RetryPolicy | None = None,
-                 job_fn=execute_job_spec,
+                 job_fn=jobs_module.execute_spec,
                  quiet: bool = False) -> None:
         self.worker_id = worker_id or default_worker_id()
         self.client = ServeClient(host, port, token=token)
@@ -200,7 +199,7 @@ class ServeWorker:
         timeout = reply.get("timeout")
         self._log(f"claimed {job['id']} ({job['kind']}, "
                   f"lease {lease_id[:8]}, ttl {ttl:g}s)")
-        spec = build_job_spec(job["kind"], job["params"])
+        spec = jobs_module.build_job_spec(job["kind"], job["params"])
         box: dict = {}
 
         def execute() -> None:

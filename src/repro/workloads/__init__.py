@@ -33,7 +33,18 @@ from repro.workloads.bugzoo import (
     zoo_specimen,
 )
 
+
+def app_program(app: str, scale: float = 1.0, seed: int = 1,
+                num_threads: int = 8):
+    """A fresh SPLASH-2 or commercial stand-in program by app name;
+    any other name raises :class:`~repro.errors.ConfigurationError`."""
+    if app in COMMERCIAL_APPS:
+        return commercial_program(app, scale, seed, num_threads)
+    return splash2_program(app, scale, seed, num_threads)
+
+
 __all__ = [
+    "app_program",
     "BUG_ZOO",
     "InvariantVerdict",
     "ZooSpecimen",

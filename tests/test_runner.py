@@ -9,6 +9,7 @@ replay job reuse its cached recording.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -31,8 +32,11 @@ from repro.runner import (
 from repro.runner.cache import encode_artifact
 from repro.runner.figures import resolve_figures, specs_for
 from repro.runner.jobs import (
+    KINDS,
+    build_job_spec,
     recording_from_artifact,
     result_from_artifact,
+    validate_params,
 )
 from repro.runner.reporting import Reporter
 from repro.runner.retry import RetryPolicy
@@ -219,6 +223,112 @@ class TestJobs:
         artifact = execute_spec(spec)
         assert artifact["metrics"]["cycles"] > 0
         assert artifact["metrics"]["trace_length"] == 0  # no trace
+
+
+# -- job kinds --------------------------------------------------------
+
+_FULL = {"app": "lu", "scale": 0.2, "seed": 5, "num_threads": 4}
+
+#: One spec per RunSpec kind, as ``(kind, params, constructor spec,
+#: content hash)``: the hashes are literal, so a refactor that changed
+#: every canonical form at once still fails here.
+PINNED_HASHES = [
+    ("record", {}, RunSpec.record("fft", "order_only"),
+     "a8197d175cea1252564af8255895f69f5e5d57667e461c49ed7f89a061ec4c64"),
+    ("record",
+     {**_FULL, "mode": "picolog", "chunk_size": 1000, "simultaneous": 3},
+     RunSpec.record("lu", "picolog", chunk_size=1000, num_threads=4,
+                    simultaneous=3, scale=0.2, seed=5),
+     "9d9c8138af97a2111e4d18605d383a9a9e6b5cda353582dc6315323c55076141"),
+    ("replay", {}, RunSpec.replay("fft", "order_only"),
+     "33042d3bb41f3e161b2a006398f69bae00fc22f6cd2cd0727a8ce35d6e41c5b2"),
+    ("replay",
+     {**_FULL, "mode": "picolog", "chunk_size": 1000, "use_strata": True,
+      "perturb_seed": 9},
+     RunSpec.replay("lu", "picolog", use_strata=True, perturb_seed=9,
+                    chunk_size=1000, num_threads=4, scale=0.2, seed=5),
+     "06fbf7fba6140f6714d4ce4726acaec5b0c24b13ae95eaff7b2d747ed61d3f6b"),
+    ("consistency", {}, RunSpec.consistency("fft", "sc"),
+     "08ec33fd6a5f81e209901c37a13f0c6b9aa50b9ae855586b2a7be3d3dbb89058"),
+    ("consistency", {**_FULL, "model": "rc", "collect_trace": True},
+     RunSpec.consistency("lu", "rc", num_threads=4, collect_trace=True,
+                         scale=0.2, seed=5),
+     "72599fba1add58bc458f1f4349a5925013045202a34b761012056738db7e204c"),
+    ("explore", {}, RunSpec.explore("fft", "order_only"),
+     "0ae6e7f52d3ad3bcd8cc94cf409105f3ffde1c456d2fa1bd2e7d34f8b851c2cf"),
+    ("explore",
+     {**_FULL, "mode": "picolog", "chunk_size": 1000, "schedule_seed": 9},
+     RunSpec.explore("lu", "picolog", schedule_seed=9, num_threads=4,
+                     chunk_size=1000, scale=0.2, seed=5),
+     "48ec57ed3ed07dc603d3bd5d1ff232c2c2174b86d47b6f1ce7dc9cb8d260cbb7"),
+]
+
+#: A value other than the default for every campaign-kind parameter.
+_OTHER = {"app": "lu", "mode": "picolog", "scale": 0.5, "seed": 2,
+          "plan_seed": 8, "fault_count": 3, "checkpoint_every": 16,
+          "jobs": 2, "max_events": 1000, "recording_hash": "b" * 64}
+
+
+class TestJobKinds:
+    @pytest.mark.parametrize(
+        "kind,params,spec,digest", PINNED_HASHES,
+        ids=[f"{kind}-{'full' if params else 'empty'}"
+             for kind, params, _, _ in PINNED_HASHES])
+    def test_runspec_hashes_pinned(self, kind, params, spec, digest):
+        assert spec.content_hash() == digest
+        assert build_job_spec(kind, params).content_hash() == digest
+
+    def test_campaign_spec_hashes_the_work_not_the_spelling(self):
+        assert build_job_spec("chaos", {}).content_hash() == \
+            build_job_spec("chaos", {"app": "fft", "plan_seed": 7}) \
+            .content_hash()
+        for name, kind in KINDS.items():
+            if not kind.defaults:
+                continue
+            required = {param: "a" * 64 for param in kind.params
+                        if param not in kind.defaults}
+            base = build_job_spec(name, required).content_hash()
+            for param in kind.params:
+                changed = build_job_spec(
+                    name, {**required, param: _OTHER[param]})
+                assert changed.content_hash() != base, (name, param)
+
+    @pytest.mark.parametrize("name,value", [
+        ("seed", True), ("num_threads", 2.9), ("scale", True)])
+    def test_params_reject_silent_coercion(self, name, value):
+        with pytest.raises(ConfigurationError, match=repr(name)):
+            validate_params("record", {name: value})
+
+    def test_params_keep_exact_conversions(self):
+        assert validate_params(
+            "record", {"seed": "03", "num_threads": 2.0, "scale": 1}) == \
+            {"seed": 3, "num_threads": 2, "scale": 1.0}
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_every_kind_runs_through_the_job_path(self, kind, tmp_path):
+        cache = fresh_cache(tmp_path)
+        if kind == "salvage":
+            record = build_job_spec("record", {"scale": SCALE})
+            params = {"recording_hash":
+                      cache.get_or_compute(record,
+                                           execute_spec)["spec_hash"]}
+        else:
+            params = {"scale": SCALE}
+        spec = build_job_spec(kind, params)
+        artifact = execute_spec(spec, cache)
+        assert artifact["kind"] == kind
+        assert artifact["spec_hash"] == spec.content_hash()
+
+    def test_submit_offers_exactly_the_table_kinds(self):
+        from repro.cli import build_parser
+
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        submit = commands.choices["submit"]
+        (kind,) = [action for action in submit._actions
+                   if action.dest == "kind"]
+        assert list(kind.choices) == list(KINDS)
 
 
 # -- runner: success paths -------------------------------------------

@@ -213,7 +213,7 @@ class TestFleetWireProtocol:
         import hashlib
 
         from repro.runner.cache import encode_artifact
-        from repro.serve.kinds import build_job_spec
+        from repro.runner.jobs import build_job_spec
 
         service = make_service(tmp_path, executor="remote")
         with running_server(service) as server:

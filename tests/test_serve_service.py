@@ -16,7 +16,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.guard.limits import Budgets
 from repro.runner import ResultCache
-from repro.serve.kinds import build_job_spec
+from repro.runner.jobs import build_job_spec
 from repro.serve.service import ReproService
 from repro.telemetry.metrics import MetricsRegistry
 

@@ -29,7 +29,7 @@ from repro.runner.executors import (
 )
 from repro.runner.retry import RetryPolicy
 from repro.serve.client import ServeClient
-from repro.serve.kinds import build_job_spec
+from repro.runner.jobs import build_job_spec
 from repro.serve.service import ReproService
 from repro.serve.worker import ServeWorker, default_worker_id
 from repro.telemetry.metrics import MetricsRegistry
