@@ -468,42 +468,7 @@ def _cmd_explore(args) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_bench_baseline(args) -> int:
-    from repro.runner.baseline import (
-        collect_baseline,
-        compare_baselines,
-        load_baseline,
-        render_baseline,
-        write_baseline,
-    )
-
-    apps = validate_apps(args.apps) if args.apps else None
-    app = apps[0] if apps else "fft"
-    current = collect_baseline(app, scale=args.scale, seed=args.seed,
-                               jobs=max(1, args.jobs),
-                               figure_apps=apps)
-    print(render_baseline(current))
-    if args.baseline:
-        write_baseline(args.baseline, current)
-        print(f"wrote baseline snapshot to {args.baseline}")
-    if args.check_baseline:
-        reference = load_baseline(args.check_baseline)
-        regressions = compare_baselines(current, reference,
-                                        threshold=args.threshold)
-        if regressions:
-            print(f"\n{len(regressions)} regression(s) against "
-                  f"{args.check_baseline}:", file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"within threshold {args.threshold:g} of "
-              f"{args.check_baseline}")
-    return 0
-
-
 def _cmd_bench(args) -> int:
-    if args.baseline or args.check_baseline:
-        return _cmd_bench_baseline(args)
     if args.list:
         rows = [[figure.name, figure.description]
                 for figure in FIGURES.values()]
@@ -953,22 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_BENCH_SEED or 11)")
     bench.add_argument("--quiet", action="store_true",
                        help="suppress per-job progress lines")
-    bench.add_argument("--baseline", metavar="BENCH.json",
-                       default=None,
-                       help="measure a machine-readable performance "
-                            "snapshot (record/replay events/sec per "
-                            "mode, fig10/fig11 wall time) and write "
-                            "it here instead of rendering figures")
-    bench.add_argument("--check-baseline", metavar="BENCH.json",
-                       default=None,
-                       help="measure a fresh snapshot and fail if it "
-                            "regresses past --threshold against this "
-                            "reference")
-    bench.add_argument("--threshold", type=float, default=0.1,
-                       help="minimum acceptable current/reference "
-                            "throughput ratio (default 0.1; wall "
-                            "times may grow by at most its "
-                            "reciprocal)")
     add_runner_options(bench, timeout=True)
     bench.set_defaults(func=_cmd_bench)
 

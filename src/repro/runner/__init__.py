@@ -19,12 +19,6 @@ The experiment-execution engine behind ``python -m repro bench`` and
   batches (:mod:`repro.runner.figures`).
 """
 
-from repro.runner.baseline import (
-    collect_baseline,
-    compare_baselines,
-    load_baseline,
-    write_baseline,
-)
 from repro.runner.cache import GCReport, ResultCache, source_tree_salt
 from repro.runner.executors import (
     BACKENDS,
@@ -74,12 +68,8 @@ __all__ = [
     "RunnerMetrics",
     "RunSpec",
     "resolve_backend",
-    "collect_baseline",
     "build_job_spec",
-    "compare_baselines",
     "execute_spec",
-    "load_baseline",
-    "write_baseline",
     "recording_from_artifact",
     "result_from_artifact",
     "source_tree_salt",

@@ -1,12 +1,12 @@
 """Job kinds, and execution: turn a spec into a result artifact.
 
-:data:`KINDS` declares each job kind once: its parameter names and
-types, the builder that turns validated params into a content-hashed
-spec, and the executor that turns the spec into an artifact.  The
-RunSpec kinds (``record``, ``replay``, ``consistency``, ``explore``)
-keep their defaults in the :class:`RunSpec` constructors; the campaign
-kinds (``chaos``, ``salvage``, ``bench``) keep theirs in the table and
-resolve them into a :class:`CampaignSpec`.  Serve's validation,
+:data:`KINDS` declares each of the six job kinds once: its parameter
+names and types, the builder that turns validated params into a
+content-hashed spec, and the executor that turns the spec into an
+artifact.  The RunSpec kinds (``record``, ``replay``, ``consistency``,
+``explore``) keep their defaults in the :class:`RunSpec` constructors;
+the campaign kinds (``chaos``, ``salvage``) keep theirs in the table
+and resolve them into a :class:`CampaignSpec`.  Serve's validation,
 :func:`build_job_spec`, :func:`execute_spec` and ``repro submit`` all
 read the table.
 
@@ -237,19 +237,6 @@ def _run_salvage(spec: CampaignSpec, cache=None) -> dict:
     }
 
 
-def _run_bench(spec: CampaignSpec, cache=None) -> dict:
-    from repro.runner.baseline import collect_baseline
-
-    params = spec.param_dict
-    baseline = collect_baseline(params["app"], scale=params["scale"],
-                                seed=params["seed"], jobs=params["jobs"])
-    return {
-        **base_artifact(spec),
-        "metrics": {"modes": sorted(baseline.get("modes", {}))},
-        "baseline": baseline,
-    }
-
-
 @dataclass(frozen=True)
 class JobKind:
     """One job kind: ``params`` maps each parameter a request may
@@ -323,9 +310,6 @@ KINDS = {kind.name: kind for kind in (
     JobKind("salvage", {"recording_hash": str, "max_events": int},
             _campaign_spec, _run_salvage,
             defaults={"max_events": None}),
-    JobKind("bench", {**_COMMON, "jobs": int},
-            _campaign_spec, _run_bench,
-            defaults={"app": "fft", "scale": 0.3, "seed": 11, "jobs": 1}),
 )}
 
 

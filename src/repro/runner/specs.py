@@ -18,8 +18,8 @@ the result cache:
 Specs are small frozen dataclasses: hashable, picklable (they cross
 the process-pool boundary) and order-insensitive to construct.
 
-The job kinds that are not a single simulation run (``chaos``,
-``salvage``, ``bench``) get a :class:`CampaignSpec` with the same
+The job kinds that are not a single simulation run (``chaos`` and
+``salvage``) get a :class:`CampaignSpec` with the same
 ``canonical()``/``content_hash()``/``label()`` surface, so the result
 cache and the job envelope treat every kind alike.  The kind table in
 :mod:`repro.runner.jobs` builds both.
@@ -270,8 +270,8 @@ class RunSpec(_ContentHashed):
 
 @dataclass(frozen=True)
 class CampaignSpec(_ContentHashed):
-    """Content-hashed spec of a campaign kind (``chaos``, ``salvage``,
-    ``bench``).
+    """Content-hashed spec of a campaign kind (``chaos`` or
+    ``salvage``).
 
     ``params`` is a sorted tuple of ``(name, value)`` pairs, so the
     dataclass stays hashable and order-insensitive to construct.  The

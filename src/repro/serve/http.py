@@ -26,11 +26,18 @@ Routes::
                                    "envelope","artifact_digest"}
                                   -> verified completion | 409/404
 
+Request bodies are capped before any body byte is read: 64 MiB for
+``POST /v1/workers/complete``, which carries a whole artifact, and
+1 MiB for every other route.  A larger body gets 413 naming its size
+and the limit (a worker then fails the job as ``ArtifactTooLarge``);
+a ``Content-Length`` that is not a decimal byte count gets 400.
+
 The worker endpoints are the fleet wire protocol (see
 :mod:`repro.serve.worker` for the peer).  When the service carries a
 shared-secret bearer token, submissions and every worker call must
 present ``Authorization: Bearer <token>`` -- compared constant-time,
-rejected 401 with no detail about which part was wrong.
+before the request body is read, and rejected 401 with no detail
+about which part was wrong.
 
 SSE event ids are journal log sequence numbers; reconnecting with
 ``Last-Event-ID: N`` (or ``?after=N``) replays everything after N --
@@ -64,7 +71,13 @@ from repro.serve.queue import read_journal_dir
 from repro.serve.service import ReproService
 from repro.serve.sse import EventLog, format_sse
 
-_MAX_BODY = 1 << 20  # 1 MiB: job submissions are tiny
+#: Request body caps, chosen from the request line before any body
+#: byte is read.  Every body but a worker's upload is a small JSON
+#: request; an upload carries a whole artifact (a default-scale
+#: ``record`` is 1.2-1.5 MB, its recording base64-encoded).
+_MAX_BODY = 1 << 20  # 1 MiB
+_MAX_UPLOAD = 64 << 20  # 64 MiB, POST /v1/workers/complete only
+_UPLOAD_ROUTE = ("POST", "/v1/workers/complete")
 
 #: How often the server sweeps expired leases.
 SWEEP_INTERVAL = 1.0
@@ -76,6 +89,15 @@ _STATUS_TEXT = {
     413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+
+async def _discard(reader: asyncio.StreamReader, count: int) -> None:
+    """Read and drop up to ``count`` bytes, in bounded chunks."""
+    while count > 0:
+        chunk = await reader.read(min(count, 1 << 16))
+        if not chunk:
+            return
+        count -= len(chunk)
 
 
 def _json_body(status: int, payload: dict) -> bytes:
@@ -193,18 +215,37 @@ class ServeServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > _MAX_BODY:
-            await self._respond(writer, 413,
-                                {"error": "request body too large"})
-            return
-        body = await reader.readexactly(length) if length else b""
+        method = method.upper()
         parts = urlsplit(target)
         path = parts.path.rstrip("/") or "/"
+        if self._token_gated(method, path) \
+                and not self._authorized(headers):
+            # Before the body: an unauthorized client cannot make the
+            # server buffer an upload.
+            await self._reject_unauthorized(writer)
+            return
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            await self._respond(writer, 400, {
+                "error": f"malformed Content-Length {declared!r}"})
+            return
+        length = int(declared)
+        upload = (method, path) == _UPLOAD_ROUTE
+        limit = _MAX_UPLOAD if upload else _MAX_BODY
+        if length > limit:
+            await self._respond(writer, 413, {
+                "error": f"request body of {length} bytes exceeds "
+                         f"the {limit}-byte limit of {method} {path}"})
+            if upload:
+                # Read the refused upload to its end, keeping none of
+                # it: closing on unread bytes resets the connection,
+                # and the worker would see a broken pipe, not this 413.
+                await _discard(reader, length)
+            return
+        body = await reader.readexactly(length) if length else b""
         query = {key: values[-1] for key, values in
                  parse_qs(parts.query).items()}
-        await self._route(writer, method.upper(), path, query,
-                          headers, body)
+        await self._route(writer, method, path, query, headers, body)
 
     async def _respond(self, writer, status: int, payload: dict,
                        extra_headers: dict | None = None) -> None:
@@ -222,6 +263,14 @@ class ServeServer:
         await writer.drain()
 
     # -- routing --------------------------------------------------------
+
+    @staticmethod
+    def _token_gated(method: str, path: str) -> bool:
+        """Submissions and every fleet call need the bearer token;
+        reads stay open."""
+        return ((method, path) == ("POST", "/v1/jobs")
+                or path == "/v1/workers"
+                or path.startswith("/v1/workers/"))
 
     def _authorized(self, headers: dict) -> bool:
         """Constant-time bearer-token check (True when auth is off)."""
@@ -247,14 +296,10 @@ class ServeServer:
                 "ok": True, "lsn": self.service.queue.lsn})
             return
         if path == "/v1/workers" or path.startswith("/v1/workers/"):
-            await self._route_workers(writer, method, path, headers,
-                                      body)
+            await self._route_workers(writer, method, path, body)
             return
         if path == "/v1/jobs":
             if method == "POST":
-                if not self._authorized(headers):
-                    await self._reject_unauthorized(writer)
-                    return
                 await self._submit(writer, body)
             elif method == "GET":
                 jobs = self.service.queue.jobs(
@@ -327,12 +372,10 @@ class ServeServer:
 
     # -- the fleet wire protocol ----------------------------------------
 
-    async def _route_workers(self, writer, method, path, headers,
+    async def _route_workers(self, writer, method, path,
                              body) -> None:
-        """claim / heartbeat / complete / census -- all token-gated."""
-        if not self._authorized(headers):
-            await self._reject_unauthorized(writer)
-            return
+        """claim / heartbeat / complete / census -- all token-gated
+        (checked before the body was read)."""
         if path == "/v1/workers" and method == "GET":
             now = self.service._now()
             fleet = self.service.fleet

@@ -2,8 +2,8 @@
 
 A :class:`Job` is one unit of service traffic: a submitted request to
 run something the runner knows how to execute (a recording, a replay,
-a chaos campaign, a salvage pass, a bench snapshot, ...).  Its life is
-a small state machine::
+a chaos campaign, a salvage pass, ...).  Its life is a small state
+machine::
 
     queued ──> running ──> done
        │          │   └──> failed

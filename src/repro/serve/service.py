@@ -265,10 +265,13 @@ class ReproService:
         if job.started_at and job.submitted_at:
             self._queue_wait.observe(
                 max(0.0, job.started_at - job.submitted_at))
-        spec = self._spec_for(job)
         timeout = self.admission.job_timeout
         envelope = None
         try:
+            # Inside the try: a journaled job whose spec no longer
+            # builds (a retired kind or param) fails like any other
+            # job instead of escaping the worker loop on every restart.
+            spec = self._spec_for(job)
             cached = self.cache.load(spec)
             if cached is not None:
                 # A requeued job whose first life finished the work,
@@ -440,8 +443,10 @@ class ReproService:
         if job is None:
             return {"status": "unknown", "job": None}
         started = self._elapsed()
-        spec = self._spec_for(job)
         if envelope.get("ok"):
+            # Only a success needs the spec: a failure upload must land
+            # even for a job whose spec no longer builds.
+            spec = self._spec_for(job)
             artifact = envelope.get("artifact")
             problem = self._verify_parity(spec, artifact,
                                           artifact_digest)

@@ -48,7 +48,7 @@ import socket
 import threading
 import time
 
-from repro.errors import ServeError
+from repro.errors import ConfigurationError, ServeError
 from repro.runner import jobs as jobs_module
 from repro.runner.cache import encode_artifact
 from repro.runner.retry import RetryPolicy, retrying_call
@@ -69,6 +69,14 @@ class _Transient(Exception):
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
+
+
+def _failure(error_type: str, message: str,
+             wall_time: float = 0.0) -> dict:
+    """A failure envelope for a job the worker could not run or
+    return; :func:`~repro.runner.jobs.invoke` builds the job's own."""
+    return {"ok": False, "error_type": error_type, "message": message,
+            "wall_time": wall_time}
 
 
 def _abort_thread(thread: threading.Thread, exception: type) -> None:
@@ -199,7 +207,14 @@ class ServeWorker:
         timeout = reply.get("timeout")
         self._log(f"claimed {job['id']} ({job['kind']}, "
                   f"lease {lease_id[:8]}, ttl {ttl:g}s)")
-        spec = jobs_module.build_job_spec(job["kind"], job["params"])
+        try:
+            spec = jobs_module.build_job_spec(job["kind"], job["params"])
+        except ConfigurationError as error:
+            # A journaled job this version cannot build (a retired
+            # kind or param): fail it rather than exit the worker.
+            self._upload(job, lease_id,
+                         _failure("ConfigurationError", str(error)))
+            return
         box: dict = {}
 
         def execute() -> None:
@@ -227,9 +242,8 @@ class ServeWorker:
             return
         envelope = box.get("envelope")
         if envelope is None:  # executor died without an envelope
-            envelope = {"ok": False, "error_type": "WorkerError",
-                        "message": "execution thread produced no "
-                                   "envelope", "wall_time": 0.0}
+            envelope = _failure("WorkerError", "execution thread "
+                                "produced no envelope")
         self._upload(job, lease_id, envelope)
 
     def _heartbeat_until_done(self, thread, job, lease_id,
@@ -279,6 +293,14 @@ class ServeWorker:
                     self.worker_id, job["id"], lease_id,
                     envelope, digest))
         except ServeError as error:
+            if error.status == 413 and envelope.get("ok"):
+                # Over the server's upload cap: fail the job with the
+                # reason rather than leave its lease to expire.
+                self._upload(job, lease_id, _failure(
+                    "ArtifactTooLarge",
+                    f"artifact upload refused: {error}",
+                    envelope.get("wall_time", 0.0)))
+                return
             # 404/409: the job moved on without us (completed
             # elsewhere, requeued past this lease, or rejected on
             # parity).  Nothing to retry -- log and keep claiming.

@@ -4,10 +4,10 @@ Host-side optimizations of the simulator must not change any simulated
 figure.  These values pin, bit for bit, what the chunk machine and the
 interleaved baseline executor compute for small fixed inputs:
 
-* fft, radix and sjbb2k in OrderOnly, PicoLog and Order&Size, on the
-  Table 5 machine and on a ``tight`` one (8-set L1, one squash before
-  size reduction) whose chunks keep overflowing their cache sets and
-  occasionally shrink after a collision;
+* fft, radix and sjbb2k in OrderOnly, PicoLog, Order&Size and
+  SizeOnly, on the Table 5 machine and on a ``tight`` one (8-set L1,
+  one squash before size reduction) whose chunks keep overflowing
+  their cache sets and occasionally shrink after a collision;
 * lu under the RC and SC interleaved executor.
 
 A mismatch means a simulated behaviour changed.  Regenerate the tables
@@ -41,18 +41,24 @@ RECORD_REPLAY = {
         (11974.5, 36836, 0, 0, 0, 0, 13721.666666666653, True),
     ("table5", "fft", "order_and_size"):
         (10649.5, 36836, 0, 0, 0, 208, 10669.5, True),
+    ("table5", "fft", "size_only"):
+        (12884.5, 36836, 0, 0, 0, 153, 15238.333333333316, True),
     ("table5", "radix", "order_only"):
         (7183.0, 24453, 2, 0, 0, 64, 7203.0, True),
     ("table5", "radix", "picolog"):
         (9385.0, 24453, 2, 0, 0, 0, 11278.333333333327, True),
     ("table5", "radix", "order_and_size"):
         (7183.0, 24453, 2, 0, 0, 168, 7203.0, True),
+    ("table5", "radix", "size_only"):
+        (9385.0, 24453, 2, 0, 0, 122, 11278.333333333327, True),
     ("table5", "sjbb2k", "order_only"):
         (11377.0, 31096, 2, 0, 0, 128, 11515.0, True),
     ("table5", "sjbb2k", "picolog"):
         (14908.5, 31096, 2, 0, 0, 0, 16691.833333333325, True),
     ("table5", "sjbb2k", "order_and_size"):
         (11377.0, 31096, 2, 0, 0, 368, 11374.0, True),
+    ("table5", "sjbb2k", "size_only"):
+        (15298.5, 31096, 2, 0, 0, 211, 17341.83333333333, True),
     ("tight", "fft", "order_only"):
         (10657.3, 36836, 0, 53, 0, 1924, 10677.3, True),
     ("tight", "fft", "picolog"):
@@ -60,12 +66,17 @@ RECORD_REPLAY = {
          True),
     ("tight", "fft", "order_and_size"):
         (10657.3, 36836, 0, 53, 0, 1024, 10677.3, True),
+    ("tight", "fft", "size_only"):
+        (14876.699999999999, 36836, 0, 48, 0, 684, 19805.333333333336,
+         True),
     ("tight", "radix", "order_only"):
         (7402.3, 24453, 1, 65, 0, 2244, 7432.3, True),
     ("tight", "radix", "picolog"):
         (12591.5, 24453, 1, 65, 0, 1952, 19567.666666666664, True),
     ("tight", "radix", "order_and_size"):
         (7626.3, 24453, 1, 64, 0, 1200, 7676.3, True),
+    ("tight", "radix", "size_only"):
+        (12591.5, 24453, 1, 62, 0, 825, 19567.666666666664, True),
     ("tight", "sjbb2k", "order_only"):
         (11250.400000000001, 31096, 2, 46, 0, 1712, 11290.400000000001,
          True),
@@ -74,6 +85,9 @@ RECORD_REPLAY = {
          True),
     ("tight", "sjbb2k", "order_and_size"):
         (11294.400000000001, 31096, 2, 45, 1, 1016, 12764.1, True),
+    ("tight", "sjbb2k", "size_only"):
+        (16316.900000000001, 31096, 2, 43, 0, 693, 19399.233333333337,
+         True),
 }
 
 #: lu under the interleaved executor: model -> (cycles, instructions).

@@ -266,7 +266,7 @@ PINNED_HASHES = [
 #: A value other than the default for every campaign-kind parameter.
 _OTHER = {"app": "lu", "mode": "picolog", "scale": 0.5, "seed": 2,
           "plan_seed": 8, "fault_count": 3, "checkpoint_every": 16,
-          "jobs": 2, "max_events": 1000, "recording_hash": "b" * 64}
+          "max_events": 1000, "recording_hash": "b" * 64}
 
 
 class TestJobKinds:

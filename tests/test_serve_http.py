@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,9 +27,13 @@ import pytest
 
 from repro.errors import ServeError
 from repro.runner import ResultCache
+from repro.runner.cache import encode_artifact
+from repro.runner.jobs import build_job_spec, execute_spec
+from repro.serve import http as http_module
 from repro.serve.client import ServeClient
 from repro.serve.http import ServeServer
 from repro.serve.service import ReproService
+from repro.serve.worker import ServeWorker
 from repro.telemetry.metrics import MetricsRegistry
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -46,6 +51,25 @@ def make_service(tmp_path, **kwargs):
     kwargs.setdefault("job_fn", fake_job)
     kwargs.setdefault("metrics", MetricsRegistry())
     return ReproService(tmp_path / "data", **kwargs)
+
+
+def raw_request(port: int, head: str) -> bytes:
+    """Send ``head`` (request line and headers, no body) on a raw
+    socket and return everything the server answers."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10) as sock:
+        sock.sendall(head.encode("latin-1"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+def fleet_worker(port: int, **kwargs) -> ServeWorker:
+    """An in-process worker that drains the queue, then exits."""
+    kwargs.setdefault("worker_id", "w1")
+    return ServeWorker("127.0.0.1", port, idle_exit=0.0,
+                       poll_interval=0.05, quiet=True, **kwargs)
 
 
 @contextmanager
@@ -141,6 +165,13 @@ class TestEndpoints:
             with pytest.raises(ServeError) as err:
                 client.submit("dance", {})
             assert err.value.status == 400
+            # A retired kind is just as unknown; the answer names the
+            # six that remain.
+            with pytest.raises(ServeError) as err:
+                client.submit("bench", {})
+            assert err.value.status == 400
+            assert "record, replay, consistency, explore, chaos, " \
+                "salvage)" in str(err.value)
 
     def test_unknown_resources_get_404(self, tmp_path):
         service = make_service(tmp_path)
@@ -207,13 +238,39 @@ class TestAuthOverHTTP:
             job = good.submit("record", {"seed": 1, "scale": 0.05})
             assert good.wait(job["id"], timeout=30)["state"] == "done"
 
+            # The token is checked before the body is read: a declared
+            # 8 MiB upload that never arrives is refused at once.
+            reply = raw_request(
+                server.port,
+                "POST /v1/workers/complete HTTP/1.1\r\n"
+                f"Content-Length: {8 << 20}\r\n\r\n")
+            assert reply.startswith(b"HTTP/1.1 401 ")
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_malformed_content_length_gets_400(self, tmp_path, value):
+        with running_server(make_service(tmp_path)) as server:
+            reply = raw_request(
+                server.port,
+                f"POST /v1/jobs HTTP/1.1\r\nContent-Length: {value}"
+                f"\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"malformed Content-Length" in reply
+
+    def test_submission_cap_stays_one_mib(self, tmp_path):
+        with running_server(make_service(tmp_path)) as server:
+            reply = raw_request(
+                server.port,
+                f"POST /v1/jobs HTTP/1.1\r\nContent-Length: "
+                f"{(1 << 20) + 1}\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"1048576-byte limit" in reply
+
 
 class TestFleetWireProtocol:
     def test_claim_heartbeat_complete_over_http(self, tmp_path):
         import hashlib
-
-        from repro.runner.cache import encode_artifact
-        from repro.runner.jobs import build_job_spec
 
         service = make_service(tmp_path, executor="remote")
         with running_server(service) as server:
@@ -253,6 +310,87 @@ class TestFleetWireProtocol:
             final = client.job(job["id"])
             assert final["state"] == "done"
             assert client.artifact(final["artifact_hash"]) == artifact
+
+    def test_default_scale_record_completes_remotely_once(
+            self, tmp_path):
+        """A default-scale recording is larger than the submission
+        cap; its upload must still land, on the first attempt."""
+        params = {"app": "fft", "scale": 1.0}
+        service = make_service(tmp_path, executor="remote",
+                               degraded_after=300)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            assert client.claim("w1")["job"] is None  # fleet live
+            job = client.submit("record", params)
+            worker = fleet_worker(server.port)
+            assert worker.run() == 1
+            final = client.job(job["id"])
+            assert final["state"] == "done"
+            assert final["attempts"] == 1
+            remote = encode_artifact(
+                client.artifact(final["artifact_hash"]))
+        # If artifacts ever shrink below the cap, resize this test:
+        # it exists to send an upload over 1 MiB.
+        assert len(remote) > http_module._MAX_BODY
+        assert remote == encode_artifact(
+            execute_spec(build_job_spec("record", params)))
+
+    def test_upload_over_the_cap_fails_the_job_once(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(http_module, "_MAX_UPLOAD", 1 << 20)
+
+        def bulky_job(spec, cache=None):
+            # Larger than loopback's socket buffers, so the refusal
+            # reaches the worker only if the server reads the upload
+            # to its end instead of resetting the connection.
+            return {**fake_job(spec), "payload": "x" * (16 << 20)}
+
+        service = make_service(tmp_path, executor="remote",
+                               degraded_after=300)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            assert client.claim("w1")["job"] is None  # fleet live
+            job = client.submit("record", {"seed": 3})
+            worker = fleet_worker(server.port, job_fn=bulky_job)
+            assert worker.run() == 0
+            assert worker.failed == 1 and worker.abandoned == 0
+            final = client.job(job["id"])
+            assert final["state"] == "failed"
+            assert final["attempts"] == 1
+            assert final["lease_expiries"] == 0
+            failure = final["failure"]
+            assert failure["error_type"] == "ArtifactTooLarge"
+            assert "1048576-byte limit" in failure["message"]
+            assert client.stats()["fleet"]["lease_expired"] == 0
+
+    @pytest.mark.parametrize("kind,params,error", [
+        ("bench", {}, "unknown job kind 'bench'"),
+        ("record", {"seed": True}, "parameter 'seed'"),
+    ], ids=["retired-kind", "rejected-param"])
+    def test_unbuildable_journaled_job_fails_remotely(
+            self, tmp_path, kind, params, error):
+        service = make_service(tmp_path, executor="remote",
+                               degraded_after=300)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            assert client.claim("w1")["job"] is None  # fleet live
+            # Journaled unvalidated, as an older server accepted it.
+            bad = service.queue.submit("old", kind, params, "d" * 64,
+                                       time.time())
+            good = client.submit("record", {"seed": 3})
+            worker = fleet_worker(server.port, job_fn=fake_job)
+            assert worker.run() == 1
+            assert worker.failed == 1
+            failed = client.job(bad.id)
+            assert failed["state"] == "failed"
+            assert failed["failure"]["error_type"] == \
+                "ConfigurationError"
+            assert error in failed["failure"]["message"]
+            assert client.job(good["id"])["state"] == "done"
+        revived = make_service(tmp_path, executor="remote")
+        assert revived.queue.requeued_jobs == 0
+        assert revived.queue.get(bad.id).state == "failed"
+        revived.close()
 
     def test_worker_routes_409_outside_fleet_mode(self, tmp_path):
         service = make_service(tmp_path)  # inline: no fleet

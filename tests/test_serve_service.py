@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.guard.limits import Budgets
 from repro.runner import ResultCache
 from repro.runner.jobs import build_job_spec
+from repro.serve.queue import JobQueue
 from repro.serve.service import ReproService
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -244,6 +245,46 @@ class TestCrashRecovery:
         final = revived.queue.get(job.id)
         assert final.state == "done" and final.from_cache
         assert calls == []  # never recomputed
+        revived.close()
+
+
+#: Journaled jobs whose spec this version cannot build: a retired kind
+#: and a param value rejected since, each with the text its error names.
+UNBUILDABLE = [
+    (("bench", {}), "unknown job kind 'bench'"),
+    (("record", {"seed": True}), "parameter 'seed'"),
+]
+
+
+def journal_job(data_dir, kind, params):
+    """Write one queued job straight into the journal, unvalidated, as
+    an older server version would have accepted it."""
+    queue = JobQueue(data_dir)
+    job = queue.submit("old", kind, params, "d" * 64, time.time())
+    queue.close()
+    return job
+
+
+class TestUnbuildableJournaledJobs:
+    @pytest.mark.parametrize("request_,error", UNBUILDABLE,
+                             ids=["retired-kind", "rejected-param"])
+    def test_fails_instead_of_killing_the_loop(self, tmp_path,
+                                               request_, error):
+        bad = journal_job(tmp_path / "data", *request_)
+        service = make_service(tmp_path)
+        good, _ = service.submit("record", {"seed": 1})
+        assert service.run_until_idle() == 2
+        failed = service.queue.get(bad.id)
+        assert failed.state == "failed"
+        assert "ConfigurationError" in failed.error
+        assert error in failed.error
+        assert service.queue.get(good.id).state == "done"
+        service.close()
+
+        revived = make_service(tmp_path)
+        assert revived.queue.requeued_jobs == 0
+        assert revived.queue.get(bad.id).state == "failed"
+        assert revived.run_until_idle() == 0
         revived.close()
 
 
