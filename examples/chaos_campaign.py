@@ -7,7 +7,7 @@ sjbb2000 commercial workload (SPECjbb2000 stand-in, ``sjbb2k``):
 
 1. record sjbb2000 in OrderOnly mode, taking interval checkpoints so
    salvage has resync points, and serialize it into the
-   integrity-checked DLRN v2 container;
+   integrity-checked DLRN v3 container;
 2. expand a *seeded* fault plan -- same seed, same faults, forever --
    into bit flips, truncations, dropped sections, and perturbed log
    entries;

@@ -109,7 +109,7 @@ class IntervalCheckpointStore:
 
         Each checkpoint is billed its complete memory image (one
         address/value pair per line) plus the per-processor counters;
-        this is what the serialized container stores today.
+        the serialized container stores these images, zlib-compressed.
         """
         pair = _line_pair_bits(address_bits, value_bits)
         total = 0

@@ -29,7 +29,7 @@ class LogFormatError(IntegrityError):
 
 
 class ChecksumError(IntegrityError):
-    """A DLRN v2 section's CRC32 did not match its payload.
+    """A framed DLRN section's CRC32 did not match its payload.
 
     Carries enough structure for the salvage scanner to report *which*
     section is damaged: ``section_tag`` and ``proc`` are None when the
@@ -46,7 +46,7 @@ class ChecksumError(IntegrityError):
 
 class SalvageError(IntegrityError):
     """Best-effort salvage could not recover anything from a damaged
-    recording (e.g. the trailer holding the program is itself gone)."""
+    recording (e.g. the section holding the program is itself gone)."""
 
 
 class ReplayDivergenceError(ReproError):

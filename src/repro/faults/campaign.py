@@ -262,7 +262,7 @@ def record_baseline(app: str, mode, scale: float = 1.0,
                     tracer=None):
     """Record the campaign's baseline execution (with interval
     checkpoints, so salvage has resync points) and return
-    ``(recording, v2 blob)``."""
+    ``(recording, blob)``."""
     system = DeLoreanSystem(mode=mode)
     recording = system.record(app_program(app, scale=scale, seed=seed),
                               checkpoint_every=checkpoint_every,

@@ -54,7 +54,7 @@ class FaultInjector:
         if spec.kind == "truncate":
             cut = max(1, _scaled(spec.position, len(blob)))
             return blob[:cut]
-        # Section-granular faults need the v2 frame map.
+        # Section-granular faults need the frame map (v2 and later).
         frames, _damage = container_frames(blob)
         if not frames:
             return blob

@@ -227,7 +227,7 @@ def salvage_from_blob(blob: bytes,
 
     Raises :class:`~repro.errors.SalvageError` (via the tolerant
     loader) only when nothing is recoverable at all -- a destroyed
-    header or trailer.
+    header or state section (program, config, verify; a legacy trailer).
     """
     recording, damage = load_recording_tolerant(blob)
     return recording, salvage_replay(

@@ -245,7 +245,7 @@ class SegmentedRecording:
 def save_segmented(segmented: SegmentedRecording) -> bytes:
     """Serialize a stitched recording.
 
-    Each segment's Recording goes through the regular DLRN v2 container
+    Each segment's Recording goes through the regular DLRN container
     (CRC-framed, independently loadable); the stitch metadata rides in
     a pickled envelope behind its own magic.
     """

@@ -4,10 +4,11 @@ An unsupervised record session holds its entire recording in memory
 until the run completes; a crash (OOM kill, node preemption, plain
 SIGKILL) loses everything.  The journal inverts that: at quiescent
 chunk boundaries the supervisor appends the *complete current section
-set* -- the same CRC-framed DLRN v2 frames the container format uses
-(see :mod:`repro.core.serialization`) -- followed by a tiny ``flush``
+set* -- the same CRC-framed frames the container format uses (see
+:mod:`repro.core.serialization`) -- followed by a tiny ``flush``
 marker frame, then flushes and fsyncs.  The file is therefore a valid
-v2 container at every flush point:
+container, of the version :func:`~repro.core.serialization.save_recording`
+writes, at every flush point:
 
     preamble | epoch 0 sections | FLUSH | epoch 1 sections | FLUSH
     | ... | END
@@ -33,21 +34,17 @@ from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 from repro.core.recorder import Recording
 from repro.core.serialization import (
-    _MAGIC,
     _SECTION_END,
     _SECTION_FLUSH,
     _assemble,
     _frame_bytes,
-    _mode_header,
-    _iter_payloads,
+    _preamble,
     _read_preamble,
+    _sections,
     scan_frames,
     SectionDamage,
 )
@@ -72,16 +69,7 @@ class RecordingJournal:
         self.bytes_written = 0
         self.closed = False
         self._file = open(path, "wb")
-        # _mode_header reads .mode_config/.machine_config; the machine
-        # exposes the latter as .config.
-        header = _mode_header(SimpleNamespace(
-            mode_config=machine.mode_config,
-            machine_config=machine.config))
-        preamble = (_MAGIC + struct.pack(">B", 2)
-                    + struct.pack(">II", len(header),
-                                  zlib.crc32(header) & 0xFFFFFFFF)
-                    + header)
-        self._write(preamble)
+        self._write(_preamble(machine.mode_config, machine.config))
         self._commit_to_disk()
 
     def _write(self, data: bytes) -> None:
@@ -109,7 +97,7 @@ class RecordingJournal:
         if self.closed:
             raise ConfigurationError("journal is closed")
         snapshot = partial_recording(self.machine)
-        for tag, proc, payload, bits in _iter_payloads(snapshot):
+        for tag, proc, payload, bits in _sections(snapshot):
             self._write(_frame_bytes(tag, proc, bits, payload))
         marker = json.dumps({
             "flush": self.flush_count,
@@ -168,9 +156,10 @@ def load_journal(blob: bytes) -> tuple[Recording, JournalInfo]:
     Raises :class:`~repro.errors.SalvageError` when not even one flush
     completed -- there is no prefix to recover.
     """
-    version, header, data_start, _ = _read_preamble(blob)
-    if version != 2:
-        raise SalvageError("recording journals are always v2 containers")
+    version, header, data_start = _read_preamble(blob)
+    if version == 1:
+        raise SalvageError("recording journals are framed (v2 or later) "
+                           "containers, not v1")
     frames, scan_damage = scan_frames(blob, data_start)
     complete = not any(
         d.reason == "missing end-of-container frame"
@@ -203,7 +192,8 @@ def load_journal(blob: bytes) -> tuple[Recording, JournalInfo]:
             continue
         newest[(frame.tag, frame.proc)] = frame
     ordered = sorted(newest.values(), key=lambda f: f.start)
-    recording = _assemble(header, ordered, damage, tolerant=True)
+    recording = _assemble(version, header, ordered, damage,
+                          tolerant=True)
 
     info = JournalInfo(
         flushes=marker_count,

@@ -71,7 +71,6 @@ class OpKind(enum.Enum):
     TRAP = "trap"
 
 
-@dataclass(frozen=True)
 class Op:
     """One static operation in a thread's program.
 
@@ -83,20 +82,81 @@ class Op:
       sensitive to the interleaving (good for determinism testing).
     * ``count`` -- ALU instructions for COMPUTE; handler length for TRAP;
       participant count for BARRIER.
+
+    An immutable, hashable ``__slots__`` record: the interpreter reads
+    ``kind`` and ``address`` on every op, and slot reads are the
+    cheapest attribute access there is.  Construction validates; a
+    decoder that has validated whole columns builds ops with
+    :func:`trusted_op` instead.  Equality is class-sensitive.
     """
 
-    kind: OpKind
-    address: int = 0
-    value: int | None = None
-    count: int = 1
+    __slots__ = ("kind", "address", "value", "count")
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ConfigurationError(f"negative address in {self}")
-        if self.count < 1:
-            raise ConfigurationError(f"non-positive count in {self}")
-        if self.kind is OpKind.BARRIER and self.count < 1:
-            raise ConfigurationError("BARRIER needs a participant count")
+    kind: OpKind
+    address: int
+    value: int | None
+    count: int
+
+    def __new__(cls, kind: OpKind, address: int = 0,
+                value: int | None = None, count: int = 1) -> "Op":
+        if address < 0:
+            raise ConfigurationError(
+                f"negative address in {_op_repr(kind, address, value, count)}")
+        if count < 1:
+            raise ConfigurationError(
+                f"non-positive count in "
+                f"{_op_repr(kind, address, value, count)}")
+        return trusted_op(kind, address, value, count)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Op")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Op")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.address, self.value, self.count)
+                == (other.kind, other.address, other.value, other.count))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.address, self.value, self.count))
+
+    def __repr__(self) -> str:
+        return _op_repr(self.kind, self.address, self.value, self.count)
+
+    def __reduce__(self):
+        return (Op, (self.kind, self.address, self.value, self.count))
+
+
+def _op_repr(kind, address, value, count) -> str:
+    return (f"Op(kind={kind!r}, address={address!r}, value={value!r}, "
+            f"count={count!r})")
+
+
+class _OpDraft:
+    """A mutable twin of :class:`Op` with the same slots.  Filling a
+    draft and then reassigning its ``__class__`` to ``Op`` is the
+    cheapest way to build an immutable slotted object in Python."""
+
+    __slots__ = Op.__slots__
+
+
+_new_draft = object.__new__
+
+
+def trusted_op(kind: OpKind, address: int, value: int | None,
+               count: int) -> Op:
+    """An :class:`Op` built without validation, for decoders that have
+    already checked whole columns (address >= 0, count >= 1)."""
+    op = _new_draft(_OpDraft)
+    op.kind = kind
+    op.address = address
+    op.value = value
+    op.count = count
+    op.__class__ = Op
+    return op
 
 
 _AFFINE_A = 0x5851F42D4C957F2D

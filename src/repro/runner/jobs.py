@@ -26,12 +26,15 @@ runs one job and packages the outcome as a JSON-serializable
 
 ``metrics`` carries every number the figure renderers need, so sweeps
 can tabulate results without touching the payload.  ``payload`` holds
-the full result object -- the native ``save_recording`` container for
-recordings, a fixed-protocol pickle for replay/consistency results --
-so the benchmark harness can hand callers real ``Recording`` /
-``ReplayResult`` / ``InterleavedResult`` instances reconstructed from
-cache.  Both encodings are deterministic: executing the same spec
-twice yields byte-identical artifacts (the cache determinism guard).
+the full result object -- a DLRN v3 container (``save_recording``, no
+pickle) for recordings, a fixed-protocol pickle for
+replay/consistency results -- so the benchmark harness can hand
+callers real ``Recording`` / ``ReplayResult`` / ``InterleavedResult``
+instances reconstructed from cache.  Both encodings are
+deterministic: executing the same spec twice yields byte-identical
+artifacts (the cache determinism guard).  Record artifacts travel
+from remote workers over HTTP, so :func:`recording_from_artifact`
+reads v3 only and never the pickle-bearing legacy containers.
 
 :func:`invoke` is the actual pool entry point: it wraps
 :func:`execute_spec` with a hard per-job timeout -- SIGALRM on a unix
@@ -386,12 +389,18 @@ def execute_spec(spec, cache=None) -> dict:
 
 
 def recording_from_artifact(artifact: dict):
-    """Materialize a fresh :class:`Recording` from a record artifact."""
+    """Materialize a fresh :class:`Recording` from a record artifact.
+
+    Artifacts may come from another host, so only DLRN v3 payloads are
+    read; a v1/v2 payload (a pickled trailer) raises
+    :class:`~repro.errors.LogFormatError`.
+    """
     if artifact.get("payload_codec") != "dlrn":
         raise ValueError(
             f"not a record artifact (codec "
             f"{artifact.get('payload_codec')!r})")
-    return load_recording(base64.b64decode(artifact["payload"]))
+    return load_recording(base64.b64decode(artifact["payload"]),
+                          legacy=False)
 
 
 def result_from_artifact(artifact: dict):

@@ -1,4 +1,4 @@
-"""Tests for repro.faults: injection, DLRN v2 integrity, salvage.
+"""Tests for repro.faults: injection, container integrity, salvage.
 
 The headline property is the resilience invariant: every injected
 fault is *detected* (a typed ReproError) or *recovered* (a salvage
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -116,40 +117,28 @@ class TestFaultPlan:
             FaultSpec(layer="blob", kind="bit_flip", position=1.5)
 
 
-# -- DLRN v2 container -------------------------------------------------
+# -- framed containers: DLRN v3 and the legacy v2 reader ---------------
+
+DATA = Path(__file__).parent / "data"
 
 
-class TestDlrnV2:
-    def test_v2_is_the_default_and_round_trips(self):
-        system, recording = make_recording()
-        blob = save_recording(recording)
-        assert blob[:4] == b"DLRN" and blob[4] == 2
-        loaded = load_recording(blob)
-        result = system.replay(loaded)
-        assert result.determinism.matches
+def fixture_blob(name: str) -> bytes:
+    """A recording written by the last release with v1/v2 writers."""
+    return (DATA / name).read_bytes()
 
-    def test_v1_still_writable_and_loadable(self):
-        system, recording = make_recording()
-        blob = save_recording(recording, version=1)
-        assert blob[4] == 1
-        loaded = load_recording(blob)
-        assert loaded.pi_log.entries == recording.pi_log.entries
-        result = system.replay(loaded)
-        assert result.determinism.matches
 
-    def test_v1_and_v2_load_identically(self):
-        _, recording = make_recording()
-        v1 = load_recording(save_recording(recording, version=1))
-        v2 = load_recording(save_recording(recording, version=2))
-        assert v1.pi_log.entries == v2.pi_log.entries
-        assert v1.final_memory == v2.final_memory
-        for proc in v1.cs_logs:
-            assert (v1.cs_logs[proc].entries
-                    == v2.cs_logs[proc].entries)
+class _FramedContainerChecks:
+    """Properties every framed container version keeps.  Subclasses
+    supply :meth:`blob` and name their state sections (what nothing
+    can be replayed without)."""
+
+    STATE_SECTIONS: tuple = ()
+
+    def blob(self) -> bytes:
+        raise NotImplementedError
 
     def test_payload_corruption_raises_checksum_error(self):
-        _, recording = make_recording()
-        blob = bytearray(save_recording(recording))
+        blob = bytearray(self.blob())
         frames, damage = container_frames(bytes(blob))
         assert not damage
         target = frames[0]  # the PI section
@@ -159,45 +148,44 @@ class TestDlrnV2:
         assert excinfo.value.section_tag == target.tag
 
     def test_header_corruption_detected(self):
-        _, recording = make_recording()
-        blob = bytearray(save_recording(recording))
+        blob = bytearray(self.blob())
         blob[14] ^= 0xFF  # inside the JSON header
         with pytest.raises(IntegrityError):
             load_recording(bytes(blob))
 
     def test_tolerant_load_resyncs_past_damage(self):
-        _, recording = make_recording()
-        blob = bytearray(save_recording(recording))
+        blob = bytearray(self.blob())
+        intact = load_recording(bytes(blob))
         frames, _ = container_frames(bytes(blob))
         target = frames[0]
         blob[target.end - 1] ^= 0xFF
         loaded, damage = load_recording_tolerant(bytes(blob))
         assert any(d.reason == "CRC32 mismatch" for d in damage)
         # Everything after the damaged section survived intact.
-        for proc in recording.cs_logs:
+        for proc in intact.cs_logs:
             assert (loaded.cs_logs[proc].entries
-                    == recording.cs_logs[proc].entries)
+                    == intact.cs_logs[proc].entries)
 
     def test_tolerant_load_of_clean_blob_reports_no_damage(self):
-        _, recording = make_recording()
-        loaded, damage = load_recording_tolerant(
-            save_recording(recording))
+        blob = self.blob()
+        loaded, damage = load_recording_tolerant(blob)
         assert damage == []
-        assert loaded.pi_log.entries == recording.pi_log.entries
+        assert (loaded.pi_log.entries
+                == load_recording(blob).pi_log.entries)
 
-    def test_destroyed_trailer_is_unsalvageable(self):
-        _, recording = make_recording()
-        blob = bytearray(save_recording(recording))
-        frames, _ = container_frames(bytes(blob))
-        trailer = next(f for f in frames if f.name == "trailer")
-        for offset in range(trailer.start, trailer.end):
-            blob[offset] = 0
-        with pytest.raises(SalvageError):
-            load_recording_tolerant(bytes(blob))
+    def test_destroyed_state_is_unsalvageable(self):
+        clean = self.blob()
+        frames, _ = container_frames(clean)
+        for name in self.STATE_SECTIONS:
+            blob = bytearray(clean)
+            section = next(f for f in frames if f.name == name)
+            for offset in range(section.start, section.end):
+                blob[offset] = 0
+            with pytest.raises(SalvageError):
+                load_recording_tolerant(bytes(blob))
 
     def test_dropped_section_detected_strictly(self):
-        _, recording = make_recording()
-        blob = save_recording(recording)
+        blob = self.blob()
         frames, _ = container_frames(blob)
         target = frames[1]
         damaged = blob[:target.start] + blob[target.end:]
@@ -207,8 +195,7 @@ class TestDlrnV2:
         assert any("missing" in d.reason for d in damage)
 
     def test_duplicate_section_detected_strictly(self):
-        _, recording = make_recording()
-        blob = save_recording(recording)
+        blob = self.blob()
         frames, _ = container_frames(blob)
         target = frames[1]
         section = blob[target.start:target.end]
@@ -218,23 +205,69 @@ class TestDlrnV2:
         loaded, damage = load_recording_tolerant(damaged)
         assert any(d.reason == "duplicate section ignored"
                    for d in damage)
-        assert loaded.pi_log.entries == recording.pi_log.entries
+        assert (loaded.pi_log.entries
+                == load_recording(blob).pi_log.entries)
+
+
+class TestDlrnV3(_FramedContainerChecks):
+    STATE_SECTIONS = ("program", "config", "verify")
+
+    def blob(self) -> bytes:
+        return save_recording(make_recording()[1])
+
+    def test_v3_is_the_default_and_round_trips(self):
+        system, recording = make_recording()
+        blob = save_recording(recording)
+        assert blob[:4] == b"DLRN" and blob[4] == 3
+        loaded = load_recording(blob)
+        result = system.replay(loaded)
+        assert result.determinism.matches
+
+
+class TestDlrnV2(_FramedContainerChecks):
+    """The legacy v2 reader, on a committed v2 blob."""
+
+    STATE_SECTIONS = ("trailer",)
+
+    def blob(self) -> bytes:
+        return fixture_blob("counter-v2.dlrn")
+
+    def test_v2_fixture_loads_and_replays(self):
+        blob = self.blob()
+        assert blob[4] == 2
+        result = replay_execution(load_recording(blob))
+        assert result.determinism.matches
+
+    def test_v1_and_v2_load_identically(self):
+        v1 = load_recording(fixture_blob("counter-v1.dlrn"))
+        v2 = load_recording(self.blob())
+        assert v1.pi_log.entries == v2.pi_log.entries
+        assert v1.final_memory == v2.final_memory
+        assert v1.program == v2.program
+        for proc in v1.cs_logs:
+            assert (v1.cs_logs[proc].entries
+                    == v2.cs_logs[proc].entries)
 
 
 class TestV1Hardening:
-    """Satellite bugfix: a damaged v1 blob must raise LogFormatError,
-    never a raw struct/pickle/EOF error."""
+    """A damaged v1 blob must raise LogFormatError, never a raw
+    struct/pickle/EOF error."""
+
+    def test_v1_fixture_loads_and_replays(self):
+        blob = fixture_blob("counter-v1.dlrn")
+        assert blob[4] == 1
+        loaded = load_recording(blob)
+        result = replay_execution(loaded)
+        assert result.determinism.matches
 
     def test_truncation_sweep_raises_only_typed_errors(self):
-        _, recording = make_recording()
-        blob = save_recording(recording, version=1)
+        blob = fixture_blob("counter-v1.dlrn")
         for cut in range(1, len(blob), max(1, len(blob) // 97)):
             with pytest.raises(IntegrityError):
                 load_recording(blob[:cut])
 
     def test_garbage_tail_raises_log_format_error(self):
-        _, recording = make_recording()
-        blob = save_recording(recording, version=1)
+        blob = fixture_blob("counter-v1.dlrn")
         with pytest.raises(IntegrityError):
             load_recording(blob[: len(blob) // 2]
                            + b"\x97" * (len(blob) // 2))
@@ -244,8 +277,7 @@ class TestV1Hardening:
             load_recording(b"DLRN\x01" + b"\xff" * 64)
 
     def test_corrupt_trailer_pickle_is_typed(self):
-        _, recording = make_recording()
-        blob = bytearray(save_recording(recording, version=1))
+        blob = bytearray(fixture_blob("counter-v1.dlrn"))
         # Smash bytes near the end: inside the pickled trailer.
         for offset in range(len(blob) - 40, len(blob) - 20):
             blob[offset] = 0xFE
@@ -258,7 +290,7 @@ class TestV1Hardening:
 
 class TestCorruptionSweep:
     def test_every_single_byte_corruption_detected_or_harmless(self):
-        """Exhaustive sweep: corrupt each byte of a small v2 blob in
+        """Exhaustive sweep: corrupt each byte of a small v3 blob in
         turn; every outcome must be a typed IntegrityError (detected)
         or a verified replay equal to the baseline (harmless).  A
         verified replay with *different* results would be a silent

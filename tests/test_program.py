@@ -1,5 +1,8 @@
 """Tests for the program model: ops, thread state, compute algebra."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +13,7 @@ from repro.machine.program import (
     Program,
     ThreadState,
     compute_mix,
+    trusted_op,
 )
 
 
@@ -32,6 +36,30 @@ class TestOpValidation:
         assert hash(op) == hash(Op(OpKind.STORE, address=1, value=2))
         with pytest.raises(AttributeError):
             op.address = 9
+
+
+class TestOpRecord:
+    def test_trusted_op_equals_a_validated_op(self):
+        built = trusted_op(OpKind.STORE, 3, -7, 2)
+        assert type(built) is Op
+        assert built == Op(OpKind.STORE, address=3, value=-7, count=2)
+        assert hash(built) == hash(Op(OpKind.STORE, 3, -7, 2))
+
+    def test_fields_cannot_be_deleted(self):
+        op = Op(OpKind.LOAD, address=5)
+        with pytest.raises(AttributeError):
+            del op.kind
+        assert op.kind is OpKind.LOAD
+
+    def test_equality_is_class_sensitive(self):
+        op = Op(OpKind.LOAD, address=5)
+        assert op != (OpKind.LOAD, 5, None, 1)
+        assert op != Op(OpKind.STORE, address=5)
+
+    def test_pickle_and_copy_round_trip(self):
+        op = Op(OpKind.RMW, address=9, value=1 << 70, count=3)
+        assert pickle.loads(pickle.dumps(op)) == op
+        assert copy.deepcopy(op) == op
 
 
 class TestProgramValidation:

@@ -1,5 +1,13 @@
 """Tests for recording persistence (save/load round trips)."""
 
+import base64
+import pickle
+import random
+import struct
+import time
+import zlib
+from pathlib import Path
+
 import pytest
 
 from conftest import counter_program, small_config
@@ -7,10 +15,26 @@ from conftest import counter_program, small_config
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
 from repro.core.replayer import ReplayPerturbation
-from repro.core.serialization import load_recording, save_recording
+from repro.core import serialization
+from repro.core.serialization import (
+    container_frames,
+    load_recording,
+    load_recording_tolerant,
+    save_recording,
+)
 from repro.errors import IntegrityError, LogFormatError
 from repro.machine.events import DmaTransfer, InterruptEvent
+from repro.machine.program import Op, OpKind, Program
+from repro.machine.system import replay_execution
+from repro.runner.jobs import recording_from_artifact
+from repro.workloads import commercial_program, splash2_program
 from repro.workloads.program_builder import shared_address
+
+DATA = Path(__file__).parent / "data"
+#: Recordings written by the last release with v1/v2 writers: the
+#: counter program with an interrupt and a DMA burst (v1 and v2), the
+#: counter program with interval checkpoints, and sjbb2k in PicoLog.
+LEGACY_FIXTURES = sorted(path.name for path in DATA.glob("*.dlrn"))
 
 
 def make_recording(mode=ExecutionMode.ORDER_ONLY, with_system=False,
@@ -75,12 +99,15 @@ class TestFormatErrors:
         with pytest.raises(IntegrityError):
             load_recording(blob[: len(blob) // 2])
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_truncation_never_leaks_raw_errors(self, version):
-        """The satellite bugfix: damaged blobs raise typed
-        IntegrityErrors, never struct.error/pickle errors/EOFError."""
-        _, recording = make_recording()
-        blob = save_recording(recording, version=version)
+        """Damaged blobs raise typed IntegrityErrors, never
+        struct.error/zlib.error/pickle errors/EOFError."""
+        if version == 3:
+            blob = save_recording(make_recording()[1])
+        else:
+            blob = (DATA / f"counter-v{version}.dlrn").read_bytes()
+        assert blob[4] == version
         for cut in range(0, len(blob), max(1, len(blob) // 50)):
             with pytest.raises(IntegrityError):
                 load_recording(blob[:cut])
@@ -93,15 +120,13 @@ class TestFormatErrors:
             load_recording(bytes(blob))
 
     def test_blob_is_compact(self):
-        """The wire format stores logs bit-packed, so the log sections
-        are a tiny fraction of the (pickled, verification-heavy)
-        trailer."""
-        _, recording = make_recording()
-        blob = save_recording(recording)
-        assert len(blob) > 0
-        # PI log bytes on the wire == ceil(entries * 4 / 8).
-        pi_bytes = (len(recording.pi_log) * 4 + 7) // 8
-        assert pi_bytes <= len(blob)
+        """Logs are bit-packed and the program and verification state
+        are zlib-compressed columns: fft at scale 1.0 in OrderOnly
+        fits in 150 kB (its pickled v2 trailer alone took 0.8 MB)."""
+        program = splash2_program("fft", scale=1.0, seed=1)
+        recording = DeLoreanSystem(
+            mode=ExecutionMode.ORDER_ONLY).record(program)
+        assert len(save_recording(recording)) <= 150_000
 
 
 class TestIntervalCheckpointPersistence:
@@ -130,3 +155,243 @@ class TestIntervalCheckpointPersistence:
             original.full_size_bits()
         assert loaded.interval_checkpoints.delta_size_bits() == \
             original.delta_size_bits()
+
+
+def assert_same_state(loaded, recording):
+    """Everything a replay verifies against survived."""
+    assert loaded.program == recording.program
+    assert loaded.fingerprints == recording.fingerprints
+    assert (loaded.per_proc_fingerprints
+            == recording.per_proc_fingerprints)
+    assert loaded.final_memory == recording.final_memory
+    assert loaded.final_thread_keys == recording.final_thread_keys
+    assert loaded.stats.as_dict() == recording.stats.as_dict()
+
+
+class TestCanonicalBytes:
+    """v3 is canonical: saving a loaded recording reproduces the blob,
+    and the loaded recording verifies like the original."""
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    @pytest.mark.parametrize("app,scale", [
+        ("fft", 0.15), ("radix", 0.15), ("sjbb2k", 0.1)])
+    def test_presets_round_trip_byte_identically(self, app, scale,
+                                                 mode):
+        build = (commercial_program if app == "sjbb2k"
+                 else splash2_program)
+        system = DeLoreanSystem(mode=mode)
+        recording = system.record(build(app, scale=scale, seed=2))
+        blob = save_recording(recording)
+        loaded = load_recording(blob)
+        assert save_recording(loaded) == blob
+        assert_same_state(loaded, recording)
+        assert system.replay(loaded).determinism.matches
+
+    def test_interval_checkpoints_round_trip_byte_identically(self):
+        config = small_config()
+        system = DeLoreanSystem(machine_config=config,
+                                chunk_size=config.standard_chunk_size)
+        recording = system.record(counter_program(3, 20),
+                                  checkpoint_every=5)
+        blob = save_recording(recording)
+        loaded = load_recording(blob)
+        assert save_recording(loaded) == blob
+        assert_same_state(loaded, recording)
+        assert (loaded.interval_checkpoints.checkpoints
+                == recording.interval_checkpoints.checkpoints)
+        assert system.replay(loaded).determinism.matches
+
+    def test_negative_and_wide_literals_survive(self):
+        """Op values are arbitrary ints: a hand-built STORE may carry
+        a negative literal or one wider than 64 bits."""
+        address = shared_address(0)
+        program = Program(threads=[
+            [Op(OpKind.STORE, address=address, value=-5),
+             Op(OpKind.STORE, address=address + 1, value=1 << 70)],
+            [Op(OpKind.STORE, address=address + 2, value=-(1 << 90))]])
+        config = small_config()
+        system = DeLoreanSystem(machine_config=config,
+                                chunk_size=config.standard_chunk_size)
+        recording = system.record(program)
+        blob = save_recording(recording)
+        loaded = load_recording(blob)
+        assert loaded.program == program
+        assert save_recording(loaded) == blob
+        assert system.replay(loaded).determinism.matches
+
+
+class TestNoPickle:
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_v3_round_trip_never_touches_pickle(self, mode,
+                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle used on the v3 path")
+
+        for name in ("dumps", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        system, recording = make_recording(mode, with_system=True)
+        loaded = load_recording(save_recording(recording))
+        assert_same_state(loaded, recording)
+        assert system.replay(loaded).determinism.matches
+
+
+def _evil_trailer_ran():
+    _evil_trailer_ran.calls += 1
+
+
+_evil_trailer_ran.calls = 0
+
+
+class _EvilTrailer:
+    def __reduce__(self):
+        return (_evil_trailer_ran, ())
+
+
+def reframe(blob: bytes, frame, payload: bytes) -> bytes:
+    """``blob`` with ``frame``'s payload replaced and its CRC
+    recomputed, so damage reaches the section decoder."""
+    header = struct.pack(">BHII", frame.tag, frame.proc,
+                         frame.bit_length, len(payload))
+    crc = zlib.crc32(header + payload) & 0xFFFFFFFF
+    return (blob[:frame.start] + b"\xa5SEC" + header
+            + struct.pack(">I", crc) + payload + blob[frame.end:])
+
+
+class TestLegacyFixtures:
+    @pytest.mark.parametrize("name", LEGACY_FIXTURES)
+    def test_fixture_loads_replays_and_converts_to_v3(self, name):
+        blob = (DATA / name).read_bytes()
+        assert blob[4] in (1, 2)
+        recording = load_recording(blob)
+        assert replay_execution(recording).determinism.matches
+        v3 = save_recording(recording)
+        converted = load_recording(v3)
+        assert save_recording(converted) == v3
+        assert_same_state(converted, recording)
+        assert replay_execution(converted).determinism.matches
+
+    def test_fixtures_cover_interrupts_dma_and_checkpoints(self):
+        loaded = {name: load_recording((DATA / name).read_bytes())
+                  for name in LEGACY_FIXTURES}
+        assert any(r.program.interrupts and r.program.dma_transfers
+                   and r.stats.handler_chunks for r in loaded.values())
+        assert any(r.interval_checkpoints for r in loaded.values())
+        assert any(r.program.name == "sjbb2k" for r in loaded.values())
+
+    def test_trailer_calling_a_foreign_global_never_runs(self):
+        payload = pickle.dumps(_EvilTrailer())
+        _evil_trailer_ran.calls = 0
+        pickle.loads(payload)  # an unrestricted unpickler runs it
+        assert _evil_trailer_ran.calls == 1
+        _evil_trailer_ran.calls = 0
+        blob = (DATA / "counter-v2.dlrn").read_bytes()
+        frames, _ = container_frames(blob)
+        trailer = next(f for f in frames if f.name == "trailer")
+        evil = reframe(blob, trailer, payload)
+        with pytest.raises(LogFormatError, match="_evil_trailer_ran"):
+            load_recording(evil)
+        with pytest.raises(IntegrityError):
+            load_recording_tolerant(evil)
+        assert _evil_trailer_ran.calls == 0
+
+    def test_record_artifacts_accept_v3_only(self):
+        def artifact(blob):
+            return {"payload_codec": "dlrn",
+                    "payload": base64.b64encode(blob).decode("ascii")}
+
+        for name in LEGACY_FIXTURES:
+            with pytest.raises(LogFormatError, match="legacy"):
+                recording_from_artifact(
+                    artifact((DATA / name).read_bytes()))
+        _, recording = make_recording()
+        loaded = recording_from_artifact(
+            artifact(save_recording(recording)))
+        assert loaded.fingerprints == recording.fingerprints
+
+
+class TestHostileV3:
+    """Seeded mutations inside each state section, with the frame CRC
+    recomputed so the damage reaches the decoder: every case ends
+    quickly as a decoded recording or an IntegrityError."""
+
+    CASES_PER_KIND = 24
+    SECONDS_PER_CASE = 5.0
+
+    @staticmethod
+    def length_fields(monkeypatch, blob) -> dict:
+        """Offset of every u32 length field each section's decoder
+        reads, found by watching a clean decode."""
+        seen: dict[str, list[int]] = {}
+        read = serialization._Reader._u32
+
+        def watch(reader):
+            seen.setdefault(reader.section, []).append(reader.pos)
+            return read(reader)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(serialization._Reader, "_u32", watch)
+            load_recording(blob)
+        return seen
+
+    def check(self, blob):
+        started = time.perf_counter()
+        for load in (load_recording, load_recording_tolerant):
+            try:
+                load(blob)
+            except IntegrityError:
+                pass
+        assert time.perf_counter() - started < self.SECONDS_PER_CASE
+
+    def test_seeded_mutations_decode_or_raise_typed(self, monkeypatch):
+        config = small_config()
+        system = DeLoreanSystem(machine_config=config,
+                                chunk_size=config.standard_chunk_size)
+        program = counter_program(3, 16)
+        program.interrupts.append(InterruptEvent(
+            time=300.0, processor=1, vector=4, handler_ops=20))
+        program.dma_transfers.append(DmaTransfer(
+            time=200.0, writes={shared_address(900): 77}))
+        blob = save_recording(system.record(program,
+                                            checkpoint_every=6))
+        fields = self.length_fields(monkeypatch, blob)
+        frames, _ = container_frames(blob)
+        rng = random.Random(17)
+        for frame in frames:
+            if frame.name not in ("program", "config", "verify"):
+                continue
+            compressed = frame.name != "config"
+            content = (zlib.decompress(frame.payload[4:]) if compressed
+                       else frame.payload)
+
+            def rebuilt(mutated, compressed=compressed):
+                if not compressed:
+                    return mutated
+                return (struct.pack("<I", len(mutated))
+                        + zlib.compress(mutated, 1))
+
+            for _ in range(self.CASES_PER_KIND):
+                flipped = bytearray(content)
+                flipped[rng.randrange(len(flipped))] ^= (
+                    1 << rng.randrange(8))
+                self.check(reframe(blob, frame, rebuilt(bytes(flipped))))
+                cut = content[:rng.randrange(len(content))]
+                self.check(reframe(blob, frame, rebuilt(cut)))
+                # The raw payload too: deflate stream and size prefix.
+                raw = bytearray(frame.payload)
+                raw[rng.randrange(len(raw))] = rng.randrange(256)
+                self.check(reframe(blob, frame, bytes(raw)))
+            for offset in fields.get(frame.name, []):
+                (declared,) = struct.unpack_from("<I", content, offset)
+                for value in (0, declared - 1, declared + 1,
+                              declared * 7, 0xFFFFFFFF):
+                    edited = bytearray(content)
+                    struct.pack_into("<I", edited, offset,
+                                     value & 0xFFFFFFFF)
+                    self.check(reframe(blob, frame,
+                                       rebuilt(bytes(edited))))
+            if compressed:
+                for value in (0, len(content) - 1, len(content) + 1,
+                              0xFFFFFFFF):
+                    self.check(reframe(
+                        blob, frame,
+                        struct.pack("<I", value) + frame.payload[4:]))

@@ -315,7 +315,9 @@ class TestFleetWireProtocol:
             self, tmp_path):
         """A default-scale recording is larger than the submission
         cap; its upload must still land, on the first attempt."""
-        params = {"app": "fft", "scale": 1.0}
+        # 9.6 is the smallest scale (in steps of 0.1) whose DLRN v3
+        # artifact still exceeds 1 MiB.
+        params = {"app": "fft", "scale": 9.6}
         service = make_service(tmp_path, executor="remote",
                                degraded_after=300)
         with running_server(service) as server:
