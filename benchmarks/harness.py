@@ -110,8 +110,7 @@ def prefetch(*figure_names: str) -> None:
 
 
 def program_for(app: str, num_threads: int = 8, scale: float | None = None):
-    """Fresh Program instance for an app (programs are mutable-ish, so
-    callers get their own)."""
+    """The app's (immutable, memoized) Program at the harness seed."""
     scale = SCALE if scale is None else scale
     return app_program(app, scale=scale, seed=SEED,
                        num_threads=num_threads)

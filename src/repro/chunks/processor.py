@@ -97,7 +97,7 @@ class ChunkProcessor:
     def __init__(
         self,
         proc_id: int,
-        ops: list[Op],
+        ops: tuple[Op, ...],
         config: MachineConfig,
         cache: SpeculativeCache,
         tracer=None,

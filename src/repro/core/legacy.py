@@ -22,6 +22,7 @@ import pickle
 from repro.analysis.stats import RunStats
 from repro.core.modes import ModeConfig
 from repro.errors import LogFormatError, ReproError
+from repro.machine.events import DmaTransfer
 from repro.machine.program import Op, Program
 from repro.machine.timing import MachineConfig
 
@@ -68,14 +69,49 @@ class _PickledOp:
         self.__class__ = Op
 
 
+class _Rebuilt:
+    """What a pickled :class:`Program` or :class:`DmaTransfer` loads
+    into.
+
+    Pickle creates the object empty and hands it the field dict,
+    skipping the constructor that makes the fields immutable.
+    ``__setstate__`` runs that constructor on the fields instead and
+    becomes its result in place.
+    """
+
+    target: type
+
+    def __setstate__(self, state: dict) -> None:
+        built = self.target(**state)
+        self.__dict__.update(built.__dict__)
+        self.__class__ = self.target
+
+
+class _PickledProgram(_Rebuilt):
+    target = Program
+
+
+class _PickledDmaTransfer(_Rebuilt):
+    target = DmaTransfer
+
+
+#: Trailer globals that load into a stand-in rather than the class.
+_STAND_INS = {
+    ("repro.machine.program", "Op"): _PickledOp,
+    ("repro.machine.program", "Program"): _PickledProgram,
+    ("repro.machine.events", "DmaTransfer"): _PickledDmaTransfer,
+}
+
+
 class _TrailerUnpickler(pickle.Unpickler):
     def find_class(self, module, name):
         if (module, name) not in TRAILER_GLOBALS:
             raise LogFormatError(
                 f"trailer section refers to {module}.{name}, which no "
                 f"recording holds")
-        if (module, name) == ("repro.machine.program", "Op"):
-            return _PickledOp
+        stand_in = _STAND_INS.get((module, name))
+        if stand_in is not None:
+            return stand_in
         return super().find_class(module, name)
 
 

@@ -682,8 +682,10 @@ def _preamble(mode: ModeConfig, machine: MachineConfig) -> bytes:
             + header)
 
 
-def _sections(recording: Recording):
-    """Yield ``(tag, proc, payload, bit_length)`` in container order."""
+def _sections(recording: Recording, program: bool = True):
+    """Yield ``(tag, proc, payload, bit_length)`` in container order;
+    with ``program=False``, all but the program section (a journal
+    writes the program once)."""
     payload, bits = recording.pi_log.encode()
     yield _SECTION_PI, 0, payload, bits
     for tag, logs in ((_SECTION_CS, recording.cs_logs),
@@ -694,7 +696,8 @@ def _sections(recording: Recording):
             yield tag, proc, payload, bits
     payload, bits = recording.dma_log.encode()
     yield _SECTION_DMA, 0, payload, bits
-    yield _SECTION_PROGRAM, 0, _encode_program(recording.program), 0
+    if program:
+        yield _SECTION_PROGRAM, 0, _encode_program(recording.program), 0
     yield _SECTION_CONFIG, 0, _encode_config(recording), 0
     yield _SECTION_VERIFY, 0, _encode_verify(recording), 0
 

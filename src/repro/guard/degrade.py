@@ -136,9 +136,9 @@ def derive_segment_program(program: Program,
     return Program(
         threads=program.threads,
         name=f"{program.name}@gcc{boundary.gcc}",
-        initial_memory=dict(boundary.memory_image),
-        interrupts=list(boundary.interrupts_remaining),
-        dma_transfers=list(boundary.dma_remaining),
+        initial_memory=boundary.memory_image,
+        interrupts=boundary.interrupts_remaining,
+        dma_transfers=boundary.dma_remaining,
         io_seed=program.io_seed,
     )
 

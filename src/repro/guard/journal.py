@@ -3,15 +3,17 @@
 An unsupervised record session holds its entire recording in memory
 until the run completes; a crash (OOM kill, node preemption, plain
 SIGKILL) loses everything.  The journal inverts that: at quiescent
-chunk boundaries the supervisor appends the *complete current section
-set* -- the same CRC-framed frames the container format uses (see
+chunk boundaries the supervisor appends the *current section set* --
+the same CRC-framed frames the container format uses (see
 :mod:`repro.core.serialization`) -- followed by a tiny ``flush``
-marker frame, then flushes and fsyncs.  The file is therefore a valid
-container, of the version :func:`~repro.core.serialization.save_recording`
-writes, at every flush point:
+marker frame, then flushes and fsyncs.  The program never changes, so
+only epoch 0 carries its section; every later epoch carries the rest.
+The file is therefore a valid container, of the version
+:func:`~repro.core.serialization.save_recording` writes, at every
+flush point:
 
-    preamble | epoch 0 sections | FLUSH | epoch 1 sections | FLUSH
-    | ... | END
+    preamble | epoch 0 sections + PROGRAM | FLUSH | epoch 1 sections
+    | FLUSH | ... | END
 
 A SIGKILL mid-epoch tears only the tail; :func:`load_journal` scans
 the frames, discards everything past the last intact flush marker,
@@ -91,13 +93,15 @@ class RecordingJournal:
         return True
 
     def flush(self) -> None:
-        """Append one epoch: the full current section set plus a flush
-        marker, then flush+fsync.  The file is a loadable container of
-        the committed prefix the moment this returns."""
+        """Append one epoch: the current section set (the program in
+        epoch 0 only) plus a flush marker, then flush+fsync.  The file
+        is a loadable container of the committed prefix the moment
+        this returns."""
         if self.closed:
             raise ConfigurationError("journal is closed")
         snapshot = partial_recording(self.machine)
-        for tag, proc, payload, bits in _sections(snapshot):
+        for tag, proc, payload, bits in _sections(
+                snapshot, program=self.flush_count == 0):
             self._write(_frame_bytes(tag, proc, bits, payload))
         marker = json.dumps({
             "flush": self.flush_count,

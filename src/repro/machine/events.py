@@ -16,7 +16,9 @@ verify.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import ConfigurationError
 from repro.machine.program import WORD_MASK, Op, OpKind
@@ -87,19 +89,26 @@ class InterruptEvent:
 class DmaTransfer:
     """A DMA write burst arriving at a given time.
 
-    The writes map word addresses to values.  During recording the DMA
-    engine requests commit permission from the arbiter before applying
-    them (Section 3.3).
+    The writes map word addresses to values; the constructor copies
+    them into a read-only mapping.  During recording the DMA engine
+    requests commit permission from the arbiter before applying them
+    (Section 3.3).
     """
 
     time: float
-    writes: dict[int, int] = field(default_factory=dict)
+    writes: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ConfigurationError("DMA time must be >= 0")
         if not self.writes:
             raise ConfigurationError("a DMA transfer must write something")
+        object.__setattr__(self, "writes",
+                           MappingProxyType(dict(self.writes)))
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; its dict does.
+        return (DmaTransfer, (self.time, dict(self.writes)))
 
 
 class IODevice:

@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import ConfigurationError
 
@@ -128,6 +130,12 @@ class Op:
 
     def __reduce__(self):
         return (Op, (self.kind, self.address, self.value, self.count))
+
+    def __copy__(self) -> "Op":
+        return self
+
+    def __deepcopy__(self, memo) -> "Op":
+        return self
 
 
 def _op_repr(kind, address, value, count) -> str:
@@ -330,9 +338,9 @@ class ThreadState:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """A whole-machine workload: one op list per thread plus environment.
+    """A whole-machine workload: one op tuple per thread plus environment.
 
     ``initial_memory`` maps word addresses to initial values (unmapped
     words read as zero).  ``interrupts`` and ``dma_transfers`` are the
@@ -341,23 +349,52 @@ class Program:
     them during the initial execution and re-injects them from its logs
     during replay.  ``io_seed`` parameterizes the modeled I/O device's
     load values.
+
+    Deeply immutable, like the program text of Section 4.2 that the
+    initial execution and every replay run unchanged: the constructor
+    takes lists and dicts, validates once and stores tuples and a
+    read-only mapping, so one program may be shared by any number of
+    machines.  Copying returns the program itself;
+    :func:`dataclasses.replace` derives a new one.
     """
 
-    threads: list[list[Op]]
+    threads: tuple[tuple[Op, ...], ...]
     name: str = "unnamed"
-    initial_memory: dict[int, int] = field(default_factory=dict)
-    interrupts: list = field(default_factory=list)
-    dma_transfers: list = field(default_factory=list)
+    initial_memory: Mapping[int, int] = field(default_factory=dict)
+    interrupts: tuple = ()
+    dma_transfers: tuple = ()
     io_seed: int = 0
 
+    # Unhashable, as when it was mutable: nothing keys on a program.
+    __hash__ = None
+
     def __post_init__(self) -> None:
-        if not self.threads:
+        threads = tuple(map(tuple, self.threads))
+        if not threads:
             raise ConfigurationError("a program needs at least one thread")
-        for index, ops in enumerate(self.threads):
+        for index, ops in enumerate(threads):
             for op in ops:
                 if not isinstance(op, Op):
                     raise ConfigurationError(
                         f"thread {index} contains a non-Op entry: {op!r}")
+        set_field = object.__setattr__
+        set_field(self, "threads", threads)
+        set_field(self, "initial_memory",
+                  MappingProxyType(dict(self.initial_memory)))
+        set_field(self, "interrupts", tuple(self.interrupts))
+        set_field(self, "dma_transfers", tuple(self.dma_transfers))
+
+    def __copy__(self) -> "Program":
+        return self
+
+    def __deepcopy__(self, memo) -> "Program":
+        return self
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle; its dict does.
+        return (Program, (self.threads, self.name,
+                          dict(self.initial_memory), self.interrupts,
+                          self.dma_transfers, self.io_seed))
 
     @property
     def num_threads(self) -> int:

@@ -26,6 +26,7 @@ exceptional-event handling of Section 4.2.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from repro.analysis.stats import RunStats
@@ -220,7 +221,7 @@ class ChunkMachine:
         self.processors: list[ChunkProcessor] = []
         for proc_id in range(machine_config.num_processors):
             ops = (program.threads[proc_id]
-                   if proc_id < program.num_threads else [])
+                   if proc_id < program.num_threads else ())
             cache = SpeculativeCache(cache_config, shared_l2)
             self.processors.append(
                 ChunkProcessor(proc_id, ops, machine_config, cache,
@@ -288,16 +289,50 @@ class ChunkMachine:
     # ------------------------------------------------------------------
 
     def _build_arbiter(self) -> CommitArbiter:
+        # The machine owns the arbiter and its policy, so nothing handed
+        # to them may hold the machine strongly: a bound method or a
+        # closure over ``self`` would close a cycle that keeps every
+        # finished machine -- its caches, memory and program -- alive
+        # until a full garbage collection.  The callbacks close over
+        # the parts they read, or reach the machine through a weak
+        # proxy.
+        machine = weakref.proxy(self)
+        engine = self.engine
+        processors = self.processors
+        replay_source = self.replay_source
+        dma_proc_id = self.config.dma_proc_id
         mode = self.mode_config.mode
+
         def token_wakeup(time: float) -> None:
-            self.engine.schedule_at(
-                time, lambda: self.arbiter.try_grant(self.engine.now))
+            engine.schedule_at(
+                time, lambda: machine.arbiter.try_grant(engine.now))
+
+        def proc_active(proc_id: int) -> bool:
+            """Architectural 'can ever commit again' predicate.
+
+            In replay a processor with un-injected logged interrupts is
+            still active even if its thread has finished.
+            """
+            if processors[proc_id].has_uncommitted_work():
+                return True
+            if replay_source is not None:
+                return replay_source.has_pending_interrupts(proc_id)
+            return False
+
+        def is_commit_head(chunk: Chunk) -> bool:
+            """A chunk may only be granted when it is its processor's
+            oldest uncommitted chunk (same-processor commits are
+            ordered)."""
+            if chunk.processor == dma_proc_id:
+                return True
+            outstanding = processors[chunk.processor].outstanding
+            return bool(outstanding) and outstanding[0] is chunk
 
         if not self.is_replay:
             if mode.predefined_order:
                 policy = RoundRobinPolicy(
                     self.config.num_processors,
-                    is_active=self._proc_active,
+                    is_active=proc_active,
                     hop_cycles=self.config.token_hop_cycles,
                     wakeup=token_wakeup,
                 )
@@ -305,13 +340,13 @@ class ChunkMachine:
                 policy = SchedulePolicy(
                     self.schedule,
                     self.config.num_processors,
-                    is_active=self._proc_active,
+                    is_active=proc_active,
                 )
             else:
                 policy = ArrivalOrderPolicy()
             max_concurrent = self.config.max_concurrent_commits
         else:
-            recording = self.replay_source.recording
+            recording = replay_source.recording
             if mode.predefined_order:
                 # The replay hypervisor layer slows arbitration (30 ->
                 # 50 cycles, Section 6.2.1); token hops are part of the
@@ -320,16 +355,16 @@ class ChunkMachine:
                              / max(1, self.config.arbitration_roundtrip))
                 policy = RoundRobinPolicy(
                     self.config.num_processors,
-                    is_active=self._proc_active,
-                    slot_gate=lambda proc: self.replay_source.gate_for(
-                        proc, self.processors[proc].committed_count),
-                    grant_count=lambda: self.arbiter.grant_count,
+                    is_active=proc_active,
+                    slot_gate=lambda proc: replay_source.gate_for(
+                        proc, processors[proc].committed_count),
+                    grant_count=lambda: machine.arbiter.grant_count,
                     # Recorded DMA bursts own their commit slot: no
                     # processor grant may overtake a due burst (it is
                     # applied by _drain_replay_dma once the pipeline
                     # quiesces, keeping the recorded global order).
-                    dma_hold=lambda: self.replay_source.dma_due_at_slot(
-                        self.arbiter.grant_count),
+                    dma_hold=lambda: replay_source.dma_due_at_slot(
+                        machine.arbiter.grant_count),
                     hop_cycles=self.config.token_hop_cycles * hop_scale,
                     wakeup=token_wakeup,
                 )
@@ -344,7 +379,7 @@ class ChunkMachine:
                         "inside a stratum)")
                 policy = StrataReplayPolicy(
                     recording.strata,
-                    dma_slot=self.config.dma_proc_id,
+                    dma_slot=dma_proc_id,
                 )
             else:
                 entries = recording.pi_log.entries
@@ -354,7 +389,7 @@ class ChunkMachine:
                     entries = entries[self.start_checkpoint.commit_index:]
                 policy = PIReplayPolicy(
                     entries,
-                    dma_proc_id=self.config.dma_proc_id,
+                    dma_proc_id=dma_proc_id,
                 )
             disable_parallel = (self.perturbation is not None
                                 and self.perturbation
@@ -364,9 +399,9 @@ class ChunkMachine:
         return CommitArbiter(
             policy=policy,
             max_concurrent=max_concurrent,
-            on_grant=self._on_grant,
-            dma_proc_id=self.config.dma_proc_id,
-            head_filter=self._is_commit_head,
+            on_grant=lambda chunk, now: machine._on_grant(chunk, now),
+            dma_proc_id=dma_proc_id,
+            head_filter=is_commit_head,
             tracer=self.tracer,
         )
 
@@ -374,26 +409,6 @@ class ChunkMachine:
         """Queue-depth sample of a traced run."""
         self.tracer.counter("engine", "queue_depth", self.engine.now,
                             depth=self.engine.pending())
-
-    def _proc_active(self, proc_id: int) -> bool:
-        """Architectural 'can ever commit again' predicate.
-
-        In replay a processor with un-injected logged interrupts is
-        still active even if its thread has finished.
-        """
-        if self.processors[proc_id].has_uncommitted_work():
-            return True
-        if self.is_replay:
-            return self.replay_source.has_pending_interrupts(proc_id)
-        return False
-
-    def _is_commit_head(self, chunk: Chunk) -> bool:
-        """A chunk may only be granted when it is its processor's
-        oldest uncommitted chunk (same-processor commits are ordered)."""
-        if chunk.processor == self.config.dma_proc_id:
-            return True
-        outstanding = self.processors[chunk.processor].outstanding
-        return bool(outstanding) and outstanding[0] is chunk
 
     def _restore_interval_checkpoint(
             self, checkpoint: IntervalCheckpoint) -> None:

@@ -79,8 +79,9 @@ class JobTimeout(Exception):
 
 
 def program_for(spec: RunSpec):
-    """A fresh program for a run spec's app (a ``zoo:`` specimen, or a
-    SPLASH-2/commercial stand-in)."""
+    """The program for a run spec's app: a ``zoo:`` specimen, built
+    each time, or a SPLASH-2/commercial stand-in from
+    :func:`~repro.workloads.app_program`'s memo."""
     if spec.app.startswith("zoo:"):
         from repro.workloads.bugzoo import zoo_specimen
 

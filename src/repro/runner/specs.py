@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from repro.baselines import ConsistencyModel
@@ -122,6 +123,9 @@ class RunSpec(_ContentHashed):
         if not getattr(self, config):
             raise ConfigurationError(
                 f"{self.kind} specs need a {config}")
+        if not 0 < self.scale < math.inf:
+            raise ConfigurationError(
+                f"scale must be finite and above 0, got {self.scale!r}")
         object.__setattr__(self, "machine_overrides",
                            tuple(sorted(tuple(pair) for pair in
                                         self.machine_overrides)))

@@ -11,6 +11,8 @@ workloads) interrupt/DMA/I-O system activity.  See DESIGN.md for the
 substitution argument.
 """
 
+import functools
+
 from repro.workloads.program_builder import ProgramBuilder
 from repro.workloads.synthetic import (
     SyntheticSpec,
@@ -34,10 +36,32 @@ from repro.workloads.bugzoo import (
 )
 
 
+#: Programs :func:`app_program` keeps; beyond this many, the least
+#: recently used is dropped.  A figure sweep asks for a few programs
+#: again and again (fig10+fig11 over two apps: 10 requests, 2
+#: programs), so a few entries catch its repeats while bounding what a
+#: long-lived process holds: at most this many programs, at about 100
+#: bytes per op.
+PROGRAM_MEMO_SIZE = 4
+
+
 def app_program(app: str, scale: float = 1.0, seed: int = 1,
                 num_threads: int = 8):
-    """A fresh SPLASH-2 or commercial stand-in program by app name;
-    any other name raises :class:`~repro.errors.ConfigurationError`."""
+    """The SPLASH-2 or commercial stand-in program by app name; any
+    other name raises :class:`~repro.errors.ConfigurationError`.
+
+    Programs are immutable, so one is built per ``(app, scale, seed,
+    num_threads)`` and shared by every caller in the process, through
+    a memo of :data:`PROGRAM_MEMO_SIZE` entries.
+    """
+    return _memo_program(app, float(scale), int(seed), int(num_threads))
+
+
+# lru_cache keeps its table coherent under concurrent calls (serve runs
+# jobs on threads); two threads that miss on one key may both build it,
+# and either equal program is a correct answer.
+@functools.lru_cache(maxsize=PROGRAM_MEMO_SIZE)
+def _memo_program(app: str, scale: float, seed: int, num_threads: int):
     if app in COMMERCIAL_APPS:
         return commercial_program(app, scale, seed, num_threads)
     return splash2_program(app, scale, seed, num_threads)

@@ -172,7 +172,7 @@ class ProgramBuilder:
         return Program(
             threads=[w.ops for w in self._writers],
             name=self.name,
-            initial_memory=dict(self.initial_memory),
+            initial_memory=self.initial_memory,
             interrupts=sorted(self.interrupts, key=lambda e: e.time),
             dma_transfers=sorted(self.dma_transfers,
                                  key=lambda t: t.time),

@@ -24,6 +24,7 @@ The knobs map directly onto the behaviours DeLorean is sensitive to:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -119,7 +120,11 @@ class SyntheticSpec:
                 "hot/remote access fractions must sum to at most 1")
 
     def scaled(self, scale: float) -> "SyntheticSpec":
-        """The same workload with ``work_items`` scaled (bench knob)."""
+        """The same workload with ``work_items`` scaled (bench knob);
+        ``scale`` must be finite and above 0."""
+        if not 0 < scale < math.inf:
+            raise ConfigurationError(
+                f"scale must be finite and above 0, got {scale!r}")
         items = max(1, int(self.work_items * scale))
         return dataclass_replace(self, work_items=items)
 

@@ -1,5 +1,7 @@
 """Tests for the interleaved SC/PC/RC executor."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import counter_program, straight_line_program, \
@@ -42,9 +44,9 @@ class TestExecutionSemantics:
         assert [t.index for t in a.trace] == [t.index for t in b.trace]
 
     def test_interrupt_handler_executes(self):
-        program = counter_program(2, 20)
-        program.interrupts.append(InterruptEvent(
-            time=100.0, processor=0, vector=2, handler_ops=16))
+        program = replace(counter_program(2, 20), interrupts=[
+            InterruptEvent(time=100.0, processor=0, vector=2,
+                           handler_ops=16)])
         result = run(program)
         from repro.machine.events import INTERRUPT_CONTROLLER_BASE
         touched = [a for a in result.final_memory
@@ -52,9 +54,8 @@ class TestExecutionSemantics:
         assert touched
 
     def test_dma_applies(self):
-        program = counter_program(2, 20)
-        program.dma_transfers.append(DmaTransfer(
-            time=50.0, writes={shared_address(700): 5}))
+        program = replace(counter_program(2, 20), dma_transfers=[
+            DmaTransfer(time=50.0, writes={shared_address(700): 5})])
         result = run(program)
         assert result.final_memory[shared_address(700)] == 5
 

@@ -8,6 +8,8 @@ replay either reports non-determinism or raises a divergence error --
 never a silent pass.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import small_config
@@ -27,10 +29,12 @@ def record_stress(mode=ExecutionMode.ORDER_ONLY, with_events=True):
                             chunk_size=config.standard_chunk_size)
     program = racey_program(threads=4, rounds=40, seed=9)
     if with_events:
-        program.interrupts.append(InterruptEvent(
-            time=500.0, processor=2, vector=6, handler_ops=20))
-        program.dma_transfers.append(DmaTransfer(
-            time=300.0, writes={shared_address(0x3000): 99}))
+        program = replace(
+            program,
+            interrupts=[InterruptEvent(
+                time=500.0, processor=2, vector=6, handler_ops=20)],
+            dma_transfers=[DmaTransfer(
+                time=300.0, writes={shared_address(0x3000): 99})])
     return system, system.record(program)
 
 
@@ -121,9 +125,12 @@ class TestInputLogCorruption:
         program = racey_program(threads=3, rounds=30, seed=4)
         # An I/O value that a later store propagates into memory.
         from repro.machine.program import Op, OpKind
-        program.threads[0].extend([
-            Op(OpKind.IO_LOAD, address=1),
-            Op(OpKind.STORE, address=shared_address(0x4000)),
+        program = replace(program, threads=[
+            program.threads[0] + (
+                Op(OpKind.IO_LOAD, address=1),
+                Op(OpKind.STORE, address=shared_address(0x4000)),
+            ),
+            *program.threads[1:],
         ])
         recording = system.record(program)
         recording.io_logs[0].values[0] ^= 0xFFFF

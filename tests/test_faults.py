@@ -107,6 +107,13 @@ class TestFaultPlan:
                                  position=0.5))
         assert recording.pi_log.entries == before
 
+    def test_damaged_copy_shares_the_immutable_program(self):
+        _, recording = make_recording()
+        for fault in FaultPlan.generate(9, 12, layers=("log",)):
+            damaged = FaultInjector().inject_recording(recording, fault)
+            assert damaged.program is recording.program
+            assert damaged.pi_log is not recording.pi_log
+
     def test_spec_validation(self):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):

@@ -30,6 +30,7 @@ import repro
 from repro.cli import main
 from repro.core.arbiter import RoundRobinPolicy
 from repro.core.modes import ExecutionMode, preferred_config
+from repro.core.serialization import container_frames
 from repro.errors import DeadlockError, SalvageError, StallError
 from repro.faults.salvage import salvage_replay
 from repro.guard import (
@@ -54,6 +55,7 @@ from repro.runner import jobs as jobs_module
 from repro.runner.pool import overdue_futures, sweep_deadline
 from repro.runner.retry import RetryPolicy
 from repro.telemetry.tracer import EventTracer
+from repro.workloads import splash2_program
 from repro.workloads.stress import (
     racey_program,
     squash_livelock_program,
@@ -429,6 +431,30 @@ class TestJournal:
             assert (report_salvage.verified_commits
                     == info.flushed_commits)
         assert recovered >= 1
+
+    def test_journal_writes_the_program_once(self, tmp_path):
+        path = tmp_path / "journal.dlrnj"
+        report = supervise_record(
+            splash2_program("fft", scale=1.0),
+            mode=ExecutionMode.ORDER_ONLY,
+            journal_path=str(path), flush_every=25)
+        assert report.outcome == "completed"
+        blob = path.read_bytes()
+        frames, _ = container_frames(blob)
+        programs = [f for f in frames if f.name == "program"]
+        markers = [f for f in frames if f.name == "flush"]
+        assert len(markers) >= 4
+        assert len(programs) == 1
+        assert programs[0].end < markers[0].start
+        # 212,712 bytes for a 97,058-byte recording; 424,652 when every
+        # epoch rewrote the program.
+        assert len(blob) <= 230_000
+        for marker in markers:
+            recording, info = load_journal(blob[:marker.end])
+            assert info.flushed_commits == len(recording.fingerprints)
+            salvage = salvage_replay(recording)
+            assert salvage.coverage == 1.0
+            assert salvage.verified_commits == info.flushed_commits
 
     def test_truncation_before_first_flush_has_no_prefix(
             self, tmp_path):

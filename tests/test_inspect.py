@@ -1,5 +1,7 @@
 """Tests for the recording inspection helpers."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import counter_program, small_config
@@ -21,11 +23,12 @@ def recording():
     config = small_config()
     system = DeLoreanSystem(machine_config=config,
                             chunk_size=config.standard_chunk_size)
-    program = counter_program(3, 20)
-    program.interrupts.append(InterruptEvent(
-        time=400.0, processor=1, vector=4, handler_ops=20))
-    program.dma_transfers.append(DmaTransfer(
-        time=250.0, writes={shared_address(900): 1}))
+    program = replace(
+        counter_program(3, 20),
+        interrupts=[InterruptEvent(
+            time=400.0, processor=1, vector=4, handler_ops=20)],
+        dma_transfers=[DmaTransfer(
+            time=250.0, writes={shared_address(900): 1})])
     return system.record(program, checkpoint_every=10)
 
 

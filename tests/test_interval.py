@@ -1,5 +1,7 @@
 """Tests for interval replay (Appendix B: replay of I(n, m))."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import counter_program, small_config
@@ -21,16 +23,16 @@ def make_system(mode=ExecutionMode.ORDER_ONLY):
 
 
 def full_system_program():
-    program = counter_program(4, 25)
-    program.interrupts.extend([
-        InterruptEvent(time=400.0, processor=1, vector=3,
-                       handler_ops=20),
-        InterruptEvent(time=900.0, processor=3, vector=8,
-                       handler_ops=24, high_priority=True),
-    ])
-    program.dma_transfers.append(DmaTransfer(
-        time=600.0, writes={shared_address(800): 55}))
-    return program
+    return replace(
+        counter_program(4, 25),
+        interrupts=[
+            InterruptEvent(time=400.0, processor=1, vector=3,
+                           handler_ops=20),
+            InterruptEvent(time=900.0, processor=3, vector=8,
+                           handler_ops=24, high_priority=True),
+        ],
+        dma_transfers=[DmaTransfer(
+            time=600.0, writes={shared_address(800): 55})])
 
 
 class TestCheckpointCapture:

@@ -1,12 +1,17 @@
 """Tests for the program model: ops, thread state, compute algebra."""
 
 import copy
+import dataclasses
 import pickle
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.serialization import load_recording, save_recording
 from repro.errors import ConfigurationError
+from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.program import (
     Op,
     OpKind,
@@ -15,6 +20,8 @@ from repro.machine.program import (
     compute_mix,
     trusted_op,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestOpValidation:
@@ -79,6 +86,135 @@ class TestProgramValidation:
         assert program.num_threads == 2
         assert program.static_lengths() == [1, 2]
         assert program.total_static_ops() == 3
+
+
+def events_program(**overrides) -> Program:
+    """A two-thread program with memory, an interrupt and a DMA burst,
+    its fields given as the lists and dicts callers pass."""
+    fields = dict(
+        threads=[[Op(OpKind.LOAD, address=1)],
+                 [Op(OpKind.STORE, address=2, value=3),
+                  Op(OpKind.COMPUTE, count=4)]],
+        name="events",
+        initial_memory={1: 5, 9: 6},
+        interrupts=[InterruptEvent(time=10.0, processor=0, vector=1)],
+        dma_transfers=[DmaTransfer(time=5.0, writes={7: 8})],
+        io_seed=3,
+    )
+    fields.update(overrides)
+    return Program(**fields)
+
+
+def assert_immutable_shape(program: Program) -> None:
+    """Tuples of tuples of ops, a read-only memory image, and tuples of
+    events whose DMA writes are read-only too."""
+    assert type(program.threads) is tuple
+    assert all(type(ops) is tuple for ops in program.threads)
+    assert all(type(op) is Op for ops in program.threads for op in ops)
+    assert type(program.initial_memory) is MappingProxyType
+    assert type(program.interrupts) is tuple
+    assert all(type(event) is InterruptEvent
+               for event in program.interrupts)
+    assert type(program.dma_transfers) is tuple
+    assert all(type(transfer) is DmaTransfer
+               and type(transfer.writes) is MappingProxyType
+               for transfer in program.dma_transfers)
+
+
+class TestImmutableProgram:
+    def test_fields_cannot_be_reassigned(self):
+        program = events_program()
+        for field in dataclasses.fields(Program):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(program, field.name, getattr(program, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            program.dma_transfers[0].writes = {}
+
+    def test_threads_memory_and_events_cannot_be_mutated(self):
+        program = events_program()
+        assert_immutable_shape(program)
+        with pytest.raises(AttributeError):
+            program.threads.append(())
+        with pytest.raises(AttributeError):
+            program.threads[0].append(Op(OpKind.LOAD))
+        with pytest.raises(TypeError):
+            program.threads[0][0] = Op(OpKind.LOAD)
+        with pytest.raises(TypeError):
+            program.initial_memory[1] = 0
+        with pytest.raises(AttributeError):
+            program.initial_memory.update({1: 0})
+        with pytest.raises(AttributeError):
+            program.interrupts.append(program.interrupts[0])
+        with pytest.raises(AttributeError):
+            program.dma_transfers.append(program.dma_transfers[0])
+        with pytest.raises(TypeError):
+            program.dma_transfers[0].writes[7] = 0
+        assert dict(program.initial_memory) == {1: 5, 9: 6}
+        assert dict(program.dma_transfers[0].writes) == {7: 8}
+
+    def test_the_callers_containers_are_copied(self):
+        ops = [Op(OpKind.LOAD, address=1)]
+        memory = {1: 5}
+        writes = {7: 8}
+        program = Program(threads=[ops], initial_memory=memory,
+                          dma_transfers=[DmaTransfer(1.0, writes)])
+        ops.append(Op(OpKind.STORE, address=2))
+        memory[1] = 0
+        writes[7] = 0
+        assert program.threads == ((Op(OpKind.LOAD, address=1),),)
+        assert program.initial_memory == {1: 5}
+        assert program.dma_transfers[0].writes == {7: 8}
+
+    def test_built_from_lists_equals_built_from_tuples(self):
+        from_lists = events_program()
+        from_tuples = events_program(
+            threads=tuple(map(tuple, from_lists.threads)),
+            initial_memory=MappingProxyType({1: 5, 9: 6}),
+            interrupts=tuple(from_lists.interrupts),
+            dma_transfers=(DmaTransfer(time=5.0, writes={7: 8}),))
+        assert from_lists == from_tuples
+        assert from_lists != events_program(initial_memory={1: 5})
+
+    def test_replace_derives_a_new_program(self):
+        program = events_program()
+        derived = dataclasses.replace(program, name="derived",
+                                      interrupts=[])
+        assert derived.name == "derived"
+        assert derived.interrupts == ()
+        assert derived.threads == program.threads
+        assert derived.initial_memory == program.initial_memory
+        assert_immutable_shape(derived)
+        assert program.name == "events"
+        assert len(program.interrupts) == 1
+
+    def test_copies_return_the_program_itself(self):
+        program = events_program()
+        assert copy.copy(program) is program
+        assert copy.deepcopy(program) is program
+        assert copy.deepcopy([program])[0] is program
+        op = program.threads[1][0]
+        assert copy.copy(op) is op
+        assert copy.deepcopy(op) is op
+
+    def test_pickle_round_trip_keeps_the_shape(self):
+        program = events_program()
+        loaded = pickle.loads(pickle.dumps(program))
+        assert loaded == program
+        assert_immutable_shape(loaded)
+
+    def test_programs_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(events_program())
+
+    @pytest.mark.parametrize(
+        "fixture", sorted(path.name for path in DATA.glob("*.dlrn")))
+    def test_legacy_fixtures_decode_to_the_immutable_shape(self, fixture):
+        program = load_recording((DATA / fixture).read_bytes()).program
+        assert_immutable_shape(program)
+        resaved = load_recording(save_recording(
+            load_recording((DATA / fixture).read_bytes()))).program
+        assert resaved == program
+        assert_immutable_shape(resaved)
 
 
 class TestThreadState:

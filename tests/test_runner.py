@@ -34,12 +34,14 @@ from repro.runner.figures import resolve_figures, specs_for
 from repro.runner.jobs import (
     KINDS,
     build_job_spec,
+    program_for,
     recording_from_artifact,
     result_from_artifact,
     validate_params,
 )
 from repro.runner.reporting import Reporter
 from repro.runner.retry import RetryPolicy
+from repro.workloads import _memo_program
 
 SCALE = 0.05
 SEED = 3
@@ -113,6 +115,23 @@ class TestRunSpec:
             RunSpec(kind="record", app="fft")   # mode missing
         with pytest.raises(ConfigurationError):
             RunSpec(kind="consistency", app="fft")  # model missing
+
+    @pytest.mark.parametrize("scale", [
+        0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_out_of_range_scale_rejected_at_construction(self, scale):
+        builds = [
+            lambda: RunSpec(kind="record", app="fft", mode="order_only",
+                            scale=scale),
+            lambda: RunSpec.record("fft", "order_only", scale=scale),
+            lambda: RunSpec.replay("fft", "order_only", scale=scale),
+            lambda: RunSpec.explore("fft", "order_only", scale=scale),
+            lambda: RunSpec.consistency("fft", "sc", scale=scale),
+            lambda: build_job_spec("record", {"scale": scale}),
+        ]
+        for build in builds:
+            with pytest.raises(ConfigurationError,
+                               match="scale must be finite and above 0"):
+                build()
 
     def test_hash_stable_across_processes(self):
         spec = record_spec()
@@ -198,6 +217,23 @@ class TestResultCache:
 
 
 class TestJobs:
+    def test_runs_of_one_spec_share_the_memoized_program(self):
+        spec = record_spec(scale=0.07)
+        _memo_program.cache_clear()
+        first = encode_artifact(execute_spec(spec))
+        second = encode_artifact(execute_spec(spec))
+        info = _memo_program.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first == second
+        assert program_for(spec) is program_for(spec)
+
+    def test_zoo_programs_are_not_memoized(self):
+        spec = RunSpec.record("zoo:lost-update", "order_only")
+        _memo_program.cache_clear()
+        first, second = program_for(spec), program_for(spec)
+        assert first == second and first is not second
+        assert _memo_program.cache_info().currsize == 0
+
     def test_record_artifact_materializes_recording(self):
         artifact = execute_spec(record_spec())
         recording = recording_from_artifact(artifact)

@@ -6,6 +6,7 @@ import random
 import struct
 import time
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,10 +46,12 @@ def make_recording(mode=ExecutionMode.ORDER_ONLY, with_system=False,
                             **kwargs)
     program = counter_program(3, 12)
     if with_system:
-        program.interrupts.append(InterruptEvent(
-            time=300.0, processor=1, vector=4, handler_ops=20))
-        program.dma_transfers.append(DmaTransfer(
-            time=200.0, writes={shared_address(900): 77}))
+        program = replace(
+            program,
+            interrupts=[InterruptEvent(
+                time=300.0, processor=1, vector=4, handler_ops=20)],
+            dma_transfers=[DmaTransfer(
+                time=200.0, writes={shared_address(900): 77})])
     return system, system.record(program)
 
 
@@ -346,11 +349,12 @@ class TestHostileV3:
         config = small_config()
         system = DeLoreanSystem(machine_config=config,
                                 chunk_size=config.standard_chunk_size)
-        program = counter_program(3, 16)
-        program.interrupts.append(InterruptEvent(
-            time=300.0, processor=1, vector=4, handler_ops=20))
-        program.dma_transfers.append(DmaTransfer(
-            time=200.0, writes={shared_address(900): 77}))
+        program = replace(
+            counter_program(3, 16),
+            interrupts=[InterruptEvent(
+                time=300.0, processor=1, vector=4, handler_ops=20)],
+            dma_transfers=[DmaTransfer(
+                time=200.0, writes={shared_address(900): 77})])
         blob = save_recording(system.record(program,
                                             checkpoint_every=6))
         fields = self.length_fields(monkeypatch, blob)

@@ -173,6 +173,19 @@ class TestEndpoints:
             assert "record, replay, consistency, explore, chaos, " \
                 "salvage)" in str(err.value)
 
+    def test_out_of_range_scale_gets_400_at_submit(self, tmp_path):
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            # The client writes NaN and Infinity as JSON accepts them.
+            for scale in (-1.0, 0.0, float("nan"), float("inf")):
+                with pytest.raises(ServeError) as err:
+                    client.submit("record", {"scale": scale})
+                assert err.value.status == 400
+                assert "scale must be finite and above 0" in \
+                    str(err.value)
+            assert client.jobs() == []
+
     def test_unknown_resources_get_404(self, tmp_path):
         service = make_service(tmp_path)
         with running_server(service) as server:

@@ -166,9 +166,8 @@ class TestBoundaryChunks:
         program = Program(threads=[
             [Op(OpKind.COMPUTE, count=400)],
             [Op(OpKind.COMPUTE, count=400)],
-        ])
-        program.interrupts.append(InterruptEvent(
-            time=10.0, processor=0, vector=2, handler_ops=200))
+        ], interrupts=[InterruptEvent(
+            time=10.0, processor=0, vector=2, handler_ops=200)])
         config = small_config()  # 64-instruction chunks
         system = DeLoreanSystem(machine_config=config,
                                 chunk_size=config.standard_chunk_size)

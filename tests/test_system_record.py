@@ -1,5 +1,7 @@
 """End-to-end recording tests: atomicity, mutual exclusion, logs."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import (
@@ -127,10 +129,9 @@ class TestInputLogs:
         assert recording.io_logs[0].values == [stored]
 
     def test_interrupt_logged_with_chunk_id(self):
-        program = counter_program(2, 30)
-        program.interrupts.append(InterruptEvent(
-            time=500.0, processor=1, vector=9, payload=4,
-            handler_ops=24))
+        program = replace(counter_program(2, 30), interrupts=[
+            InterruptEvent(time=500.0, processor=1, vector=9, payload=4,
+                           handler_ops=24)])
         recording = record(program)
         entries = recording.interrupt_logs[1].entries
         assert len(entries) == 1
@@ -142,19 +143,17 @@ class TestInputLogs:
         assert handler_fps[0][1] == entries[0].chunk_id
 
     def test_dma_data_logged_and_applied(self):
-        program = counter_program(2, 20)
         writes = {shared_address(512): 7777}
-        program.dma_transfers.append(DmaTransfer(time=200.0,
-                                                 writes=writes))
+        program = replace(counter_program(2, 20), dma_transfers=[
+            DmaTransfer(time=200.0, writes=writes)])
         recording = record(program)
         assert len(recording.dma_log) == 1
         assert recording.final_memory[shared_address(512)] == 7777
         assert recording.stats.dma_commits == 1
 
     def test_picolog_dma_records_slot(self):
-        program = counter_program(2, 20)
-        program.dma_transfers.append(DmaTransfer(
-            time=200.0, writes={shared_address(512): 1}))
+        program = replace(counter_program(2, 20), dma_transfers=[
+            DmaTransfer(time=200.0, writes={shared_address(512): 1})])
         recording = record(program, ExecutionMode.PICOLOG)
         assert len(recording.dma_log.commit_slots) == 1
 

@@ -1,5 +1,7 @@
 """End-to-end replay tests: determinism under every mode and noise."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import counter_program, small_config, two_phase_program
@@ -77,16 +79,14 @@ class TestInputReplay:
         system = make_system()
         recording = system.record(program)
         # A different device seed would change the value if consulted.
-        recording.program.io_seed  # exists; replay ignores the device
-        object.__setattr__(recording.program, "io_seed",
-                           recording.program.io_seed + 123)
+        recording.program = replace(
+            recording.program, io_seed=recording.program.io_seed + 123)
         result = system.replay(recording)
         assert result.determinism.matches
 
     @pytest.mark.parametrize("mode", list(ExecutionMode))
     def test_interrupts_replay_at_logged_chunks(self, mode):
-        program = counter_program(4, 20)
-        program.interrupts.extend([
+        program = replace(counter_program(4, 20), interrupts=[
             InterruptEvent(time=300.0, processor=0, vector=1,
                            handler_ops=16),
             InterruptEvent(time=600.0, processor=2, vector=5,
@@ -101,9 +101,8 @@ class TestInputReplay:
 
     @pytest.mark.parametrize("mode", list(ExecutionMode))
     def test_dma_replays_from_log(self, mode):
-        program = counter_program(4, 20)
-        program.dma_transfers.append(DmaTransfer(
-            time=250.0, writes={shared_address(640): 31337}))
+        program = replace(counter_program(4, 20), dma_transfers=[
+            DmaTransfer(time=250.0, writes={shared_address(640): 31337})])
         system = make_system(mode)
         recording = system.record(program)
         result = system.replay(
@@ -119,9 +118,8 @@ class TestInputReplay:
             t.compute(30)
         with builder.thread(1) as t:
             t.compute(3000)
-        program = builder.build()
-        program.interrupts.append(InterruptEvent(
-            time=2000.0, processor=0, vector=7, handler_ops=20))
+        program = replace(builder.build(), interrupts=[InterruptEvent(
+            time=2000.0, processor=0, vector=7, handler_ops=20)])
         for mode in list(ExecutionMode):
             system = make_system(mode)
             recording = system.record(program)

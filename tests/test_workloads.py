@@ -1,13 +1,19 @@
 """Tests for the synthetic workload generators and presets."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.machine.program import OpKind
 from repro.workloads import (
     COMMERCIAL_APPS,
+    PROGRAM_MEMO_SIZE,
     SPLASH2_APPS,
     SyntheticSpec,
+    _memo_program,
+    app_program,
     build_program,
     commercial_program,
     commercial_spec,
@@ -77,6 +83,13 @@ class TestSyntheticGeneration:
         assert small.work_items == 25
         assert (build_program(small).total_static_ops()
                 < build_program(spec).total_static_ops())
+
+    @pytest.mark.parametrize("scale", [
+        0.0, -1.0, float("nan"), float("inf")])
+    def test_scaling_rejects_out_of_range_factors(self, scale):
+        with pytest.raises(ConfigurationError,
+                           match="scale must be finite and above 0"):
+            SyntheticSpec(name="t", work_items=100).scaled(scale)
 
     def test_with_threads(self):
         spec = SyntheticSpec(name="t", work_items=10).with_threads(2)
@@ -163,3 +176,87 @@ class TestPresets:
                 > SPLASH2_APPS["fft"].remote_write_fraction)
         assert (SPLASH2_APPS["raytrace"].imbalance
                 > SPLASH2_APPS["fft"].imbalance)
+
+
+class TestAppProgramMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _memo_program.cache_clear()
+        yield
+        _memo_program.cache_clear()
+
+    def test_positional_and_keyword_spellings_share_a_program(self):
+        program = app_program("fft", 0.05, 2, 4)
+        assert app_program("fft", scale=0.05, seed=2,
+                           num_threads=4) is program
+        assert app_program(num_threads=4, seed=2, app="fft",
+                           scale=0.05) is program
+        assert program == splash2_program("fft", 0.05, 2, 4)
+
+    def test_each_key_field_selects_its_own_program(self):
+        program = app_program("fft", 0.05, 2, 4)
+        others = [app_program("fft", 0.05, 3, 4),
+                  app_program("fft", 0.1, 2, 4),
+                  app_program("fft", 0.05, 2, 2),
+                  app_program("radix", 0.05, 2, 4)]
+        for other in others:
+            assert other is not program
+            assert other != program
+
+    def test_commercial_apps_are_memoized_too(self):
+        program = app_program("sjbb2k", 0.05, 1, 4)
+        assert app_program("sjbb2k", 0.05, 1, 4) is program
+        assert program == commercial_program("sjbb2k", 0.05, 1, 4)
+
+    def test_the_bound_evicts_the_least_recently_used(self):
+        programs = {seed: app_program("fft", 0.05, seed, 2)
+                    for seed in range(1, PROGRAM_MEMO_SIZE + 1)}
+        assert app_program("fft", 0.05, 1, 2) is programs[1]  # now newest
+        app_program("fft", 0.05, PROGRAM_MEMO_SIZE + 1, 2)    # evicts 2
+        assert _memo_program.cache_info().currsize == PROGRAM_MEMO_SIZE
+        assert app_program("fft", 0.05, 1, 2) is programs[1]
+        rebuilt = app_program("fft", 0.05, 2, 2)
+        assert rebuilt is not programs[2]
+        assert rebuilt == programs[2]
+
+    def test_threads_sharing_the_memo_get_correct_programs(self):
+        # More keys than the bound, so threads race on eviction too.
+        keys = [("fft", 0.02, seed, 2)
+                for seed in range(1, PROGRAM_MEMO_SIZE + 3)]
+        expected = {key: splash2_program(*key) for key in keys}
+        wrong = []
+
+        def worker(offset):
+            for step in range(40):
+                key = keys[(offset + step) % len(keys)]
+                if app_program(*key) != expected[key]:
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert _memo_program.cache_info().currsize == PROGRAM_MEMO_SIZE
+
+    def test_the_builders_stay_uncached(self):
+        assert splash2_program("fft", 0.05) is not \
+            splash2_program("fft", 0.05)
+        assert commercial_program("sjbb2k", 0.05) is not \
+            commercial_program("sjbb2k", 0.05)
+        assert _memo_program.cache_info().currsize == 0
+
+    def test_failed_builds_are_not_memoized(self):
+        with pytest.raises(ConfigurationError):
+            app_program("volrend")
+        with pytest.raises(ConfigurationError):
+            app_program("fft", float("nan"))
+        assert _memo_program.cache_info().currsize == 0
