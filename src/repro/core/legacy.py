@@ -12,6 +12,11 @@ through a restricted unpickler: ``find_class`` resolves only the
 classes a trailer holds (:data:`TRAILER_GLOBALS`) and refuses every
 other global with :class:`~repro.errors.LogFormatError`, before
 anything is imported or called.
+
+The envelope of a segmented ``DLRNSEG1`` recording
+(:mod:`repro.guard.degrade`) is a pickle too.  It is read the same
+way, resolving only :data:`ENVELOPE_GLOBALS` and refusing every other
+global with :class:`~repro.errors.SalvageError`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import io
 import pickle
 
 from repro.analysis.stats import RunStats
-from repro.core.modes import ModeConfig
-from repro.errors import LogFormatError, ReproError
+from repro.core.interval import IntervalCheckpoint
+from repro.core.modes import ExecutionMode, ModeConfig
+from repro.errors import LogFormatError, ReproError, SalvageError
 from repro.machine.events import DmaTransfer
 from repro.machine.program import Op, Program
 from repro.machine.timing import MachineConfig
@@ -103,35 +109,54 @@ _STAND_INS = {
 }
 
 
-class _TrailerUnpickler(pickle.Unpickler):
+class _RestrictedUnpickler(pickle.Unpickler):
+    """Resolves only the ``allowed`` globals, through ``stand_ins``
+    where one is given; any other global raises ``error`` before it is
+    imported."""
+
+    def __init__(self, payload: bytes, allowed: frozenset, error: type,
+                 what: str, stand_ins: dict) -> None:
+        super().__init__(io.BytesIO(payload))
+        self.allowed = allowed
+        self.error = error
+        self.what = what
+        self.stand_ins = stand_ins
+
     def find_class(self, module, name):
-        if (module, name) not in TRAILER_GLOBALS:
-            raise LogFormatError(
-                f"trailer section refers to {module}.{name}, which no "
-                f"recording holds")
-        stand_in = _STAND_INS.get((module, name))
+        if (module, name) not in self.allowed:
+            raise self.error(
+                f"{self.what} refers to {module}.{name}, outside the "
+                f"classes it may hold")
+        stand_in = self.stand_ins.get((module, name))
         if stand_in is not None:
             return stand_in
         return super().find_class(module, name)
 
 
-def unpickle_trailer(payload: bytes) -> dict:
-    """The Recording fields a v1/v2 trailer holds, decoded without
-    running anything outside :data:`TRAILER_GLOBALS`."""
+def _restricted_load(payload: bytes, allowed: frozenset, error: type,
+                     what: str, stand_ins: dict):
+    """Unpickle ``payload`` resolving only ``allowed``; every failure
+    is an ``error``."""
     # Pickle protocol >= 2 streams start with the PROTO opcode; the
     # cheap check keeps obviously-garbage bytes away from the
     # unpickler entirely.
     if not payload or payload[:1] != b"\x80":
-        raise LogFormatError(
-            "trailer section does not look like a pickle stream")
+        raise error(f"{what} does not look like a pickle stream")
     try:
-        trailer = _TrailerUnpickler(io.BytesIO(payload)).load()
+        return _RestrictedUnpickler(payload, allowed, error, what,
+                                    stand_ins).load()
     except ReproError:
         raise
-    except Exception as error:
-        raise LogFormatError(
-            f"trailer section failed to unpickle: "
-            f"{type(error).__name__}: {error}") from error
+    except Exception as failure:
+        raise error(f"{what} failed to unpickle: "
+                    f"{type(failure).__name__}: {failure}") from failure
+
+
+def unpickle_trailer(payload: bytes) -> dict:
+    """The Recording fields a v1/v2 trailer holds, decoded without
+    running anything outside :data:`TRAILER_GLOBALS`."""
+    trailer = _restricted_load(payload, TRAILER_GLOBALS, LogFormatError,
+                               "trailer section", _STAND_INS)
     if not isinstance(trailer, dict):
         raise LogFormatError("trailer section is not a mapping")
     for key, cls in (("program", Program),
@@ -155,3 +180,40 @@ def unpickle_trailer(payload: bytes) -> dict:
         "memory_ordering": trailer.get("memory_ordering"),
         "interval_checkpoints": trailer.get("interval_checkpoints"),
     }
+
+
+#: Every global a DLRNSEG1 envelope pickles: each later segment's
+#: boundary checkpoint and its thread states, plus the handler ops of
+#: a thread whose boundary falls inside an interrupt handler.
+ENVELOPE_GLOBALS = frozenset({
+    ("repro.core.interval", "IntervalCheckpoint"),
+    ("repro.machine.program", "Op"),
+    ("repro.machine.program", "OpKind"),
+    ("repro.machine.program", "ThreadState"),
+})
+
+_MODE_VALUES = frozenset(mode.value for mode in ExecutionMode)
+
+
+def unpickle_envelope(payload: bytes) -> dict:
+    """A DLRNSEG1 envelope (the bytes after its magic), decoded without
+    running anything outside :data:`ENVELOPE_GLOBALS` and checked for
+    the shape :func:`repro.guard.degrade.save_segmented` writes."""
+    envelope = _restricted_load(payload, ENVELOPE_GLOBALS, SalvageError,
+                                "segmented recording envelope", {})
+    segments = (envelope.get("segments")
+                if isinstance(envelope, dict) else None)
+    if not isinstance(segments, list) or not isinstance(
+            envelope.get("program_name", ""), str):
+        raise SalvageError("segmented recording envelope is malformed")
+    for entry in segments:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("blob"), bytes)
+                and isinstance(entry.get("mode"), str)
+                and entry["mode"] in _MODE_VALUES
+                and isinstance(entry.get("reason"), str)
+                and isinstance(entry.get("start_checkpoint"),
+                               (IntervalCheckpoint, type(None)))):
+            raise SalvageError(
+                "segmented recording envelope holds a malformed segment")
+    return envelope

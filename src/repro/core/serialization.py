@@ -44,6 +44,13 @@ before anything is allocated for it, and every inflate is bounded by
 its declared size.  Bytes are canonical: saving a loaded recording
 reproduces the blob.
 
+A program is read-only text that the initial execution and every
+replay run unchanged, so each program object is encoded once: its
+program section is kept with it, and a process-wide table maps those
+exact bytes weakly to the live program.  Loading a byte-identical
+program section in the same process returns that program instead of
+decoding a copy; any other payload decodes, with every check.
+
 Two legacy containers stay readable, for files written by earlier
 releases.  **DLRN v1** has unframed, unchecked sections; **DLRN v2**
 has v3's frames.  Both end in a pickled trailer holding everything
@@ -58,6 +65,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import threading
+import weakref
 import zlib
 from dataclasses import dataclass
 
@@ -425,10 +434,43 @@ def _encode_program(program: Program) -> bytes:
     return _compress(out.getvalue())
 
 
+#: Instance attribute holding a program's encoded section.  Program is
+#: a frozen dataclass, so fields alone decide its equality, repr,
+#: pickling and ``dataclasses.replace``; the section dies with it.
+_SECTION_ATTR = "_dlrn_program_section"
+#: Program sections this process encoded -> the live program each came
+#: from.  Keys are the exact bytes, so a hit is byte-identical by
+#: construction; values are weak, so the table keeps nothing alive.
+#: Decoded programs never enter it: a valid payload need not be the
+#: canonical encoding of what it decodes to.
+_LIVE_PROGRAMS: "weakref.WeakValueDictionary[bytes, Program]" = (
+    weakref.WeakValueDictionary())
+#: Guards every table read and write: serve runs jobs on threads.
+_LIVE_LOCK = threading.Lock()
+
+
+def _program_section(program: Program) -> bytes:
+    """``program``'s section payload, encoded on first use and then
+    kept with the program, which is registered as its live source.
+    Two threads may both encode one program; both get the same
+    bytes."""
+    section = vars(program).get(_SECTION_ATTR)
+    if section is None:
+        section = _encode_program(program)
+        object.__setattr__(program, _SECTION_ATTR, section)
+    with _LIVE_LOCK:
+        _LIVE_PROGRAMS.setdefault(section, program)
+    return section
+
+
 _INTERRUPT_TYPES = ((int, float), int, int, int, int, bool, int)
 
 
 def _decode_program(payload: bytes, header: dict) -> dict:
+    with _LIVE_LOCK:
+        live = _LIVE_PROGRAMS.get(bytes(payload))
+    if live is not None:
+        return {"program": live}
     inp = _Reader(_inflate(payload, "program"), "program")
     head = inp.json()
     lengths = inp.ints()
@@ -697,7 +739,7 @@ def _sections(recording: Recording, program: bool = True):
     payload, bits = recording.dma_log.encode()
     yield _SECTION_DMA, 0, payload, bits
     if program:
-        yield _SECTION_PROGRAM, 0, _encode_program(recording.program), 0
+        yield _SECTION_PROGRAM, 0, _program_section(recording.program), 0
     yield _SECTION_CONFIG, 0, _encode_config(recording), 0
     yield _SECTION_VERIFY, 0, _encode_verify(recording), 0
 

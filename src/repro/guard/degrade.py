@@ -265,16 +265,16 @@ def save_segmented(segmented: SegmentedRecording) -> bytes:
 
 
 def load_segmented(blob: bytes) -> SegmentedRecording:
-    """Invert :func:`save_segmented`."""
+    """Invert :func:`save_segmented`.  The envelope is read by
+    :func:`repro.core.legacy.unpickle_envelope`, which refuses every
+    global a segmented recording never holds."""
     if not blob.startswith(_SEGMENT_MAGIC):
         raise SalvageError(
             "not a segmented recording (missing DLRNSEG1 magic)")
-    try:
-        envelope = pickle.loads(blob[len(_SEGMENT_MAGIC):])
-    except Exception as error:
-        raise SalvageError(
-            f"malformed segmented recording: "
-            f"{type(error).__name__}: {error}") from error
+    # Imported on first use: only a segmented file needs it.
+    from repro.core.legacy import unpickle_envelope
+
+    envelope = unpickle_envelope(blob[len(_SEGMENT_MAGIC):])
     segments = [
         RecordedSegment(
             recording=load_recording(entry["blob"]),

@@ -16,6 +16,7 @@ verify.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -79,8 +80,10 @@ class InterruptEvent:
     replay_chunk_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError("interrupt time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise ConfigurationError(
+                f"interrupt time must be finite and >= 0, got "
+                f"{self.time!r}")
         if self.handler_ops < 1:
             raise ConfigurationError("handler must have >= 1 instruction")
 
@@ -99,8 +102,9 @@ class DmaTransfer:
     writes: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ConfigurationError("DMA time must be >= 0")
+        if not 0 <= self.time < math.inf:
+            raise ConfigurationError(
+                f"DMA time must be finite and >= 0, got {self.time!r}")
         if not self.writes:
             raise ConfigurationError("a DMA transfer must write something")
         object.__setattr__(self, "writes",

@@ -12,6 +12,7 @@ flushed prefix survives SIGKILL.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -48,6 +49,7 @@ from repro.guard import (
 from repro.guard import supervisor as supervisor_module
 from repro.guard.journal import load_journal_file
 from repro.guard.watchdog import Watchdog, progress_key
+from repro.machine.events import build_handler_ops
 from repro.machine.system import record_execution
 from repro.machine.timing import MachineConfig
 from repro.runner import Runner, RunSpec
@@ -280,6 +282,23 @@ class TestBudgets:
 # -- degradation ------------------------------------------------------
 
 
+def _evil_envelope_ran():
+    _evil_envelope_ran.calls += 1
+
+
+_evil_envelope_ran.calls = 0
+
+
+class _EvilSegment:
+    def __reduce__(self):
+        return (_evil_envelope_ran, ())
+
+
+def _segment(**overrides) -> dict:
+    return {"blob": b"", "mode": "picolog", "reason": "",
+            "start_checkpoint": None, **overrides}
+
+
 def degraded_report(tmp_path=None, verify=False):
     return supervise_record(
         racey_program(threads=4, rounds=400, seed=3),
@@ -330,6 +349,49 @@ class TestDegradation:
     def test_load_segmented_rejects_garbage(self):
         with pytest.raises(SalvageError):
             load_segmented(b"not a segmented recording at all")
+
+    def test_envelope_calling_a_foreign_global_never_runs(self):
+        payload = pickle.dumps(
+            {"program_name": "evil", "segments": [_EvilSegment()]},
+            protocol=4)
+        _evil_envelope_ran.calls = 0
+        pickle.loads(payload)  # an unrestricted unpickler runs it
+        assert _evil_envelope_ran.calls == 1
+        _evil_envelope_ran.calls = 0
+        with pytest.raises(SalvageError, match="_evil_envelope_ran"):
+            load_segmented(b"DLRNSEG1" + payload)
+        assert _evil_envelope_ran.calls == 0
+
+    @pytest.mark.parametrize("envelope", [
+        b"",
+        ["not", "a", "mapping"],
+        {"segments": "none"},
+        {"program_name": 7, "segments": []},
+        {"segments": [_segment(blob="text")]},
+        {"segments": [_segment(mode="warp")]},
+        {"segments": [_segment(mode=["picolog"])]},
+        {"segments": [_segment(start_checkpoint={})]},
+    ])
+    def test_malformed_envelope_is_a_salvage_error(self, envelope):
+        payload = (envelope if isinstance(envelope, bytes)
+                   else pickle.dumps(envelope, protocol=4))
+        with pytest.raises(SalvageError):
+            load_segmented(b"DLRNSEG1" + payload)
+
+    def test_envelope_holds_a_boundary_inside_a_handler(self):
+        """A thread cut inside an interrupt handler carries the
+        handler's ops, so ``Op`` and ``OpKind`` are envelope globals."""
+        segmented = degraded_report().segmented
+        segment = segmented.segments[1]
+        states = dict(segment.start_checkpoint.thread_states)
+        states[0] = states[0].snapshot()
+        states[0].enter_handler(build_handler_ops(4, 9, 20))
+        checkpoint = replace(segment.start_checkpoint,
+                             thread_states=states)
+        segmented.segments[1] = replace(segment,
+                                        start_checkpoint=checkpoint)
+        loaded = load_segmented(save_segmented(segmented))
+        assert loaded.segments[1].start_checkpoint == checkpoint
 
     def test_verification_divergence_escalates_the_mode(self,
                                                         monkeypatch):

@@ -13,6 +13,7 @@ import gc
 import pytest
 
 from repro.baselines.consistency import ConsistencyModel, InterleavedExecutor
+from repro.core import serialization
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
 from repro.core.serialization import load_recording, save_recording
@@ -48,6 +49,25 @@ def test_record_save_load_replay_leaves_no_cycles(mode, build):
     program = build()
     assert cyclic_garbage_after(
         lambda: round_trip(DeLoreanSystem(mode=mode), program)) == 0
+
+
+def test_round_trip_leaves_no_live_program_behind():
+    """The live-program table holds programs weakly: once a round
+    trip's last reference goes, its program has left the table, and
+    nothing is left for the collector."""
+    gc.collect()
+    before = len(serialization._LIVE_PROGRAMS)
+
+    def run():
+        program = splash2_program("fft", scale=0.1)
+        system = DeLoreanSystem(mode=ExecutionMode.ORDER_ONLY)
+        loaded = load_recording(save_recording(system.record(program)))
+        assert loaded.program is program
+        assert len(serialization._LIVE_PROGRAMS) == before + 1
+        assert system.replay(loaded).determinism.matches
+
+    assert cyclic_garbage_after(run) == 0
+    assert len(serialization._LIVE_PROGRAMS) == before
 
 
 def test_stratified_replay_leaves_no_cycles():

@@ -1,5 +1,7 @@
 """Tests for main memory and the I/O / interrupt / DMA event types."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,10 +96,18 @@ class TestIODevice:
         assert device.load(4) == first
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
 class TestInterruptEvent:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             InterruptEvent(time=-1, processor=0, vector=1)
+
+    @pytest.mark.parametrize("time", NON_FINITE)
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ConfigurationError, match="finite"):
+            InterruptEvent(time=time, processor=0, vector=1)
 
     def test_zero_handler_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -112,6 +122,11 @@ class TestDmaTransfer:
     def test_negative_time_rejected(self):
         with pytest.raises(ConfigurationError):
             DmaTransfer(time=-5, writes={1: 2})
+
+    @pytest.mark.parametrize("time", NON_FINITE)
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ConfigurationError, match="finite"):
+            DmaTransfer(time=time, writes={1: 2})
 
 
 class TestHandlerOps:

@@ -1,10 +1,17 @@
 """Tests for recording persistence (save/load round trips)."""
 
 import base64
+import copy
+import json
+import math
+import os
 import pickle
 import random
 import struct
+import sys
+import threading
 import time
+import weakref
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +60,24 @@ def make_recording(mode=ExecutionMode.ORDER_ONLY, with_system=False,
             dma_transfers=[DmaTransfer(
                 time=200.0, writes={shared_address(900): 77})])
     return system, system.record(program)
+
+
+def fresh_program(recording):
+    """``recording`` with its program swapped for an equal copy that
+    was never encoded.  Once the caller rebinds its only reference to
+    the original, the program a blob was saved from is gone, so
+    loading the blob decodes its program section."""
+    return replace(recording, program=replace(recording.program))
+
+
+def load_decoded(blob: bytes, source: weakref.ref):
+    """Load ``blob`` on a miss: the program it was saved from
+    (``source``) is gone, so the program section must be decoded, and
+    the decoded program is not the source of any cached section."""
+    assert source() is None, "the source program is still alive"
+    loaded = load_recording(blob)
+    assert serialization._SECTION_ATTR not in vars(loaded.program)
+    return loaded
 
 
 class TestRoundTrip:
@@ -185,7 +210,9 @@ class TestCanonicalBytes:
         system = DeLoreanSystem(mode=mode)
         recording = system.record(build(app, scale=scale, seed=2))
         blob = save_recording(recording)
-        loaded = load_recording(blob)
+        source = weakref.ref(recording.program)
+        recording = fresh_program(recording)
+        loaded = load_decoded(blob, source)
         assert save_recording(loaded) == blob
         assert_same_state(loaded, recording)
         assert system.replay(loaded).determinism.matches
@@ -197,7 +224,9 @@ class TestCanonicalBytes:
         recording = system.record(counter_program(3, 20),
                                   checkpoint_every=5)
         blob = save_recording(recording)
-        loaded = load_recording(blob)
+        source = weakref.ref(recording.program)
+        recording = fresh_program(recording)
+        loaded = load_decoded(blob, source)
         assert save_recording(loaded) == blob
         assert_same_state(loaded, recording)
         assert (loaded.interval_checkpoints.checkpoints
@@ -215,12 +244,104 @@ class TestCanonicalBytes:
         config = small_config()
         system = DeLoreanSystem(machine_config=config,
                                 chunk_size=config.standard_chunk_size)
-        recording = system.record(program)
-        blob = save_recording(recording)
-        loaded = load_recording(blob)
-        assert loaded.program == program
+        blob = save_recording(system.record(program))
+        source, expected = weakref.ref(program), replace(program)
+        del program
+        loaded = load_decoded(blob, source)
+        assert loaded.program == expected
         assert save_recording(loaded) == blob
         assert system.replay(loaded).determinism.matches
+
+
+class TestLiveProgram:
+    """Loading a program section this process encoded returns the live
+    program; any other payload decodes."""
+
+    def test_a_live_program_is_reused(self):
+        _, recording = make_recording(with_system=True)
+        blob = save_recording(recording)
+        loaded = load_recording(blob)
+        assert loaded.program is recording.program
+        assert save_recording(loaded) == blob
+
+    def test_a_mutated_program_payload_decodes(self):
+        """Recompressed, the program section holds the same program in
+        other bytes: it misses, decodes to an equal program, and that
+        program saves canonically, never as the payload it came from."""
+        _, recording = make_recording(with_system=True)
+        blob = save_recording(recording)
+        frames, _ = container_frames(blob)
+        frame = next(f for f in frames if f.name == "program")
+        other = reframe(blob, frame, frame.payload[:4] + zlib.compress(
+            zlib.decompress(frame.payload[4:]), 9))
+        assert other != blob
+        for _ in range(2):
+            loaded = load_recording(other)
+            assert loaded.program is not recording.program
+            assert loaded.program == recording.program
+            assert serialization._SECTION_ATTR not in vars(loaded.program)
+        assert save_recording(loaded) == blob
+        assert load_recording(blob).program is recording.program
+
+    def test_the_cached_section_is_private(self):
+        _, recording = make_recording(with_system=True)
+        program = recording.program
+        save_recording(recording)
+        assert serialization._SECTION_ATTR in vars(program)
+        derived = replace(program)
+        assert serialization._SECTION_ATTR not in vars(derived)
+        assert derived == program
+        assert repr(derived) == repr(program)
+        assert derived.__reduce__() == program.__reduce__()
+        unpickled = pickle.loads(pickle.dumps(program))
+        assert unpickled == program
+        assert serialization._SECTION_ATTR not in vars(unpickled)
+        assert copy.copy(program) is program
+        assert copy.deepcopy(program) is program
+
+    def test_threads_saving_and_loading_get_equal_programs(self):
+        """More threads than cores and a tiny switch interval: threads
+        race to encode the same never-encoded programs, and to register
+        equal copies, while others load."""
+        threads, rounds, seconds = (os.cpu_count() or 1) + 2, 12, 60.0
+        config = small_config()
+        system = DeLoreanSystem(machine_config=config,
+                                chunk_size=config.standard_chunk_size)
+        shared = [fresh_program(system.record(counter_program(count, 6)))
+                  for count in (2, 3, 4)]
+        failures = []
+        start = threading.Barrier(threads, timeout=seconds)
+
+        def work(index):
+            try:
+                start.wait()
+                for turn in range(rounds):
+                    for recording in shared:
+                        if (index + turn) % 2:
+                            recording = fresh_program(recording)
+                        blob = save_recording(recording)
+                        loaded = load_recording(blob)
+                        if (loaded.program != recording.program
+                                or save_recording(loaded) != blob):
+                            failures.append((index, turn))
+            except Exception as error:
+                failures.append(error)
+
+        workers = [threading.Thread(target=work, args=(index,),
+                                    daemon=True)
+                   for index in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            deadline = time.monotonic() + seconds
+            for worker in workers:
+                worker.join(max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
 
 
 class TestNoPickle:
@@ -268,7 +389,9 @@ class TestLegacyFixtures:
         recording = load_recording(blob)
         assert replay_execution(recording).determinism.matches
         v3 = save_recording(recording)
-        converted = load_recording(v3)
+        source = weakref.ref(recording.program)
+        recording = fresh_program(recording)
+        converted = load_decoded(v3, source)
         assert save_recording(converted) == v3
         assert_same_state(converted, recording)
         assert replay_execution(converted).determinism.matches
@@ -312,6 +435,21 @@ class TestLegacyFixtures:
         assert loaded.fingerprints == recording.fingerprints
 
 
+def with_program_head(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit`` applied to its program section's JSON
+    head, recompressed and reframed."""
+    frames, _ = container_frames(blob)
+    frame = next(f for f in frames if f.name == "program")
+    content = zlib.decompress(frame.payload[4:])
+    (size,) = struct.unpack_from("<I", content)
+    head = json.loads(content[4:4 + size])
+    edit(head)
+    text = json.dumps(head).encode()
+    content = struct.pack("<I", len(text)) + text + content[4 + size:]
+    return reframe(blob, frame, struct.pack("<I", len(content))
+                   + zlib.compress(content, 1))
+
+
 class TestHostileV3:
     """Seeded mutations inside each state section, with the frame CRC
     recomputed so the damage reaches the decoder: every case ends
@@ -334,6 +472,9 @@ class TestHostileV3:
         with monkeypatch.context() as patch:
             patch.setattr(serialization._Reader, "_u32", watch)
             load_recording(blob)
+        # Config is canonical JSON, with no length fields to watch.
+        assert sorted(seen) == ["program", "verify"], (
+            f"a state section decoder never ran: saw only {sorted(seen)}")
         return seen
 
     def check(self, blob):
@@ -357,6 +498,9 @@ class TestHostileV3:
                 time=200.0, writes={shared_address(900): 77})])
         blob = save_recording(system.record(program,
                                             checkpoint_every=6))
+        # Drop the source program: with it alive, the clean load would
+        # reuse it and never run the program decoder.
+        del program
         fields = self.length_fields(monkeypatch, blob)
         frames, _ = container_frames(blob)
         rng = random.Random(17)
@@ -399,3 +543,21 @@ class TestHostileV3:
                     self.check(reframe(
                         blob, frame,
                         struct.pack("<I", value) + frame.payload[4:]))
+
+    @pytest.mark.parametrize("stream", ["interrupts", "dma"])
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_event_times_are_rejected(self, stream, time):
+        """The program head is JSON, which Python reads ``NaN`` and
+        ``Infinity`` from; a non-finite event time must not load."""
+        blob = save_recording(make_recording(with_system=True)[1])
+
+        def edit(head):
+            head[stream][0][0] = time
+
+        hostile = with_program_head(blob, edit)
+        # Reframing alone keeps the blob loadable.
+        load_recording(with_program_head(blob, lambda head: None),
+                       legacy=False)
+        with pytest.raises(LogFormatError, match="finite"):
+            load_recording(hostile, legacy=False)
