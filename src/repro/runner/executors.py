@@ -51,9 +51,9 @@ class ExecutorBackend:
     Lifecycle: ``start(width)`` before the first submit, ``submit``
     per attempt, ``restart(width)`` if the substrate broke (a worker
     died hard enough to poison its siblings), ``shutdown`` at the end
-    of the wave.  ``parallel`` advertises whether concurrent submits
-    can overlap in time (the runner uses the event-driven sweep loop
-    only when they can).
+    of the sweep.  ``parallel`` advertises whether concurrent submits
+    can overlap in time: the runner keeps up to ``jobs`` attempts in
+    flight when they can, and one at a time when they cannot.
     """
 
     #: Backend name (the CLI ``--executor`` spelling).
@@ -229,13 +229,19 @@ BACKENDS = {
 }
 
 
-def resolve_backend(executor, jobs: int) -> ExecutorBackend:
+def resolve_backend(executor, jobs: int, *,
+                    mp_start_method: str | None = None,
+                    window: float = DEFAULT_FLEET_WINDOW
+                    ) -> ExecutorBackend:
     """Turn an ``executor`` option into a backend instance.
 
     ``None`` picks the historical default: inline for a serial runner
     (``jobs == 1``), a process pool otherwise.  A string looks up
     :data:`BACKENDS`; an :class:`ExecutorBackend` instance passes
-    through (the caller owns its lifecycle configuration).
+    through (the caller owns its lifecycle configuration).  A process
+    pool, standalone or as the remote backend's fallback when
+    ``jobs > 1``, uses ``mp_start_method``; the remote backend's fleet
+    liveness window is ``window``.
     """
     if executor is None:
         executor = "inline" if jobs <= 1 else "process"
@@ -247,13 +253,15 @@ def resolve_backend(executor, jobs: int) -> ExecutorBackend:
         raise ConfigurationError(
             f"unknown executor backend {executor!r} (expected one of: "
             + ", ".join(sorted(BACKENDS)) + ")") from None
-    if factory is ProcessPoolBackend:
-        return ProcessPoolBackend(max_workers=max(1, jobs))
+    if factory is InlineBackend:
+        return InlineBackend()
+    pool = ProcessPoolBackend(max_workers=max(1, jobs),
+                              mp_start_method=mp_start_method)
     if factory is RemoteWorkerBackend:
-        fallback = (ProcessPoolBackend(max_workers=max(1, jobs))
-                    if jobs > 1 else InlineBackend())
-        return RemoteWorkerBackend(fallback=fallback)
-    return factory()
+        return RemoteWorkerBackend(
+            fallback=pool if jobs > 1 else InlineBackend(),
+            window=window)
+    return pool
 
 
 __all__ = [

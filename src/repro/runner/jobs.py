@@ -417,16 +417,24 @@ def _raise_timeout(signum, frame):
     raise JobTimeout()
 
 
+def failure_envelope(error_type: str, message: str,
+                     wall_time: float = 0.0, traceback: str = "") -> dict:
+    """The envelope of a failed attempt, wherever the failure arose:
+    inside :func:`invoke`, in the runner's or the service's wait on the
+    attempt, or in a fleet worker that could not run or return it."""
+    return {"ok": False, "error_type": error_type, "message": message,
+            "traceback": traceback, "wall_time": wall_time}
+
+
 def invoke(job_fn, spec: RunSpec, timeout: float | None,
            cache_root, cache_salt) -> dict:
     """Pool entry point: run ``job_fn(spec, cache)`` under a hard
     per-job timeout and map every outcome to a picklable envelope.
 
-    Returns ``{"ok": True, "artifact": ..., "wall_time": ...}`` or
-    ``{"ok": False, "error_type": ..., "message": ...,
-    "traceback": ..., "wall_time": ...}``.  Never raises: exceptions
-    (and their tracebacks) travel as data so an exotic unpicklable
-    error cannot wedge the executor.
+    Returns ``{"ok": True, "artifact": ..., "wall_time": ...}`` or a
+    :func:`failure_envelope`.  Never raises: exceptions (and their
+    tracebacks) travel as data so an exotic unpicklable error cannot
+    wedge the executor.
     """
     from repro.runner.cache import ResultCache
 
@@ -457,21 +465,13 @@ def invoke(job_fn, spec: RunSpec, timeout: float | None,
         return {"ok": True, "artifact": artifact,
                 "wall_time": time.perf_counter() - started}
     except JobTimeout:
-        return {
-            "ok": False,
-            "error_type": "JobTimeout",
-            "message": f"job exceeded its {timeout:g}s budget",
-            "traceback": "",
-            "wall_time": time.perf_counter() - started,
-        }
+        return failure_envelope(
+            "JobTimeout", f"job exceeded its {timeout:g}s budget",
+            time.perf_counter() - started)
     except BaseException as error:  # noqa: BLE001 -- envelope, not loss
-        return {
-            "ok": False,
-            "error_type": type(error).__name__,
-            "message": str(error),
-            "traceback": traceback.format_exc(),
-            "wall_time": time.perf_counter() - started,
-        }
+        return failure_envelope(
+            type(error).__name__, str(error),
+            time.perf_counter() - started, traceback.format_exc())
     finally:
         if alarm_set:
             signal.setitimer(signal.ITIMER_REAL, 0)

@@ -18,14 +18,19 @@ to a terminal state:
    :class:`~repro.runner.executors.ProcessPoolBackend` (``jobs > 1``)
    or :class:`~repro.runner.executors.RemoteWorkerBackend` (the serve
    layer's lease-based worker fleet, with a local fallback pool it
-   degrades to when no worker heartbeats).  Each attempt runs under a per-job
-   wall-clock timeout enforced *inside* the worker (SIGALRM on a unix
-   main thread, an async-raise watchdog timer elsewhere), so a hung
-   simulation turns into a structured timeout failure rather than a
-   stuck pool.  A pool-side deadline sweep backstops both: attempts
-   still pending past :func:`sweep_deadline` are abandoned and fed
-   through the normal retry path, so even a worker wedged in C code
-   cannot stall the sweep.
+   degrades to when no worker heartbeats).  One attempt loop drives
+   every wave on every backend, with at most ``jobs`` attempts in
+   flight on a parallel backend and one inline (so an inline sweep
+   finishes each job before it starts the next).  Each attempt runs
+   under a per-job wall-clock timeout enforced *inside* the worker
+   (SIGALRM on a unix main thread, an async-raise watchdog timer
+   elsewhere), so a hung simulation turns into a structured timeout
+   failure rather than a stuck pool.  A deadline sweep backstops
+   both: an attempt still pending :func:`sweep_deadline` after it got
+   its slot is abandoned and fed through the normal retry path, so
+   even a worker wedged in C code cannot stall the sweep.
+   :func:`attempt_envelope` turns a submitted attempt into its
+   envelope, here and in the serve layer.
 5. **Retry** -- failed attempts (exceptions, timeouts, a crashed
    worker process) are retried with exponential backoff under a
    :class:`~repro.runner.retry.RetryPolicy`; a job that exhausts its
@@ -38,20 +43,16 @@ Progress and counters flow through a pluggable
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
-import os
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.runner import jobs as jobs_module
 from repro.runner.cache import ResultCache
-from repro.runner.executors import (
-    ExecutorBackend,
-    InlineBackend,
-    resolve_backend,
-)
+from repro.runner.executors import ExecutorBackend, resolve_backend
 from repro.runner.reporting import NullReporter, Reporter, RunnerMetrics
 from repro.runner.retry import (
     AttemptFailure,
@@ -83,6 +84,62 @@ def overdue_futures(pending, deadlines, now: float) -> list:
             if due <= now and future in pending and not future.done()]
 
 
+def submit_attempt(backend: ExecutorBackend, job_fn, spec,
+                   timeout: float | None,
+                   cache: ResultCache | None) -> concurrent.futures.Future:
+    """Submit one :func:`~repro.runner.jobs.invoke` attempt of ``spec``.
+
+    A submit that raises (a pool already broken, or shut down) comes
+    back as a failed future, so :func:`attempt_envelope` maps it like
+    any other attempt.
+    """
+    cache_args = ((str(cache.root), cache.salt) if cache is not None
+                  else (None, None))
+    try:
+        return backend.submit(jobs_module.invoke, job_fn, spec, timeout,
+                              *cache_args)
+    except Exception as error:  # noqa: BLE001 -- the future carries it
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        future.set_exception(error)
+        return future
+
+
+def attempt_envelope(future, timeout: float | None, submitted: float,
+                     restart) -> dict:
+    """Wait for one attempt until its sweep deadline; return its
+    envelope.
+
+    ``submitted`` is the monotonic time the attempt was submitted into
+    its slot, which starts its :func:`sweep_deadline`.  The envelope is
+    the attempt's own (:func:`~repro.runner.jobs.invoke` never raises),
+    or a failure envelope when the attempt missed its deadline (the
+    future is cancelled; its worker stays busy until the job returns),
+    its worker died (``restart()`` rebuilds the backend), or anything
+    else raised.
+    """
+    wait = None
+    if timeout:
+        wait = max(0.0, submitted + sweep_deadline(timeout)
+                   - time.monotonic())
+    try:
+        return future.result(timeout=wait)
+    except concurrent.futures.TimeoutError:
+        future.cancel()
+        return jobs_module.failure_envelope(
+            "JobTimeout",
+            f"job missed its {timeout:g}s deadline (pool sweep)",
+            time.monotonic() - submitted)
+    except BrokenProcessPool:
+        # The worker died hard (SIGKILL, segfault, os._exit), which
+        # poisons every sibling future on the substrate.
+        restart()
+        return jobs_module.failure_envelope("BrokenProcessPool",
+                                            "worker process died")
+    except Exception as error:  # noqa: BLE001 -- envelope, not loss
+        return jobs_module.failure_envelope(type(error).__name__,
+                                            str(error))
+
+
 @dataclass
 class JobOutcome:
     """Terminal state of one job in a sweep."""
@@ -100,9 +157,18 @@ class JobOutcome:
         return self.artifact is not None
 
 
-def default_jobs() -> int:
-    """Worker count when the caller does not choose one."""
-    return max(1, min(8, os.cpu_count() or 1))
+@dataclass
+class _Job:
+    """A miss from the moment it takes a slot to its terminal state."""
+
+    spec: RunSpec
+    #: When the job took its slot: the retry policy's elapsed clock.
+    started: float
+    attempt: int = 1
+    #: When the current attempt was submitted: its sweep clock.
+    submitted: float = 0.0
+    last_delay: float | None = None
+    failures: list = field(default_factory=list)
 
 
 class Runner:
@@ -130,15 +196,10 @@ class Runner:
         self.retry = retry or RetryPolicy()
         self.reporter = reporter or NullReporter()
         self.job_fn = job_fn
-        # An explicitly chosen backend is always honored; the implicit
-        # default keeps the historical fast path (single-miss waves
-        # skip pool startup and run inline).
-        self._explicit_backend = executor is not None
         self._owns_backend = not isinstance(executor, ExecutorBackend)
         self._backend = resolve_backend(executor, jobs)
-        self._inline = (self._backend
-                        if isinstance(self._backend, InlineBackend)
-                        else InlineBackend())
+        #: Jobs in flight at once; 1 keeps an inline sweep in order.
+        self._width = jobs if self._backend.parallel else 1
         self.metrics = RunnerMetrics()
 
     @property
@@ -169,6 +230,7 @@ class Runner:
         self.reporter.on_start(self.metrics.queued)
 
         outcomes: dict[str, JobOutcome] = {}
+        self._backend.start(self._width)
         try:
             for wave in waves:
                 self._run_wave(wave, outcomes)
@@ -233,27 +295,10 @@ class Runner:
             else:
                 self.metrics.cache_misses += 1
                 misses.append(spec)
-        if not misses:
-            return
-        serial = self.jobs == 1 or len(misses) == 1
-        backend = self._backend
-        if serial and not self._explicit_backend:
-            backend = self._inline  # historical single-job fast path
-        if backend.parallel and not serial:
-            self._run_pooled(misses, outcomes, backend)
-        else:
-            backend.start(1)
-            for spec in misses:
-                outcomes[spec.content_hash()] = \
-                    self._run_serial(spec, backend)
+        if misses:
+            self._drive(misses, outcomes)
 
     # -- execution ------------------------------------------------------
-
-    @property
-    def _cache_args(self) -> tuple:
-        if self.cache is None:
-            return (None, None)
-        return (str(self.cache.root), self.cache.salt)
 
     def _finish_success(self, spec, envelope, attempt) -> JobOutcome:
         artifact = envelope["artifact"]
@@ -270,19 +315,16 @@ class Runner:
             metrics=self.metrics)
         return outcome
 
-    def _finish_failure(self, spec, failures,
-                        started: float | None = None) -> JobOutcome:
-        elapsed = (time.monotonic() - started
-                   if started is not None else 0.0)
-        record = FailureRecord(spec=spec, attempts=list(failures),
+    def _finish_failure(self, job: _Job) -> JobOutcome:
+        elapsed = time.monotonic() - job.started
+        record = FailureRecord(spec=job.spec, attempts=list(job.failures),
                                total_elapsed=elapsed)
         self.metrics.failed += 1
         self.metrics.running -= 1
-        self.reporter.on_job_failed(spec, record.last.brief(),
+        self.reporter.on_job_failed(job.spec, record.last.brief(),
                                     self.metrics)
-        return JobOutcome(spec=spec, failure=record,
-                          attempts=len(failures),
-                          wall_time=elapsed)
+        return JobOutcome(spec=job.spec, failure=record,
+                          attempts=len(job.failures), wall_time=elapsed)
 
     def _attempt_failure(self, envelope, attempt) -> AttemptFailure:
         return AttemptFailure(
@@ -293,181 +335,101 @@ class Runner:
             wall_time=envelope.get("wall_time", 0.0),
         )
 
-    def _retry_delay(self, spec, attempt,
-                     previous_delay: float | None) -> float:
-        return self.retry.delay(
-            attempt, previous_delay=previous_delay,
-            rng=self.retry.attempt_rng(spec.content_hash(), attempt))
+    def _drive(self, misses, outcomes) -> None:
+        """The attempt loop, for every wave on every backend.
 
-    def _submit_attempt(self, backend, spec):
-        return backend.submit(
-            jobs_module.invoke, self.job_fn, spec, self.timeout,
-            *self._cache_args)
-
-    @staticmethod
-    def _error_envelope(error_type: str, message: str,
-                        wall_time: float = 0.0) -> dict:
-        return {"ok": False, "error_type": error_type,
-                "message": message, "traceback": "",
-                "wall_time": wall_time}
-
-    def _run_serial(self, spec: RunSpec, backend) -> JobOutcome:
-        """Drive one spec to a terminal state, one blocking attempt at
-        a time, through ``backend``."""
-        self.metrics.queued -= 1
-        self.metrics.running += 1
-        failures: list[AttemptFailure] = []
-        started = time.monotonic()
-        last_delay: float | None = None
-        budget = sweep_deadline(self.timeout) if self.timeout else None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            self.reporter.on_job_start(spec, attempt)
-            future = self._submit_attempt(backend, spec)
-            try:
-                envelope = future.result(timeout=budget)
-            except BrokenProcessPool:
-                backend.restart(1)
-                envelope = self._error_envelope(
-                    "BrokenProcessPool", "worker process died")
-            except concurrent.futures.TimeoutError:
-                # Wedged below Python: abandon the attempt (the worker
-                # keeps its slot until it returns) and fail fast.
-                future.cancel()
-                self.metrics.swept += 1
-                envelope = self._error_envelope(
-                    "JobTimeout",
-                    f"job missed its {self.timeout:g}s deadline "
-                    f"(pool sweep)",
-                    wall_time=time.monotonic() - started)
-            except BaseException as error:  # noqa: BLE001
-                envelope = self._error_envelope(
-                    type(error).__name__, str(error))
-            if envelope["ok"]:
-                return self._finish_success(spec, envelope, attempt)
-            failures.append(self._attempt_failure(envelope, attempt))
-            if self.retry.should_retry(attempt,
-                                       time.monotonic() - started):
-                delay = self._retry_delay(spec, attempt, last_delay)
-                last_delay = delay
-                self.metrics.retries += 1
-                self.reporter.on_retry(spec, attempt, delay,
-                                       failures[-1].brief())
-                time.sleep(delay)
-            else:
-                break
-        return self._finish_failure(spec, failures, started)
-
-    def _run_pooled(self, misses, outcomes, backend) -> None:
-        backend.start(len(misses))
-        # future -> (spec, attempt, failures, started, last_delay)
+        A miss takes one of ``width`` slots when its first attempt is
+        submitted and holds it through its retries, until its terminal
+        state.  So at most ``width`` attempts are in flight, and the
+        backend, sized to ``width``, starts each one when it is
+        submitted (unless a swept attempt still occupies a worker):
+        the sweep deadline counts from then.
+        """
+        backend, width = self._backend, self._width
+        waiting = collections.deque(misses)
+        # future -> the job whose attempt it carries
         pending: dict = {}
         # future -> monotonic sweep deadline for that attempt
         deadlines: dict = {}
-        # (due_time, spec, attempt, failures, started, last_delay)
-        retry_at: list = []
+        # (resubmit at, job) for jobs backing off between attempts
+        backoff: list = []
 
-        def submit(spec, attempt, failures, started, last_delay):
-            self.reporter.on_job_start(spec, attempt)
-            future = self._submit_attempt(backend, spec)
-            pending[future] = (spec, attempt, failures, started,
-                               last_delay)
+        def submit(job: _Job) -> None:
+            self.reporter.on_job_start(job.spec, job.attempt)
+            job.submitted = time.monotonic()
+            future = submit_attempt(backend, self.job_fn, job.spec,
+                                    self.timeout, self.cache)
+            pending[future] = job
             if self.timeout:
-                deadlines[future] = (time.monotonic()
+                deadlines[future] = (job.submitted
                                      + sweep_deadline(self.timeout))
 
-        def resolve_failure(spec, attempt, failures, started,
-                            last_delay, envelope):
-            failures.append(self._attempt_failure(envelope, attempt))
-            if self.retry.should_retry(attempt,
-                                       time.monotonic() - started):
-                delay = self._retry_delay(spec, attempt, last_delay)
-                self.metrics.retries += 1
-                self.reporter.on_retry(spec, attempt, delay,
-                                       failures[-1].brief())
-                retry_at.append((time.monotonic() + delay, spec,
-                                 attempt + 1, failures, started,
-                                 delay))
-            else:
-                outcomes[spec.content_hash()] = \
-                    self._finish_failure(spec, failures, started)
+        def rebuild() -> None:
+            # Every sibling future on the dead substrate is poisoned:
+            # rebuild it and resubmit the survivors, uncharged.
+            backend.restart(width)
+            survivors = list(pending.values())
+            pending.clear()
+            deadlines.clear()
+            for job in survivors:
+                submit(job)
 
-        for spec in misses:
-            self.metrics.queued -= 1
-            self.metrics.running += 1
-            submit(spec, 1, [], time.monotonic(), None)
-        while pending or retry_at:
+        def settle(future, job: _Job) -> None:
+            deadlines.pop(future, None)
+            envelope = attempt_envelope(future, self.timeout,
+                                        job.submitted, rebuild)
+            spec_hash = job.spec.content_hash()
+            if envelope["ok"]:
+                outcomes[spec_hash] = self._finish_success(
+                    job.spec, envelope, job.attempt)
+                return
+            job.failures.append(self._attempt_failure(envelope,
+                                                      job.attempt))
+            if not self.retry.should_retry(
+                    job.attempt, time.monotonic() - job.started):
+                outcomes[spec_hash] = self._finish_failure(job)
+                return
+            delay = self.retry.delay(
+                job.attempt, previous_delay=job.last_delay,
+                rng=self.retry.attempt_rng(spec_hash, job.attempt))
+            self.metrics.retries += 1
+            self.reporter.on_retry(job.spec, job.attempt, delay,
+                                   job.failures[-1].brief())
+            job.attempt += 1
+            job.last_delay = delay
+            backoff.append((time.monotonic() + delay, job))
+
+        while waiting or pending or backoff:
             now = time.monotonic()
-            due = [entry for entry in retry_at if entry[0] <= now]
-            retry_at = [entry for entry in retry_at
-                        if entry[0] > now]
-            for (_, spec, attempt, failures, started,
-                 last_delay) in due:
-                submit(spec, attempt, failures, started,
-                       last_delay)
+            due = [job for at, job in backoff if at <= now]
+            backoff[:] = [(at, job) for at, job in backoff if at > now]
+            for job in due:
+                submit(job)
+            while waiting and len(pending) + len(backoff) < width:
+                self.metrics.queued -= 1
+                self.metrics.running += 1
+                submit(_Job(waiting.popleft(), started=time.monotonic()))
             if not pending:
-                time.sleep(min(0.05,
-                               max(0.0, retry_at[0][0] - now)))
+                next_due = min(due for due, _ in backoff)
+                time.sleep(min(0.05, max(0.0, next_due - now)))
                 continue
             done, _ = concurrent.futures.wait(
                 pending, timeout=0.05,
                 return_when=concurrent.futures.FIRST_COMPLETED)
             for future in done:
-                entry = pending.pop(future, None)
-                deadlines.pop(future, None)
-                if entry is None:
-                    # A pool break earlier in this batch already
-                    # cleared pending and resubmitted this job on
-                    # the fresh substrate (or the deadline sweep
-                    # abandoned it); the stale future carries
-                    # nothing we still need.
-                    continue
-                spec, attempt, failures, started, last_delay = \
-                    entry
-                try:
-                    envelope = future.result()
-                except BrokenProcessPool:
-                    # The worker died hard (SIGKILL, segfault,
-                    # os._exit).  Every sibling future on this
-                    # substrate is poisoned; rebuild it and
-                    # resubmit the survivors.
-                    envelope = self._error_envelope(
-                        "BrokenProcessPool", "worker process died")
-                    backend.restart(len(pending) + len(retry_at) + 1)
-                    survivors = list(pending.items())
-                    pending.clear()
-                    deadlines.clear()
-                    for _, (s_spec, s_attempt, s_failures,
-                            s_started, s_delay) in survivors:
-                        submit(s_spec, s_attempt, s_failures,
-                               s_started, s_delay)
-                except BaseException as error:  # noqa: BLE001
-                    envelope = self._error_envelope(
-                        type(error).__name__, str(error))
-                if envelope["ok"]:
-                    outcomes[spec.content_hash()] = \
-                        self._finish_success(spec, envelope,
-                                             attempt)
-                    continue
-                resolve_failure(spec, attempt, failures, started,
-                                last_delay, envelope)
+                job = pending.pop(future, None)
+                # None: a pool break earlier in this batch already
+                # resubmitted the job on the fresh substrate.
+                if job is not None:
+                    settle(future, job)
             # Deadline sweep: an attempt that outlived both the
             # in-worker enforcement and the sweep margin is wedged
-            # below Python (C-level blocking); abandon its future
-            # -- the worker keeps its slot until it returns, but
-            # the job itself fails fast through the normal retry
-            # path instead of stalling the sweep forever.
+            # below Python (C-level blocking).  Abandon it without
+            # waiting on its worker: the job fails fast through the
+            # normal retry path instead of stalling the sweep.
             for future in overdue_futures(pending, deadlines,
                                           time.monotonic()):
-                spec, attempt, failures, started, last_delay = \
-                    pending.pop(future)
-                deadlines.pop(future, None)
-                future.cancel()
-                self.metrics.swept += 1
-                resolve_failure(spec, attempt, failures, started,
-                                last_delay, self._error_envelope(
-                                    "JobTimeout",
-                                    f"job missed its "
-                                    f"{self.timeout:g}s "
-                                    f"deadline (pool sweep)",
-                                    wall_time=(time.monotonic()
-                                               - started)))
+                job = pending.pop(future, None)
+                if job is not None:
+                    self.metrics.swept += 1
+                    settle(future, job)

@@ -20,13 +20,15 @@
 
 Execution path: a claimed job's ``(kind, params)`` resolve to a
 content-hashed spec (:func:`~repro.runner.jobs.build_job_spec`), the
-spec runs through the runner's :func:`~repro.runner.jobs.invoke`
-envelope on the backend (same in-worker timeout and structured-failure
-semantics as a ``repro bench`` sweep), and the artifact lands in the
-cache before the job's terminal transition is journaled.  That
-write-artifact-then-journal order is what makes crash recovery safe:
-a job requeued after a crash either finds its artifact already cached
-(instant completion) or recomputes the same bytes.
+spec's one attempt goes through the runner's
+:func:`~repro.runner.pool.submit_attempt` and
+:func:`~repro.runner.pool.attempt_envelope` (the same
+:func:`~repro.runner.jobs.invoke` envelope, in-worker timeout,
+deadline sweep and pool rebuild as a ``repro bench`` sweep), and the
+artifact lands in the cache before the job's terminal transition is
+journaled.  That write-artifact-then-journal order is what makes crash
+recovery safe: a job requeued after a crash either finds its artifact
+already cached (instant completion) or recomputes the same bytes.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ConfigurationError
 from repro.guard.limits import Budgets
@@ -43,12 +43,10 @@ from repro.runner import jobs as jobs_module
 from repro.runner.cache import ResultCache, encode_artifact
 from repro.runner.executors import (
     ExecutorBackend,
-    InlineBackend,
-    ProcessPoolBackend,
     RemoteWorkerBackend,
     resolve_backend,
 )
-from repro.runner.pool import sweep_deadline
+from repro.runner.pool import attempt_envelope, submit_attempt
 from repro.serve.admission import (
     DEFAULT_CAPACITY,
     DEFAULT_TENANT_QUOTA,
@@ -116,31 +114,19 @@ class ReproService:
         self.lease_ttl = max(0.1, float(lease_ttl))
         self.max_lease_expiries = max(1, int(max_lease_expiries))
         self._owns_backend = not isinstance(executor, ExecutorBackend)
-        if executor is None and self.jobs > 1 or \
-                executor in ("process", "remote"):
-            # The service host is threaded (asyncio loop + to_thread
-            # workers), and a plain fork from a threaded process can
-            # deadlock the child on locks frozen mid-operation.
-            # forkserver forks workers from a clean single-threaded
-            # broker instead (and unlike spawn needs no __main__
-            # re-import); where unavailable the platform default is
-            # already spawn.
-            method = ("forkserver" if "forkserver" in
-                      multiprocessing.get_all_start_methods() else None)
-            local: ExecutorBackend = (
-                ProcessPoolBackend(max_workers=self.jobs,
-                                   mp_start_method=method)
-                if self.jobs > 1 or executor == "process"
-                else InlineBackend())
-            if executor == "remote":
-                # Fleet mode: remote workers pull jobs over HTTP; the
-                # local pool is the graceful-degradation fallback.
-                self.backend: ExecutorBackend = RemoteWorkerBackend(
-                    fallback=local, window=degraded_after)
-            else:
-                self.backend = local
-        else:
-            self.backend = resolve_backend(executor, self.jobs)
+        # The service host is threaded (asyncio loop + to_thread
+        # workers), and a plain fork from a threaded process can
+        # deadlock the child on locks frozen mid-operation.
+        # forkserver forks workers from a clean single-threaded broker
+        # instead (and unlike spawn needs no __main__ re-import); where
+        # unavailable the platform default is already spawn.  In fleet
+        # mode remote workers pull jobs over HTTP, and the local
+        # backend is the graceful-degradation fallback.
+        method = ("forkserver" if "forkserver" in
+                  multiprocessing.get_all_start_methods() else None)
+        self.backend = resolve_backend(executor, self.jobs,
+                                       mp_start_method=method,
+                                       window=degraded_after)
         #: Degradation edge detector: None = never evaluated yet.
         self._was_degraded: bool | None = None
         self.admission = AdmissionController(
@@ -265,13 +251,15 @@ class ReproService:
         if job.started_at and job.submitted_at:
             self._queue_wait.observe(
                 max(0.0, job.started_at - job.submitted_at))
-        timeout = self.admission.job_timeout
-        envelope = None
         try:
-            # Inside the try: a journaled job whose spec no longer
-            # builds (a retired kind or param) fails like any other
-            # job instead of escaping the worker loop on every restart.
             spec = self._spec_for(job)
+        except ConfigurationError as error:
+            # A journaled job whose spec no longer builds (a retired
+            # kind or param) fails like any other job instead of
+            # escaping the worker loop on every restart.
+            envelope = jobs_module.failure_envelope(
+                type(error).__name__, str(error))
+        else:
             cached = self.cache.load(spec)
             if cached is not None:
                 # A requeued job whose first life finished the work,
@@ -279,28 +267,13 @@ class ReproService:
                 envelope = {"ok": True, "artifact": cached,
                             "wall_time": 0.0, "from_cache": True}
             else:
-                future = self.backend.submit(
-                    jobs_module.invoke, self.job_fn, spec, timeout,
-                    str(self.cache.root), self.cache.salt)
-                deadline = sweep_deadline(timeout) if timeout else None
-                envelope = future.result(timeout=deadline)
-        except FutureTimeout:
-            future.cancel()
-            envelope = {
-                "ok": False, "error_type": "JobTimeout",
-                "message": f"job missed its {timeout:g}s deadline "
-                           f"(serve sweep)",
-                "wall_time": timeout or 0.0}
-        except BrokenProcessPool:
-            self.backend.restart(self.jobs)
-            envelope = {
-                "ok": False, "error_type": "BrokenProcessPool",
-                "message": "worker process died mid-job",
-                "wall_time": 0.0}
-        except BaseException as error:  # noqa: BLE001 -- terminal state
-            envelope = {
-                "ok": False, "error_type": type(error).__name__,
-                "message": str(error), "wall_time": 0.0}
+                timeout = self.admission.job_timeout
+                submitted = time.monotonic()
+                future = submit_attempt(self.backend, self.job_fn, spec,
+                                        timeout, self.cache)
+                envelope = attempt_envelope(
+                    future, timeout, submitted,
+                    lambda: self.backend.restart(self.jobs))
         if envelope["ok"]:
             artifact = envelope["artifact"]
             if not envelope.get("from_cache"):

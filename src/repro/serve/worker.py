@@ -71,14 +71,6 @@ def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _failure(error_type: str, message: str,
-             wall_time: float = 0.0) -> dict:
-    """A failure envelope for a job the worker could not run or
-    return; :func:`~repro.runner.jobs.invoke` builds the job's own."""
-    return {"ok": False, "error_type": error_type, "message": message,
-            "wall_time": wall_time}
-
-
 def _abort_thread(thread: threading.Thread, exception: type) -> None:
     """Asynchronously raise ``exception`` in ``thread`` (the same
     ``PyThreadState_SetAsyncExc`` mechanism as the guard's watchdog
@@ -212,8 +204,8 @@ class ServeWorker:
         except ConfigurationError as error:
             # A journaled job this version cannot build (a retired
             # kind or param): fail it rather than exit the worker.
-            self._upload(job, lease_id,
-                         _failure("ConfigurationError", str(error)))
+            self._upload(job, lease_id, jobs_module.failure_envelope(
+                "ConfigurationError", str(error)))
             return
         box: dict = {}
 
@@ -242,8 +234,8 @@ class ServeWorker:
             return
         envelope = box.get("envelope")
         if envelope is None:  # executor died without an envelope
-            envelope = _failure("WorkerError", "execution thread "
-                                "produced no envelope")
+            envelope = jobs_module.failure_envelope(
+                "WorkerError", "execution thread produced no envelope")
         self._upload(job, lease_id, envelope)
 
     def _heartbeat_until_done(self, thread, job, lease_id,
@@ -258,10 +250,6 @@ class ServeWorker:
             thread.join(timeout=self._interval_for(lease))
             if not thread.is_alive():
                 return True
-            if self._stop.is_set():
-                # Finish-then-exit: keep the lease alive; the loop
-                # exits after this job uploads.
-                pass
             try:
                 reply = self._call(
                     "heartbeat", lambda: self.client.heartbeat(
@@ -296,7 +284,7 @@ class ServeWorker:
             if error.status == 413 and envelope.get("ok"):
                 # Over the server's upload cap: fail the job with the
                 # reason rather than leave its lease to expire.
-                self._upload(job, lease_id, _failure(
+                self._upload(job, lease_id, jobs_module.failure_envelope(
                     "ArtifactTooLarge",
                     f"artifact upload refused: {error}",
                     envelope.get("wall_time", 0.0)))

@@ -669,6 +669,27 @@ class TestRunnerDeadlines:
         assert runner.metrics.swept == 2
 
 
+def _short_job(spec, cache=None):
+    time.sleep(0.3)
+    return {"schema": 1}
+
+
+class TestQueuedAttemptBudget:
+    def test_queued_attempts_keep_their_budget(self):
+        # Fourteen healthy 0.3 s jobs on two workers: each attempt's
+        # sweep deadline (1.5 s) starts when it gets a worker, so none
+        # spends it waiting behind the others.
+        specs = [RunSpec.record("fft", ExecutionMode.ORDER_ONLY,
+                                scale=0.05, seed=seed)
+                 for seed in range(40, 54)]
+        runner = Runner(jobs=2, cache=False, timeout=0.5,
+                        retry=RetryPolicy(max_attempts=1),
+                        job_fn=_short_job)
+        outcomes = runner.run(specs)
+        assert [outcome.ok for outcome in outcomes] == [True] * 14
+        assert runner.metrics.swept == 0
+
+
 class TestWatchdogTimer:
     class Boom(Exception):
         pass

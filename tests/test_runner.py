@@ -442,6 +442,63 @@ class TestRunnerSuccess:
         assert runner.metrics.done == 3
 
 
+def _stub_artifact(spec, **metrics) -> dict:
+    return {"schema": 1, "kind": spec.kind, "spec": spec.canonical(),
+            "spec_hash": spec.content_hash(), "metrics": metrics}
+
+
+def _stub_job(spec, cache):
+    return _stub_artifact(spec)
+
+
+def _pid_job(spec, cache):
+    time.sleep(0.5)
+    return _stub_artifact(spec, pid=os.getpid())
+
+
+class _Order(Reporter):
+    def __init__(self):
+        self.events = []
+
+    def on_job_start(self, spec, attempt):
+        self.events.append(("start", spec.content_hash()))
+
+    def on_job_done(self, spec, *, from_cache, wall_time, metrics):
+        self.events.append(("done", spec.content_hash()))
+
+
+class TestRunnerSlots:
+    def test_inline_sweep_finishes_each_job_before_the_next(
+            self, tmp_path):
+        events = _Order()
+        specs = [record_spec(seed=seed) for seed in (21, 22, 23)]
+        runner = Runner(jobs=1, cache=fresh_cache(tmp_path),
+                        reporter=events, job_fn=_stub_job)
+        assert all(outcome.ok for outcome in runner.run(specs))
+        assert events.events == [
+            (event, spec.content_hash())
+            for spec in specs for event in ("start", "done")]
+
+    def test_later_waves_get_the_full_width(self, tmp_path):
+        # Wave 1 has two misses (two of the four recordings are
+        # cached); wave 2's four replays still get four workers.
+        cache = fresh_cache(tmp_path)
+        replays = [RunSpec.replay("fft", ExecutionMode.ORDER_ONLY,
+                                  scale=SCALE, seed=seed)
+                   for seed in (11, 12, 13, 14)]
+        for replay in replays[:2]:
+            cache.store(replay.record_spec(),
+                        _stub_artifact(replay.record_spec()))
+        runner = Runner(jobs=4, cache=cache, job_fn=_pid_job)
+        outcomes = runner.run(replays)
+        # Wave 1: two hits, two misses; wave 2: four misses.
+        assert (runner.metrics.cache_hits,
+                runner.metrics.cache_misses) == (2, 6)
+        pids = {outcome.artifact["metrics"]["pid"]
+                for outcome in outcomes}
+        assert len(pids) == 4
+
+
 # -- runner: failure paths -------------------------------------------
 
 _COUNTER = "attempts.count"

@@ -2,20 +2,27 @@
 
 Jobs here run through an injected ``job_fn`` on the inline backend,
 so the tests exercise the queue/cache/admission/telemetry plumbing
-without paying for real simulations.  The HTTP layer has its own
-test module; real end-to-end jobs run there.
+without paying for real simulations.  ``TestPooledAttempts`` injects
+a one-worker process pool instead, for the dead-worker and
+deadline-sweep paths.  The HTTP layer has its own test module; real
+end-to-end jobs run there.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.guard.limits import Budgets
 from repro.runner import ResultCache
+from repro.runner.executors import ProcessPoolBackend, RemoteWorkerBackend
 from repro.runner.jobs import build_job_spec
 from repro.serve.queue import JobQueue
 from repro.serve.service import ReproService
@@ -330,3 +337,96 @@ class TestStats:
         assert stats["metrics"]["serve_served"] == 1
         assert stats["metrics"]["serve_latency_seconds.count"] == 1
         service.close()
+
+
+def exiting_job(spec, cache=None):
+    if spec.seed == 1:
+        os._exit(13)  # hard worker death
+    return fake_job(spec, cache)
+
+
+def stubborn_job(spec, cache=None):
+    # Defeats the in-worker SIGALRM and sleeps in C: only the deadline
+    # sweep can end the attempt.
+    if hasattr(signal, "SIGALRM"):
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    time.sleep(2.0)
+    return fake_job(spec, cache)
+
+
+class TestPooledAttempts:
+    def test_dead_worker_fails_the_job_and_the_pool_is_rebuilt(
+            self, tmp_path):
+        backend = ProcessPoolBackend(max_workers=1)
+        service = make_service(tmp_path, executor=backend,
+                               job_fn=exiting_job)
+        try:
+            doomed, _ = service.submit("record", {"seed": 1})
+            healthy, _ = service.submit("record", {"seed": 2})
+            assert service.run_until_idle() == 2
+            final = service.queue.get(doomed.id)
+            assert final.state == "failed"
+            assert final.error == "BrokenProcessPool: worker process died"
+            assert service.queue.get(healthy.id).state == "done"
+        finally:
+            service.close()
+            backend.shutdown()
+
+    def test_pool_broken_between_jobs_is_rebuilt(self, tmp_path):
+        backend = ProcessPoolBackend(max_workers=1)
+        service = make_service(tmp_path, executor=backend)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                backend.submit(os._exit, 13).result(timeout=60)
+            first, _ = service.submit("record", {"seed": 1})
+            second, _ = service.submit("record", {"seed": 2})
+            assert service.run_until_idle() == 2
+            assert service.queue.get(first.id).error == \
+                "BrokenProcessPool: worker process died"
+            assert service.queue.get(second.id).state == "done"
+        finally:
+            service.close()
+            backend.shutdown()
+
+    def test_wedged_job_is_swept_at_its_deadline(self, tmp_path):
+        backend = ProcessPoolBackend(max_workers=1)
+        service = make_service(tmp_path, executor=backend,
+                               job_fn=stubborn_job,
+                               budgets=Budgets(deadline_seconds=0.2))
+        try:
+            job, _ = service.submit("record", {"seed": 1})
+            assert service.run_until_idle() == 1
+            final = service.queue.get(job.id)
+            assert final.state == "failed"
+            assert final.error == ("JobTimeout: job missed its 0.2s "
+                                   "deadline (pool sweep)")
+        finally:
+            service.close()
+            backend.shutdown()
+
+
+FORKSERVER = ("forkserver" if "forkserver" in
+              multiprocessing.get_all_start_methods() else None)
+
+
+class TestBackendFactory:
+    def test_process_pool_forks_from_a_server(self, tmp_path):
+        service = make_service(tmp_path, executor="process")
+        try:
+            assert isinstance(service.backend, ProcessPoolBackend)
+            assert service.backend.mp_start_method == FORKSERVER
+        finally:
+            service.close()
+
+    def test_remote_fleet_falls_back_to_such_a_pool(self, tmp_path):
+        service = make_service(tmp_path, executor="remote", jobs=2,
+                               degraded_after=3.5)
+        try:
+            fleet = service.backend
+            assert isinstance(fleet, RemoteWorkerBackend)
+            assert fleet.window == 3.5
+            assert isinstance(fleet.fallback, ProcessPoolBackend)
+            assert fleet.fallback.max_workers == 2
+            assert fleet.fallback.mp_start_method == FORKSERVER
+        finally:
+            service.close()
