@@ -6,9 +6,10 @@ before n and re-executes forward.  The index merges two sources of
 checkpoints -- those taken during the *recording* (Appendix B interval
 checkpoints shipped inside the artifact) and those the debugger takes
 itself while replaying forward (every ``interval`` commits, via
-:meth:`SystemCheckpoint.capture_committed`).  Either way a checkpoint
-is an :class:`~repro.core.interval.IntervalCheckpoint`, because that is
-what ``build_replay_machine(start_checkpoint=...)`` consumes.
+:meth:`~repro.machine.system.ChunkMachine.checkpoint`).  Either way a
+checkpoint is an :class:`~repro.core.interval.IntervalCheckpoint`,
+because that is what ``build_replay_machine(start_checkpoint=...)``
+consumes.
 
 With checkpoints every k commits, ``goto n`` re-executes at most k - 1
 commits -- O(N / k) of the recording for the farthest jump after one

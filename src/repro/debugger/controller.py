@@ -30,7 +30,6 @@ from repro.core.recorder import Recording
 from repro.debugger.breakpoints import BreakpointTable
 from repro.debugger.checkpoints import CheckpointIndex
 from repro.errors import ConfigurationError, ReplayDivergenceError
-from repro.machine.checkpoint import SystemCheckpoint
 from repro.machine.system import MachineObserver, build_replay_machine
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 
@@ -299,11 +298,10 @@ class ReplayController:
         """Index a restore point at this boundary, unless a split
         logical chunk has committed only some of its pieces."""
         try:
-            snapshot = SystemCheckpoint.capture_committed(
-                self._machine, label=f"debug-gcc{gcc}")
+            snapshot = self._machine.checkpoint(label=f"debug-gcc{gcc}")
         except ConfigurationError:
             return
-        self.checkpoints.add(snapshot.to_interval())
+        self.checkpoints.add(snapshot)
 
     def _run(self) -> StopInfo:
         """Run the machine until the observer pauses it or the replay

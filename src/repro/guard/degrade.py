@@ -60,17 +60,18 @@ def safer_mode(mode: ExecutionMode) -> ExecutionMode | None:
 class SegmentBoundary:
     """The committed architectural state where a segment was cut.
 
-    Captured at a quiescent chunk boundary: the committed memory image,
-    each thread's committed state, any interrupt handlers that were
-    delivered but not yet committed (they re-inject at the start of the
-    next segment), and the still-unconsumed external-event streams with
-    times rebased to the new segment's t=0.
+    Captured at a quiescent chunk boundary: the committed state as the
+    next segment's commit-index-0 ``start_checkpoint`` (because segment
+    numbering is fresh, replaying a segment is exactly interval replay
+    of I(0, m)), any interrupt handlers that were delivered but not yet
+    committed (they re-inject at the start of the next segment), and
+    the still-unconsumed external-event streams with times rebased to
+    the new segment's t=0.
     """
 
     cycle: float
     gcc: int
-    memory_image: dict[int, int]
-    thread_states: dict
+    start_checkpoint: IntervalCheckpoint
     pending_handlers: dict[int, list]
     interrupts_remaining: list
     dma_remaining: list
@@ -80,10 +81,11 @@ def capture_boundary(machine) -> SegmentBoundary:
     """Snapshot a recording machine's committed state at a quiescent
     chunk boundary, for restarting the remainder as a new segment.
 
-    Speculative in-flight chunks are rolled back by construction (we
-    take each processor's committed boundary state); their work simply
-    re-executes in the next segment.  Handlers trapped in speculative
-    chunks are requeued, exactly as a squash would requeue them.
+    Speculative in-flight chunks are rolled back by construction (the
+    checkpoint holds each processor's committed boundary state); their
+    work simply re-executes in the next segment.  Handlers trapped in
+    speculative chunks are requeued, exactly as a squash would requeue
+    them, as record-time events the next segment injects at once.
     """
     if machine.recorder is None:
         raise ConfigurationError(
@@ -92,10 +94,9 @@ def capture_boundary(machine) -> SegmentBoundary:
         raise ConfigurationError(
             "capture_boundary requires a quiescent commit boundary")
     now = machine.engine.now
-    thread_states = {}
+    gcc = machine.commit_count
     pending_handlers: dict[int, list] = {}
     for proc in machine.processors:
-        thread_states[proc.proc_id] = proc.committed_state.snapshot()
         carried = []
         for chunk in proc.outstanding:
             if chunk.is_handler and chunk.piece_index == 0:
@@ -103,8 +104,14 @@ def capture_boundary(machine) -> SegmentBoundary:
         carried.extend(proc.pending_handlers)
         if carried:
             pending_handlers[proc.proc_id] = [
-                replace(event, time=0.0, replay_chunk_id=None)
+                replace(event, time=0.0, replay_chunk_id=0)
                 for event in carried]
+    procs = [proc.proc_id for proc in machine.processors]
+    start_checkpoint = replace(
+        machine.checkpoint(), commit_index=0,
+        committed_counts=dict.fromkeys(procs, 0),
+        io_consumed=dict.fromkeys(procs, 0), dma_consumed=0,
+        label=f"segment@gcc{gcc}")
 
     interrupts = [
         replace(event, time=max(0.0, event.time - now))
@@ -116,9 +123,8 @@ def capture_boundary(machine) -> SegmentBoundary:
            for t in arrivals[committed_dma:]]
     return SegmentBoundary(
         cycle=now,
-        gcc=machine.commit_count,
-        memory_image=machine.memory.snapshot(),
-        thread_states=thread_states,
+        gcc=gcc,
+        start_checkpoint=start_checkpoint,
         pending_handlers=pending_handlers,
         interrupts_remaining=interrupts,
         dma_remaining=dma,
@@ -136,30 +142,10 @@ def derive_segment_program(program: Program,
     return Program(
         threads=program.threads,
         name=f"{program.name}@gcc{boundary.gcc}",
-        initial_memory=boundary.memory_image,
+        initial_memory=boundary.start_checkpoint.memory_image,
         interrupts=boundary.interrupts_remaining,
         dma_transfers=boundary.dma_remaining,
         io_seed=program.io_seed,
-    )
-
-
-def segment_start_checkpoint(boundary: SegmentBoundary,
-                             num_processors: int) -> IntervalCheckpoint:
-    """The boundary as a commit-index-0 interval checkpoint.
-
-    Because segment numbering is fresh, replaying a segment is exactly
-    interval replay of I(0, m): restore the boundary state, consume the
-    segment's logs from their start.  The unmodified
-    :func:`~repro.machine.system.replay_execution` handles it.
-    """
-    return IntervalCheckpoint(
-        commit_index=0,
-        memory_image=dict(boundary.memory_image),
-        thread_states=dict(boundary.thread_states),
-        committed_counts={p: 0 for p in range(num_processors)},
-        io_consumed={p: 0 for p in range(num_processors)},
-        dma_consumed=0,
-        label=f"segment@gcc{boundary.gcc}",
     )
 
 
@@ -174,7 +160,8 @@ def build_segment_record_machine(
     tracer=None,
 ) -> tuple[ChunkMachine, Program]:
     """A fresh recording machine resuming from ``boundary`` in
-    ``mode`` (not yet started)."""
+    ``mode`` (not yet started): the machine restores the boundary's
+    start checkpoint, and the carried handlers queue for injection."""
     seg_mode_config = mode_config or preferred_config(mode)
     seg_machine_config = replace(
         machine_config,
@@ -184,13 +171,10 @@ def build_segment_record_machine(
         seg_program, seg_machine_config, seg_mode_config,
         stochastic_overflow_rate=stochastic_overflow_rate,
         checkpoint_every=checkpoint_every,
+        start_checkpoint=boundary.start_checkpoint,
         tracer=tracer)
-    for proc in machine.processors:
-        state = boundary.thread_states.get(proc.proc_id)
-        if state is not None:
-            proc.spec_state.restore(state)
-        for event in boundary.pending_handlers.get(proc.proc_id, []):
-            proc.pending_handlers.append(event)
+    for proc_id, events in boundary.pending_handlers.items():
+        machine.processors[proc_id].pending_handlers.extend(events)
     return machine, seg_program
 
 
@@ -383,5 +367,4 @@ __all__ = [
     "replay_stitched",
     "safer_mode",
     "save_segmented",
-    "segment_start_checkpoint",
 ]

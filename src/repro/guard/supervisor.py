@@ -46,7 +46,6 @@ from repro.guard.degrade import (
     capture_boundary,
     replay_stitched,
     safer_mode,
-    segment_start_checkpoint,
 )
 from repro.guard.journal import RecordingJournal
 from repro.guard.limits import BudgetMeter, Budgets
@@ -235,16 +234,18 @@ def _close_journal(journal: RecordingJournal | None,
     }
 
 
-def _verify_segment(recording: Recording,
+def _verify_segment(recording: Recording, start_checkpoint,
                     stop_after: int) -> tuple[bool, str]:
-    """Replay-verify one segment; separable so tests can force
-    divergence.  ``stop_after`` is 0 for a complete segment and the
-    commit count for a cut one."""
+    """Replay-verify one segment from its start checkpoint (``None``
+    for the first segment); separable so tests can force divergence.
+    ``stop_after`` is 0 for a complete segment and the commit count
+    for a cut one."""
     from repro.machine.system import replay_execution
 
     try:
         result = replay_execution(
-            recording, use_strata=False, stop_after=stop_after)
+            recording, use_strata=False,
+            start_checkpoint=start_checkpoint, stop_after=stop_after)
     except (ReplayDivergenceError, DeadlockError,
             IntegrityError) as error:
         return False, f"{type(error).__name__}: {error}"
@@ -344,8 +345,7 @@ def supervise_record(
                 stochastic_overflow_rate=stochastic_overflow_rate,
                 checkpoint_every=checkpoint_every,
                 tracer=tracer)
-            seg_checkpoint = segment_start_checkpoint(
-                boundary, machine.config.num_processors)
+            seg_checkpoint = boundary.start_checkpoint
 
         watchdog = Watchdog(machine, watchdog_config)
         meter = BudgetMeter(budgets)
@@ -394,7 +394,8 @@ def supervise_record(
         journal_info = _close_journal(journal, machine)
 
         if verify_segments:
-            matches, detail = _verify_segment(recording, stop_after=0)
+            matches, detail = _verify_segment(
+                recording, seg_checkpoint, stop_after=0)
             if not matches:
                 verify_failures += 1
                 next_mode = safer_mode(current_config.mode)

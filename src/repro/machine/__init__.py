@@ -5,9 +5,10 @@ model the processors interpret (:mod:`~repro.machine.program`), the
 deterministic discrete-event engine (:mod:`~repro.machine.engine`), flat
 value memory with a DMA engine (:mod:`~repro.machine.memory`), the
 timing model (:mod:`~repro.machine.timing`), external events
-(:mod:`~repro.machine.events`), system checkpointing
-(:mod:`~repro.machine.checkpoint`), and the top-level CMP
-(:mod:`~repro.machine.system`).
+(:mod:`~repro.machine.events`), and the top-level CMP
+(:mod:`~repro.machine.system`), whose
+:meth:`~repro.machine.system.ChunkMachine.checkpoint` captures the
+committed state as an :class:`~repro.core.interval.IntervalCheckpoint`.
 """
 
 from repro.machine.program import (

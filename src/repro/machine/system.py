@@ -279,8 +279,9 @@ class ChunkMachine:
         #: :class:`MachineObserver` clients of :meth:`run`, notified in
         #: list order.
         self.observers: list[MachineObserver] = []
-        # Interval replay (Appendix B): restore the checkpointed
-        # committed state once everything else is wired.
+        # Interval replay (Appendix B), or a degraded segment's start:
+        # restore the checkpointed committed state once everything
+        # else is wired.
         if start_checkpoint is not None:
             self._restore_interval_checkpoint(start_checkpoint)
 
@@ -412,10 +413,17 @@ class ChunkMachine:
 
     def _restore_interval_checkpoint(
             self, checkpoint: IntervalCheckpoint) -> None:
-        """Load a mid-recording committed state (replay phase)."""
-        if not self.is_replay:
+        """Load a checkpoint's committed state into this fresh machine.
+
+        The one restore path.  A replay machine resumes at any GCC.  A
+        recording machine takes only a commit-index-0 checkpoint (a
+        degraded segment's start): its logs number from zero, so no
+        recorded prefix could precede the checkpoint.
+        """
+        if not self.is_replay and checkpoint.commit_index:
             raise ConfigurationError(
-                "interval checkpoints restore only into replay machines")
+                "a recording machine starts only from a "
+                "commit-index-0 checkpoint")
         self.memory.restore(checkpoint.memory_image)
         for proc in self.processors:
             state = checkpoint.thread_states.get(proc.proc_id)
@@ -456,8 +464,39 @@ class ChunkMachine:
         if (self.recorder is None or not self._checkpoint_every
                 or len(self._fingerprints) % self._checkpoint_every):
             return
-        self.interval_checkpoints.add(IntervalCheckpoint(
-            commit_index=len(self._fingerprints),
+        self.interval_checkpoints.add(self.checkpoint())
+
+    def checkpoint(self, label: str = "") -> IntervalCheckpoint:
+        """The committed architectural state at this global commit
+        boundary, as an interval checkpoint (label ``gcc<n>`` unless
+        given).
+
+        Speculation may be in flight: each processor contributes its
+        :attr:`~ChunkProcessor.committed_state`, and committed memory
+        is exact because speculative stores stay in per-chunk write
+        buffers until commit.  The log cursors come from the recorder
+        or, in replay, from the replay source; the GCC counts from the
+        start checkpoint's.  Between the pieces of a split logical
+        chunk there is no commit boundary to capture, so that raises
+        :class:`ConfigurationError`.
+        """
+        if self.arbiter.has_reservation or self._piece_accum:
+            raise ConfigurationError(
+                "cannot checkpoint between the pieces of a split chunk")
+        if self.is_replay:
+            cursors = self.replay_source.cursors()
+            io_consumed = cursors["io"]
+            dma_consumed = cursors["dma"]
+        else:
+            io_consumed = {
+                proc: len(log)
+                for proc, log in self.recorder.io_logs.items()}
+            dma_consumed = len(self.recorder.dma_log.entries)
+        commit_index = len(self._fingerprints)
+        if self.start_checkpoint is not None:
+            commit_index += self.start_checkpoint.commit_index
+        return IntervalCheckpoint(
+            commit_index=commit_index,
             memory_image=self.memory.snapshot(),
             thread_states={
                 proc.proc_id: proc.committed_state.snapshot()
@@ -465,12 +504,10 @@ class ChunkMachine:
             committed_counts={
                 proc.proc_id: proc.committed_count
                 for proc in self.processors},
-            io_consumed={
-                proc: len(log)
-                for proc, log in self.recorder.io_logs.items()},
-            dma_consumed=len(self.recorder.dma_log.entries),
-            label=f"gcc{len(self._fingerprints)}",
-        ))
+            io_consumed=io_consumed,
+            dma_consumed=dma_consumed,
+            label=label or f"gcc{commit_index}",
+        )
 
     @property
     def _arbitration_roundtrip(self) -> float:

@@ -432,9 +432,10 @@ def invoke(job_fn, spec: RunSpec, timeout: float | None,
     per-job timeout and map every outcome to a picklable envelope.
 
     Returns ``{"ok": True, "artifact": ..., "wall_time": ...}`` or a
-    :func:`failure_envelope`.  Never raises: exceptions (and their
-    tracebacks) travel as data so an exotic unpicklable error cannot
-    wedge the executor.
+    :func:`failure_envelope`.  Exceptions (and their tracebacks) travel
+    as data so an exotic unpicklable error cannot wedge the executor;
+    only a ``KeyboardInterrupt`` or ``SystemExit`` propagates, so a
+    Ctrl-C stops an inline sweep instead of becoming a retried attempt.
     """
     from repro.runner.cache import ResultCache
 
@@ -468,7 +469,7 @@ def invoke(job_fn, spec: RunSpec, timeout: float | None,
         return failure_envelope(
             "JobTimeout", f"job exceeded its {timeout:g}s budget",
             time.perf_counter() - started)
-    except BaseException as error:  # noqa: BLE001 -- envelope, not loss
+    except Exception as error:  # noqa: BLE001 -- envelope, not loss
         return failure_envelope(
             type(error).__name__, str(error),
             time.perf_counter() - started, traceback.format_exc())

@@ -1,4 +1,7 @@
-"""Tests for system checkpointing."""
+"""Tests for ChunkMachine.checkpoint, the one committed-state capture,
+and the one restore behind ``start_checkpoint``."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -6,29 +9,33 @@ from conftest import counter_program, small_config
 
 from repro.core.modes import ExecutionMode, preferred_config
 from repro.errors import ConfigurationError
-from repro.machine.checkpoint import CheckpointStore, SystemCheckpoint
 from repro.machine.system import ChunkMachine
 
 
-def fresh_machine(program):
+def fresh_machine(program, **kwargs):
     config = small_config()
     mode = preferred_config(ExecutionMode.ORDER_ONLY).with_chunk_size(
         config.standard_chunk_size)
-    return ChunkMachine(program, config, mode)
+    return ChunkMachine(program, config, mode, **kwargs)
 
 
 class TestInitialCheckpoint:
     def test_initial_matches_program(self):
         program = counter_program(2, 5)
-        checkpoint = SystemCheckpoint.initial(program)
-        assert checkpoint.global_commit_count == 0
-        assert checkpoint.memory_image == program.initial_memory
-        assert set(checkpoint.thread_states) == {0, 1}
+        machine = fresh_machine(program)
+        checkpoint = machine.checkpoint()
+        assert checkpoint.commit_index == 0
+        assert checkpoint.label == "gcc0"
+        assert checkpoint.memory_image == dict(program.initial_memory)
+        assert set(checkpoint.thread_states) == {
+            proc.proc_id for proc in machine.processors}
+        assert not any(checkpoint.committed_counts.values())
+        assert checkpoint.dma_consumed == 0
 
     def test_empty_thread_marked_finished(self):
         from repro.machine.program import Program, Op, OpKind
         program = Program(threads=[[Op(OpKind.COMPUTE, count=1)], []])
-        checkpoint = SystemCheckpoint.initial(program)
+        checkpoint = fresh_machine(program).checkpoint()
         assert not checkpoint.thread_states[0].finished
         assert checkpoint.thread_states[1].finished
 
@@ -37,50 +44,42 @@ class TestCaptureRestore:
     def test_capture_after_run(self):
         program = counter_program(2, 8)
         machine = fresh_machine(program)
-        machine.run()
-        checkpoint = SystemCheckpoint.capture(machine, label="end")
-        assert checkpoint.global_commit_count > 0
-        assert checkpoint.matches_state(
-            machine.memory.snapshot(),
-            {p.proc_id: p.spec_state for p in machine.processors})
+        result = machine.run()
+        checkpoint = machine.checkpoint(label="end")
+        assert checkpoint.commit_index == len(result.fingerprints) > 0
+        assert checkpoint.label == "end"
+        assert checkpoint.memory_image == machine.memory.snapshot()
+        for proc in machine.processors:
+            state = checkpoint.thread_states[proc.proc_id]
+            assert (state.architectural_key()
+                    == proc.spec_state.architectural_key())
+            assert (checkpoint.committed_counts[proc.proc_id]
+                    == proc.committed_count)
 
-    def test_capture_rejects_speculative_state(self):
-        program = counter_program(2, 8)
-        machine = fresh_machine(program)
-        machine.processors[0].build_chunk(
-            0.0, 16, memory=machine.memory)
-        with pytest.raises(ConfigurationError):
-            SystemCheckpoint.capture(machine)
+    def test_restore_into_fresh_replay_machine(self):
+        from repro.core.delorean import DeLoreanSystem
+        from repro.machine.system import build_replay_machine
 
-    def test_restore_into_fresh_machine(self):
-        program = counter_program(2, 8)
-        first = fresh_machine(program)
-        first.run()
-        checkpoint = SystemCheckpoint.capture(first)
-        second = fresh_machine(program)
-        checkpoint.restore_into(second)
-        assert second.memory.snapshot() == checkpoint.memory_image
-        for proc_id, state in checkpoint.thread_states.items():
-            assert (second.processors[proc_id].spec_state
-                    .architectural_key() == state.architectural_key())
-            assert (second.processors[proc_id].next_seq
-                    == checkpoint.committed_counts[proc_id] + 1)
-
-    def test_restore_rejects_used_machine(self):
-        program = counter_program(2, 8)
-        first = fresh_machine(program)
-        first.run()
-        checkpoint = SystemCheckpoint.capture(first)
-        with pytest.raises(ConfigurationError):
-            checkpoint.restore_into(first)
-
-    def test_matches_state_detects_differences(self):
-        program = counter_program(2, 5)
-        checkpoint = SystemCheckpoint.initial(program)
-        wrong = dict(program.initial_memory)
-        wrong[999999] = 1
-        assert not checkpoint.matches_state(
-            wrong, checkpoint.thread_states)
+        config = small_config()
+        system = DeLoreanSystem(mode=ExecutionMode.ORDER_ONLY,
+                                machine_config=config,
+                                chunk_size=config.standard_chunk_size)
+        program = counter_program(3, 20)
+        recording = system.record(program, checkpoint_every=8)
+        checkpoint = recording.interval_checkpoints.by_index(0)
+        assert checkpoint.commit_index == 8
+        # A restore that did nothing would leave the program's start.
+        assert checkpoint.memory_image != dict(program.initial_memory)
+        machine = build_replay_machine(
+            recording, use_strata=False, start_checkpoint=checkpoint)
+        assert machine.memory.snapshot() == checkpoint.memory_image
+        for proc in machine.processors:
+            state = checkpoint.thread_states[proc.proc_id]
+            assert (proc.spec_state.architectural_key()
+                    == state.architectural_key())
+            assert (proc.next_seq
+                    == checkpoint.committed_counts[proc.proc_id] + 1)
+        assert machine.arbiter.grant_count == checkpoint.processor_grants
 
 
 class TestMidExecutionCaptureDeterminism:
@@ -112,77 +111,110 @@ class TestMidExecutionCaptureDeterminism:
         assert target > 0
         controller = ReplayController(recording, checkpoint_every=0)
         controller.step(target)
-        snapshot = SystemCheckpoint.capture_committed(
-            controller.machine, label="mid")
-        assert snapshot.global_commit_count == target
+        snapshot = controller.machine.checkpoint(label="mid")
+        assert snapshot.commit_index == target
+        assert snapshot.label == "mid"
 
         machine = build_replay_machine(
-            recording, use_strata=False,
-            start_checkpoint=snapshot.to_interval())
+            recording, use_strata=False, start_checkpoint=snapshot)
         result = machine.run()
         assert result.fingerprints == recording.fingerprints[target:]
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_quiescent_capture_at_end_round_trips(self, mode):
-        """capture() (the strict quiescent form) still works and now
-        carries the log cursors."""
-        from repro.core.delorean import DeLoreanSystem
+    def test_capture_at_replay_end_carries_the_log_cursors(self, mode):
         from repro.machine.system import build_replay_machine
 
         recording = self._record(mode)
         machine = build_replay_machine(recording, use_strata=False)
         machine.run()
-        checkpoint = SystemCheckpoint.capture(machine, label="end")
-        assert checkpoint.global_commit_count \
-            == len(recording.fingerprints)
+        checkpoint = machine.checkpoint()
+        total = len(recording.fingerprints)
+        assert checkpoint.commit_index == total
+        assert checkpoint.label == f"gcc{total}"
         assert checkpoint.dma_consumed \
             == len(recording.dma_log.entries)
-        interval = checkpoint.to_interval()
-        back = SystemCheckpoint.from_interval(interval)
-        assert back.global_commit_count \
-            == checkpoint.global_commit_count
-        assert back.memory_image == checkpoint.memory_image
-        assert back.io_consumed == checkpoint.io_consumed
+        assert checkpoint.io_consumed == {
+            proc: len(log) for proc, log in recording.io_logs.items()}
+        assert checkpoint.memory_image == machine.memory.snapshot()
 
-    def test_capture_committed_tolerates_speculation(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_record_and_replay_captures_agree(self, mode):
+        """The recording machine's interval checkpoint at GCC = n and a
+        replay's capture at GCC = n are the same snapshot."""
+        from repro.core.delorean import DeLoreanSystem
+        from repro.debugger import ReplayController
+        from repro.workloads import commercial_program
+
+        recording = DeLoreanSystem(mode=mode).record(
+            commercial_program("sweb2005", scale=0.4, seed=3),
+            checkpoint_every=9)
+        assert len(recording.interval_checkpoints) > 2
+        controller = ReplayController(recording, checkpoint_every=0)
+        for recorded in recording.interval_checkpoints:
+            controller.step(recorded.commit_index - controller.gcc)
+            assert controller.machine.checkpoint() == recorded
+
+    def test_capture_counts_from_the_start_checkpoint(self):
+        """A machine resumed from GCC = n captures absolute GCCs and
+        log cursors: its end state equals the from-zero replay's."""
+        from repro.debugger import ReplayController
+        from repro.machine.system import build_replay_machine
+
+        recording = self._record(ExecutionMode.PICOLOG)
+        controller = ReplayController(recording, checkpoint_every=0)
+        controller.step(len(recording.fingerprints) // 2)
+        resumed = build_replay_machine(
+            recording, use_strata=False,
+            start_checkpoint=controller.machine.checkpoint())
+        resumed.run()
+        full = build_replay_machine(recording, use_strata=False)
+        full.run()
+        assert resumed.checkpoint() == full.checkpoint()
+
+    def test_capture_tolerates_speculation(self):
         program = counter_program(2, 8)
         machine = fresh_machine(program)
         machine.processors[0].build_chunk(
             0.0, 16, memory=machine.memory)
-        with pytest.raises(ConfigurationError):
-            SystemCheckpoint.capture(machine)
-        snapshot = SystemCheckpoint.capture_committed(machine)
-        assert snapshot.global_commit_count == 0
+        assert machine.processors[0].outstanding
+        snapshot = machine.checkpoint()
+        assert snapshot.commit_index == 0
         # The speculative chunk's state is not in the snapshot.
         assert snapshot.thread_states[0].op_index == 0
 
 
-class TestCheckpointStore:
-    def _checkpoint(self, gcc):
-        return SystemCheckpoint(
-            memory_image={}, thread_states={}, committed_counts={},
-            global_commit_count=gcc, label=f"gcc{gcc}")
+class TestRecordingMachineRestore:
+    """A degraded segment's recording machine starts from a
+    commit-index-0 checkpoint through the same restore as replay."""
 
-    def test_capacity_ring(self):
-        store = CheckpointStore(capacity=2)
-        for gcc in (1, 2, 3):
-            store.add(self._checkpoint(gcc))
-        assert len(store.checkpoints) == 2
-        assert store.latest().global_commit_count == 3
+    def _mid_checkpoint(self):
+        program = counter_program(2, 20)
+        machine = fresh_machine(program, checkpoint_every=5)
+        machine.run()
+        checkpoint = machine.interval_checkpoints.by_index(0)
+        assert checkpoint.commit_index == 5
+        return program, checkpoint
 
-    def test_before_commit_selects_newest_eligible(self):
-        store = CheckpointStore()
-        for gcc in (0, 10, 20):
-            store.add(self._checkpoint(gcc))
-        assert store.before_commit(15).global_commit_count == 10
-        assert store.before_commit(99).global_commit_count == 20
+    def test_restores_a_commit_index_zero_checkpoint(self):
+        program, checkpoint = self._mid_checkpoint()
+        zeros = dict.fromkeys(checkpoint.thread_states, 0)
+        start = replace(checkpoint, commit_index=0,
+                        committed_counts=zeros, io_consumed=zeros,
+                        dma_consumed=0)
+        # A restore that did nothing would leave the program's start.
+        assert start.memory_image != dict(program.initial_memory)
+        assert any(state.op_index
+                   for state in start.thread_states.values())
+        machine = fresh_machine(program, start_checkpoint=start)
+        assert machine.memory.snapshot() == start.memory_image
+        for proc in machine.processors:
+            state = start.thread_states[proc.proc_id]
+            assert (proc.spec_state.architectural_key()
+                    == state.architectural_key())
+            assert proc.committed_count == 0
+            assert proc.next_seq == 1
 
-    def test_before_commit_rejects_too_early(self):
-        store = CheckpointStore()
-        store.add(self._checkpoint(10))
-        with pytest.raises(ConfigurationError):
-            store.before_commit(5)
-
-    def test_latest_on_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CheckpointStore().latest()
+    def test_refuses_a_later_checkpoint(self):
+        program, checkpoint = self._mid_checkpoint()
+        with pytest.raises(ConfigurationError, match="commit-index-0"):
+            fresh_machine(program, start_checkpoint=checkpoint)

@@ -57,7 +57,7 @@ from repro.runner import jobs as jobs_module
 from repro.runner.pool import overdue_futures, sweep_deadline
 from repro.runner.retry import RetryPolicy
 from repro.telemetry.tracer import EventTracer
-from repro.workloads import splash2_program
+from repro.workloads import app_program, splash2_program
 from repro.workloads.stress import (
     racey_program,
     squash_livelock_program,
@@ -397,7 +397,7 @@ class TestDegradation:
                                                         monkeypatch):
         attempts = []
 
-        def forced_verify(recording, stop_after):
+        def forced_verify(recording, start_checkpoint, stop_after):
             attempts.append(recording.mode_config.mode)
             if recording.mode_config.mode is ExecutionMode.PICOLOG:
                 return False, "forced divergence"
@@ -417,6 +417,31 @@ class TestDegradation:
         # Two same-mode attempts before escalating.
         assert attempts.count(ExecutionMode.PICOLOG) == 2
         assert report.verification == {"matches": True}
+
+    def test_verified_degraded_segments_replay_from_their_checkpoints(
+            self):
+        """Each segment after a cut verifies from its start checkpoint,
+        not from GCC 0 (where its logs cannot be satisfied)."""
+        report = degraded_report(verify=True)
+        assert report.outcome == "degraded-completed"
+        assert report.modes == ["picolog", "order_only"]
+        assert report.verification["matches"]
+
+    def test_carried_interrupt_handlers_run_in_the_next_segment(self):
+        """Handlers delivered but uncommitted at a cut re-inject as
+        record-time events, so each runs exactly once across the
+        segments and its processor drains."""
+        program = app_program("sjbb2k", scale=0.2, seed=3)
+        report = supervise_record(
+            program, mode=ExecutionMode.PICOLOG,
+            budgets=Budgets(max_log_bytes_per_proc=40))
+        assert report.outcome == "degraded-completed"
+        assert len(report.segments) == 3
+        segments = report.segmented.segments
+        handlers = sum(len(log.entries) for seg in segments
+                       for log in seg.recording.interrupt_logs.values())
+        assert handlers == len(program.interrupts)
+        assert replay_stitched(report.segmented).matches
 
     def test_debugger_opens_a_degraded_segment(self, tmp_path):
         from repro.debugger import ReplayController, load_debug_target

@@ -557,6 +557,20 @@ class TestRunnerFailure:
         assert events.retries and events.failed
         assert runner.metrics.failed == 1
 
+    def test_interrupt_inside_an_inline_job_stops_the_sweep(self):
+        """Ctrl-C is not a job failure: it leaves ``Runner.run`` after
+        the one call instead of being retried."""
+        calls = []
+
+        def interrupted_job(spec, cache):
+            calls.append(spec)
+            raise KeyboardInterrupt
+
+        runner = Runner(jobs=1, cache=False, job_fn=interrupted_job)
+        with pytest.raises(KeyboardInterrupt):
+            runner.run([record_spec()])
+        assert len(calls) == 1
+
     def test_run_one_raises_runner_error(self, tmp_path):
         runner = Runner(jobs=1, cache=fresh_cache(tmp_path),
                         retry=RetryPolicy(max_attempts=1),
