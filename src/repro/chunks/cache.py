@@ -71,9 +71,10 @@ class WriteFootprint:
     """The distinct lines one chunk has speculatively written, with a
     running count of them per cache set.
 
-    :meth:`add` is the only place ``lines`` grows, and it counts the
-    new line in its set in the same step, so ``per_set[s]`` always
-    equals the number of ``lines`` mapping to set ``s``.
+    :meth:`add` and the chunk interpreter's inline copy of it are the
+    only places ``lines`` grows, and each counts the new line in its
+    set in the same step, so ``per_set[s]`` always equals the number of
+    ``lines`` mapping to set ``s``.
     """
 
     __slots__ = ("lines", "per_set", "_set_mask")
@@ -131,11 +132,12 @@ class SpeculativeCache:
     ) -> None:
         self.config = config or CacheConfig()
         self.shared_l2 = shared_l2
-        self._sets: list[OrderedDict[int, None]] = [
+        # Each set's lines, least recently used first.
+        self.sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.config.sets)]
         # Geometry read on every access, derived once (the same mapping
         # as CacheConfig.set_of).
-        self._set_mask = self.config.sets - 1
+        self.set_mask = self.config.sets - 1
         self._ways = self.config.ways
         self._speculative_ways = self.config.speculative_ways
         self.hits = 0
@@ -147,16 +149,27 @@ class SpeculativeCache:
         """Classify an access and update LRU state.
 
         Returns the serving level: ``"l1"``, ``"l2"`` or ``"memory"``.
+        The chunk interpreter inlines the L1 hit check and calls
+        :meth:`fill` on a miss.
         """
-        cache_set = self._sets[line & self._set_mask]
+        cache_set = self.sets[line & self.set_mask]
         if line in cache_set:
             cache_set.move_to_end(line)
             self.hits += 1
             return "l1"
-        # Miss: consult (and fill) the shared L2 filter, then fill L1.
+        return self.fill(line)
+
+    def fill(self, line: int) -> str:
+        """Serve an L1 miss on ``line``, which must not be resident:
+        consult (and fill) the shared L2 filter, then fill the L1,
+        evicting its set's least recently used line when full.
+
+        Returns the serving level: ``"l2"`` or ``"memory"``.
+        """
         level = "memory"
         if self.shared_l2 is not None and self.shared_l2.access(line):
             level = "l2"
+        cache_set = self.sets[line & self.set_mask]
         cache_set[line] = None
         if len(cache_set) > self._ways:
             cache_set.popitem(last=False)
@@ -171,7 +184,7 @@ class SpeculativeCache:
 
         Returns True when the line was resident and has been removed.
         """
-        cache_set = self._sets[line & self._set_mask]
+        cache_set = self.sets[line & self.set_mask]
         if line in cache_set:
             del cache_set[line]
             self.coherence_invalidations += 1
@@ -189,11 +202,12 @@ class SpeculativeCache:
         True when the chunk already holds ``speculative_ways`` distinct
         written lines in the target set and ``new_line`` is not one of
         them -- the condition under which execution must stop and the
-        chunk be truncated (Section 4.2.3).
+        chunk be truncated (Section 4.2.3).  The chunk interpreter
+        inlines the same test.
         """
         if new_line in footprint.lines:
             return False
-        return (footprint.per_set[new_line & self._set_mask]
+        return (footprint.per_set[new_line & self.set_mask]
                 >= self._speculative_ways)
 
     def stats(self) -> dict[str, int]:

@@ -105,22 +105,21 @@ class Chunk:
         self.read_signature = Signature(self.signature_config)
         self.write_signature = Signature(self.signature_config)
 
-    def record_read(self, line: int) -> None:
-        """Note that the chunk read a cache line."""
-        if line not in self.read_lines:
-            self.read_lines.add(line)
-            self.read_signature.insert(line)
-
     def record_write(self, line: int) -> None:
-        """Note that the chunk wrote a cache line."""
+        """Note that the chunk wrote a cache line, signature included.
+
+        For chunks built outside the interpreter (DMA bursts): the
+        interpreter fills the line sets inline and builds both
+        signatures once, when the chunk's build ends.
+        """
         if self.write_footprint.add(line):
             self.write_signature.insert(line)
 
     @property
     def write_lines(self) -> set[int]:
         """Distinct cache lines the chunk has written.  Add to it only
-        through :meth:`record_write`, which keeps the footprint's
-        per-set counts in step."""
+        through :meth:`record_write` (the interpreter inlines the same
+        step), which keeps the footprint's per-set counts in step."""
         return self.write_footprint.lines
 
     def conflicts_with_commit(self, committing: "Chunk") -> bool:

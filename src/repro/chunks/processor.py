@@ -307,12 +307,26 @@ class ChunkProcessor:
     ) -> None:
         """Run the thread into ``chunk`` until a truncation condition.
 
-        The loop body runs once per op, so everything that stays fixed
-        while one chunk builds is bound before it: the line shift, the
-        load stall per serving level, and the write buffers of older
-        uncommitted chunks.  ``compute_mix`` and the cache entry points
-        are looked up here too (never at import), so wrappers installed
-        on them before the build see every call.
+        The loop body runs once per op.  A LOAD, STORE or COMPUTE op
+        calls no method of the chunk, the cache or the signatures: only
+        an L1 miss calls ``SpeculativeCache.fill``, a load that no write
+        buffer holds ``MainMemory.read``, and COMPUTE ``compute_mix``.
+        Everything that stays fixed while one chunk builds is bound
+        before the loop: the line shift, the load stall per miss level,
+        the L1's sets, the chunk's footprint and the write buffers of
+        older uncommitted chunks.  The instruction, cycle, retired and
+        L1-hit counts live in locals and are written back on every
+        exit.
+
+        The L1 hit check (a miss calls ``SpeculativeCache.fill``) and
+        the footprint overflow check are inline copies of
+        ``SpeculativeCache.access`` and ``write_would_overflow``, so
+        wrappers on those methods see only calls made outside this
+        loop.  ``compute_mix`` is still looked up here by name, never
+        at import, so a wrapper installed on it before the build sees
+        every call.  The chunk's read and write signatures are built
+        once, from its exact line sets, when the loop ends: a build is
+        a single engine event, so no commit can test them earlier.
         """
         state = self.spec_state
         effective = target_size
@@ -324,195 +338,263 @@ class ChunkProcessor:
         op_count = len(ops)
         line_shift = self.config.line_shift
         mix = compute_mix
-        access = self.cache.access
-        would_overflow = self.cache.write_would_overflow
-        footprint = chunk.write_footprint
+        cache = self.cache
+        sets = cache.sets
+        set_mask = cache.set_mask
+        fill = cache.fill
+        # The footprint has this cache's geometry (build_chunk makes it
+        # so): a line's set index is the same in both.
+        written = chunk.write_footprint.lines
+        per_set = chunk.write_footprint.per_set
+        speculative_ways = cache.config.speculative_ways
+        read = chunk.read_lines
         buffer = chunk.write_buffer
-        record_read = chunk.record_read
-        record_write = chunk.record_write
         # Loads see older uncommitted chunks newest first; those chunks
         # are built and memory changes only on commit, so neither moves
         # while this chunk builds.
         older = [c.write_buffer for c in reversed(self.outstanding)]
         read_memory = memory.read
-        # Timing for a load: the exposed fraction of any miss latency
-        # (an L1 hit adds 0.0, which leaves the cycle sum bit-identical).
+        # Timing for a load that misses the L1: the exposed fraction of
+        # the miss latency.  A hit adds nothing.
         timing = self.config.timing
-        load_stall = {
-            "l1": 0.0,
+        miss_stall = {
             "l2": timing.l2_hit_cycles * timing.chunk_load_exposure,
             "memory": timing.memory_cycles * timing.chunk_load_exposure,
         }
-        while True:
-            if state.handler_ops is None and state.op_index < op_count:
-                op = ops[state.op_index]
-            else:
-                op = self._current_op(state)
-                if op is None:
-                    chunk.truncation = TruncationReason.PROGRAM_END
-                    break
-            kind = op.kind
-            budget = effective - chunk.instructions
-            if kind is OpKind.LOAD:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                address = op.address
-                line = address >> line_shift
-                if address in buffer:
-                    state.accumulator = buffer[address]
+        instructions = chunk.instructions
+        cycles = chunk.exec_cycles
+        retired = state.retired
+        hits = 0
+        try:
+            while True:
+                if state.handler_ops is None and state.op_index < op_count:
+                    op = ops[state.op_index]
                 else:
-                    for older_buffer in older:
-                        if address in older_buffer:
-                            state.accumulator = older_buffer[address]
-                            break
-                    else:
-                        state.accumulator = read_memory(address)
-                record_read(line)
-                chunk.exec_cycles += load_stall[access(line)]
-                chunk.instructions += 1
-                state.retired += 1
-            elif kind is OpKind.STORE:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = op.address >> line_shift
-                if would_overflow(footprint, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                value = (op.value if op.value is not None
-                         else state.accumulator)
-                buffer[op.address] = value & WORD_MASK
-                record_write(line)
-                # Stores are fully buffered: LRU update, no stall.
-                access(line)
-                chunk.instructions += 1
-                state.retired += 1
-            elif kind is OpKind.COMPUTE or kind is OpKind.TRAP:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                remaining = (state.compute_remaining
-                             if state.compute_remaining else op.count)
-                step = min(remaining, budget)
-                state.accumulator = mix(state.accumulator, step)
-                chunk.instructions += step
-                state.retired += step
-                left = remaining - step
-                state.compute_remaining = left
-                if left:
-                    continue
-            elif kind is OpKind.RMW:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = op.address >> line_shift
-                if would_overflow(footprint, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                old = self._read_value(op.address, chunk, memory)
-                delta = op.value if op.value is not None else 1
-                buffer[op.address] = (old + delta) & WORD_MASK
-                record_read(line)
-                record_write(line)
-                chunk.exec_cycles += load_stall[access(line)]
-                state.accumulator = old
-                chunk.instructions += 1
-                state.retired += 1
-            elif kind is OpKind.LOCK:
-                if budget < LOCK_SPIN_COST:
-                    chunk.truncation = reason_at_target
-                    break
-                line = op.address >> line_shift
-                if would_overflow(footprint, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                value = self._read_value(op.address, chunk, memory)
-                record_read(line)
-                chunk.exec_cycles += load_stall[access(line)]
-                if value != 0:
-                    # The lock is held and, within an isolated chunk, its
-                    # value cannot change: the remaining budget is pure
-                    # spinning.  Charge it in bulk.
-                    spins = budget // LOCK_SPIN_COST
-                    cost = spins * LOCK_SPIN_COST
-                    chunk.instructions += cost
-                    state.retired += cost
-                    self.stats.spin_instructions += cost
-                    chunk.truncation = reason_at_target
-                    break
-                buffer[op.address] = 1
-                record_write(line)
-                chunk.instructions += LOCK_SPIN_COST
-                state.retired += LOCK_SPIN_COST
-            elif kind is OpKind.UNLOCK:
-                if budget < 1:
-                    chunk.truncation = reason_at_target
-                    break
-                line = op.address >> line_shift
-                if would_overflow(footprint, line):
-                    chunk.truncation = TruncationReason.CACHE_OVERFLOW
-                    break
-                buffer[op.address] = 0
-                record_write(line)
-                access(line)
-                chunk.instructions += 1
-                state.retired += 1
-            elif kind is OpKind.BARRIER:
-                line = op.address >> line_shift
-                if state.stage == _STAGE_START:
+                    op = self._current_op(state)
+                    if op is None:
+                        chunk.truncation = TruncationReason.PROGRAM_END
+                        break
+                kind = op.kind
+                budget = effective - instructions
+                if kind is OpKind.LOAD:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
-                    if would_overflow(footprint, line):
+                    address = op.address
+                    line = address >> line_shift
+                    if address in buffer:
+                        state.accumulator = buffer[address]
+                    else:
+                        for older_buffer in older:
+                            if address in older_buffer:
+                                state.accumulator = older_buffer[address]
+                                break
+                        else:
+                            state.accumulator = read_memory(address)
+                    read.add(line)
+                    cache_set = sets[line & set_mask]
+                    if line in cache_set:
+                        cache_set.move_to_end(line)
+                        hits += 1
+                    else:
+                        cycles += miss_stall[fill(line)]
+                    instructions += 1
+                    retired += 1
+                elif kind is OpKind.STORE:
+                    if budget < 1:
+                        chunk.truncation = reason_at_target
+                        break
+                    line = op.address >> line_shift
+                    slot = line & set_mask
+                    if line not in written:
+                        if per_set[slot] >= speculative_ways:
+                            chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                            break
+                        written.add(line)
+                        per_set[slot] += 1
+                    value = (op.value if op.value is not None
+                             else state.accumulator)
+                    buffer[op.address] = value & WORD_MASK
+                    # Stores are fully buffered: LRU update, no stall.
+                    cache_set = sets[slot]
+                    if line in cache_set:
+                        cache_set.move_to_end(line)
+                        hits += 1
+                    else:
+                        fill(line)
+                    instructions += 1
+                    retired += 1
+                elif kind is OpKind.COMPUTE or kind is OpKind.TRAP:
+                    if budget < 1:
+                        chunk.truncation = reason_at_target
+                        break
+                    remaining = (state.compute_remaining
+                                 if state.compute_remaining else op.count)
+                    step = min(remaining, budget)
+                    state.accumulator = mix(state.accumulator, step)
+                    instructions += step
+                    retired += step
+                    left = remaining - step
+                    state.compute_remaining = left
+                    if left:
+                        continue
+                elif kind is OpKind.RMW:
+                    if budget < 1:
+                        chunk.truncation = reason_at_target
+                        break
+                    line = op.address >> line_shift
+                    slot = line & set_mask
+                    if line not in written:
+                        if per_set[slot] >= speculative_ways:
+                            chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                            break
+                        written.add(line)
+                        per_set[slot] += 1
+                    old = self._read_value(op.address, chunk, memory)
+                    delta = op.value if op.value is not None else 1
+                    buffer[op.address] = (old + delta) & WORD_MASK
+                    read.add(line)
+                    cache_set = sets[slot]
+                    if line in cache_set:
+                        cache_set.move_to_end(line)
+                        hits += 1
+                    else:
+                        cycles += miss_stall[fill(line)]
+                    state.accumulator = old
+                    instructions += 1
+                    retired += 1
+                elif kind is OpKind.LOCK:
+                    if budget < LOCK_SPIN_COST:
+                        chunk.truncation = reason_at_target
+                        break
+                    line = op.address >> line_shift
+                    slot = line & set_mask
+                    # Checked now, added only when the lock is taken.
+                    if (line not in written
+                            and per_set[slot] >= speculative_ways):
                         chunk.truncation = TruncationReason.CACHE_OVERFLOW
                         break
-                    old = self._read_value(op.address, chunk, memory)
-                    buffer[op.address] = (old + 1) & WORD_MASK
-                    record_read(line)
-                    record_write(line)
-                    chunk.exec_cycles += load_stall[access(line)]
-                    state.barrier_target = (
-                        (old // op.count + 1) * op.count)
-                    state.stage = _STAGE_BARRIER_WAIT
-                    chunk.instructions += 1
-                    state.retired += 1
-                    continue
-                # Waiting phase.
-                if budget < BARRIER_SPIN_COST:
-                    chunk.truncation = reason_at_target
+                    value = self._read_value(op.address, chunk, memory)
+                    read.add(line)
+                    cache_set = sets[slot]
+                    if line in cache_set:
+                        cache_set.move_to_end(line)
+                        hits += 1
+                    else:
+                        cycles += miss_stall[fill(line)]
+                    if value != 0:
+                        # The lock is held and, within an isolated chunk,
+                        # its value cannot change: the remaining budget
+                        # is pure spinning.  Charge it in bulk.
+                        spins = budget // LOCK_SPIN_COST
+                        cost = spins * LOCK_SPIN_COST
+                        instructions += cost
+                        retired += cost
+                        self.stats.spin_instructions += cost
+                        chunk.truncation = reason_at_target
+                        break
+                    buffer[op.address] = 1
+                    if line not in written:
+                        written.add(line)
+                        per_set[slot] += 1
+                    instructions += LOCK_SPIN_COST
+                    retired += LOCK_SPIN_COST
+                elif kind is OpKind.UNLOCK:
+                    if budget < 1:
+                        chunk.truncation = reason_at_target
+                        break
+                    line = op.address >> line_shift
+                    slot = line & set_mask
+                    if line not in written:
+                        if per_set[slot] >= speculative_ways:
+                            chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                            break
+                        written.add(line)
+                        per_set[slot] += 1
+                    buffer[op.address] = 0
+                    cache_set = sets[slot]
+                    if line in cache_set:
+                        cache_set.move_to_end(line)
+                        hits += 1
+                    else:
+                        fill(line)
+                    instructions += 1
+                    retired += 1
+                elif kind is OpKind.BARRIER:
+                    line = op.address >> line_shift
+                    slot = line & set_mask
+                    if state.stage == _STAGE_START:
+                        if budget < 1:
+                            chunk.truncation = reason_at_target
+                            break
+                        if line not in written:
+                            if per_set[slot] >= speculative_ways:
+                                chunk.truncation = (
+                                    TruncationReason.CACHE_OVERFLOW)
+                                break
+                            written.add(line)
+                            per_set[slot] += 1
+                        old = self._read_value(op.address, chunk, memory)
+                        buffer[op.address] = (old + 1) & WORD_MASK
+                        read.add(line)
+                        cache_set = sets[slot]
+                        if line in cache_set:
+                            cache_set.move_to_end(line)
+                            hits += 1
+                        else:
+                            cycles += miss_stall[fill(line)]
+                        state.barrier_target = (
+                            (old // op.count + 1) * op.count)
+                        state.stage = _STAGE_BARRIER_WAIT
+                        instructions += 1
+                        retired += 1
+                        continue
+                    # Waiting phase.
+                    if budget < BARRIER_SPIN_COST:
+                        chunk.truncation = reason_at_target
+                        break
+                    value = self._read_value(op.address, chunk, memory)
+                    read.add(line)
+                    cache_set = sets[slot]
+                    if line in cache_set:
+                        cache_set.move_to_end(line)
+                        hits += 1
+                    else:
+                        cycles += miss_stall[fill(line)]
+                    if value < state.barrier_target:
+                        spins = budget // BARRIER_SPIN_COST
+                        cost = spins * BARRIER_SPIN_COST
+                        instructions += cost
+                        retired += cost
+                        self.stats.spin_instructions += cost
+                        chunk.truncation = reason_at_target
+                        break
+                    state.stage = _STAGE_START
+                    state.barrier_target = 0
+                    instructions += BARRIER_SPIN_COST
+                    retired += BARRIER_SPIN_COST
+                elif kind in _BOUNDARY_KINDS:
+                    chunk.pending_boundary_op = op
+                    chunk.truncation = (
+                        TruncationReason.SPECIAL if kind is OpKind.SPECIAL
+                        else TruncationReason.IO_BOUNDARY)
                     break
-                value = self._read_value(op.address, chunk, memory)
-                record_read(line)
-                chunk.exec_cycles += load_stall[access(line)]
-                if value < state.barrier_target:
-                    spins = budget // BARRIER_SPIN_COST
-                    cost = spins * BARRIER_SPIN_COST
-                    chunk.instructions += cost
-                    state.retired += cost
-                    self.stats.spin_instructions += cost
-                    chunk.truncation = reason_at_target
-                    break
-                state.stage = _STAGE_START
-                state.barrier_target = 0
-                chunk.instructions += BARRIER_SPIN_COST
-                state.retired += BARRIER_SPIN_COST
-            elif kind in _BOUNDARY_KINDS:
-                chunk.pending_boundary_op = op
-                chunk.truncation = (
-                    TruncationReason.SPECIAL if kind is OpKind.SPECIAL
-                    else TruncationReason.IO_BOUNDARY)
-                break
-            else:
-                raise ExecutionError(f"unhandled op kind {kind}")
-            # The op completed: step past it (as _advance does).
-            if state.handler_ops is None:
-                state.op_index += 1
-            else:
-                state.handler_index += 1
+                else:
+                    raise ExecutionError(f"unhandled op kind {kind}")
+                # The op completed: step past it (as _advance does).
+                if state.handler_ops is None:
+                    state.op_index += 1
+                else:
+                    state.handler_index += 1
+        finally:
+            chunk.instructions = instructions
+            chunk.exec_cycles = cycles
+            state.retired = retired
+            cache.hits += hits
         chunk.end_state = state.snapshot()
-        chunk.exec_cycles += self.config.timing.instruction_cycles(
-            chunk.instructions)
+        chunk.exec_cycles += timing.instruction_cycles(instructions)
+        chunk.read_signature.insert_all(read)
+        chunk.write_signature.insert_all(written)
 
     # ------------------------------------------------------------------
     # Commit, boundary ops, squash, interrupts

@@ -27,6 +27,7 @@ for traffic purposes remains the 2 Kbit wire format of Table 5
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -89,6 +90,19 @@ class Signature:
         for index in range(self.config.num_hashes):
             keys.add(_hash(line_address, index) & mask)
         self._count += 1
+
+    def insert_all(self, lines: Collection[int]) -> None:
+        """Add every cache-line address in ``lines``: the same keys and
+        count as one :meth:`insert` per element, in one call."""
+        mask = self.config.size_bits - 1
+        keys = self._keys
+        for index in range(self.config.num_hashes):
+            offset = index + 1
+            multiplier = _MULTIPLIERS[index]
+            for line in lines:
+                mixed = ((line + offset) * multiplier) & _MASK64
+                keys.add((mixed ^ (mixed >> 29)) & mask)
+        self._count += len(lines)
 
     def may_contain(self, line_address: int) -> bool:
         """Membership test; may report false positives, never false

@@ -501,13 +501,14 @@ def _cmd_debug(args) -> int:
         load_debug_target,
     )
 
-    recording, start_checkpoint = load_debug_target(
+    recording, start_checkpoint, stop_after = load_debug_target(
         args.artifact, segment=args.segment)
     controller = ReplayController(
         recording,
         checkpoint_every=args.checkpoint_every,
         verify=not args.no_verify,
         start_checkpoint=start_checkpoint,
+        stop_after=stop_after,
     )
     print(f"loaded {recording.program.name}: "
           f"{len(recording.fingerprints)} commits, mode "

@@ -192,12 +192,16 @@ class ReplayController:
         verify: bool = True,
         tracer: Tracer | None = None,
         start_checkpoint=None,
+        stop_after: int = 0,
     ) -> None:
         self.recording = recording
         #: Segment support: a commit-index-0 interval checkpoint that
         #: anchors the machine's initial state (a stitched recording's
         #: later segments start mid-program; see repro.guard.degrade).
         self._start_checkpoint = start_checkpoint
+        #: A cut segment's commit count: the program goes on past it,
+        #: so every machine halts there.  0 replays to the program end.
+        self._stop_after = stop_after
         self.verify = verify
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.breakpoints = BreakpointTable()
@@ -240,14 +244,16 @@ class ReplayController:
         """
         if checkpoint is None:
             checkpoint = self._start_checkpoint
+        self._base = checkpoint.commit_index if checkpoint else 0
         self._machine = build_replay_machine(
             self.recording,
             use_strata=False,
             start_checkpoint=checkpoint,
+            stop_after=(self._stop_after - self._base
+                        if self._stop_after else 0),
             tracer=self.tracer,
         )
         self._machine.observers.append(_Observer(self))
-        self._base = checkpoint.commit_index if checkpoint else 0
         self.finished = False
         self._machine_dead = False
         self.current = None
@@ -325,7 +331,7 @@ class ReplayController:
     def _finish(self) -> None:
         """The machine ran to its end."""
         problems = []
-        if self._base == 0:
+        if self._base == 0 and not self._stop_after:
             problems = self._machine.replay_source.verify_fully_consumed()
         self.finished = True
         message = "; ".join(problems) if problems else "replay complete"
@@ -392,7 +398,11 @@ class ReplayController:
                 and not self.finished:
             self.last_reexecuted = 0
         else:
-            checkpoint = self.checkpoints.at_or_before(target)
+            # A cut segment's machine needs a commit left to halt
+            # after, so it never restores the checkpoint at the cut.
+            checkpoint = self.checkpoints.at_or_before(
+                min(target, self._stop_after - 1) if self._stop_after
+                else target)
             self._rebuild(checkpoint)
             self.last_reexecuted = target - self._base
         if target == self.gcc:

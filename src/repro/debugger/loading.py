@@ -20,14 +20,18 @@ from repro.runner.jobs import recording_from_artifact
 
 
 def load_debug_target(path: str, segment: int | None = None):
-    """A ``(recording, start_checkpoint)`` pair from any debugger
-    artifact.
+    """A ``(recording, start_checkpoint, stop_after)`` triple from any
+    debugger artifact: the arguments of the same names for
+    :class:`~repro.debugger.controller.ReplayController`.
 
-    Plain recordings return ``(recording, None)``.  A stitched
+    Plain recordings return ``(recording, None, 0)``.  A stitched
     :class:`~repro.guard.degrade.SegmentedRecording` returns the
     selected segment (default: the first) together with its boundary
     checkpoint, so the controller replays the segment from the correct
-    mid-program state.
+    mid-program state, and its
+    :meth:`~repro.guard.degrade.SegmentedRecording.replay_bound` as
+    ``stop_after``, so a cut segment's replay ends where its recording
+    does.  A cut segment that committed nothing is refused.
     """
     with open(path, "rb") as handle:
         head = handle.read(8)
@@ -41,13 +45,18 @@ def load_debug_target(path: str, segment: int | None = None):
             raise ReproError(
                 f"{path} has {len(segmented.segments)} segments; "
                 f"--segment {index} is out of range")
+        stop_after = segmented.replay_bound(index)
+        if stop_after is None:
+            raise ReproError(
+                f"{path}: segment {index} was cut before its first "
+                f"commit, so it has nothing to replay")
         seg = segmented.segments[index]
-        return seg.recording, seg.start_checkpoint
+        return seg.recording, seg.start_checkpoint, stop_after
     if segment is not None:
         raise ReproError(
             f"{path} is not a segmented recording; --segment only "
             f"applies to stitched artifacts")
-    return load_recording_artifact(path), None
+    return load_recording_artifact(path), None, 0
 
 
 def load_recording_artifact(path: str) -> Recording:

@@ -217,6 +217,19 @@ class SegmentedRecording:
         """Per-segment recording modes, in order."""
         return [seg.mode for seg in self.segments]
 
+    def replay_bound(self, index: int) -> int | None:
+        """The ``stop_after`` that replays segment ``index`` no further
+        than it was recorded.
+
+        A cut segment (every one but the last) ends mid-program, so its
+        replay stops after its commit count; the last one runs to the
+        program end (0).  ``None`` for a cut segment that committed
+        nothing: it has nothing to replay.
+        """
+        if index == len(self.segments) - 1:
+            return 0
+        return self.segments[index].commits or None
+
     def summary(self) -> str:
         """One line for reports and CLI output."""
         chain = " -> ".join(
@@ -306,8 +319,8 @@ def replay_stitched(segmented: SegmentedRecording,
 
     Each segment replays from its boundary checkpoint.  Intermediate
     segments are partial recordings (the machine was cut mid-program),
-    so they replay with ``stop_after`` at their commit count and the
-    determinism check compares the recorded prefix; the final segment
+    so they replay only to :meth:`SegmentedRecording.replay_bound`, and
+    the determinism check compares the recorded prefix; the final segment
     gets the full end-of-run verification, final memory included.
     Seams are checked for architectural continuity: segment k+1 must
     start from exactly the memory image segment k committed.
@@ -316,7 +329,6 @@ def replay_stitched(segmented: SegmentedRecording,
         raise ConfigurationError("a segmented recording needs segments")
     report = StitchReport()
     for index, seg in enumerate(segmented.segments):
-        last = index == len(segmented.segments) - 1
         if index:
             checkpoint = seg.start_checkpoint
             if checkpoint is None:
@@ -329,8 +341,8 @@ def replay_stitched(segmented: SegmentedRecording,
                     report.continuity_breaks.append(
                         f"segment {index} does not start from segment "
                         f"{index - 1}'s committed memory")
-        if not last and seg.commits == 0:
-            # Nothing was committed before the cut; nothing to verify.
+        stop_after = segmented.replay_bound(index)
+        if stop_after is None:
             report.segments.append({
                 "mode": seg.mode.value, "commits": 0,
                 "reason": seg.reason, "matches": True,
@@ -340,7 +352,7 @@ def replay_stitched(segmented: SegmentedRecording,
             seg.recording,
             use_strata=False,
             start_checkpoint=seg.start_checkpoint,
-            stop_after=0 if last else seg.commits,
+            stop_after=stop_after,
             max_events=max_events,
             tracer=tracer,
         )

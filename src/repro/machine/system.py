@@ -573,10 +573,12 @@ class ChunkMachine:
     def _resume(self) -> None:
         """Undo :meth:`pause_at_boundary`: re-open the arbiter, rebuild
         any chunks the pause blocked, and re-arbitrate.  In-flight
-        events were never cancelled, only left undispatched."""
+        events were never cancelled, only left undispatched.  A bounded
+        replay paused on its last commit stays halted."""
         self._paused = False
         self._stopped = False
         self.arbiter.halted = False
+        self._maybe_halt()
         for proc in self.processors:
             self._kick(proc.proc_id)
         if self.is_replay:
@@ -901,6 +903,10 @@ class ChunkMachine:
 
     def _finalize_commit(self, chunk: Chunk) -> None:
         """A commit propagated: apply writes, squash, log, free slot."""
+        if self._stopped and not self._paused:
+            # A bounded replay has its m commits: one granted before
+            # the halt is abandoned with the rest of the speculation.
+            return
         now = self.engine.now
         self.memory.apply(chunk.write_buffer)
         self.directory.propagate_commit(chunk, self._caches)

@@ -5,8 +5,8 @@ that wanted a different substrate -- the serial in-process baseline,
 a persistent service pool, eventually remote workers -- had to go
 around it.  :class:`ExecutorBackend` extracts the five operations the
 runner actually needs (start, submit, restart-after-crash, shutdown,
-and a parallelism flag) so the execution substrate is a constructor
-argument instead of a hard-coded class.
+and its capacity: how many attempts run at once) so the execution
+substrate is a constructor argument instead of a hard-coded class.
 
 Three backends ship today:
 
@@ -51,16 +51,18 @@ class ExecutorBackend:
     Lifecycle: ``start(width)`` before the first submit, ``submit``
     per attempt, ``restart(width)`` if the substrate broke (a worker
     died hard enough to poison its siblings), ``shutdown`` at the end
-    of the sweep.  ``parallel`` advertises whether concurrent submits
-    can overlap in time: the runner keeps up to ``jobs`` attempts in
-    flight when they can, and one at a time when they cannot.
+    of the sweep.  :meth:`capacity` says how many submitted attempts
+    run at once: the runner keeps that many in flight, so none waits in
+    a queue the backend keeps out of its sight.
     """
 
     #: Backend name (the CLI ``--executor`` spelling).
     name = "abstract"
 
-    #: Whether submitted attempts may execute concurrently.
-    parallel = False
+    def capacity(self, width: int) -> int:
+        """Attempts this backend runs at once when asked for
+        ``width``: one, unless a backend overlaps them."""
+        return 1
 
     def start(self, width: int) -> None:
         """Provision capacity for up to ``width`` concurrent jobs."""
@@ -82,7 +84,6 @@ class InlineBackend(ExecutorBackend):
     """Execute every submit synchronously in the calling process."""
 
     name = "inline"
-    parallel = False
 
     def submit(self, fn, /, *args) -> concurrent.futures.Future:
         future: concurrent.futures.Future = concurrent.futures.Future()
@@ -106,7 +107,6 @@ class ProcessPoolBackend(ExecutorBackend):
     """
 
     name = "process"
-    parallel = True
 
     def __init__(self, max_workers: int | None = None,
                  mp_start_method: str | None = None) -> None:
@@ -114,12 +114,13 @@ class ProcessPoolBackend(ExecutorBackend):
         self.mp_start_method = mp_start_method
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
 
-    def _width(self, width: int) -> int:
+    def capacity(self, width: int) -> int:
+        """``width``, capped at ``max_workers`` when one is set."""
         limit = self.max_workers or width
         return max(1, min(limit, width))
 
     def _make_pool(self, width: int):
-        kwargs = {"max_workers": self._width(width)}
+        kwargs = {"max_workers": self.capacity(width)}
         if self.mp_start_method is not None:
             import multiprocessing
 
@@ -171,7 +172,6 @@ class RemoteWorkerBackend(ExecutorBackend):
     """
 
     name = "remote"
-    parallel = True
 
     def __init__(self, fallback: ExecutorBackend | None = None,
                  window: float = DEFAULT_FLEET_WINDOW) -> None:
@@ -205,6 +205,10 @@ class RemoteWorkerBackend(ExecutorBackend):
                            for seen in self._last_seen.values())
 
     # -- ExecutorBackend via the fallback ------------------------------
+
+    def capacity(self, width: int) -> int:
+        """The fallback's: it runs every submitted attempt."""
+        return self.fallback.capacity(width)
 
     def start(self, width: int) -> None:
         self.fallback.start(width)

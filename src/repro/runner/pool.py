@@ -198,8 +198,10 @@ class Runner:
         self.job_fn = job_fn
         self._owns_backend = not isinstance(executor, ExecutorBackend)
         self._backend = resolve_backend(executor, jobs)
-        #: Jobs in flight at once; 1 keeps an inline sweep in order.
-        self._width = jobs if self._backend.parallel else 1
+        #: Jobs in flight at once: as many as the backend runs at
+        #: once, so no attempt spends its deadline queued inside it
+        #: (1 also keeps an inline sweep in order).
+        self._width = self._backend.capacity(jobs)
         self.metrics = RunnerMetrics()
 
     @property

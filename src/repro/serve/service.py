@@ -569,7 +569,7 @@ class ReproService:
                 "mean_latency": self.admission.mean_latency(),
             },
             "backend": {"name": self.backend.name,
-                        "parallel": self.backend.parallel,
+                        "capacity": self.backend.capacity(self.jobs),
                         "workers": self.jobs},
             "cache": self.cache.counters(),
             "metrics": self.metrics.as_dict(prefix="serve_"),

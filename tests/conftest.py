@@ -43,6 +43,15 @@ def signature_config() -> SignatureConfig:
     return SignatureConfig()
 
 
+def record_reads(chunk, *lines: int) -> None:
+    """Mark ``lines`` read by a hand-built chunk, in its line set and
+    its read signature, as a build by the chunk interpreter leaves
+    them."""
+    new = set(lines) - chunk.read_lines
+    chunk.read_lines |= new
+    chunk.read_signature.insert_all(new)
+
+
 def counter_program(
     threads: int = 2,
     increments: int = 20,

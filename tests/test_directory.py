@@ -1,5 +1,7 @@
 """Tests for commit propagation and traffic metering."""
 
+from conftest import record_reads
+
 from repro.chunks.cache import CacheConfig, SpeculativeCache
 from repro.chunks.chunk import Chunk
 from repro.chunks.directory import CommitDirectory, TrafficMeter
@@ -13,8 +15,7 @@ def chunk_with(proc, writes=(), reads=()):
                   signature_config=SignatureConfig())
     for line in writes:
         chunk.record_write(line)
-    for line in reads:
-        chunk.record_read(line)
+    record_reads(chunk, *reads)
     return chunk
 
 

@@ -21,6 +21,7 @@ from repro.runner.executors import (
     ExecutorBackend,
     InlineBackend,
     ProcessPoolBackend,
+    RemoteWorkerBackend,
     resolve_backend,
 )
 from repro.runner.jobs import invoke
@@ -54,8 +55,18 @@ class TestInlineBackend:
             future.result()
 
     def test_not_parallel(self):
-        assert InlineBackend.parallel is False
+        assert InlineBackend().capacity(4) == 1
         assert InlineBackend.name == "inline"
+
+
+class TestCapacity:
+    def test_each_backend_reports_what_it_runs_at_once(self):
+        narrow_pool = ProcessPoolBackend(max_workers=1)
+        assert ProcessPoolBackend().capacity(4) == 4
+        assert ProcessPoolBackend(max_workers=2).capacity(4) == 2
+        assert narrow_pool.capacity(4) == 1
+        assert RemoteWorkerBackend(fallback=narrow_pool).capacity(4) == 1
+        assert RemoteWorkerBackend().capacity(4) == 1  # inline fallback
 
 
 class TestResolveBackend:

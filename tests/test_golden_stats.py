@@ -8,6 +8,9 @@ interleaved baseline executor compute for small fixed inputs:
   SizeOnly, on the Table 5 machine and on a ``tight`` one (8-set L1,
   one squash before size reduction) whose chunks keep overflowing
   their cache sets and occasionally shrink after a collision;
+* the recordings' network traffic per byte category, and so their
+  invalidation and refill counts, and the same for a racey program
+  whose commits invalidate hundreds of lines in other caches;
 * lu under the RC and SC interleaved executor.
 
 A mismatch means a simulated behaviour changed.  Regenerate the tables
@@ -22,6 +25,7 @@ from repro import DeLoreanSystem, ExecutionMode
 from repro.baselines.consistency import ConsistencyModel, InterleavedExecutor
 from repro.machine.timing import MachineConfig
 from repro.workloads import commercial_program, splash2_program
+from repro.workloads.stress import racey_program
 
 SCALE = 0.2
 SEED = 3
@@ -90,6 +94,47 @@ RECORD_REPLAY = {
          True),
 }
 
+#: (geometry, app, mode) -> the recording's network traffic in bytes:
+#: signature, control, invalidation, data and squash refetch.  These
+#: hold each run's invalidation and refill counts too; they are 0 or 1
+#: invalidation here, so SHARED_TRAFFIC pins a program that shares.
+TRAFFIC = {
+    ("table5", "fft", "order_and_size"): (18432, 384, 0, 133056, 0),
+    ("table5", "fft", "order_only"): (18432, 384, 0, 133056, 0),
+    ("table5", "fft", "picolog"): (30720, 640, 0, 135424, 0),
+    ("table5", "fft", "size_only"): (33024, 688, 0, 135360, 0),
+    ("table5", "radix", "order_and_size"): (12288, 256, 0, 145152, 16448),
+    ("table5", "radix", "order_only"): (12288, 256, 0, 145152, 16448),
+    ("table5", "radix", "picolog"): (25088, 520, 0, 148160, 11648),
+    ("table5", "radix", "size_only"): (25088, 520, 0, 148352, 11648),
+    ("table5", "sjbb2k", "order_and_size"): (25856, 536, 8, 130112, 16320),
+    ("table5", "sjbb2k", "order_only"): (25088, 520, 8, 129984, 16320),
+    ("table5", "sjbb2k", "picolog"): (34560, 720, 8, 131648, 9024),
+    ("table5", "sjbb2k", "size_only"): (36096, 752, 8, 131712, 9024),
+    ("tight", "fft", "order_and_size"): (49152, 1024, 0, 142016, 0),
+    ("tight", "fft", "order_only"): (46848, 976, 0, 141824, 0),
+    ("tight", "fft", "picolog"): (46848, 976, 0, 141824, 0),
+    ("tight", "fft", "size_only"): (49152, 1024, 0, 141760, 0),
+    ("tight", "radix", "order_and_size"): (57600, 1200, 0, 157440, 2560),
+    ("tight", "radix", "order_only"): (56064, 1168, 0, 157248, 2560),
+    ("tight", "radix", "picolog"): (56064, 1168, 0, 157248, 2560),
+    ("tight", "radix", "size_only"): (57600, 1200, 0, 157376, 2560),
+    ("tight", "sjbb2k", "order_and_size"): (52224, 1088, 0, 140992, 5888),
+    ("tight", "sjbb2k", "order_only"): (49920, 1040, 0, 140992, 5888),
+    ("tight", "sjbb2k", "picolog"): (50432, 1048, 0, 140992, 5888),
+    ("tight", "sjbb2k", "size_only"): (53504, 1112, 0, 140928, 5888),
+}
+
+#: (geometry, mode) -> the same traffic for racey with 8 threads, 60
+#: rounds, seed 3: every round writes lines the other threads hold, so
+#: commits invalidate 280 to 1061 lines in other caches.
+SHARED_TRAFFIC = {
+    ("table5", "order_only"): (19968, 344, 2240, 22528, 28672),
+    ("table5", "picolog"): (58880, 984, 5720, 54272, 112832),
+    ("tight", "order_only"): (290048, 4880, 8488, 85568, 422912),
+    ("tight", "picolog"): (58880, 984, 5720, 54272, 112832),
+}
+
 #: lu under the interleaved executor: model -> (cycles, instructions).
 CONSISTENCY = {
     "rc": (11167.5, 38897),
@@ -121,6 +166,22 @@ def test_record_replay_statistics(geometry, app, mode):
         result.determinism.matches,
     )
     assert observed == RECORD_REPLAY[geometry, app, mode]
+    assert _traffic(recording) == TRAFFIC[geometry, app, mode]
+
+
+@pytest.mark.parametrize("geometry,mode", sorted(SHARED_TRAFFIC))
+def test_shared_line_traffic(geometry, mode):
+    system = DeLoreanSystem(mode=ExecutionMode(mode),
+                            machine_config=GEOMETRIES[geometry])
+    recording = system.record(racey_program(threads=8, rounds=60, seed=3))
+    assert _traffic(recording) == SHARED_TRAFFIC[geometry, mode]
+
+
+def _traffic(recording) -> tuple:
+    traffic = recording.stats.traffic
+    return tuple(traffic[category] for category in (
+        "signature_bytes", "control_bytes", "invalidation_bytes",
+        "data_bytes", "squash_refetch_bytes"))
 
 
 @pytest.mark.parametrize("model", sorted(CONSISTENCY))

@@ -449,14 +449,49 @@ class TestDegradation:
         report = degraded_report()
         path = tmp_path / "run.dlrnseg"
         path.write_bytes(save_segmented(report.segmented))
-        recording, checkpoint = load_debug_target(str(path), segment=1)
+        recording, checkpoint, stop_after = load_debug_target(
+            str(path), segment=1)
         assert checkpoint is not None
         assert checkpoint.commit_index == 0
         controller = ReplayController(
-            recording, start_checkpoint=checkpoint)
+            recording, start_checkpoint=checkpoint, stop_after=stop_after)
         stop = controller.cont()
         assert stop.reason == "end"
         assert controller.gcc == len(recording.fingerprints)
+
+    def test_debugger_stops_a_cut_segment_at_its_last_commit(
+            self, tmp_path):
+        from repro.debugger import ReplayController, load_debug_target
+
+        # What `repro record sjbb2k --mode picolog --scale 0.2 --seed 3
+        # --max-log-bytes 40` writes: two cuts, so segments 0 and 1
+        # end mid-program and the program goes on past their logs.
+        system = repro.DeLoreanSystem(mode=ExecutionMode.PICOLOG)
+        report = supervise_record(
+            app_program("sjbb2k", scale=0.2, seed=3),
+            mode=system.mode, mode_config=system.mode_config,
+            budgets=Budgets(max_log_bytes_per_proc=40),
+            stochastic_overflow_rate=system.stochastic_overflow_rate)
+        assert len(report.segmented.segments) == 3
+        path = tmp_path / "run.dlrnseg"
+        path.write_bytes(save_segmented(report.segmented))
+        for index in (0, 1):
+            recording, checkpoint, stop_after = load_debug_target(
+                str(path), segment=index)
+            assert stop_after == len(recording.fingerprints) > 0
+            controller = ReplayController(
+                recording, checkpoint_every=4,
+                start_checkpoint=checkpoint, stop_after=stop_after)
+            stop = controller.cont()
+            assert (stop.reason, stop.message) == (
+                "end", "replay complete")
+            assert controller.gcc == stop_after
+            # Back in time and forward again, from the debugger's own
+            # checkpoints: each rebuilt machine halts at the cut too.
+            assert controller.rstep(3).gcc == stop_after - 3
+            assert controller.goto(stop_after).gcc == stop_after
+            stop = controller.cont()
+            assert (stop.reason, stop.gcc) == ("end", stop_after)
 
     def test_debug_target_rejects_bad_segment_index(self, tmp_path):
         from repro.debugger import load_debug_target
@@ -467,6 +502,29 @@ class TestDegradation:
         path.write_bytes(save_segmented(report.segmented))
         with pytest.raises(ReproError):
             load_debug_target(str(path), segment=99)
+
+    def test_an_empty_cut_segment_has_nothing_to_replay(
+            self, tmp_path, monkeypatch):
+        from repro.debugger import load_debug_target
+        from repro.errors import ReproError
+        from repro.guard import degrade
+
+        # A cut before its first commit, a cut after two, and the last.
+        segmented = degrade.SegmentedRecording(segments=[
+            degrade.RecordedSegment(
+                recording=SimpleNamespace(fingerprints=fingerprints),
+                mode=ExecutionMode.PICOLOG)
+            for fingerprints in ([], ["a", "b"], [])])
+        assert [segmented.replay_bound(index)
+                for index in range(3)] == [None, 2, 0]
+        path = tmp_path / "run.dlrnseg"
+        path.write_bytes(b"DLRNSEG1")
+        monkeypatch.setattr(degrade, "load_segmented",
+                            lambda blob: segmented)
+        with pytest.raises(ReproError, match="nothing to replay"):
+            load_debug_target(str(path), segment=0)
+        assert load_debug_target(str(path), segment=1)[2] == 2
+        assert load_debug_target(str(path), segment=2)[2] == 0
 
 
 # -- journals ---------------------------------------------------------

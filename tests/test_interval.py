@@ -13,6 +13,7 @@ from repro.core.replayer import ReplayPerturbation
 from repro.errors import ConfigurationError
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.program import ThreadState
+from repro.workloads import app_program
 from repro.workloads.program_builder import shared_address
 
 
@@ -109,6 +110,21 @@ class TestIntervalReplay:
             assert result.determinism.matches, (
                 mode, checkpoint.commit_index,
                 result.determinism.summary())
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.ORDER_ONLY,
+                                      ExecutionMode.PICOLOG])
+    def test_bounded_interval_commits_exactly_its_length(self, mode):
+        """A commit granted before the halt at the m-th commit is
+        abandoned with the rest of the speculation, so I(n, m) commits
+        m chunks (fft: no DMA, so every commit is a chunk)."""
+        system = DeLoreanSystem(mode=mode)
+        recording = system.record(app_program("fft", scale=0.3, seed=5),
+                                  checkpoint_every=9)
+        for at_commit, length in ((9, 5), (18, 7)):
+            result = system.replay_interval(
+                recording, at_commit=at_commit, length=length)
+            assert result.determinism.matches
+            assert result.stats.total_committed_chunks == length
 
     def test_at_commit_selects_checkpoint(self):
         system = make_system()

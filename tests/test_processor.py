@@ -9,7 +9,7 @@ import pytest
 from conftest import small_config
 
 from repro.chunks.cache import CacheConfig, SpeculativeCache
-from repro.chunks.chunk import TruncationReason
+from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
 from repro.chunks.processor import ChunkProcessor
 from repro.errors import ExecutionError
 from repro.machine.events import InterruptEvent
@@ -18,6 +18,7 @@ from repro.machine.program import (
     LOCK_SPIN_COST,
     Op,
     OpKind,
+    ThreadState,
     compute_mix,
 )
 
@@ -366,6 +367,41 @@ class TestSquash:
         build(proc, memory, target=16)
         commit_head(proc)
         assert proc.squash_count_for(1) == 0
+
+
+class TestSignaturesAtBuildEnd:
+    def test_remote_write_to_a_line_only_read_squashes_a_new_chunk(
+            self):
+        # The signatures are built once, when the build ends: a chunk
+        # build_chunk has just returned must already conflict.
+        proc, memory = make_processor([
+            Op(OpKind.LOAD, address=64),
+            Op(OpKind.STORE, address=128, value=1)])
+        chunk = build(proc, memory)
+        line = proc.config.line_of(64)
+        assert line in chunk.read_lines
+        assert line not in chunk.write_lines
+        remote = Chunk(processor=1, logical_seq=1,
+                       start_state=ThreadState(thread_id=1),
+                       signature_config=proc.config.signature)
+        remote.record_write(line)
+        assert proc.squash_if_conflicts(remote, 1.0) == [chunk]
+        assert chunk.state is ChunkState.SQUASHED
+
+    def test_each_line_enters_its_signature_once(self):
+        proc, memory = make_processor([
+            Op(OpKind.LOAD, address=64),
+            Op(OpKind.LOAD, address=64),
+            Op(OpKind.STORE, address=128, value=1),
+            Op(OpKind.STORE, address=128, value=2)])
+        chunk = build(proc, memory)
+        read, written = proc.config.line_of(64), proc.config.line_of(128)
+        assert chunk.read_lines == {read}
+        assert chunk.write_lines == {written}
+        assert chunk.read_signature.may_contain(read)
+        assert chunk.write_signature.may_contain(written)
+        assert chunk.read_signature.inserted_lines == 1
+        assert chunk.write_signature.inserted_lines == 1
 
 
 class TestInterrupts:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import small_config
+from conftest import record_reads, small_config
 
 from repro.chunks.chunk import Chunk, TruncationReason
 from repro.chunks.signature import Signature
@@ -32,7 +32,7 @@ def make_chunk(proc, seq, instructions=100,
     chunk.instructions = instructions
     chunk.truncation = truncation
     chunk.handler_event = handler_event
-    chunk.record_read(seq * 100 + proc)
+    record_reads(chunk, seq * 100 + proc)
     chunk.record_write(seq * 100 + proc + 1)
     return chunk
 

@@ -30,6 +30,7 @@ from repro.runner import (
     execute_spec,
 )
 from repro.runner.cache import encode_artifact
+from repro.runner.executors import ProcessPoolBackend
 from repro.runner.figures import resolve_figures, specs_for
 from repro.runner.jobs import (
     KINDS,
@@ -456,6 +457,11 @@ def _pid_job(spec, cache):
     return _stub_artifact(spec, pid=os.getpid())
 
 
+def _short_job(spec, cache):
+    time.sleep(0.3)
+    return _stub_artifact(spec)
+
+
 class _Order(Reporter):
     def __init__(self):
         self.events = []
@@ -478,6 +484,21 @@ class TestRunnerSlots:
         assert events.events == [
             (event, spec.content_hash())
             for spec in specs for event in ("start", "done")]
+
+    def test_slots_never_outnumber_an_injected_pools_workers(self):
+        # Six slots over one worker would queue five attempts inside
+        # the pool, where their sweep deadlines (1.5 s at timeout=0.5)
+        # run out behind the 0.3 s jobs ahead of them.
+        backend = ProcessPoolBackend(max_workers=1)
+        runner = Runner(jobs=6, cache=False, timeout=0.5,
+                        retry=RetryPolicy(max_attempts=1),
+                        job_fn=_short_job, executor=backend)
+        try:
+            outcomes = runner.run(
+                [record_spec(seed=seed) for seed in range(31, 37)])
+        finally:
+            backend.shutdown()
+        assert [outcome.ok for outcome in outcomes] == [True] * 6
 
     def test_later_waves_get_the_full_width(self, tmp_path):
         # Wave 1 has two misses (two of the four recordings are

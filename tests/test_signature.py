@@ -5,6 +5,8 @@ report disjoint, the underlying address sets truly are disjoint -- a
 missed conflict would silently break chunk atomicity.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,3 +133,19 @@ def test_default_space_keeps_aliasing_rare():
     for line in range(1000, 1050):
         b.insert(line)
     assert not a.intersects(b)
+
+
+@pytest.mark.parametrize("num_hashes", [1, 2, 3, 4])
+def test_insert_all_equals_one_insert_per_line(num_hashes):
+    """The bulk insert that builds a chunk's signatures leaves the same
+    keys and count as one insert per line (a small hash space makes
+    keys collide; a repeated line counts twice in both)."""
+    config = SignatureConfig(size_bits=1 << 10, num_hashes=num_hashes)
+    rng = random.Random(num_hashes)
+    lines = [rng.randrange(1 << 40) for _ in range(300)] + [7, 7]
+    one_by_one, bulk = Signature(config), Signature(config)
+    for line in lines:
+        one_by_one.insert(line)
+    bulk.insert_all(lines)
+    assert bulk._keys == one_by_one._keys
+    assert bulk.inserted_lines == one_by_one.inserted_lines == len(lines)
