@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
 from repro.errors import DeadlockError
@@ -126,230 +126,206 @@ class InterleavedExecutor:
                         for _ in range(program.num_threads)]
 
     def run(self, max_steps: int | None = None) -> InterleavedResult:
-        """Execute to completion; returns timing and the access trace."""
+        """Execute to completion; returns timing and the access trace.
+
+        One loop runs every op: the processor with the earliest clock,
+        at the heap's top, takes due DMA and interrupts, fetches and
+        executes its op, and its top entry is replaced by its new clock
+        (popped once its thread finishes).  Every store is immediately
+        visible, so spins re-read live memory one iteration at a time.
+        What stays fixed for the run is bound before the loop, and
+        costs keep their operand order (docs/INTERNALS.md §6).
+        ``compute_mix`` is looked up here, never at import, so a
+        wrapper installed before the run sees every call.
+        """
         program = self.program
+        threads = program.threads
+        num_threads = program.num_threads
         timing = self.config.timing
         line_shift = self.config.line_shift
+        base = timing.base_cpi
         load_exposure, store_exposure = self.model.exposures(timing)
+        load_stall = {"l1": 0.0, "l2": timing.l2_hit_cycles * load_exposure,
+                      "memory": timing.memory_cycles * load_exposure}
+        store_stall = {"l1": 0.0, "l2": timing.l2_hit_cycles * store_exposure,
+                       "memory": timing.memory_cycles * store_exposure}
+        memory = self.memory
+        read, write = memory.read, memory.write
+        accesses = [cache.access for cache in self._caches]
+        mix = compute_mix
+        heapreplace = heapq.heapreplace
+        LOAD, STORE, COMPUTE, TRAP, RMW, LOCK = (
+            OpKind.LOAD, OpKind.STORE, OpKind.COMPUTE, OpKind.TRAP,
+            OpKind.RMW, OpKind.LOCK)
+        UNLOCK, BARRIER, IO_LOAD, IO_STORE, SPECIAL = (
+            OpKind.UNLOCK, OpKind.BARRIER, OpKind.IO_LOAD, OpKind.IO_STORE,
+            OpKind.SPECIAL)
         states = [ThreadState(thread_id=index, finished=not ops)
-                  for index, ops in enumerate(program.threads)]
-        clocks = [0.0] * program.num_threads
-        mem_ops = [0] * program.num_threads
+                  for index, ops in enumerate(threads)]
+        collect_trace = self.collect_trace
         trace: list[AccessRecord] = []
+        mem_ops = [0] * num_threads
+
+        def record(proc, line, is_write, address, value) -> None:
+            mem_ops[proc] += 1
+            trace.append(AccessRecord(
+                len(trace), proc, line, is_write, states[proc].retired,
+                mem_ops[proc], address, value))
+
         spin_instructions = 0
+        cycles = 0.0
         # External events: interrupts are delivered when the target
         # processor's clock passes the event time; DMA bursts apply
-        # when the global minimum clock passes theirs.
-        interrupts = sorted(program.interrupts, key=lambda e: e.time)
-        interrupt_cursor = {p: 0 for p in range(program.num_threads)}
-        by_proc: dict[int, list] = {p: [] for p in range(
-            program.num_threads)}
-        for event in interrupts:
-            if event.processor < program.num_threads:
-                by_proc[event.processor].append(event)
-        dma = sorted(program.dma_transfers, key=lambda t: t.time)
-        dma_cursor = 0
-
-        heap = [(0.0, index) for index in range(program.num_threads)
+        # when the global minimum clock passes theirs.  Each stream is
+        # kept latest first, so its next event is its last.
+        dma = sorted(program.dma_transfers, key=lambda t: t.time)[::-1]
+        interrupts: list[list] = [[] for _ in range(num_threads)]
+        for event in sorted(program.interrupts, key=lambda e: e.time)[::-1]:
+            if event.processor < num_threads:
+                interrupts[event.processor].append(event)
+        heap = [(0.0, index) for index in range(num_threads)
                 if not states[index].finished]
         heapq.heapify(heap)
         if max_steps is None:
             max_steps = 400 * max(1, program.total_static_ops()) + 100_000
         steps = 0
-
-        def charge_read(proc: int, line: int) -> float:
-            level = self._caches[proc].access(line)
-            if level == "l2":
-                return timing.l2_hit_cycles * load_exposure
-            if level == "memory":
-                return timing.memory_cycles * load_exposure
-            return 0.0
-
-        def charge_write(proc: int, line: int) -> float:
-            level = self._caches[proc].access(line)
-            if level == "l2":
-                return timing.l2_hit_cycles * store_exposure
-            if level == "memory":
-                return timing.memory_cycles * store_exposure
-            return 0.0
-
-        def record(proc: int, line: int, is_write: bool,
-                   address: int = 0, value: int = 0) -> None:
-            mem_ops[proc] += 1
-            if self.collect_trace:
-                trace.append(AccessRecord(
-                    index=len(trace),
-                    processor=proc,
-                    line=line,
-                    is_write=is_write,
-                    instruction=states[proc].retired,
-                    operation=mem_ops[proc],
-                    address=address,
-                    value=value,
-                ))
-
         while heap:
             steps += 1
             if steps > max_steps:
                 raise DeadlockError(
                     f"interleaved execution exceeded {max_steps} steps "
                     f"(likely a deadlocked spin)")
-            clock, proc = heapq.heappop(heap)
+            clock, proc = heap[0]
             state = states[proc]
             # Deliver any due DMA (globally ordered at the minimum
-            # clock, which this pop is).
-            while dma_cursor < len(dma) and dma[dma_cursor].time <= clock:
-                self.memory.apply(dma[dma_cursor].writes)
-                dma_cursor += 1
-            # Deliver due interrupts for this processor.
-            queue = by_proc[proc]
-            cursor = interrupt_cursor[proc]
-            if (cursor < len(queue) and queue[cursor].time <= clock
-                    and not state.in_handler):
-                event = queue[cursor]
-                interrupt_cursor[proc] = cursor + 1
+            # clock, which the heap's top is).
+            while dma and dma[-1].time <= clock:
+                memory.apply(dma.pop().writes)
+            handler = state.handler_ops
+            queue = interrupts[proc]
+            if queue and queue[-1].time <= clock and handler is None:
+                event = queue.pop()
                 state.enter_handler(build_handler_ops(
                     event.vector, event.payload, event.handler_ops))
-            op = self._current_op(state)
-            if op is None:
-                continue  # thread finished
-            cost, spin = self._step(proc, state, op, charge_read,
-                                    charge_write, record, timing,
-                                    line_shift)
-            spin_instructions += spin
-            clocks[proc] = clock + cost
-            heapq.heappush(heap, (clocks[proc], proc))
-        total = sum(s.retired for s in states)
-        return InterleavedResult(
-            model=self.model,
-            cycles=max(clocks) if clocks else 0.0,
-            total_instructions=total,
-            per_proc_instructions={
-                index: states[index].retired
-                for index in range(program.num_threads)},
-            trace=trace,
-            final_memory=self.memory.nonzero_words(),
-            spin_instructions=spin_instructions,
-        )
-
-    def _current_op(self, state: ThreadState):
-        if state.handler_ops is not None:
-            if state.handler_index < len(state.handler_ops):
-                return state.handler_ops[state.handler_index]
-            state.exit_handler()
-        if state.op_index >= len(self.program.threads[state.thread_id]):
-            state.finished = True
-            return None
-        return self.program.threads[state.thread_id][state.op_index]
-
-    @staticmethod
-    def _advance(state: ThreadState) -> None:
-        if state.handler_ops is not None:
-            state.handler_index += 1
-        else:
-            state.op_index += 1
-
-    def _step(self, proc, state, op, charge_read, charge_write, record,
-              timing, line_shift):
-        """Execute one op step; returns (cycle cost, spin instructions).
-
-        Unlike the chunk interpreter there is no isolation: every store
-        is immediately visible, so spins re-read live memory one
-        iteration at a time.  ``line_shift`` is the configuration's
-        word-to-line shift, derived once per run.
-        """
-        kind = op.kind
-        base = timing.base_cpi
-        if kind is OpKind.COMPUTE or kind is OpKind.TRAP:
-            count = (state.compute_remaining
-                     if state.compute_remaining else op.count)
-            state.accumulator = compute_mix(state.accumulator, count)
-            state.retired += count
-            state.compute_remaining = 0
-            self._advance(state)
-            return count * base, 0
-        if kind is OpKind.LOAD:
-            line = op.address >> line_shift
-            state.accumulator = self.memory.read(op.address)
-            record(proc, line, False, op.address, state.accumulator)
-            state.retired += 1
-            self._advance(state)
-            return base + charge_read(proc, line), 0
-        if kind is OpKind.STORE:
-            line = op.address >> line_shift
-            value = op.value if op.value is not None else state.accumulator
-            self.memory.write(op.address, value)
-            record(proc, line, True, op.address, value)
-            state.retired += 1
-            self._advance(state)
-            return base + charge_write(proc, line), 0
-        if kind is OpKind.RMW:
-            line = op.address >> line_shift
-            old = self.memory.read(op.address)
-            delta = op.value if op.value is not None else 1
-            self.memory.write(op.address, old + delta)
-            record(proc, line, True, op.address, old + delta)
-            state.accumulator = old
-            state.retired += 1
-            self._advance(state)
-            # An atomic exposes its full round trip under every model.
-            return base + charge_read(proc, line), 0
-        if kind is OpKind.LOCK:
-            line = op.address >> line_shift
-            value = self.memory.read(op.address)
-            cost = LOCK_SPIN_COST * base + charge_read(proc, line)
-            state.retired += LOCK_SPIN_COST
-            if value == 0:
-                self.memory.write(op.address, 1)
-                record(proc, line, True, op.address, 1)
-                self._advance(state)
-                return cost, 0
-            record(proc, line, False, op.address, value)
-            return cost, LOCK_SPIN_COST
-        if kind is OpKind.UNLOCK:
-            line = op.address >> line_shift
-            self.memory.write(op.address, 0)
-            record(proc, line, True, op.address, 0)
-            state.retired += 1
-            self._advance(state)
-            return base + charge_write(proc, line), 0
-        if kind is OpKind.BARRIER:
-            line = op.address >> line_shift
-            if state.stage == _STAGE_START:
-                old = self.memory.read(op.address)
-                self.memory.write(op.address, old + 1)
-                record(proc, line, True, op.address, old + 1)
-                state.barrier_target = (old // op.count + 1) * op.count
-                state.stage = _STAGE_BARRIER_WAIT
+                handler = state.handler_ops
+            if handler is not None:
+                if state.handler_index < len(handler):
+                    op = handler[state.handler_index]
+                else:
+                    state.exit_handler()
+                    handler = None
+            if handler is None:
+                ops = threads[proc]
+                if state.op_index >= len(ops):
+                    state.finished = True
+                    heapq.heappop(heap)
+                    cycles = max(cycles, clock)
+                    continue
+                op = ops[state.op_index]
+            kind = op.kind
+            address = op.address  # an I/O op's port
+            line = address >> line_shift
+            if kind is LOAD:
+                value = read(address)
+                state.accumulator = value
+                if collect_trace:
+                    record(proc, line, False, address, value)
                 state.retired += 1
-                return base + charge_read(proc, line), 0
-            value = self.memory.read(op.address)
-            cost = BARRIER_SPIN_COST * base + charge_read(proc, line)
-            state.retired += BARRIER_SPIN_COST
-            if value >= state.barrier_target:
+                cost = base + load_stall[accesses[proc](line)]
+            elif kind is STORE:
+                value = op.value if op.value is not None else state.accumulator
+                write(address, value)
+                if collect_trace:
+                    record(proc, line, True, address, value)
+                state.retired += 1
+                cost = base + store_stall[accesses[proc](line)]
+            elif kind is COMPUTE or kind is TRAP:
+                count = state.compute_remaining or op.count
+                state.accumulator = mix(state.accumulator, count)
+                state.retired += count
+                state.compute_remaining = 0
+                cost = count * base
+            elif kind is RMW:
+                old = read(address)
+                delta = op.value if op.value is not None else 1
+                write(address, old + delta)
+                if collect_trace:
+                    record(proc, line, True, address, old + delta)
+                state.accumulator = old
+                state.retired += 1
+                # An atomic exposes its full round trip under every model.
+                cost = base + load_stall[accesses[proc](line)]
+            elif kind is LOCK:
+                value = read(address)
+                cost = LOCK_SPIN_COST * base + load_stall[accesses[proc](line)]
+                state.retired += LOCK_SPIN_COST
+                if value != 0:
+                    # Held: this iteration spins; the next one tests again.
+                    if collect_trace:
+                        record(proc, line, False, address, value)
+                    spin_instructions += LOCK_SPIN_COST
+                    heapreplace(heap, (clock + cost, proc))
+                    continue
+                write(address, 1)
+                if collect_trace:
+                    record(proc, line, True, address, 1)
+            elif kind is UNLOCK:
+                write(address, 0)
+                if collect_trace:
+                    record(proc, line, True, address, 0)
+                state.retired += 1
+                cost = base + store_stall[accesses[proc](line)]
+            elif kind is BARRIER:
+                if state.stage == _STAGE_START:
+                    old = read(address)
+                    write(address, old + 1)
+                    if collect_trace:
+                        record(proc, line, True, address, old + 1)
+                    state.barrier_target = (old // op.count + 1) * op.count
+                    state.stage = _STAGE_BARRIER_WAIT
+                    state.retired += 1
+                    cost = base + load_stall[accesses[proc](line)]
+                    heapreplace(heap, (clock + cost, proc))
+                    continue
+                value = read(address)
+                cost = (BARRIER_SPIN_COST * base
+                        + load_stall[accesses[proc](line)])
+                state.retired += BARRIER_SPIN_COST
+                if value < state.barrier_target:
+                    if collect_trace:
+                        record(proc, line, False, address, value)
+                    spin_instructions += BARRIER_SPIN_COST
+                    heapreplace(heap, (clock + cost, proc))
+                    continue
                 state.stage = _STAGE_START
                 state.barrier_target = 0
-                self._advance(state)
-                return cost, 0
-            record(proc, line, False, op.address, value)
-            return cost, BARRIER_SPIN_COST
-        if kind is OpKind.IO_LOAD:
-            state.accumulator = self.io_device.load(op.address) & WORD_MASK
-            state.retired += 1
-            self._advance(state)
-            # Uncached: the full memory round trip is exposed.
-            return base + timing.memory_cycles, 0
-        if kind is OpKind.IO_STORE:
-            self.io_device.store(op.address, state.accumulator)
-            state.retired += 1
-            self._advance(state)
-            return base + timing.memory_cycles, 0
-        if kind is OpKind.SPECIAL:
-            state.retired += 1
-            self._advance(state)
-            return base + timing.memory_cycles / 2, 0
-        raise ValueError(f"unhandled op kind {kind}")
-
-    # NOTE: loads record into the trace lazily -- see record() call
-    # sites above.  Loads that hit a spin loop record as reads so the
-    # dependence recorders see the WAR/RAW structure of the spin.
+            elif kind is IO_LOAD:
+                state.accumulator = self.io_device.load(address) & WORD_MASK
+                state.retired += 1
+                # Uncached: the full memory round trip is exposed.
+                cost = base + timing.memory_cycles
+            elif kind is IO_STORE:
+                self.io_device.store(address, state.accumulator)
+                state.retired += 1
+                cost = base + timing.memory_cycles
+            elif kind is SPECIAL:
+                state.retired += 1
+                cost = base + timing.memory_cycles / 2
+            else:
+                raise ValueError(f"unhandled op kind {kind}")
+            # The op completed: step past it.
+            if handler is None:
+                state.op_index += 1
+            else:
+                state.handler_index += 1
+            heapreplace(heap, (clock + cost, proc))
+        return InterleavedResult(
+            model=self.model,
+            cycles=cycles,
+            total_instructions=sum(state.retired for state in states),
+            per_proc_instructions={
+                index: state.retired for index, state in enumerate(states)},
+            trace=trace,
+            final_memory=memory.nonzero_words(),
+            spin_instructions=spin_instructions,
+        )

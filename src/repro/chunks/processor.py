@@ -50,7 +50,10 @@ from repro.telemetry.tracer import NULL_TRACER
 _STAGE_START = 0
 _STAGE_BARRIER_WAIT = 1
 
-_BOUNDARY_KINDS = (OpKind.IO_LOAD, OpKind.IO_STORE, OpKind.SPECIAL)
+#: Ops that end a chunk to run between chunks -> the reason recorded.
+_BOUNDARY_REASONS = {OpKind.IO_LOAD: TruncationReason.IO_BOUNDARY,
+                     OpKind.IO_STORE: TruncationReason.IO_BOUNDARY,
+                     OpKind.SPECIAL: TruncationReason.SPECIAL}
 
 
 @dataclass
@@ -312,11 +315,11 @@ class ChunkProcessor:
         an L1 miss calls ``SpeculativeCache.fill``, a load that no write
         buffer holds ``MainMemory.read``, and COMPUTE ``compute_mix``.
         Everything that stays fixed while one chunk builds is bound
-        before the loop: the line shift, the load stall per miss level,
-        the L1's sets, the chunk's footprint and the write buffers of
-        older uncommitted chunks.  The instruction, cycle, retired and
-        L1-hit counts live in locals and are written back on every
-        exit.
+        before the loop: the enum members it tests, the line shift, the
+        load stall per miss level, the L1's sets, the chunk's footprint
+        and the write buffers of older uncommitted chunks.  The
+        instruction, cycle, retired and L1-hit counts live in locals and
+        are written back on every exit.
 
         The L1 hit check (a miss calls ``SpeculativeCache.fill``) and
         the footprint overflow check are inline copies of
@@ -328,12 +331,18 @@ class ChunkProcessor:
         once, from its exact line sets, when the loop ends: a build is
         a single engine event, so no commit can test them earlier.
         """
+        LOAD, STORE, COMPUTE, TRAP = (
+            OpKind.LOAD, OpKind.STORE, OpKind.COMPUTE, OpKind.TRAP)
+        RMW, LOCK, UNLOCK, BARRIER = (
+            OpKind.RMW, OpKind.LOCK, OpKind.UNLOCK, OpKind.BARRIER)
+        PROGRAM_END = TruncationReason.PROGRAM_END
+        OVERFLOW = TruncationReason.CACHE_OVERFLOW
         state = self.spec_state
         effective = target_size
         reason_at_target = target_reason
         if forced_limit is not None and forced_limit < effective:
             effective = max(1, forced_limit)
-            reason_at_target = TruncationReason.CACHE_OVERFLOW
+            reason_at_target = OVERFLOW
         ops = self.ops
         op_count = len(ops)
         line_shift = self.config.line_shift
@@ -372,11 +381,11 @@ class ChunkProcessor:
                 else:
                     op = self._current_op(state)
                     if op is None:
-                        chunk.truncation = TruncationReason.PROGRAM_END
+                        chunk.truncation = PROGRAM_END
                         break
                 kind = op.kind
                 budget = effective - instructions
-                if kind is OpKind.LOAD:
+                if kind is LOAD:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
@@ -400,7 +409,7 @@ class ChunkProcessor:
                         cycles += miss_stall[fill(line)]
                     instructions += 1
                     retired += 1
-                elif kind is OpKind.STORE:
+                elif kind is STORE:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
@@ -408,7 +417,7 @@ class ChunkProcessor:
                     slot = line & set_mask
                     if line not in written:
                         if per_set[slot] >= speculative_ways:
-                            chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                            chunk.truncation = OVERFLOW
                             break
                         written.add(line)
                         per_set[slot] += 1
@@ -424,7 +433,7 @@ class ChunkProcessor:
                         fill(line)
                     instructions += 1
                     retired += 1
-                elif kind is OpKind.COMPUTE or kind is OpKind.TRAP:
+                elif kind is COMPUTE or kind is TRAP:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
@@ -438,7 +447,7 @@ class ChunkProcessor:
                     state.compute_remaining = left
                     if left:
                         continue
-                elif kind is OpKind.RMW:
+                elif kind is RMW:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
@@ -446,7 +455,7 @@ class ChunkProcessor:
                     slot = line & set_mask
                     if line not in written:
                         if per_set[slot] >= speculative_ways:
-                            chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                            chunk.truncation = OVERFLOW
                             break
                         written.add(line)
                         per_set[slot] += 1
@@ -463,7 +472,7 @@ class ChunkProcessor:
                     state.accumulator = old
                     instructions += 1
                     retired += 1
-                elif kind is OpKind.LOCK:
+                elif kind is LOCK:
                     if budget < LOCK_SPIN_COST:
                         chunk.truncation = reason_at_target
                         break
@@ -472,7 +481,7 @@ class ChunkProcessor:
                     # Checked now, added only when the lock is taken.
                     if (line not in written
                             and per_set[slot] >= speculative_ways):
-                        chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                        chunk.truncation = OVERFLOW
                         break
                     value = self._read_value(op.address, chunk, memory)
                     read.add(line)
@@ -499,7 +508,7 @@ class ChunkProcessor:
                         per_set[slot] += 1
                     instructions += LOCK_SPIN_COST
                     retired += LOCK_SPIN_COST
-                elif kind is OpKind.UNLOCK:
+                elif kind is UNLOCK:
                     if budget < 1:
                         chunk.truncation = reason_at_target
                         break
@@ -507,7 +516,7 @@ class ChunkProcessor:
                     slot = line & set_mask
                     if line not in written:
                         if per_set[slot] >= speculative_ways:
-                            chunk.truncation = TruncationReason.CACHE_OVERFLOW
+                            chunk.truncation = OVERFLOW
                             break
                         written.add(line)
                         per_set[slot] += 1
@@ -520,7 +529,7 @@ class ChunkProcessor:
                         fill(line)
                     instructions += 1
                     retired += 1
-                elif kind is OpKind.BARRIER:
+                elif kind is BARRIER:
                     line = op.address >> line_shift
                     slot = line & set_mask
                     if state.stage == _STAGE_START:
@@ -529,8 +538,7 @@ class ChunkProcessor:
                             break
                         if line not in written:
                             if per_set[slot] >= speculative_ways:
-                                chunk.truncation = (
-                                    TruncationReason.CACHE_OVERFLOW)
+                                chunk.truncation = OVERFLOW
                                 break
                             written.add(line)
                             per_set[slot] += 1
@@ -573,14 +581,13 @@ class ChunkProcessor:
                     state.barrier_target = 0
                     instructions += BARRIER_SPIN_COST
                     retired += BARRIER_SPIN_COST
-                elif kind in _BOUNDARY_KINDS:
-                    chunk.pending_boundary_op = op
-                    chunk.truncation = (
-                        TruncationReason.SPECIAL if kind is OpKind.SPECIAL
-                        else TruncationReason.IO_BOUNDARY)
-                    break
                 else:
-                    raise ExecutionError(f"unhandled op kind {kind}")
+                    boundary = _BOUNDARY_REASONS.get(kind)
+                    if boundary is None:
+                        raise ExecutionError(f"unhandled op kind {kind}")
+                    chunk.pending_boundary_op = op
+                    chunk.truncation = boundary
+                    break
                 # The op completed: step past it (as _advance does).
                 if state.handler_ops is None:
                     state.op_index += 1

@@ -90,7 +90,11 @@ from repro.errors import (
     ReproError,
     SalvageError,
 )
-from repro.machine.events import DmaTransfer, InterruptEvent
+from repro.machine.events import (
+    INTERRUPT_FIELD_TYPES,
+    DmaTransfer,
+    InterruptEvent,
+)
 from repro.machine.program import (
     OpKind,
     Program,
@@ -463,9 +467,6 @@ def _program_section(program: Program) -> bytes:
     return section
 
 
-_INTERRUPT_TYPES = ((int, float), int, int, int, int, bool, int)
-
-
 def _decode_program(payload: bytes, header: dict) -> dict:
     with _LIVE_LOCK:
         live = _LIVE_PROGRAMS.get(bytes(payload))
@@ -480,8 +481,8 @@ def _decode_program(payload: bytes, header: dict) -> dict:
     threads = _split(inp, ops, lengths)
     interrupts = []
     for fields in head["interrupts"]:
-        if (len(fields) != len(_INTERRUPT_TYPES)
-                or not all(map(isinstance, fields, _INTERRUPT_TYPES))):
+        if (len(fields) != len(INTERRUPT_FIELD_TYPES)
+                or not all(map(isinstance, fields, INTERRUPT_FIELD_TYPES))):
             inp.fail("malformed interrupt event")
         interrupts.append(InterruptEvent(*fields))
     dma = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 
 from repro.errors import ConfigurationError
@@ -56,6 +56,11 @@ def build_handler_ops(
     )
 
 
+#: The types of :class:`InterruptEvent`'s fields, in order, as the DLRN
+#: program decoder checks them (a ``bool`` passes as an ``int``).
+INTERRUPT_FIELD_TYPES = ((int, float), int, int, int, int, bool, int)
+
+
 @dataclass(frozen=True)
 class InterruptEvent:
     """An asynchronous interrupt delivered to one processor.
@@ -80,6 +85,9 @@ class InterruptEvent:
     replay_chunk_id: int = 0
 
     def __post_init__(self) -> None:
+        values = [getattr(self, spec.name) for spec in fields(self)]
+        if not all(map(isinstance, values, INTERRUPT_FIELD_TYPES)):
+            raise ConfigurationError(f"ill-typed interrupt field: {self!r}")
         if not 0 <= self.time < math.inf:
             raise ConfigurationError(
                 f"interrupt time must be finite and >= 0, got "
@@ -107,8 +115,12 @@ class DmaTransfer:
                 f"DMA time must be finite and >= 0, got {self.time!r}")
         if not self.writes:
             raise ConfigurationError("a DMA transfer must write something")
-        object.__setattr__(self, "writes",
-                           MappingProxyType(dict(self.writes)))
+        writes = dict(self.writes)
+        if not all(isinstance(address, int) and isinstance(value, int)
+                   for address, value in writes.items()):
+            raise ConfigurationError(
+                f"DMA writes must map int addresses to int values: {writes}")
+        object.__setattr__(self, "writes", MappingProxyType(writes))
 
     def __reduce__(self):
         # A read-only mapping does not pickle; its dict does.

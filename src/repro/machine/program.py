@@ -369,6 +369,10 @@ class Program:
     __hash__ = None
 
     def __post_init__(self) -> None:
+        # As the DLRN program decoder checks them (a bool is an int).
+        if not (isinstance(self.name, str) and isinstance(self.io_seed, int)):
+            raise ConfigurationError(f"ill-typed program name or io_seed: "
+                                     f"{self.name!r}, {self.io_seed!r}")
         threads = tuple(map(tuple, self.threads))
         if not threads:
             raise ConfigurationError("a program needs at least one thread")

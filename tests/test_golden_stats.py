@@ -11,7 +11,9 @@ interleaved baseline executor compute for small fixed inputs:
 * the recordings' network traffic per byte category, and so their
   invalidation and refill counts, and the same for a racey program
   whose commits invalidate hundreds of lines in other caches;
-* lu under the RC and SC interleaved executor.
+* lu, sjbb2k and a small program that spins at locks and barriers
+  under the RC, SC and PC interleaved executor, with digests of their
+  final memory and access trace.
 
 A mismatch means a simulated behaviour changed.  Regenerate the tables
 only for a deliberate model change, and say so in the change log.
@@ -19,12 +21,21 @@ only for a deliberate model change, and say so in the change log.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro import DeLoreanSystem, ExecutionMode
 from repro.baselines.consistency import ConsistencyModel, InterleavedExecutor
+from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.timing import MachineConfig
-from repro.workloads import commercial_program, splash2_program
+from repro.workloads import ProgramBuilder, commercial_program, splash2_program
+from repro.workloads.program_builder import (
+    barrier_address,
+    lock_address,
+    shared_address,
+)
 from repro.workloads.stress import racey_program
 
 SCALE = 0.2
@@ -135,14 +146,82 @@ SHARED_TRAFFIC = {
     ("tight", "picolog"): (58880, 984, 5720, 54272, 112832),
 }
 
-#: lu under the interleaved executor: model -> (cycles, instructions).
+#: (app, model) -> the interleaved executor's cycles, total
+#: instructions, spin instructions, per-processor instructions and the
+#: SHA-256 of its final memory and of its access trace (every
+#: ``AccessRecord`` field).  sjbb2k brings interrupts, DMA and I/O;
+#: sync (below) every op kind, lock and barrier spins, and a handler
+#: that runs while its thread waits at a barrier.
 CONSISTENCY = {
-    "rc": (11167.5, 38897),
-    "sc": (14014.5, 38897),
+    ("lu", "pc"): (
+        12747.0, 38897, 0, (4910, 4886, 4876, 4950, 4797, 4875, 4778, 4825),
+        "b23fd04d2d6db2fad44f846c603c8433cde1f1503b8668cb25e66ff7077986db",
+        "badf0826f5d9f0ca362f651d3b62457e7f74176440a0520f8dca6417b2169b5f"),
+    ("lu", "rc"): (
+        11167.5, 38897, 0, (4910, 4886, 4876, 4950, 4797, 4875, 4778, 4825),
+        "b23fd04d2d6db2fad44f846c603c8433cde1f1503b8668cb25e66ff7077986db",
+        "373263ddab84be5bf7a6e0a9dfa189082806fbcc4a3fa67dfe9f441420983a2b"),
+    ("lu", "sc"): (
+        14014.5, 38897, 0, (4910, 4886, 4876, 4950, 4797, 4875, 4778, 4825),
+        "b23fd04d2d6db2fad44f846c603c8433cde1f1503b8668cb25e66ff7077986db",
+        "ceb9fad70295dd4d740b02e846026add135703ecc0b9059ce953449910cbe077"),
+    ("sjbb2k", "pc"): (
+        13168.0, 31096, 0, (3935, 3992, 3782, 3950, 3854, 3893, 3862, 3828),
+        "9e709c7a87257d54f00a1f499b77dacf0e3ac45040cb67901eb7164073ced7bc",
+        "c9d9407a40ce1f3a792a1e0766ccfe7688b792417594ec550c5bc7691f8e2b98"),
+    ("sjbb2k", "rc"): (
+        11515.0, 31096, 0, (3935, 3992, 3782, 3950, 3854, 3893, 3862, 3828),
+        "4a43297c464ad95777e263b09a61f7a5a4c26a481769ef8aad3f3355251b3234",
+        "8175bae612e3ac7c3add91989f88fe306df3744f1ba67392d3e44c0bacc838d8"),
+    ("sjbb2k", "sc"): (
+        14407.0, 31096, 0, (3935, 3992, 3782, 3950, 3854, 3893, 3862, 3828),
+        "1dd26cc0e805d64f6ad5f5b4c168457f538ada8fa426907139dea17d809d0fae",
+        "3d0c7a8749da8e0d47878d507a0d1129d0891d9789aaa0f3481f50a9e71e804d"),
+    ("sync", "pc"): (
+        1157.985, 1932, 1436, (322, 174, 718, 718),
+        "b6d09c3c96a17c7582b45095a53c87fb1e47bcd5b48a1248ce201187ddc4eaac",
+        "9a6d896ddb930af8abdafeec3546b6188c99b2320313677111aba042f3a2044a"),
+    ("sync", "rc"): (
+        1110.9, 1768, 1272, (302, 174, 646, 646),
+        "b6d09c3c96a17c7582b45095a53c87fb1e47bcd5b48a1248ce201187ddc4eaac",
+        "4380be5bf1f842223a4bb602681dd4840e014e56ca9e31e4b216808f7fc53f79"),
+    ("sync", "sc"): (
+        1191.81, 2052, 1556, (334, 172, 768, 778),
+        "4e67586beec06578678af1ce7804c03408f50784d3623f31cdabc9709a4f661b",
+        "074c3cf3d3a88f11eef3c4b4cc00673504a6287652e8959a90bba2ab971ec680"),
 }
 
 
+def _sync_program():
+    """Every op kind, spinning: four threads reach a barrier at
+    different times, contend for one lock, and thread 0 takes an
+    interrupt while it waits at the first barrier."""
+    builder = ProgramBuilder(4, name="sync")
+    counter = shared_address(0)
+    for thread in range(4):
+        (builder.writer(thread)
+         .compute(10 + 40 * thread)
+         .barrier(barrier_address(0), 4)
+         .lock(lock_address(0))
+         .rmw(counter, thread + 1)
+         .compute(30)
+         .store(shared_address(8 + thread))
+         .unlock(lock_address(0))
+         .load(counter)
+         .io_load(thread)
+         .io_store(thread)
+         .special()
+         .trap(5)
+         .barrier(barrier_address(1), 4))
+    builder.add_interrupt(InterruptEvent(
+        time=20.0, processor=0, vector=3, payload=9, handler_ops=8))
+    builder.add_dma(DmaTransfer(time=30.0, writes={counter: 100}))
+    return builder.build()
+
+
 def _program(app: str):
+    if app == "sync":
+        return _sync_program()
     if app == "sjbb2k":
         return commercial_program(app, scale=SCALE, seed=SEED)
     return splash2_program(app, scale=SCALE, seed=SEED)
@@ -184,8 +263,29 @@ def _traffic(recording) -> tuple:
         "data_bytes", "squash_refetch_bytes"))
 
 
-@pytest.mark.parametrize("model", sorted(CONSISTENCY))
-def test_consistency_statistics(model):
-    result = InterleavedExecutor(_program("lu"),
-                                 model=ConsistencyModel(model)).run()
-    assert (result.cycles, result.total_instructions) == CONSISTENCY[model]
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _interleaved(app: str, model: str, collect_trace: bool) -> tuple:
+    result = InterleavedExecutor(_program(app),
+                                 model=ConsistencyModel(model),
+                                 collect_trace=collect_trace).run()
+    per_proc = result.per_proc_instructions
+    return (
+        result.cycles,
+        result.total_instructions,
+        result.spin_instructions,
+        tuple(per_proc[proc] for proc in sorted(per_proc)),
+        _digest(sorted(result.final_memory.items())),
+        _digest([dataclasses.astuple(record) for record in result.trace]),
+    )
+
+
+@pytest.mark.parametrize("app,model", sorted(CONSISTENCY))
+def test_consistency_statistics(app, model):
+    observed = _interleaved(app, model, collect_trace=True)
+    assert observed == CONSISTENCY[app, model]
+    # Without a trace, every other figure is the same.
+    assert _interleaved(app, model, collect_trace=False) == (
+        observed[:-1] + (_digest([]),))

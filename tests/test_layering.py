@@ -1,16 +1,24 @@
-"""Layering: nothing outside ``repro.machine`` touches machine privates.
+"""Layering and hot-loop rules, checked on the source's AST.
 
 Supervision, debugging and exploration are observers on
 ``ChunkMachine.run``; they see the machine through its public surface
 (``commit_count``, ``quiescent``, ``observers``, ``pause_at_boundary``
-...).  This AST check fails on any ``machine._x``, ``self.machine._x``
-or ``self._machine._x`` access in a module outside ``machine/``.
+...).  One check fails on any ``machine._x``, ``self.machine._x`` or
+``self._machine._x`` access in a module outside ``machine/``.
+
+The two per-op interpreters bind the enum members they test to locals
+before their loop: on Python 3.11 every attribute read on an enum class
+goes through ``EnumType.__getattr__``, several times the cost of a
+local.  Another check fails on any ``OpKind.X``, ``TruncationReason.X``
+or ``ChunkState.X`` read inside a ``while`` loop of either interpreter.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -56,4 +64,66 @@ def test_no_private_machine_access_outside_machine_package():
             continue
         for line, attr in private_machine_accesses(path.read_text()):
             offenders.append(f"{relative}:{line}: {attr}")
+    assert offenders == []
+
+
+#: The per-op interpreter loops: (module, class, method).
+PER_OP_LOOPS = [
+    ("chunks/processor.py", "ChunkProcessor", "_execute_into"),
+    ("baselines/consistency.py", "InterleavedExecutor", "run"),
+]
+
+ENUM_CLASSES = frozenset({"OpKind", "TruncationReason", "ChunkState"})
+
+
+def _method(tree: ast.AST, cls: str, method: str) -> ast.FunctionDef:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return item
+    raise LookupError(f"{cls}.{method} is not defined")
+
+
+def enum_reads_in_loops(source: str, cls: str,
+                        method: str) -> list[tuple[int, str]]:
+    """(line, ``Enum.member``) of every attribute read on an enum class
+    inside a ``while`` loop of ``cls.method`` in ``source``."""
+    function = _method(ast.parse(source), cls, method)
+    return sorted({
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for loop in ast.walk(function) if isinstance(loop, ast.While)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ENUM_CLASSES})
+
+
+def test_enum_detector_flags_reads_inside_the_loop_only():
+    source = ("class Interpreter:\n"
+              "    def run(self):\n"
+              "        LOAD = OpKind.LOAD\n"
+              "        while True:\n"
+              "            if kind is OpKind.STORE:\n"
+              "                cut = TruncationReason.SPECIAL\n"
+              "            while ChunkState.BUILDING:\n"
+              "                kind is LOAD\n"
+              "            other.member\n"
+              "        return OpKind.RMW\n"
+              "    def helper(self):\n"
+              "        while True:\n"
+              "            OpKind.LOCK\n")
+    assert enum_reads_in_loops(source, "Interpreter", "run") == [
+        (5, "OpKind.STORE"), (6, "TruncationReason.SPECIAL"),
+        (7, "ChunkState.BUILDING")]
+    with pytest.raises(LookupError):
+        enum_reads_in_loops(source, "Interpreter", "missing")
+
+
+def test_per_op_loops_read_no_enum_class_attribute():
+    offenders = []
+    for module, cls, method in PER_OP_LOOPS:
+        source = (PACKAGE / module).read_text()
+        for line, name in enum_reads_in_loops(source, cls, method):
+            offenders.append(f"{module}:{line}: {name}")
     assert offenders == []

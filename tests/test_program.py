@@ -9,7 +9,12 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.serialization import load_recording, save_recording
+from repro.core.serialization import (
+    _decode_program,
+    _encode_program,
+    load_recording,
+    save_recording,
+)
 from repro.errors import ConfigurationError
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.program import (
@@ -77,6 +82,38 @@ class TestProgramValidation:
     def test_non_op_entry_rejected(self):
         with pytest.raises(ConfigurationError):
             Program(threads=[["not an op"]])
+
+    @pytest.mark.parametrize("field,value", [
+        ("name", 7), ("name", None), ("io_seed", 1.5), ("io_seed", "3")])
+    def test_ill_typed_head_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            events_program(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("time", "10"), ("processor", 0.0), ("vector", 1.5),
+        ("payload", "9"), ("handler_ops", 64.0), ("high_priority", 1),
+        ("replay_chunk_id", None)])
+    def test_ill_typed_interrupt_rejected(self, field, value):
+        fields = {"time": 10.0, "processor": 0, "vector": 1, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            InterruptEvent(**fields)
+
+    @pytest.mark.parametrize("writes", [
+        {7.0: 8}, {"7": 8}, {7: 8.5}, {7: None}])
+    def test_ill_typed_dma_write_rejected(self, writes):
+        with pytest.raises(ConfigurationError, match="DMA writes"):
+            DmaTransfer(time=5.0, writes=writes)
+
+    def test_bools_pass_where_ints_do(self):
+        # Exactly what the PROGRAM section decoder accepts.
+        program = events_program(
+            io_seed=True,
+            interrupts=[InterruptEvent(
+                time=True, processor=False, vector=True, payload=False,
+                handler_ops=True, replay_chunk_id=False)],
+            dma_transfers=[DmaTransfer(time=1, writes={True: False})])
+        section = _encode_program(program)
+        assert _decode_program(section, {})["program"] == program
 
     def test_counts(self):
         program = Program(threads=[
