@@ -29,6 +29,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import atexit
 import os
 
 from repro.analysis.report import format_table, geometric_mean
@@ -82,6 +83,8 @@ def runner() -> Runner:
     if _RUNNER is None:
         _RUNNER = Runner(jobs=max(1, JOBS),
                          cache=False if NO_CACHE else ResultCache())
+        # One worker pool for the whole session, shut down at exit.
+        atexit.register(_RUNNER.close)
     return _RUNNER
 
 

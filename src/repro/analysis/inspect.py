@@ -9,7 +9,7 @@ where the interval checkpoints sit.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
-from repro.core.recorder import Recording
+from repro.core.recorder import Recording, commits_by_processor
 
 
 def describe_recording(recording: Recording) -> str:
@@ -109,13 +109,13 @@ def interleaving_strip(recording: Recording, width: int = 64) -> str:
 def per_processor_summary(recording: Recording) -> str:
     """Per-processor commit counts and instruction totals."""
     rows = []
-    for proc, entries in sorted(
-            recording.per_proc_fingerprints.items()):
-        if proc == recording.machine_config.dma_proc_id:
-            if entries:
-                rows.append(["DMA", len(entries), "-", "-"])
-            continue
+    config = recording.machine_config
+    for proc, entries in commits_by_processor(
+            recording.fingerprints, config).items():
         if not entries:
+            continue
+        if proc == config.dma_proc_id:
+            rows.append(["DMA", len(entries), "-", "-"])
             continue
         instructions = sum(f[4] for f in entries)
         handlers = sum(1 for f in entries if f[3])

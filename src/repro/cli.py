@@ -342,13 +342,12 @@ def _cmd_races(args) -> int:
     return 0
 
 
-def _make_runner(args, verbose: bool = True) -> Runner:
+def _make_runner(args, default_reporter) -> Runner:
     """A Runner configured from the shared --jobs/--no-cache/--timeout
     (and, where offered, --report) options."""
     try:
-        reporter = reporter_from_option(
-            getattr(args, "report", None),
-            ConsoleReporter(verbose=verbose and args.jobs > 1))
+        reporter = reporter_from_option(getattr(args, "report", None),
+                                        default_reporter)
     except ValueError as error:
         raise ReproError(str(error)) from None
     return Runner(
@@ -371,9 +370,10 @@ def _cmd_modes(args) -> int:
             args.workload, mode, scale=args.scale, seed=args.seed,
             perturb_seed=ReplayPerturbation().seed)
         specs[label] = (record, replay)
-    runner = _make_runner(args)
-    artifacts = runner.artifacts_by_hash(
-        [spec for pair in specs.values() for spec in pair])
+    with _make_runner(
+            args, ConsoleReporter(verbose=args.jobs > 1)) as runner:
+        artifacts = runner.artifacts_by_hash(
+            [spec for pair in specs.values() for spec in pair])
     rows = []
     for label, (record, replay) in specs.items():
         recorded = artifacts.get(record.content_hash())
@@ -405,25 +405,16 @@ def _cmd_explore(args) -> int:
     tracer = EventTracer()
     # The campaign runs many tiny waves; per-wave progress lines are
     # noise, so default to the null reporter (--report overrides).
-    try:
-        reporter = reporter_from_option(args.report, NullReporter())
-    except ValueError as error:
-        raise ReproError(str(error)) from None
-    runner = Runner(
-        jobs=max(1, args.jobs),
-        cache=False if args.no_cache else ResultCache(),
-        timeout=args.timeout,
-        reporter=reporter,
-    )
-    report = run_exploration(
-        app, _MODES[label],
-        budget=args.budget,
-        campaign_seed=args.campaign_seed,
-        change_points=args.change_points,
-        stop_on_first=not args.exhaustive,
-        bisect=not args.no_bisect,
-        num_threads=args.threads,
-        runner=runner, tracer=tracer)
+    with _make_runner(args, NullReporter()) as runner:
+        report = run_exploration(
+            app, _MODES[label],
+            budget=args.budget,
+            campaign_seed=args.campaign_seed,
+            change_points=args.change_points,
+            stop_on_first=not args.exhaustive,
+            bisect=not args.no_bisect,
+            num_threads=args.threads,
+            runner=runner, tracer=tracer)
     print(report.summary())
     for result in report.results:
         if result.outcome != "pass":
@@ -479,8 +470,9 @@ def _cmd_bench(args) -> int:
     apps = validate_apps(args.apps) if args.apps else DEFAULT_APPS
     specs = specs_for(figures, apps=apps, scale=args.scale,
                       seed=args.seed)
-    runner = _make_runner(args, verbose=not args.quiet)
-    outcomes = runner.run(specs)
+    verbose = not args.quiet and args.jobs > 1
+    with _make_runner(args, ConsoleReporter(verbose=verbose)) as runner:
+        outcomes = runner.run(specs)
     artifacts = {outcome.spec.content_hash(): outcome.artifact
                  for outcome in outcomes if outcome.ok}
     for figure in figures:
@@ -541,7 +533,7 @@ def _cmd_chaos(args) -> int:
             slow_rate=0.3,
             slow_seconds=0.02,
         )
-    runner = Runner(
+    with Runner(
         jobs=max(1, args.jobs),
         cache=False,
         timeout=args.timeout,
@@ -549,12 +541,12 @@ def _cmd_chaos(args) -> int:
                           backoff_max=0.5),
         reporter=ConsoleReporter(verbose=args.jobs > 1),
         job_fn=job_fn,
-    )
-    report = run_campaign(
-        args.workload, _MODES[label],
-        scale=args.scale, seed=args.seed,
-        plan_seed=args.plan_seed, fault_count=args.faults,
-        checkpoint_every=args.checkpoint_every, runner=runner)
+    ) as runner:
+        report = run_campaign(
+            args.workload, _MODES[label],
+            scale=args.scale, seed=args.seed,
+            plan_seed=args.plan_seed, fault_count=args.faults,
+            checkpoint_every=args.checkpoint_every, runner=runner)
     for result in report.results:
         salvage = result.get("salvage")
         extra = ""

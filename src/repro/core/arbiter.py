@@ -595,7 +595,6 @@ class CommitArbiter:
         self.committing: list[Chunk] = []
         self.grant_count = 0
         self._reserved_processor: int | None = None
-        self.grants_log: list[int] = []
         self.halted = False
 
     def halt(self) -> None:
@@ -679,7 +678,6 @@ class CommitArbiter:
                        for other in self.committing):
                     break
                 chunk.grant_slot = self.grant_count
-                self.grants_log.append(chunk.processor)
                 return chunk
         # Only a processor's oldest uncommitted chunk may be granted;
         # commit-request reordering in flight (e.g. replay stall noise)
@@ -690,7 +688,6 @@ class CommitArbiter:
             self.policy.on_grant(chunk, now)
             chunk.grant_slot = self.grant_count
             self.grant_count += 1
-            self.grants_log.append(chunk.processor)
         return chunk
 
     def release(self, chunk: Chunk) -> None:

@@ -173,7 +173,6 @@ def unpickle_trailer(payload: bytes) -> dict:
         "strata": trailer.get("strata", []),
         "stratified": trailer.get("stratified", False),
         "fingerprints": trailer.get("fingerprints", []),
-        "per_proc_fingerprints": trailer.get("per_proc_fingerprints", {}),
         "final_memory": trailer.get("final_memory", {}),
         "final_thread_keys": trailer.get("final_thread_keys", {}),
         "stats": RunStats() if stats is None else stats,

@@ -32,7 +32,7 @@ from repro.core.logs import (
     MemoryOrderingLog,
     PILog,
 )
-from repro.core.modes import ExecutionMode, ModeConfig
+from repro.core.modes import ModeConfig
 from repro.core.stratifier import Stratifier
 from repro.analysis.stats import RunStats
 from repro.chunks.signature import Signature
@@ -172,6 +172,20 @@ class Recorder:
         return log
 
 
+def commits_by_processor(fingerprints: list[tuple],
+                         config: MachineConfig) -> dict[int, list[tuple]]:
+    """Each processor's chunk stream, projected from the global commit
+    order (DMA bursts under ``config.dma_proc_id``).  Every processor
+    and the DMA engine get a key, in id order, even with no commits."""
+    dma = config.dma_proc_id
+    streams = {proc: [] for proc in (*range(config.num_processors), dma)}
+    for fingerprint in fingerprints:
+        owner = fingerprint[0]
+        streams.setdefault(dma if owner == "dma" else owner, []).append(
+            fingerprint)
+    return streams
+
+
 @dataclass
 class Recording:
     """Everything needed to deterministically replay an execution.
@@ -179,6 +193,8 @@ class Recording:
     The ``fingerprints`` / ``final_memory`` / ``final_thread_keys``
     fields are verification instrumentation (see module docstring), not
     part of the hardware log; log-size accounting never includes them.
+    ``fingerprints`` is the one commit record, in global commit order;
+    :func:`commits_by_processor` projects each processor's stream.
     """
 
     mode_config: ModeConfig
@@ -193,8 +209,6 @@ class Recording:
     stratified: bool = False
     # Verification instrumentation:
     fingerprints: list[tuple] = field(default_factory=list)
-    per_proc_fingerprints: dict[int, list[tuple]] = field(
-        default_factory=dict)
     final_memory: dict[int, int] = field(default_factory=dict)
     final_thread_keys: dict[int, tuple] = field(default_factory=dict)
     stats: RunStats = field(default_factory=RunStats)

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.stats import RunStats
 from repro.chunks.chunk import TruncationReason
-from repro.core.modes import ExecutionMode
-from repro.core.recorder import Recording
+from repro.core.recorder import Recording, commits_by_processor
 from repro.errors import ReplayDivergenceError
 from repro.machine.events import InterruptEvent
 
@@ -299,7 +298,6 @@ class ReplayResult:
 def verify_determinism(
     recording: Recording,
     replay_fingerprints: list[tuple],
-    replay_per_proc: dict[int, list[tuple]],
     replay_final_memory: dict[int, int],
     replay_thread_keys: dict[int, tuple],
     ordered: bool,
@@ -308,28 +306,19 @@ def verify_determinism(
 ) -> DeterminismReport:
     """Compare a replay's capture against the recording.
 
+    ``replay_fingerprints`` is the replay's global commit order.
     ``ordered`` selects the comparison discipline: exact global commit
     order for PI-log/round-robin replay, per-processor order only for
     stratified replay (within a stratum the global order is legitimately
-    free, Section 4.3).  For interval replay, only the commits after
-    ``start_checkpoint`` are expected (the prefix was never executed).
+    free, Section 4.3).  The per-processor streams are projections of
+    both global lists (:func:`~repro.core.recorder.commits_by_processor`).
+    For interval replay, only the commits after ``start_checkpoint`` are
+    expected (the prefix was never executed).
     """
     expected_global = recording.fingerprints
-    expected_per_proc = recording.per_proc_fingerprints
     if start_checkpoint is not None:
         expected_global = expected_global[
             start_checkpoint.commit_index:]
-        dma_prefix = sum(
-            1 for f in recording.fingerprints[
-                :start_checkpoint.commit_index] if f[0] == "dma")
-        dma_proc = recording.machine_config.dma_proc_id
-        expected_per_proc = {}
-        for proc, entries in recording.per_proc_fingerprints.items():
-            if proc == dma_proc:
-                expected_per_proc[proc] = entries[dma_prefix:]
-            else:
-                skip = start_checkpoint.committed_counts.get(proc, 0)
-                expected_per_proc[proc] = entries[skip:]
     if stop_after:
         # Bounded replay of I(n, m): compare exactly the m-commit
         # window.  The replay may legally finalize a few extra
@@ -359,30 +348,28 @@ def verify_determinism(
                 if len(mismatches) > 10:
                     break
     else:
-        for proc, expected_list in expected_per_proc.items():
-            actual_list = replay_per_proc.get(proc, [])
+        config = recording.machine_config
+        replayed = commits_by_processor(replay_fingerprints, config)
+        for proc, expected_list in commits_by_processor(
+                expected_global, config).items():
+            actual_list = replayed.get(proc, [])
             if expected_list != actual_list:
                 mismatches.append(
                     f"processor {proc}: chunk stream differs "
                     f"({len(expected_list)} recorded vs "
                     f"{len(actual_list)} replayed chunks)")
-    if stop_after:
-        return DeterminismReport(
-            matches=not mismatches,
-            compared_chunks=compared,
-            mismatches=mismatches,
-            first_mismatch=first_mismatch,
-        )
-    if recording.final_memory != replay_final_memory:
-        missing = set(recording.final_memory) ^ set(replay_final_memory)
-        diff = {a for a in (set(recording.final_memory)
-                            & set(replay_final_memory))
-                if recording.final_memory[a] != replay_final_memory[a]}
-        mismatches.append(
-            f"final memory differs: {len(missing)} addresses present in "
-            f"only one image, {len(diff)} with different values")
-    if recording.final_thread_keys != replay_thread_keys:
-        mismatches.append("final thread architectural states differ")
+    if not stop_after:  # a bounded window's final state is mid-flight
+        final = recording.final_memory
+        if final != replay_final_memory:
+            missing = set(final) ^ set(replay_final_memory)
+            diff = {a for a in set(final) & set(replay_final_memory)
+                    if final[a] != replay_final_memory[a]}
+            mismatches.append(
+                f"final memory differs: {len(missing)} addresses "
+                f"present in only one image, {len(diff)} with different "
+                f"values")
+        if recording.final_thread_keys != replay_thread_keys:
+            mismatches.append("final thread architectural states differ")
     return DeterminismReport(
         matches=not mismatches,
         compared_chunks=compared,

@@ -675,17 +675,8 @@ def _decode_verify(payload: bytes, header: dict) -> dict:
     keys = _get_thread_keys(inp, len(procs), handlers)
     checkpoints = _get_checkpoints(inp, handlers)
     inp.finish()
-    # The machine files each fingerprint under its processor, and DMA
-    # bursts under the DMA engine's id (num_processors).
-    per_proc: dict[int, list] = {
-        proc: [] for proc in range(num_processors + 1)}
-    for fingerprint in fingerprints:
-        owner = fingerprint[0]
-        per_proc[num_processors if owner == "dma" else owner].append(
-            fingerprint)
     return {
         "fingerprints": fingerprints,
-        "per_proc_fingerprints": per_proc,
         "final_memory": final_memory,
         "final_thread_keys": dict(zip(procs, keys)),
         "interval_checkpoints": checkpoints,

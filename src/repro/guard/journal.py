@@ -50,7 +50,7 @@ from repro.core.serialization import (
     scan_frames,
     SectionDamage,
 )
-from repro.errors import ConfigurationError, SalvageError
+from repro.errors import ConfigurationError, IntegrityError, SalvageError
 from repro.machine.system import partial_recording
 
 
@@ -158,8 +158,20 @@ def load_journal(blob: bytes) -> tuple[Recording, JournalInfo]:
     past the last intact flush marker is discarded, and for each
     section the newest intact copy at or before that marker wins.
     Raises :class:`~repro.errors.SalvageError` when not even one flush
-    completed -- there is no prefix to recover.
+    completed -- there is no prefix to recover -- or when a CRC-valid
+    header or flush marker has the wrong shape.
     """
+    try:
+        return _load_journal(blob)
+    except IntegrityError:
+        raise
+    except Exception as error:
+        raise SalvageError(
+            f"malformed journal: {type(error).__name__}: "
+            f"{error}") from error
+
+
+def _load_journal(blob: bytes) -> tuple[Recording, JournalInfo]:
     version, header, data_start = _read_preamble(blob)
     if version == 1:
         raise SalvageError("recording journals are framed (v2 or later) "

@@ -489,7 +489,6 @@ def supervise_replay(
     det = verify_determinism(
         recording,
         result.fingerprints,
-        result.per_proc_fingerprints,
         result.final_memory,
         result.final_thread_keys,
         ordered=not machine.use_strata,

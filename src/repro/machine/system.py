@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.analysis.stats import RunStats
 from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
@@ -47,7 +47,6 @@ from repro.core.interval import IntervalCheckpoint, IntervalCheckpointStore
 from repro.core.modes import ModeConfig
 from repro.core.recorder import Recorder, Recording
 from repro.core.replayer import (
-    DeterminismReport,
     ReplayPerturbation,
     ReplayResult,
     ReplaySource,
@@ -108,7 +107,6 @@ class RunResult:
 
     stats: RunStats
     fingerprints: list[tuple]
-    per_proc_fingerprints: dict[int, list[tuple]]
     final_memory: dict[int, int]
     final_thread_keys: dict[int, tuple]
 
@@ -260,9 +258,6 @@ class ChunkMachine:
         self.arbiter = self._build_arbiter()
         self.stats = RunStats()
         self._fingerprints: list[tuple] = []
-        self._per_proc_fingerprints: dict[int, list[tuple]] = {
-            p.proc_id: [] for p in self.processors}
-        self._per_proc_fingerprints[self.config.dma_proc_id] = []
         self._piece_accum: dict[int, dict] = {}
         # Replay: proc_id -> in-flight split-chunk state, so a squashed
         # continuation piece is rebuilt with its *remaining* budget.
@@ -643,16 +638,8 @@ class ChunkMachine:
 
     def _divergence_context(self) -> DivergenceContext:
         """The partial-run snapshot attached to fatal replay errors."""
-        return DivergenceContext(
-            cycle=self.engine.now,
-            fingerprints=list(self._fingerprints),
-            per_proc_fingerprints={
-                proc: list(entries) for proc, entries
-                in self._per_proc_fingerprints.items()},
-            committed_counts={
-                p.proc_id: p.committed_count for p in self.processors},
-            grants_log=list(self.arbiter.grants_log),
-        )
+        return DivergenceContext(cycle=self.engine.now,
+                                 fingerprints=list(self._fingerprints))
 
     def _check_drained(self) -> None:
         if self._stopped:
@@ -690,7 +677,6 @@ class ChunkMachine:
         return RunResult(
             stats=self.stats,
             fingerprints=self._fingerprints,
-            per_proc_fingerprints=self._per_proc_fingerprints,
             final_memory=self.memory.nonzero_words(),
             final_thread_keys={
                 p.proc_id: p.committed_fingerprint_state()
@@ -1057,7 +1043,7 @@ class ChunkMachine:
         accum = self._piece_accum.get(proc_id)
         if chunk.piece_index == 0 and not needs_continuation:
             fingerprint = chunk.commit_fingerprint()
-            count = self._emit(proc_id, fingerprint)
+            count = self._emit(fingerprint)
             for observer in self.observers:
                 observer.on_commit(chunk, fingerprint, count)
             self._maybe_interval_checkpoint()
@@ -1091,16 +1077,15 @@ class ChunkMachine:
             end_key,
         )
         del self._piece_accum[proc_id]
-        count = self._emit(proc_id, fingerprint)
+        count = self._emit(fingerprint)
         for observer in self.observers:
             observer.on_commit(chunk, fingerprint, count)
         self._maybe_halt()
 
-    def _emit(self, proc_id: int, fingerprint: tuple) -> int:
+    def _emit(self, fingerprint: tuple) -> int:
         """Append one global commit's fingerprint; returns the new
         global commit count."""
         self._fingerprints.append(fingerprint)
-        self._per_proc_fingerprints[proc_id].append(fingerprint)
         self._boundary_pending = True
         return len(self._fingerprints)
 
@@ -1174,7 +1159,7 @@ class ChunkMachine:
                 dict(chunk.write_buffer), grant_slot=chunk.grant_slot)
         fingerprint = ("dma", self._dma_sequence,
                        tuple(sorted(chunk.write_buffer.items())))
-        count = self._emit(self.config.dma_proc_id, fingerprint)
+        count = self._emit(fingerprint)
         for observer in self.observers:
             observer.on_dma(dict(chunk.write_buffer), fingerprint, count)
         self._maybe_interval_checkpoint()
@@ -1198,7 +1183,7 @@ class ChunkMachine:
                 writes=len(writes))
         fingerprint = ("dma", self._dma_sequence,
                        tuple(sorted(writes.items())))
-        count = self._emit(self.config.dma_proc_id, fingerprint)
+        count = self._emit(fingerprint)
         for observer in self.observers:
             observer.on_dma(dict(writes), fingerprint, count)
         self._maybe_halt()
@@ -1249,7 +1234,6 @@ def _assemble_recording(machine: ChunkMachine, result: RunResult,
         strata=strata,
         stratified=stratified,
         fingerprints=result.fingerprints,
-        per_proc_fingerprints=result.per_proc_fingerprints,
         final_memory=result.final_memory,
         final_thread_keys=result.final_thread_keys,
         stats=result.stats,
@@ -1297,9 +1281,6 @@ def partial_recording(machine: ChunkMachine) -> Recording:
     prefix = RunResult(
         stats=stats,
         fingerprints=list(machine._fingerprints),
-        per_proc_fingerprints={
-            proc: list(entries) for proc, entries
-            in machine._per_proc_fingerprints.items()},
         final_memory=machine.memory.nonzero_words(),
         final_thread_keys={
             p.proc_id: p.committed_fingerprint_state()
@@ -1350,8 +1331,7 @@ def build_replay_machine(
     source = ReplaySource(recording, start_checkpoint)
     machine_config = recording.machine_config
     if perturbation is not None and perturbation.single_chunk_window:
-        from dataclasses import replace as _replace
-        machine_config = _replace(machine_config, simultaneous_chunks=1)
+        machine_config = replace(machine_config, simultaneous_chunks=1)
     return ChunkMachine(
         recording.program,
         machine_config,
@@ -1395,7 +1375,6 @@ def replay_execution(
     report = verify_determinism(
         recording,
         result.fingerprints,
-        result.per_proc_fingerprints,
         result.final_memory,
         result.final_thread_keys,
         ordered=not use_strata,
@@ -1403,12 +1382,8 @@ def replay_execution(
         stop_after=stop_after,
     )
     if problems:
-        report = DeterminismReport(
-            matches=False,
-            compared_chunks=report.compared_chunks,
-            mismatches=report.mismatches + problems,
-            first_mismatch=report.first_mismatch,
-        )
+        report = replace(report, matches=False,
+                         mismatches=report.mismatches + problems)
     return ReplayResult(
         stats=result.stats,
         determinism=report,

@@ -50,8 +50,8 @@ class ExecutorBackend:
 
     Lifecycle: ``start(width)`` before the first submit, ``submit``
     per attempt, ``restart(width)`` if the substrate broke (a worker
-    died hard enough to poison its siblings), ``shutdown`` at the end
-    of the sweep.  :meth:`capacity` says how many submitted attempts
+    died hard enough to poison its siblings), ``shutdown`` when its
+    owner is done with it.  :meth:`capacity` says how many submitted attempts
     run at once: the runner keeps that many in flight, so none waits in
     a queue the backend keeps out of its sight.
     """

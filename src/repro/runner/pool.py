@@ -172,7 +172,12 @@ class _Job:
 
 
 class Runner:
-    """Parallel, cached, fault-tolerant executor for run specs."""
+    """Parallel, cached, fault-tolerant executor for run specs.
+
+    A backend the runner builds starts on the first :meth:`run` and
+    serves every later one until :meth:`close` (or the end of a
+    ``with`` block); an injected backend stays the caller's.
+    """
 
     def __init__(
         self,
@@ -233,14 +238,21 @@ class Runner:
 
         outcomes: dict[str, JobOutcome] = {}
         self._backend.start(self._width)
-        try:
-            for wave in waves:
-                self._run_wave(wave, outcomes)
-        finally:
-            if self._owns_backend:
-                self._backend.shutdown(wait=True, cancel_futures=True)
+        for wave in waves:
+            self._run_wave(wave, outcomes)
         self.reporter.on_finish(self.metrics)
         return [outcomes[spec.content_hash()] for spec in requested]
+
+    def close(self) -> None:
+        """Shut down the backend this runner built."""
+        if self._owns_backend:
+            self._backend.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def run_one(self, spec: RunSpec) -> dict:
         """Run a single spec; return its artifact or raise."""

@@ -16,7 +16,8 @@ handle followed by flush + fsync -- the same durability discipline as
 :mod:`repro.guard.journal` -- so a SIGKILL at any byte leaves a
 journal whose longest valid prefix contains every acknowledged
 transition.  The CRC makes the torn tail detectable: recovery parses
-until the first bad line, truncates the active segment back to the
+until the first bad line (torn, failing its CRC, or a CRC-valid
+record it cannot load), truncates the active segment back to the
 good boundary, and continues from there.  Nothing acknowledged is
 ever lost; nothing is ever replayed twice into the index (newest-wins
 is idempotent).
@@ -81,6 +82,7 @@ from repro.serve.model import (
     STATE_FAILED,
     STATE_QUEUED,
     STATE_RUNNING,
+    STATES,
     Job,
     census,
     job_id,
@@ -108,7 +110,8 @@ def _frame(payload: str) -> str:
 
 
 def _parse_line(line: str):
-    """Decode one journal line, or ``None`` if torn/corrupt."""
+    """Decode one journal line, or ``None`` if torn, corrupt or not a
+    record recovery can load."""
     if not line.endswith("\n"):
         return None  # torn tail: the write never completed
     body = line[:-1]
@@ -119,12 +122,22 @@ def _parse_line(line: str):
         if int(crc_text, 16) != zlib.crc32(payload.encode()):
             return None
         record = json.loads(payload)
-    except ValueError:
+        # An integer LSN, and a compaction marker or a job snapshot
+        # whose scheduling fields have their types.
+        if not isinstance(record["lsn"], int):
+            return None
+        if "meta" in record:
+            loadable = isinstance(
+                record["meta"].get("compacted_through", 0), int)
+        else:
+            job = Job.from_dict(record["job"])
+            loadable = (isinstance(job.id, str)
+                        and isinstance(job.seq, int)
+                        and isinstance(job.priority, int)
+                        and job.state in STATES)
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
-    if not isinstance(record, dict) or \
-            ("job" not in record and "meta" not in record):
-        return None
-    return record
+    return record if loadable else None
 
 
 def read_journal(path: Path) -> tuple[list[dict], int]:

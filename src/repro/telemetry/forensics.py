@@ -26,18 +26,25 @@ from repro.errors import DeadlockError, ReplayDivergenceError
 
 @dataclass
 class DivergenceContext:
-    """Partial replay state snapshotted when a replay error unwinds."""
+    """Partial replay state snapshotted when a replay error unwinds:
+    the cycle and the global commit order up to it."""
 
     cycle: float
     fingerprints: list[tuple]
-    per_proc_fingerprints: dict[int, list[tuple]]
-    committed_counts: dict[int, int]
-    grants_log: list[int] = field(default_factory=list)
 
 
 def _fingerprint_proc(fingerprint: tuple):
     """The processor field of a commit fingerprint ('dma' or int)."""
     return fingerprint[0]
+
+
+def _last_commits(recording, fingerprints: list[tuple]) -> dict:
+    """Replayed commits of each processor that committed any."""
+    # Imported here: repro.core.recorder imports this package.
+    from repro.core.recorder import commits_by_processor
+
+    return {proc: entries for proc, entries in commits_by_processor(
+        fingerprints, recording.machine_config).items() if entries}
 
 
 def _describe_commit(fingerprint) -> str:
@@ -159,10 +166,7 @@ def _from_error(recording, error: ReplayDivergenceError,
     cycle = None
     if context is not None:
         cycle = context.cycle
-        last_commits = {
-            proc: list(entries)
-            for proc, entries in context.per_proc_fingerprints.items()
-            if entries}
+        last_commits = _last_commits(recording, context.fingerprints)
         if chunk_index is None:
             # The next global commit that never happened.
             chunk_index = len(context.fingerprints)
@@ -204,10 +208,7 @@ def _from_fingerprints(recording, result,
     actual = (actual_all[divergence]
               if divergence < len(actual_all) else None)
     sample = actual if actual is not None else expected
-    last_commits = {
-        proc: list(entries)
-        for proc, entries in result.per_proc_fingerprints.items()
-        if entries}
+    last_commits = _last_commits(recording, actual_all)
     if len(expected_all) == len(actual_all):
         reason = "commit content mismatch"
     else:
@@ -255,9 +256,8 @@ def diagnose_replay(recording, perturbation=None,
         if context is not None:
             report.cycle = context.cycle
             report.chunk_index = len(context.fingerprints)
-            report.last_commits = {
-                proc: list(entries) for proc, entries
-                in context.per_proc_fingerprints.items() if entries}
+            report.last_commits = _last_commits(recording,
+                                                context.fingerprints)
             report.interleaving_window = _window(
                 recording.fingerprints, report.chunk_index, radius)
             if report.chunk_index < len(recording.fingerprints):

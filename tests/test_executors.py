@@ -161,9 +161,9 @@ class TestCrossBackendParity:
 class TestRunnerBackendChoice:
     def test_explicit_backend_is_honored(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", salt="test-salt")
-        runner = Runner(jobs=1, cache=cache, executor="process")
-        assert runner.backend.name == "process"
-        outcomes = runner.run([record_spec()])
+        with Runner(jobs=1, cache=cache, executor="process") as runner:
+            assert runner.backend.name == "process"
+            outcomes = runner.run([record_spec()])
         assert all(o.ok for o in outcomes)
 
     def test_injected_instance_is_not_shut_down(self, tmp_path):

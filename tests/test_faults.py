@@ -454,9 +454,9 @@ class TestCampaign:
         blob = save_recording(recording)
         plan = FaultPlan.generate(5, 4, num_processors=4)
         specs = build_specs(blob, recording, plan)
-        runner = Runner(jobs=2, cache=False,
-                        job_fn=execute_chaos_spec)
-        outcomes = runner.run(specs)
+        with Runner(jobs=2, cache=False,
+                    job_fn=execute_chaos_spec) as runner:
+            outcomes = runner.run(specs)
         assert all(outcome.ok for outcome in outcomes)
         for outcome in outcomes:
             assert outcome.artifact["outcome"] in (

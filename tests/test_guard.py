@@ -31,7 +31,11 @@ import repro
 from repro.cli import main
 from repro.core.arbiter import RoundRobinPolicy
 from repro.core.modes import ExecutionMode, preferred_config
-from repro.core.serialization import container_frames
+from repro.core.serialization import (
+    _SECTION_FLUSH,
+    _frame_bytes,
+    container_frames,
+)
 from repro.errors import DeadlockError, SalvageError, StallError
 from repro.faults.salvage import salvage_replay
 from repro.guard import (
@@ -614,6 +618,39 @@ class TestJournal:
                            match="no completed flush point"):
             load_journal(blob[:13 + header_len + 10])
 
+    @pytest.mark.parametrize("marker", [
+        b"[1]", b'"str"', b'{"gcc": "x"}', b'{"cycle": [1]}'],
+        ids=["list", "string", "gcc-text", "cycle-list"])
+    def test_malformed_flush_marker_is_a_typed_error(self, tmp_path,
+                                                     marker):
+        path, _ = self.recorded_journal(tmp_path)
+        blob = path.read_bytes()
+        first = next(f for f in container_frames(blob)[0]
+                     if f.name == "flush")
+        # A CRC-valid marker of the wrong shape becomes the last one.
+        forged = blob[:first.end] + _frame_bytes(
+            _SECTION_FLUSH, 0, 0, marker)
+        with pytest.raises(SalvageError, match="malformed journal"):
+            load_journal(forged)
+
+    def test_header_missing_a_mode_field_is_a_typed_error(
+            self, tmp_path):
+        import json
+        import struct
+        import zlib
+
+        path, _ = self.recorded_journal(tmp_path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from(">I", blob, 5)
+        header = json.loads(blob[13:13 + header_len])
+        del header["cs_distance_bits"]
+        data = json.dumps(header).encode()
+        forged = (blob[:5] + struct.pack(">II", len(data),
+                                         zlib.crc32(data))
+                  + data + blob[13 + header_len:])
+        with pytest.raises(SalvageError, match="malformed journal"):
+            load_journal(forged)
+
     def test_sigkill_leaves_loadable_salvageable_prefix(
             self, tmp_path):
         path = tmp_path / "journal.dlrnj"
@@ -740,10 +777,10 @@ class TestRunnerDeadlines:
         specs = [RunSpec.record("fft", ExecutionMode.ORDER_ONLY,
                                 scale=0.05, seed=seed)
                  for seed in (31, 32)]
-        runner = Runner(jobs=2, cache=False, timeout=0.2,
-                        retry=RetryPolicy(max_attempts=1),
-                        job_fn=_stubborn_job)
-        outcomes = runner.run(specs)
+        with Runner(jobs=2, cache=False, timeout=0.2,
+                    retry=RetryPolicy(max_attempts=1),
+                    job_fn=_stubborn_job) as runner:
+            outcomes = runner.run(specs)
         assert len(outcomes) == 2
         for outcome in outcomes:
             assert not outcome.ok
@@ -765,10 +802,10 @@ class TestQueuedAttemptBudget:
         specs = [RunSpec.record("fft", ExecutionMode.ORDER_ONLY,
                                 scale=0.05, seed=seed)
                  for seed in range(40, 54)]
-        runner = Runner(jobs=2, cache=False, timeout=0.5,
-                        retry=RetryPolicy(max_attempts=1),
-                        job_fn=_short_job)
-        outcomes = runner.run(specs)
+        with Runner(jobs=2, cache=False, timeout=0.5,
+                    retry=RetryPolicy(max_attempts=1),
+                    job_fn=_short_job) as runner:
+            outcomes = runner.run(specs)
         assert [outcome.ok for outcome in outcomes] == [True] * 14
         assert runner.metrics.swept == 0
 

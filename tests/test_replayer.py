@@ -279,14 +279,11 @@ class TestVerifyDeterminism:
         fps = [_chunk_fp(0, 1), _chunk_fp(1, 1), _chunk_fp(0, 2)]
         recording = make_recording(
             fingerprints=list(fps),
-            per_proc_fingerprints={0: [fps[0], fps[2]], 1: [fps[1]]},
             final_memory={0x10: 7},
             final_thread_keys={0: ("t",)},
         )
         report = verify_determinism(
-            recording, list(fps),
-            {0: [fps[0], fps[2]], 1: [fps[1]]},
-            {0x10: 7}, {0: ("t",)}, ordered=True)
+            recording, list(fps), {0x10: 7}, {0: ("t",)}, ordered=True)
         assert report.matches
         assert report.compared_chunks == 3
 
@@ -294,21 +291,18 @@ class TestVerifyDeterminism:
         fps = [_chunk_fp(0, 1), _chunk_fp(1, 1)]
         swapped = [fps[1], fps[0]]
         recording = make_recording(
-            fingerprints=list(fps),
-            per_proc_fingerprints={},
-            final_memory={}, final_thread_keys={})
+            fingerprints=list(fps), final_memory={}, final_thread_keys={})
         report = verify_determinism(
-            recording, swapped, {}, {}, {}, ordered=True)
+            recording, swapped, {}, {}, ordered=True)
         assert not report.matches
         assert any("commit #0" in m for m in report.mismatches)
 
     def test_count_mismatch_detected(self):
         fps = [_chunk_fp(0, 1), _chunk_fp(0, 2)]
         recording = make_recording(
-            fingerprints=list(fps), per_proc_fingerprints={},
-            final_memory={}, final_thread_keys={})
+            fingerprints=list(fps), final_memory={}, final_thread_keys={})
         report = verify_determinism(
-            recording, fps[:1], {}, {}, {}, ordered=True)
+            recording, fps[:1], {}, {}, ordered=True)
         assert not report.matches
         assert any("count differs" in m for m in report.mismatches)
 
@@ -317,63 +311,85 @@ class TestVerifyDeterminism:
         b1 = _chunk_fp(1, 1)
         recording = make_recording(
             fingerprints=[a1, b1, a2],
-            per_proc_fingerprints={0: [a1, a2], 1: [b1]},
             final_memory={}, final_thread_keys={})
         # Global order differs (legal within a stratum), per-proc same.
         report = verify_determinism(
-            recording, [b1, a1, a2], {0: [a1, a2], 1: [b1]},
-            {}, {}, ordered=False)
+            recording, [b1, a1, a2], {}, {}, ordered=False)
         assert report.matches
         # A reordered *per-proc* stream is a real divergence.
         report = verify_determinism(
-            recording, [a1, b1, a2], {0: [a2, a1], 1: [b1]},
-            {}, {}, ordered=False)
+            recording, [a2, b1, a1], {}, {}, ordered=False)
         assert not report.matches
+
+    def test_unordered_mismatch_text_per_stream(self):
+        """Stratified verdicts on hand-built global orders: a legal
+        cross-processor reorder, a swapped pair on one processor and a
+        dropped DMA burst; streams are reported in processor order,
+        DMA (filed under ``dma_proc_id``) last."""
+        dma1, dma2 = ("dma", 1, ((0x10, 1),)), ("dma", 2, ((0x20, 2),))
+        a1, a2 = _chunk_fp(0, 1), _chunk_fp(0, 2)
+        b1, b2 = _chunk_fp(1, 1), _chunk_fp(1, 2)
+        recording = make_recording(
+            fingerprints=[a1, b1, dma1, a2, dma2, b2],
+            final_memory={}, final_thread_keys={})
+        dma = recording.machine_config.dma_proc_id
+
+        def verdict(replayed):
+            report = verify_determinism(recording, replayed, {}, {},
+                                        ordered=False)
+            return report.matches, report.compared_chunks, \
+                report.mismatches
+
+        assert verdict([b1, a1, dma1, b2, a2, dma2]) == (True, 6, [])
+        assert verdict([a2, b1, dma1, a1, dma2, b2]) == (False, 6, [
+            "processor 0: chunk stream differs (2 recorded vs 2 "
+            "replayed chunks)"])
+        assert verdict([a1, b1, a2, dma2, b2]) == (False, 5, [
+            f"processor {dma}: chunk stream differs (2 recorded vs 1 "
+            f"replayed chunks)"])
+        assert verdict([a1, a2, dma2, dma1]) == (False, 4, [
+            "processor 1: chunk stream differs (2 recorded vs 0 "
+            "replayed chunks)",
+            f"processor {dma}: chunk stream differs (2 recorded vs 2 "
+            f"replayed chunks)"])
 
     def test_final_memory_mismatch(self):
         fp = _chunk_fp(0, 1)
         recording = make_recording(
-            fingerprints=[fp], per_proc_fingerprints={0: [fp]},
-            final_memory={0x10: 7}, final_thread_keys={})
+            fingerprints=[fp], final_memory={0x10: 7}, final_thread_keys={})
         report = verify_determinism(
-            recording, [fp], {0: [fp]}, {0x10: 8}, {}, ordered=True)
+            recording, [fp], {0x10: 8}, {}, ordered=True)
         assert not report.matches
         assert any("final memory" in m for m in report.mismatches)
 
     def test_stop_after_ignores_overrun_and_final_state(self):
         fps = [_chunk_fp(0, i) for i in range(1, 6)]
         recording = make_recording(
-            fingerprints=list(fps), per_proc_fingerprints={},
+            fingerprints=list(fps),
             final_memory={0x10: 7}, final_thread_keys={})
         # Replay produced one extra in-flight commit and no final
         # memory: both are legal for a bounded window.
         report = verify_determinism(
-            recording, fps[:4], {}, {}, {}, ordered=True,
-            stop_after=3)
+            recording, fps[:4], {}, {}, ordered=True, stop_after=3)
         assert report.matches
 
     def test_start_checkpoint_slices_the_prefix(self):
         dma_fp = ("dma", 1, ((0x10, 1),))
         fps = [_chunk_fp(0, 1), dma_fp, _chunk_fp(0, 2),
                _chunk_fp(1, 1)]
-        machine = small_config()
         recording = make_recording(
-            fingerprints=list(fps),
-            per_proc_fingerprints={
-                0: [fps[0], fps[2]], 1: [fps[3]],
-                machine.dma_proc_id: [dma_fp]},
-            final_memory={}, final_thread_keys={},
-            machine_config=machine)
+            fingerprints=list(fps), final_memory={},
+            final_thread_keys={}, machine_config=small_config())
         checkpoint = make_checkpoint(
             commit_index=2, committed_counts={0: 1, 1: 0},
             dma_consumed=1)
-        # Replaying from the checkpoint produces only the suffix.
-        report = verify_determinism(
-            recording, [fps[2], fps[3]],
-            {0: [fps[2]], 1: [fps[3]], machine.dma_proc_id: []},
-            {}, {}, ordered=True, start_checkpoint=checkpoint,
-            stop_after=2)
-        assert report.matches
+        # Replaying from the checkpoint produces only the suffix; its
+        # per-processor streams are the sliced global list's.
+        for ordered in (True, False):
+            report = verify_determinism(
+                recording, [fps[2], fps[3]], {}, {}, ordered=ordered,
+                start_checkpoint=checkpoint, stop_after=2)
+            assert report.matches
 
     def test_summary_strings(self):
         clean = DeterminismReport(matches=True, compared_chunks=12)

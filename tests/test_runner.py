@@ -415,27 +415,27 @@ class TestRunnerSuccess:
 
     def test_pool_runs_sweep(self, tmp_path):
         cache = fresh_cache(tmp_path)
-        runner = Runner(jobs=2, cache=cache)
         specs = [record_spec(app=app) for app in ("fft", "lu")]
-        outcomes = runner.run(specs)
+        with Runner(jobs=2, cache=cache) as runner:
+            outcomes = runner.run(specs)
         assert all(outcome.ok for outcome in outcomes)
         assert runner.metrics.done == 2
         # Second sweep: pure cache.
-        rerun = Runner(jobs=2, cache=fresh_cache(tmp_path))
-        rerun_outcomes = rerun.run(specs)
+        with Runner(jobs=2, cache=fresh_cache(tmp_path)) as rerun:
+            rerun_outcomes = rerun.run(specs)
         assert all(outcome.from_cache for outcome in rerun_outcomes)
         assert rerun.metrics.cache_hit_rate == 1.0
 
     def test_replay_wave_reuses_cached_record(self, tmp_path):
         cache = fresh_cache(tmp_path)
-        runner = Runner(jobs=2, cache=cache)
         replays = [
             RunSpec.replay("fft", ExecutionMode.ORDER_ONLY,
                            scale=SCALE, seed=SEED),
             RunSpec.replay("fft", ExecutionMode.ORDER_ONLY,
                            use_strata=True, scale=SCALE, seed=SEED),
         ]
-        outcomes = runner.run(replays)
+        with Runner(jobs=2, cache=cache) as runner:
+            outcomes = runner.run(replays)
         assert all(outcome.ok for outcome in outcomes)
         # The shared record dependency ran as its own (cached) job.
         assert cache.load(replays[0].record_spec()) is not None
@@ -510,14 +510,30 @@ class TestRunnerSlots:
         for replay in replays[:2]:
             cache.store(replay.record_spec(),
                         _stub_artifact(replay.record_spec()))
-        runner = Runner(jobs=4, cache=cache, job_fn=_pid_job)
-        outcomes = runner.run(replays)
+        with Runner(jobs=4, cache=cache, job_fn=_pid_job) as runner:
+            outcomes = runner.run(replays)
         # Wave 1: two hits, two misses; wave 2: four misses.
         assert (runner.metrics.cache_hits,
                 runner.metrics.cache_misses) == (2, 6)
         pids = {outcome.artifact["metrics"]["pid"]
                 for outcome in outcomes}
         assert len(pids) == 4
+
+    def test_one_pool_serves_every_run_until_close(self):
+        import multiprocessing
+
+        pids = set()
+        with Runner(jobs=2, cache=False, job_fn=_pid_job) as runner:
+            for seed in range(41, 51, 2):
+                outcomes = runner.run([record_spec(seed=seed),
+                                       record_spec(seed=seed + 1)])
+                pids |= {outcome.artifact["metrics"]["pid"]
+                         for outcome in outcomes}
+        # Five runs, one pair of workers (a pool per run would show
+        # ten pids), and none of them outlives close().
+        assert len(pids) <= 2
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not pids & alive
 
 
 # -- runner: failure paths -------------------------------------------
@@ -625,13 +641,13 @@ class TestRunnerFailure:
     def test_crashed_worker_does_not_kill_the_sweep(self, tmp_path):
         # One job hard-kills its worker once; the pool is rebuilt, the
         # job retried, and an innocent sibling job still completes.
-        runner = Runner(jobs=2, cache=fresh_cache(tmp_path),
-                        retry=RetryPolicy(max_attempts=3,
-                                          backoff_base=0.01,
-                                          backoff_max=0.01),
-                        job_fn=_crashy_job)
-        outcomes = runner.run([record_spec(app="fft"),
-                               record_spec(app="lu")])
+        with Runner(jobs=2, cache=fresh_cache(tmp_path),
+                    retry=RetryPolicy(max_attempts=3,
+                                      backoff_base=0.01,
+                                      backoff_max=0.01),
+                    job_fn=_crashy_job) as runner:
+            outcomes = runner.run([record_spec(app="fft"),
+                                   record_spec(app="lu")])
         assert all(outcome.ok for outcome in outcomes)
         assert any(outcome.attempts > 1 for outcome in outcomes)
 

@@ -189,8 +189,6 @@ def assert_same_state(loaded, recording):
     """Everything a replay verifies against survived."""
     assert loaded.program == recording.program
     assert loaded.fingerprints == recording.fingerprints
-    assert (loaded.per_proc_fingerprints
-            == recording.per_proc_fingerprints)
     assert loaded.final_memory == recording.final_memory
     assert loaded.final_thread_keys == recording.final_thread_keys
     assert loaded.stats.as_dict() == recording.stats.as_dict()

@@ -22,7 +22,7 @@ from repro.serve.model import (
     JobStateError,
     census,
 )
-from repro.serve.queue import JOURNAL_NAME, JobQueue, read_journal
+from repro.serve.queue import JOURNAL_NAME, JobQueue, _frame, read_journal
 
 HASH_A = "a" * 64
 HASH_B = "b" * 64
@@ -136,6 +136,28 @@ class TestRecovery:
             size = (scratch / JOURNAL_NAME).stat().st_size
             assert size == offsets[complete]
             queue.close()
+
+    @pytest.mark.parametrize("payload", [
+        '{"lsn":1,"meta":5}', '{"lsn":1,"job":5}',
+        '{"lsn":1,"job":{"id":"x"}}', '{"lsn":"x","meta":{}}'],
+        ids=["meta-int", "job-int", "job-fields-missing", "lsn-text"])
+    def test_unloadable_record_ends_the_prefix(self, tmp_path, payload):
+        """A CRC-valid record recovery cannot load is cut off like a
+        torn tail, and the queue still starts."""
+        path = populated_journal(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        prefix, rest = b"".join(lines[:3]), b"".join(lines[3:])
+        junk = _frame(payload).encode()
+        path.write_bytes(prefix + junk + rest)
+        records, good = read_journal(path)
+        assert len(records) == 3 and good == len(prefix)
+        queue = build_queue(tmp_path / "q")
+        assert queue.recovered_jobs == 3
+        assert queue.truncated_bytes == len(junk) + len(rest)
+        assert {job.seq: job.state for job in queue.jobs()} == {
+            0: STATE_QUEUED, 1: STATE_QUEUED, 2: STATE_QUEUED}
+        assert path.read_bytes() == prefix
+        queue.close()
 
     def test_append_after_torn_tail_recovery(self, tmp_path):
         """A truncated journal stays appendable on a clean boundary."""

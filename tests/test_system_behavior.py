@@ -146,7 +146,7 @@ class TestBoundaryChunks:
         ])
         machine = machine_for(program)
         result = machine.run()
-        sizes = [f[4] for f in result.per_proc_fingerprints[0]]
+        sizes = [f[4] for f in result.fingerprints if f[0] == 0]
         assert sizes[0] == 0
         assert result.final_memory.get(shared_address(8)) is not None
 
@@ -174,7 +174,7 @@ class TestBoundaryChunks:
         recording, result = system.record_and_verify(program)
         assert recording.stats.handler_chunks == 1  # initiating chunk
         handler_instructions = sum(
-            f[4] for f in recording.per_proc_fingerprints[0])
+            f[4] for f in recording.fingerprints if f[0] == 0)
         assert handler_instructions == 400 + 200
 
 

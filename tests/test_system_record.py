@@ -15,6 +15,7 @@ from conftest import (
 
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
+from repro.core.recorder import commits_by_processor
 from repro.errors import ConfigurationError
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.system import record_execution
@@ -90,11 +91,28 @@ class TestChunkAccounting:
         recording = record(counter_program(2, 10), ExecutionMode.PICOLOG)
         assert len(recording.pi_log) == 0
 
-    def test_per_proc_fingerprints_partition_global(self):
-        recording = record(counter_program(3, 10))
-        total = sum(len(v) for v in
-                    recording.per_proc_fingerprints.values())
-        assert total == len(recording.fingerprints)
+    def test_commits_by_processor_partitions_global(self):
+        # Three threads on four processors, plus one DMA burst.
+        program = replace(counter_program(3, 10), dma_transfers=[
+            DmaTransfer(time=200.0, writes={shared_address(512): 7})])
+        recording = record(program)
+        config = recording.machine_config
+        streams = commits_by_processor(recording.fingerprints, config)
+        # Every processor and the DMA engine keyed in id order, the
+        # idle processor 3 too.
+        assert list(streams) == [0, 1, 2, 3, config.dma_proc_id]
+        assert streams[3] == []
+        assert [f for f in recording.fingerprints if f[0] == "dma"] == \
+            streams[config.dma_proc_id] != []
+        # A partition: each stream is its owner's commits in global
+        # order.
+        assert sum(map(len, streams.values())) == \
+            len(recording.fingerprints)
+        for proc in range(config.num_processors):
+            assert streams[proc] == [
+                f for f in recording.fingerprints if f[0] == proc]
+        assert commits_by_processor([], config) == {
+            proc: [] for proc in streams}
 
 
 class TestOrderAndSizeMode:
@@ -102,7 +120,8 @@ class TestOrderAndSizeMode:
         recording = record(counter_program(2, 12),
                            ExecutionMode.ORDER_AND_SIZE)
         for proc, log in recording.cs_logs.items():
-            committed = len(recording.per_proc_fingerprints[proc])
+            committed = len(commits_by_processor(
+                recording.fingerprints, recording.machine_config)[proc])
             assert len(log) == committed
 
     def test_artificial_truncation_produces_small_chunks(self):
@@ -137,8 +156,8 @@ class TestInputLogs:
         assert len(entries) == 1
         assert entries[0].vector == 9
         assert entries[0].handler_ops == 24
-        handler_fps = [f for f in recording.per_proc_fingerprints[1]
-                       if f[3]]
+        handler_fps = [f for f in recording.fingerprints
+                       if f[0] == 1 and f[3]]
         assert handler_fps
         assert handler_fps[0][1] == entries[0].chunk_id
 
