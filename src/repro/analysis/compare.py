@@ -62,19 +62,32 @@ def _describe(fingerprint) -> str:
 def diff_recordings(left: "Recording", right: "Recording") -> RecordingDiff:
     """Compare two recordings of (nominally) the same program.
 
-    The comparison walks the global commit sequences and reports the
-    first position where the committing processor, the chunk contents,
-    or (failing those) the final memory differ.
+    The comparison walks the global commit sequences
+    (:func:`~repro.core.replayer.first_divergence`, ordered) and reports
+    the first position where the committing processor, the chunk
+    contents, or (failing those) the final memory differ.
     """
+    # Imported here: repro.core imports this package.
+    from repro.core.replayer import first_divergence
+
     if left.machine_config.num_processors != \
             right.machine_config.num_processors:
         raise ConfigurationError(
             "recordings come from differently-sized machines")
     counts = (len(left.fingerprints), len(right.fingerprints))
-    for index, (a, b) in enumerate(zip(left.fingerprints,
-                                       right.fingerprints)):
-        if a == b:
-            continue
+    memory = _memory_diff(left, right)
+    index = first_divergence(left.fingerprints, right.fingerprints)
+    if index is None:
+        if not memory:
+            return RecordingDiff(identical=True, commit_counts=counts)
+        kind = "memory"
+        detail = "same commit sequence but different final memory"
+    elif index == min(counts):
+        kind = "length"
+        detail = (f"common prefix of {index} commits; lengths "
+                  f"{counts[0]} vs {counts[1]}")
+    else:
+        a, b = left.fingerprints[index], right.fingerprints[index]
         if a[0] != b[0] or (a[0] != "dma" and a[1] != b[1]):
             kind = "interleaving"
             detail = (f"left committed {_describe(a)}; right "
@@ -87,35 +100,14 @@ def diff_recordings(left: "Recording", right: "Recording") -> RecordingDiff:
             kind = "chunk-contents"
             detail = (f"{_describe(a)}: same committer and size, "
                       f"different writes or end state")
-        return RecordingDiff(
-            identical=False,
-            first_divergence=index,
-            divergence_kind=kind,
-            detail=detail,
-            memory_differences=_memory_diff(left, right),
-            commit_counts=counts,
-        )
-    if counts[0] != counts[1]:
-        return RecordingDiff(
-            identical=False,
-            first_divergence=min(counts),
-            divergence_kind="length",
-            detail=(f"common prefix of {min(counts)} commits; lengths "
-                    f"{counts[0]} vs {counts[1]}"),
-            memory_differences=_memory_diff(left, right),
-            commit_counts=counts,
-        )
-    memory = _memory_diff(left, right)
-    if memory:
-        return RecordingDiff(
-            identical=False,
-            first_divergence=None,
-            divergence_kind="memory",
-            detail="same commit sequence but different final memory",
-            memory_differences=memory,
-            commit_counts=counts,
-        )
-    return RecordingDiff(identical=True, commit_counts=counts)
+    return RecordingDiff(
+        identical=False,
+        first_divergence=index,
+        divergence_kind=kind,
+        detail=detail,
+        memory_differences=memory,
+        commit_counts=counts,
+    )
 
 
 def _memory_diff(left: "Recording",
@@ -134,12 +126,9 @@ def interleaving_prefix_length(left: "Recording",
                                right: "Recording") -> int:
     """Length of the common committing-processor prefix (ignoring
     chunk contents) -- a coarse similarity measure between runs."""
-    def committer(fingerprint):
-        return ("dma" if fingerprint[0] == "dma"
-                else fingerprint[0])
-    prefix = 0
-    for a, b in zip(left.fingerprints, right.fingerprints):
-        if committer(a) != committer(b):
-            break
-        prefix += 1
-    return prefix
+    from repro.core.replayer import first_divergence
+
+    left_order = [fingerprint[0] for fingerprint in left.fingerprints]
+    right_order = [fingerprint[0] for fingerprint in right.fingerprints]
+    index = first_divergence(left_order, right_order)
+    return len(left_order) if index is None else index

@@ -264,11 +264,11 @@ class DeterminismReport:
     matches: bool
     compared_chunks: int
     mismatches: list[str] = field(default_factory=list)
-    #: Index of the first diverging global commit (ordered comparison
-    #: only): every commit before it reproduced exactly.  None when the
-    #: replay matched or the comparison was per-processor.  Salvage
-    #: replay uses this to credit the verified prefix of a damaged
-    #: recording before resyncing past the fault.
+    #: :func:`first_divergence` of the compared commit lists: every
+    #: recorded commit before it was reproduced.  None when every commit
+    #: was (the final state may still differ).  Salvage replay uses this
+    #: to credit the verified prefix of a damaged recording before
+    #: resyncing past the fault.
     first_mismatch: int | None = None
 
     def summary(self) -> str:
@@ -295,6 +295,46 @@ class ReplayResult:
         return self.stats.cycles
 
 
+def aligned_replay(recorded: list[tuple], replayed: list[tuple],
+                   machine_config=None) -> list:
+    """The replayed commits lined up with the recorded ones: as they
+    are (ordered discipline), or, given ``machine_config`` (the
+    per-processor discipline of stratified replay), the replayed commit
+    at each recorded commit's position in its processor's stream (None
+    past that stream's end), then the replayed commits past the end of
+    their processor's recorded stream."""
+    if machine_config is None:
+        return replayed
+    aligned: list = [None] * len(recorded)
+    extras: list[tuple] = []
+    # Each recorded commit's global index, filed under its processor.
+    slots = commits_by_processor(
+        [(fingerprint[0], index)
+         for index, fingerprint in enumerate(recorded)], machine_config)
+    for proc, stream in commits_by_processor(
+            replayed, machine_config).items():
+        positions = slots.get(proc, [])
+        for (_, index), fingerprint in zip(positions, stream):
+            aligned[index] = fingerprint
+        extras.extend(stream[len(positions):])
+    return aligned + extras
+
+
+def first_divergence(recorded: list[tuple], replayed: list[tuple],
+                     machine_config=None) -> int | None:
+    """The smallest recorded global index whose commit the replay did
+    not reproduce, or None when it reproduced every commit and no more,
+    under :func:`aligned_replay`'s discipline.  A missing commit counts
+    as a difference; extra replayed commits give ``len(recorded)``."""
+    aligned = aligned_replay(recorded, replayed, machine_config)
+    for index, (expected, actual) in enumerate(zip(recorded, aligned)):
+        if expected != actual:
+            return index
+    if len(recorded) == len(aligned):
+        return None
+    return min(len(recorded), len(aligned))
+
+
 def verify_determinism(
     recording: Recording,
     replay_fingerprints: list[tuple],
@@ -304,7 +344,8 @@ def verify_determinism(
     start_checkpoint=None,
     stop_after: int = 0,
 ) -> DeterminismReport:
-    """Compare a replay's capture against the recording.
+    """Compare a replay's capture against the recording: the only
+    comparison of a replay with its recording.
 
     ``replay_fingerprints`` is the replay's global commit order.
     ``ordered`` selects the comparison discipline: exact global commit
@@ -313,7 +354,9 @@ def verify_determinism(
     free, Section 4.3).  The per-processor streams are projections of
     both global lists (:func:`~repro.core.recorder.commits_by_processor`).
     For interval replay, only the commits after ``start_checkpoint`` are
-    expected (the prefix was never executed).
+    expected (the prefix was never executed).  The lists are compared
+    whole; only when they differ does :func:`first_divergence` locate
+    ``first_mismatch`` under the same discipline.
     """
     expected_global = recording.fingerprints
     if start_checkpoint is not None:
@@ -330,23 +373,24 @@ def verify_determinism(
     first_mismatch: int | None = None
     compared = len(replay_fingerprints)
     if ordered:
-        if len(expected_global) != len(replay_fingerprints):
-            mismatches.append(
-                f"commit count differs: recorded "
-                f"{len(expected_global)}, replayed "
-                f"{len(replay_fingerprints)}")
-            first_mismatch = min(len(expected_global),
-                                 len(replay_fingerprints))
-        for index, (expected, actual) in enumerate(
-                zip(expected_global, replay_fingerprints)):
-            if expected != actual:
-                if first_mismatch is None or index < first_mismatch:
-                    first_mismatch = index
+        if expected_global != replay_fingerprints:
+            first_mismatch = first_divergence(expected_global,
+                                              replay_fingerprints)
+            if len(expected_global) != len(replay_fingerprints):
                 mismatches.append(
-                    f"commit #{index}: recorded {expected[:5]}..., "
-                    f"replayed {actual[:5]}...")
-                if len(mismatches) > 10:
-                    break
+                    f"commit count differs: recorded "
+                    f"{len(expected_global)}, replayed "
+                    f"{len(replay_fingerprints)}")
+            pairs = zip(expected_global[first_mismatch:],
+                        replay_fingerprints[first_mismatch:])
+            for index, (expected, actual) in enumerate(pairs,
+                                                       first_mismatch):
+                if expected != actual:
+                    mismatches.append(
+                        f"commit #{index}: recorded {expected[:5]}..., "
+                        f"replayed {actual[:5]}...")
+                    if len(mismatches) > 10:
+                        break
     else:
         config = recording.machine_config
         replayed = commits_by_processor(replay_fingerprints, config)
@@ -358,6 +402,9 @@ def verify_determinism(
                     f"processor {proc}: chunk stream differs "
                     f"({len(expected_list)} recorded vs "
                     f"{len(actual_list)} replayed chunks)")
+        if mismatches:
+            first_mismatch = first_divergence(
+                expected_global, replay_fingerprints, config)
     if not stop_after:  # a bounded window's final state is mid-flight
         final = recording.final_memory
         if final != replay_final_memory:

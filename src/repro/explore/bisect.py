@@ -26,6 +26,7 @@ import base64
 import hashlib
 from dataclasses import dataclass
 
+from repro.core.replayer import first_divergence
 from repro.core.serialization import load_recording
 
 
@@ -79,16 +80,6 @@ def _probe(app, mode, prefix, *, chunk_size, num_threads, cache):
                            num_threads=num_threads)
     artifact = execute_explore_spec(spec, cache)
     return artifact
-
-
-def _first_divergence(minimal_order, natural_order) -> int:
-    """Index of the first grant where the minimized schedule departs
-    from the natural one (the earliest observable difference)."""
-    for index, (got, natural) in enumerate(
-            zip(minimal_order, natural_order)):
-        if got != natural:
-            return index
-    return min(len(minimal_order), len(natural_order))
 
 
 def _verify_with_debugger(recording, divergence_commit: int):
@@ -168,7 +159,11 @@ def minimize_schedule(app: str, mode, grant_order, *,
             lo = mid
     metrics = hi_artifact["metrics"]
     minimal_order = list(metrics["grant_order"])
-    divergence = _first_divergence(minimal_order, natural_order)
+    # The first grant where the minimized schedule departs from the
+    # natural one (the earliest observable difference).
+    divergence = first_divergence(minimal_order, natural_order)
+    if divergence is None:
+        divergence = len(minimal_order)
     recording = load_recording(
         base64.b64decode(hi_artifact["payload"]))
     verified, digest, message = _verify_with_debugger(

@@ -14,8 +14,11 @@ The state machine (documented in ``docs/INTERNALS.md``):
 2. On success, credit every remaining commit and stop.
 3. On divergence / deadlock / integrity error -- or a fingerprint
    mismatch in the determinism report -- credit the *verified prefix*
-   (commits reproduced exactly before the first bad one) and record a
-   detected fault.
+   (the recorded commits before the first one the replay did not
+   reproduce, by :func:`~repro.core.replayer.first_divergence` under
+   the replay's discipline, so a stratified replay credits its prefix
+   too) and record a detected fault.  A replay that reproduced every
+   commit but failed its final-state or log audit credits nothing.
 4. **Resync**: pick the earliest interval checkpoint strictly past the
    first bad commit and go to 1.  Without such a checkpoint (or
    without forward progress), stop.
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.recorder import Recording
+from repro.core.recorder import Recording, commits_by_processor
+from repro.core.replayer import first_divergence
 from repro.core.serialization import (
     SectionDamage,
     load_recording_tolerant,
@@ -114,21 +118,6 @@ class SalvageReport:
                 f"{len(self.damage)} damaged section(s)")
 
 
-def _commit_proc(fingerprint: tuple, dma_proc_id: int) -> int:
-    owner = fingerprint[0]
-    return dma_proc_id if owner == "dma" else owner
-
-
-def _matched_prefix(expected: list[tuple],
-                    actual: list[tuple]) -> int:
-    count = 0
-    for recorded, replayed in zip(expected, actual):
-        if recorded != replayed:
-            break
-        count += 1
-    return count
-
-
 def salvage_replay(recording: Recording,
                    damage: list[SectionDamage] | None = None,
                    max_events: int | None = None,
@@ -155,10 +144,13 @@ def salvage_replay(recording: Recording,
     base = 0
 
     while True:
-        first_bad: int | None = None
+        # Stratified replay runs from GCC 0 only (strata are not cut at
+        # checkpoints); the verified prefix follows the same discipline.
+        stratified = recording.stratified and checkpoint is None
         try:
             result = replay_execution(
-                recording, start_checkpoint=checkpoint,
+                recording, use_strata=stratified,
+                start_checkpoint=checkpoint,
                 max_events=max_events, tracer=tracer)
             determinism = result.determinism
             if determinism.matches:
@@ -169,8 +161,8 @@ def salvage_replay(recording: Recording,
             report.faults_detected.append(
                 f"replay from GCC {base}: {determinism.summary()}")
             if determinism.first_mismatch is None:
-                # Per-processor (stratified) comparison: there is no
-                # meaningful global prefix to credit.
+                # Every commit reproduced, but the final state or the
+                # log audit failed: no prefix is to blame, none credited.
                 break
             first_bad = base + determinism.first_mismatch
         except ReproError as error:
@@ -178,12 +170,13 @@ def salvage_replay(recording: Recording,
                 f"replay from GCC {base}: "
                 f"{type(error).__name__}: {error}")
             context = getattr(error, "context", None)
-            prefix = 0
-            if context is not None and context.fingerprints:
-                prefix = _matched_prefix(
-                    recording.fingerprints[base:],
-                    list(context.fingerprints))
-            first_bad = base + prefix
+            first_bad = base
+            if context is not None:
+                expected = recording.fingerprints[base:]
+                prefix = first_divergence(
+                    expected, context.fingerprints,
+                    recording.machine_config if stratified else None)
+                first_bad += len(expected) if prefix is None else prefix
         if first_bad > base:
             verified.update(range(base, first_bad))
             report.segments.append(SalvageSegment(base, first_bad))
@@ -197,17 +190,17 @@ def salvage_replay(recording: Recording,
         base = checkpoint.commit_index
 
     report.verified_commits = len(verified)
-    dma_proc = recording.machine_config.dma_proc_id
-    first_bad_gcc: dict[int, int | None] = {
-        proc: None for proc in range(
-            recording.machine_config.num_processors)}
-    for index, fingerprint in enumerate(recording.fingerprints):
-        if index in verified:
-            continue
-        proc = _commit_proc(fingerprint, dma_proc)
-        if first_bad_gcc.get(proc) is None:
-            first_bad_gcc[proc] = index
-    report.first_bad_gcc = first_bad_gcc
+    # Each processor's unverified global indices; the DMA engine is
+    # named only when one of its bursts went unverified.
+    config = recording.machine_config
+    unverified = commits_by_processor(
+        [(fingerprint[0], index)
+         for index, fingerprint in enumerate(recording.fingerprints)
+         if index not in verified], config)
+    report.first_bad_gcc = {
+        proc: entries[0][1] if entries else None
+        for proc, entries in unverified.items()
+        if entries or proc != config.dma_proc_id}
 
     metrics = tracer.metrics
     metrics.counter("salvage_faults_detected").inc(

@@ -35,7 +35,13 @@ from repro.core.interval import IntervalCheckpoint
 from repro.core.modes import ExecutionMode, ModeConfig, preferred_config
 from repro.core.recorder import Recording
 from repro.core.serialization import load_recording, save_recording
-from repro.errors import ConfigurationError, SalvageError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockError,
+    IntegrityError,
+    ReplayDivergenceError,
+    SalvageError,
+)
 from repro.machine.program import Program
 from repro.machine.system import ChunkMachine, replay_execution
 
@@ -312,6 +318,26 @@ def _nonzero(image: dict[int, int]) -> dict[int, int]:
     return {addr: value for addr, value in image.items() if value}
 
 
+def replay_segment(recording: Recording,
+                   start_checkpoint: IntervalCheckpoint | None,
+                   stop_after: int, max_events: int | None = None,
+                   tracer=None) -> tuple[bool, str]:
+    """Replay-verify one segment from its start checkpoint (``None``
+    for the first segment), PI-ordered.  ``stop_after`` is 0 for a
+    complete segment and the commit count for a cut one.  Returns the
+    verdict and its text; a replay that raises fails with the error's
+    text instead of propagating it."""
+    try:
+        result = replay_execution(
+            recording, use_strata=False,
+            start_checkpoint=start_checkpoint, stop_after=stop_after,
+            max_events=max_events, tracer=tracer)
+    except (ReplayDivergenceError, DeadlockError,
+            IntegrityError) as error:
+        return False, f"{type(error).__name__}: {error}"
+    return result.determinism.matches, result.determinism.summary()
+
+
 def replay_stitched(segmented: SegmentedRecording,
                     max_events: int | None = None,
                     tracer=None) -> StitchReport:
@@ -323,7 +349,8 @@ def replay_stitched(segmented: SegmentedRecording,
     the determinism check compares the recorded prefix; the final segment
     gets the full end-of-run verification, final memory included.
     Seams are checked for architectural continuity: segment k+1 must
-    start from exactly the memory image segment k committed.
+    start from exactly the memory image segment k committed.  A segment
+    whose replay raises does not match; its entry carries the error.
     """
     if not segmented.segments:
         raise ConfigurationError("a segmented recording needs segments")
@@ -342,26 +369,18 @@ def replay_stitched(segmented: SegmentedRecording,
                         f"segment {index} does not start from segment "
                         f"{index - 1}'s committed memory")
         stop_after = segmented.replay_bound(index)
-        if stop_after is None:
-            report.segments.append({
-                "mode": seg.mode.value, "commits": 0,
-                "reason": seg.reason, "matches": True,
-                "determinism": "empty segment (skipped)"})
-            continue
-        result = replay_execution(
-            seg.recording,
-            use_strata=False,
-            start_checkpoint=seg.start_checkpoint,
-            stop_after=stop_after,
-            max_events=max_events,
-            tracer=tracer,
-        )
+        if stop_after is None:  # a cut segment that committed nothing
+            matches, detail = True, "empty segment (skipped)"
+        else:
+            matches, detail = replay_segment(
+                seg.recording, seg.start_checkpoint, stop_after,
+                max_events=max_events, tracer=tracer)
         report.segments.append({
             "mode": seg.mode.value,
             "commits": seg.commits,
             "reason": seg.reason,
-            "matches": result.determinism.matches,
-            "determinism": result.determinism.summary(),
+            "matches": matches,
+            "determinism": detail,
         })
         report.total_commits += seg.commits
     return report
@@ -376,6 +395,7 @@ __all__ = [
     "capture_boundary",
     "derive_segment_program",
     "load_segmented",
+    "replay_segment",
     "replay_stitched",
     "safer_mode",
     "save_segmented",

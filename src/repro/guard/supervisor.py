@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.modes import ExecutionMode, ModeConfig, preferred_config
 from repro.core.recorder import Recording
-from repro.core.replayer import verify_determinism
 from repro.errors import (
     BudgetExceeded,
     ConfigurationError,
@@ -44,6 +43,7 @@ from repro.guard.degrade import (
     SegmentedRecording,
     build_segment_record_machine,
     capture_boundary,
+    replay_segment,
     replay_stitched,
     safer_mode,
 )
@@ -56,6 +56,7 @@ from repro.machine.system import (
     build_replay_machine,
     finish_recording,
     partial_recording,
+    verify_replay,
 )
 from repro.machine.timing import MachineConfig
 from repro.telemetry.tracer import NULL_TRACER
@@ -234,24 +235,6 @@ def _close_journal(journal: RecordingJournal | None,
     }
 
 
-def _verify_segment(recording: Recording, start_checkpoint,
-                    stop_after: int) -> tuple[bool, str]:
-    """Replay-verify one segment from its start checkpoint (``None``
-    for the first segment); separable so tests can force divergence.
-    ``stop_after`` is 0 for a complete segment and the commit count
-    for a cut one."""
-    from repro.machine.system import replay_execution
-
-    try:
-        result = replay_execution(
-            recording, use_strata=False,
-            start_checkpoint=start_checkpoint, stop_after=stop_after)
-    except (ReplayDivergenceError, DeadlockError,
-            IntegrityError) as error:
-        return False, f"{type(error).__name__}: {error}"
-    return result.determinism.matches, result.determinism.summary()
-
-
 def supervise_record(
     program,
     mode: ExecutionMode = ExecutionMode.ORDER_ONLY,
@@ -394,7 +377,7 @@ def supervise_record(
         journal_info = _close_journal(journal, machine)
 
         if verify_segments:
-            matches, detail = _verify_segment(
+            matches, detail = replay_segment(
                 recording, seg_checkpoint, stop_after=0)
             if not matches:
                 verify_failures += 1
@@ -485,23 +468,15 @@ def supervise_replay(
             DeadlockError, IntegrityError) as error:
         return make_report(**_stopped_fields(error, watchdog, metrics))
 
-    problems = machine.replay_source.verify_fully_consumed()
-    det = verify_determinism(
-        recording,
-        result.fingerprints,
-        result.final_memory,
-        result.final_thread_keys,
-        ordered=not machine.use_strata,
-    )
-    matches = det.matches and not problems
-    report = make_report("completed" if matches
+    verdict, audit = verify_replay(machine, result)
+    report = make_report("completed" if verdict.matches
                          else "verification-failed")
     report.verification = {
-        "matches": matches,
-        "summary": det.summary(),
-        "unconsumed": problems,
+        "matches": verdict.matches,
+        "summary": verdict.summary(),
+        "unconsumed": audit,
     }
-    if not matches:
+    if not verdict.matches:
         report.classification = "replay-divergence"
     return report
 

@@ -47,6 +47,7 @@ from repro.core.interval import IntervalCheckpoint, IntervalCheckpointStore
 from repro.core.modes import ModeConfig
 from repro.core.recorder import Recorder, Recording
 from repro.core.replayer import (
+    DeterminismReport,
     ReplayPerturbation,
     ReplayResult,
     ReplaySource,
@@ -86,19 +87,6 @@ class _RecordIOSource:
 
     def io_store(self, proc: int, port: int, value: int) -> None:
         self.device.store(port, value)
-
-
-class _ReplayIOSource:
-    """Replay-phase I/O: values come from the I/O log only."""
-
-    def __init__(self, source: ReplaySource) -> None:
-        self.source = source
-
-    def io_load(self, proc: int, port: int) -> int:
-        return self.source.io_load(proc, port)
-
-    def io_store(self, proc: int, port: int, value: int) -> None:
-        self.source.io_store(proc, port, value)
 
 
 @dataclass
@@ -240,10 +228,9 @@ class ChunkMachine:
         self.recorder = (None if self.is_replay
                          else Recorder(machine_config, mode_config,
                                        tracer=self.tracer))
-        if self.is_replay:
-            self.io_source = _ReplayIOSource(replay_source)
-        else:
-            self.io_source = _RecordIOSource(self.io_device)
+        # Replay-phase I/O values come from the I/O log only.
+        self.io_source = (replay_source if self.is_replay
+                          else _RecordIOSource(self.io_device))
 
         # Interval-replay state must exist before the arbiter is built
         # (the replay policies slice their logs at the checkpoint).
@@ -1346,6 +1333,30 @@ def build_replay_machine(
     )
 
 
+def verify_replay(machine: ChunkMachine, result: RunResult) -> \
+        tuple[DeterminismReport, list[str]]:
+    """The verdict on a finished replay: the log audit (skipped when
+    bounded: the replay stops mid-log) plus :func:`verify_determinism`
+    under the machine's discipline, start checkpoint and bound.  Returns
+    the report, failed by any audit problem too, and the problems."""
+    source = machine.replay_source
+    stop_after = machine._stop_after
+    audit = [] if stop_after else source.verify_fully_consumed()
+    report = verify_determinism(
+        source.recording,
+        result.fingerprints,
+        result.final_memory,
+        result.final_thread_keys,
+        ordered=not machine.use_strata,
+        start_checkpoint=machine.start_checkpoint,
+        stop_after=stop_after,
+    )
+    if audit:
+        report = replace(report, matches=False,
+                         mismatches=report.mismatches + audit)
+    return report, audit
+
+
 def replay_execution(
     recording: Recording,
     perturbation: ReplayPerturbation | None = None,
@@ -1368,22 +1379,8 @@ def replay_execution(
         stop_after=stop_after,
         tracer=tracer,
     )
-    source = machine.replay_source
-    use_strata = machine.use_strata
     result = machine.run(max_events)
-    problems = [] if stop_after else source.verify_fully_consumed()
-    report = verify_determinism(
-        recording,
-        result.fingerprints,
-        result.final_memory,
-        result.final_thread_keys,
-        ordered=not use_strata,
-        start_checkpoint=start_checkpoint,
-        stop_after=stop_after,
-    )
-    if problems:
-        report = replace(report, matches=False,
-                         mismatches=report.mismatches + problems)
+    report, _ = verify_replay(machine, result)
     return ReplayResult(
         stats=result.stats,
         determinism=report,

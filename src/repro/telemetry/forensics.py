@@ -8,9 +8,13 @@ evidence sources feed one :class:`DivergenceForensics` report:
   structured fields (proc_id, chunk index, expected/actual) and
   attached :class:`DivergenceContext` (the partial replay state the
   machine snapshots before re-raising) localize a hard failure; or
-* a fingerprint comparison, when replay runs to completion but commits
-  the wrong thing -- the first mismatching global commit is the
-  divergence point.
+* the replay's verdict (:func:`~repro.machine.system.verify_replay`),
+  when replay runs to completion but commits the wrong thing -- the
+  first recorded commit it did not reproduce is the divergence point.
+
+Every location a raised error does not name comes from one rule,
+:func:`~repro.core.replayer.first_divergence`, under the discipline the
+replay used: ordered, or per processor for a stratified replay.
 
 The rendered report shows the diverging processor and chunk, the
 expected vs. actual commit record, the last N committed chunks per
@@ -33,11 +37,6 @@ class DivergenceContext:
     fingerprints: list[tuple]
 
 
-def _fingerprint_proc(fingerprint: tuple):
-    """The processor field of a commit fingerprint ('dma' or int)."""
-    return fingerprint[0]
-
-
 def _last_commits(recording, fingerprints: list[tuple]) -> dict:
     """Replayed commits of each processor that committed any."""
     # Imported here: repro.core.recorder imports this package.
@@ -57,7 +56,7 @@ def _describe_commit(fingerprint) -> str:
         return "(none)"
     if not isinstance(fingerprint, tuple):
         return repr(fingerprint)
-    proc = _fingerprint_proc(fingerprint)
+    proc = fingerprint[0]
     if proc == "dma" and len(fingerprint) == 3:
         return (f"dma burst #{fingerprint[1]} "
                 f"({len(fingerprint[2])} writes)")
@@ -150,79 +149,69 @@ def _window(fingerprints: list[tuple], center: int,
         return []
     start = max(0, center - radius)
     end = min(len(fingerprints), center + radius + 1)
-    return [(index, _fingerprint_proc(fingerprints[index]),
-             index == center)
+    return [(index, fingerprints[index][0], index == center)
             for index in range(start, end)]
 
 
-def _from_error(recording, error: ReplayDivergenceError,
+def _first_bad(recording, replayed: list[tuple], config) -> int:
+    """The first recorded commit a partial replay did not reproduce: the
+    rule's index, or the next commit when all so far were reproduced."""
+    # Imported here: repro.core.recorder imports this package.
+    from repro.core.replayer import first_divergence
+
+    index = first_divergence(recording.fingerprints, replayed, config)
+    return len(replayed) if index is None else index
+
+
+def _diverged_at(recording, replayed: list[tuple], index: int, config,
+                 radius: int, **fields) -> DivergenceForensics:
+    """A report at recorded commit ``index``: the recorded commit there
+    and the replayed commit aligned with it under ``config``'s
+    discipline."""
+    from repro.core.replayer import aligned_replay
+
+    expected_all = recording.fingerprints
+    aligned = aligned_replay(expected_all, replayed, config)
+    expected = expected_all[index] if index < len(expected_all) else None
+    actual = aligned[index] if index < len(aligned) else None
+    sample = actual if actual is not None else expected
+    return DivergenceForensics(
+        diverged=True,
+        proc_id=sample[0] if sample else None,
+        chunk_index=index,
+        expected=expected,
+        actual=actual,
+        last_commits=_last_commits(recording, replayed),
+        interleaving_window=_window(expected_all, index, radius),
+        **fields,
+    )
+
+
+def _from_error(recording, error: ReplayDivergenceError, config,
                 radius: int) -> DivergenceForensics:
     context: DivergenceContext | None = error.context
     chunk_index = error.chunk_index
+    if chunk_index is None and context is not None:
+        chunk_index = _first_bad(recording, context.fingerprints, config)
     expected = error.expected
-    actual = error.actual
     proc_id = error.proc_id
-    last_commits: dict = {}
-    cycle = None
-    if context is not None:
-        cycle = context.cycle
-        last_commits = _last_commits(recording, context.fingerprints)
-        if chunk_index is None:
-            # The next global commit that never happened.
-            chunk_index = len(context.fingerprints)
     if (expected is None and chunk_index is not None
             and chunk_index < len(recording.fingerprints)):
         expected = recording.fingerprints[chunk_index]
         if proc_id is None:
-            proc_id = _fingerprint_proc(expected)
+            proc_id = expected[0]
     return DivergenceForensics(
         diverged=True,
         reason=str(error),
         proc_id=proc_id,
         chunk_index=chunk_index,
         expected=expected,
-        actual=actual,
-        cycle=cycle,
-        last_commits=last_commits,
+        actual=error.actual,
+        cycle=context.cycle if context is not None else None,
+        last_commits=(_last_commits(recording, context.fingerprints)
+                      if context is not None else {}),
         interleaving_window=_window(recording.fingerprints,
                                     chunk_index, radius),
-    )
-
-
-def _from_fingerprints(recording, result,
-                       radius: int) -> DivergenceForensics:
-    expected_all = recording.fingerprints
-    actual_all = result.fingerprints
-    limit = min(len(expected_all), len(actual_all))
-    divergence = None
-    for index in range(limit):
-        if expected_all[index] != actual_all[index]:
-            divergence = index
-            break
-    if divergence is None and len(expected_all) != len(actual_all):
-        divergence = limit
-    if divergence is None:
-        return DivergenceForensics(diverged=False)
-    expected = (expected_all[divergence]
-                if divergence < len(expected_all) else None)
-    actual = (actual_all[divergence]
-              if divergence < len(actual_all) else None)
-    sample = actual if actual is not None else expected
-    last_commits = _last_commits(recording, actual_all)
-    if len(expected_all) == len(actual_all):
-        reason = "commit content mismatch"
-    else:
-        reason = (f"commit count differs: recorded "
-                  f"{len(expected_all)}, replayed {len(actual_all)}")
-    return DivergenceForensics(
-        diverged=True,
-        reason=reason,
-        proc_id=_fingerprint_proc(sample) if sample else None,
-        chunk_index=divergence,
-        expected=expected,
-        actual=actual,
-        last_commits=last_commits,
-        interleaving_window=_window(expected_all, divergence, radius),
     )
 
 
@@ -234,56 +223,48 @@ def diagnose_replay(recording, perturbation=None,
 
     Unlike :meth:`DeLoreanSystem.replay` this never raises on a
     corrupted or mismatched log -- the failure *is* the result.  A
-    clean, fully-matching replay returns a report with
-    ``diverged=False``.
+    replay that runs to completion diverged exactly when its verdict
+    (:func:`~repro.machine.system.verify_replay`) fails, so a
+    stratified replay whose per-processor streams match reports
+    ``diverged=False`` even though its global order differs.
     """
-    from repro.machine.system import build_replay_machine
+    from repro.machine.system import build_replay_machine, verify_replay
 
     machine = build_replay_machine(
         recording, perturbation=perturbation, use_strata=use_strata,
         tracer=tracer)
-    source = machine.replay_source
+    config = recording.machine_config if machine.use_strata else None
     try:
         result = machine.run(max_events)
     except ReplayDivergenceError as error:
-        return _from_error(recording, error, radius)
+        return _from_error(recording, error, config, radius)
     except DeadlockError as error:
+        reason = f"replay deadlocked: {error}"
         context = getattr(error, "context", None)
-        report = DivergenceForensics(
-            diverged=True,
-            reason=f"replay deadlocked: {error}",
-        )
-        if context is not None:
-            report.cycle = context.cycle
-            report.chunk_index = len(context.fingerprints)
-            report.last_commits = _last_commits(recording,
-                                                context.fingerprints)
-            report.interleaving_window = _window(
-                recording.fingerprints, report.chunk_index, radius)
-            if report.chunk_index < len(recording.fingerprints):
-                # The stuck machine never produced the next recorded
-                # commit -- name its owner.
-                report.expected = recording.fingerprints[
-                    report.chunk_index]
-                report.proc_id = _fingerprint_proc(report.expected)
-            # The replay may also have already committed the wrong
-            # thing before wedging; prefer the first hard mismatch.
-            for index, actual in enumerate(context.fingerprints):
-                if (index < len(recording.fingerprints)
-                        and recording.fingerprints[index] != actual):
-                    report.chunk_index = index
-                    report.expected = recording.fingerprints[index]
-                    report.actual = actual
-                    report.proc_id = _fingerprint_proc(actual)
-                    report.interleaving_window = _window(
-                        recording.fingerprints, index, radius)
-                    break
-        return report
-    report = _from_fingerprints(recording, result, radius)
-    audit = source.verify_fully_consumed()
-    if audit:
-        report.diverged = True
-        report.log_audit = audit
-        if not report.reason:
-            report.reason = "replay left log entries unconsumed"
-    return report
+        if context is None:
+            return DivergenceForensics(diverged=True, reason=reason)
+        # The first recorded commit the stuck machine did not reproduce:
+        # a wrong commit before it wedged, or the next one it never made.
+        return _diverged_at(
+            recording, context.fingerprints,
+            _first_bad(recording, context.fingerprints, config), config,
+            radius, reason=reason, cycle=context.cycle)
+    verdict, audit = verify_replay(machine, result)
+    if verdict.matches:
+        return DivergenceForensics(diverged=False)
+    index = verdict.first_mismatch
+    if index is None:
+        # Every commit reproduced: the log audit or final state failed.
+        return DivergenceForensics(
+            diverged=True, log_audit=audit,
+            reason=("replay left log entries unconsumed" if audit
+                    else "; ".join(verdict.mismatches)))
+    expected_all = recording.fingerprints
+    if len(expected_all) == len(result.fingerprints):
+        reason = "commit content mismatch"
+    else:
+        reason = (f"commit count differs: recorded "
+                  f"{len(expected_all)}, replayed "
+                  f"{len(result.fingerprints)}")
+    return _diverged_at(recording, result.fingerprints, index, config,
+                        radius, reason=reason, log_audit=audit)

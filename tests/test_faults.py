@@ -43,10 +43,12 @@ from repro.faults import (
     salvage_replay,
 )
 from repro.faults.campaign import build_specs
+from repro.faults.salvage import SalvageSegment
 from repro.machine.system import replay_execution
 from repro.runner import Runner
 from repro.runner.retry import FailureRecord, RetryPolicy
 from repro.telemetry import EventTracer
+from repro.workloads import app_program
 
 
 def make_recording(mode=ExecutionMode.ORDER_ONLY, threads=3,
@@ -408,6 +410,25 @@ class TestSalvage:
             expected = (recording.machine_config.dma_proc_id
                         if owner == "dma" else owner)
             assert expected == proc
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_verified_prefix_is_credited_in_either_discipline(
+            self, stratify):
+        """A stratified recording credits the commits before its first
+        unreproduced one, as an ordered recording does: fingerprint #12
+        of 24 edited, resync at the checkpoint past it."""
+        recording = DeLoreanSystem(stratify=stratify).record(
+            app_program("fft", scale=0.2, seed=3), checkpoint_every=15)
+        assert recording.stratified == stratify
+        fingerprint = recording.fingerprints[12]
+        recording.fingerprints[12] = fingerprint[:-1] + (("edited",),)
+        report = salvage_replay(recording)
+        assert report.total_commits == 24
+        assert report.verified_commits == 21
+        assert report.segments == [SalvageSegment(0, 12),
+                                   SalvageSegment(15, 24)]
+        owner = fingerprint[0]
+        assert report.first_bad_gcc[owner] == 12
 
     def test_salvage_wires_telemetry_counters(self):
         _, recording = make_recording(threads=3, increments=12,

@@ -51,10 +51,11 @@ from repro.guard import (
     supervise_replay,
 )
 from repro.guard import supervisor as supervisor_module
+from repro.guard.degrade import replay_segment
 from repro.guard.journal import load_journal_file
 from repro.guard.watchdog import Watchdog, progress_key
 from repro.machine.events import build_handler_ops
-from repro.machine.system import record_execution
+from repro.machine.system import record_execution, replay_execution
 from repro.machine.timing import MachineConfig
 from repro.runner import Runner, RunSpec
 from repro.runner import jobs as jobs_module
@@ -407,7 +408,7 @@ class TestDegradation:
                 return False, "forced divergence"
             return True, "ok"
 
-        monkeypatch.setattr(supervisor_module, "_verify_segment",
+        monkeypatch.setattr(supervisor_module, "replay_segment",
                             forced_verify)
         report = supervise_record(
             racey_program(threads=4, rounds=30, seed=3),
@@ -430,6 +431,29 @@ class TestDegradation:
         assert report.outcome == "degraded-completed"
         assert report.modes == ["picolog", "order_only"]
         assert report.verification["matches"]
+
+    def test_stitched_replay_reports_a_segment_that_raises(self):
+        """A segment whose replay raises is a failed segment carrying
+        the error, exactly as the supervisor's segment check sees it,
+        never an exception out of ``replay_stitched``."""
+        report = supervise_record(
+            app_program("sjbb2k", scale=0.2, seed=3),
+            mode=ExecutionMode.PICOLOG,
+            budgets=Budgets(max_log_bytes_per_proc=40))
+        assert len(report.segments) == 3
+        loaded = load_segmented(save_segmented(report.segmented))
+        segment = loaded.segments[1]
+        segment.recording.io_logs[4].values.clear()
+        stitched = replay_stitched(loaded)
+        error = ("ReplayDivergenceError: processor 4 performed an I/O "
+                 "load with an empty I/O log (port 0)")
+        assert not stitched.matches
+        assert [seg["matches"] for seg in stitched.segments] == [
+            True, False, True]
+        assert stitched.segments[1]["determinism"] == error
+        assert replay_segment(segment.recording,
+                              segment.start_checkpoint,
+                              loaded.replay_bound(1)) == (False, error)
 
     def test_carried_interrupt_handlers_run_in_the_next_segment(self):
         """Handlers delivered but uncommitted at a cut re-inject as
@@ -713,6 +737,23 @@ class TestSupervisedReplay:
         assert replay.outcome == "completed"
         assert replay.phase == "replay"
         assert replay.verification["matches"]
+
+    def test_verification_summary_includes_the_log_audit(self):
+        """Supervised replay's verdict is the replay verdict: an I/O
+        value left unconsumed fails its summary as it fails
+        ``replay_execution``'s."""
+        recording = record_execution(
+            app_program("fft", scale=0.1, seed=1), MachineConfig(),
+            preferred_config(ExecutionMode.ORDER_ONLY))
+        recording.io_logs[0].values.append(7)
+        problem = "processor 0: 1 I/O values not consumed"
+        expected = replay_execution(recording).determinism.summary()
+        assert expected == f"DIVERGED (1 mismatches): {problem}"
+        replay = supervise_replay(recording)
+        assert replay.outcome == "verification-failed"
+        assert replay.verification == {
+            "matches": False, "summary": expected,
+            "unconsumed": [problem]}
 
 
 # -- the runner's layered deadline enforcement ------------------------

@@ -26,6 +26,8 @@ from repro.core.replayer import (
     DeterminismReport,
     ReplayPerturbation,
     ReplaySource,
+    aligned_replay,
+    first_divergence,
     make_perturbation_rng,
     verify_determinism,
 )
@@ -398,6 +400,108 @@ class TestVerifyDeterminism:
             matches=False, compared_chunks=3,
             mismatches=["a", "b", "c", "d"])
         assert "DIVERGED (4" in dirty.summary()
+
+
+class TestFirstDivergence:
+    """The one first-divergence rule, under both disciplines: ordered
+    (no machine config) and per processor (the machine config files
+    DMA bursts under ``dma_proc_id``)."""
+
+    DMA1 = ("dma", 1, ((0x10, 1),))
+    DMA2 = ("dma", 2, ((0x20, 2),))
+    A1, A2, A3 = _chunk_fp(0, 1), _chunk_fp(0, 2), _chunk_fp(0, 3)
+    B1, B2 = _chunk_fp(1, 1), _chunk_fp(1, 2)
+    RECORDED = [A1, B1, DMA1, A2, DMA2, B2]
+
+    def both(self, replayed, recorded=None, procs=2):
+        """(ordered, per-processor) first divergence of ``replayed``."""
+        recorded = self.RECORDED if recorded is None else recorded
+        config = small_config(num_processors=procs)
+        return (first_divergence(recorded, replayed),
+                first_divergence(recorded, replayed, config))
+
+    def test_identical_lists(self):
+        assert self.both(list(self.RECORDED)) == (None, None)
+        assert self.both([], recorded=[]) == (None, None)
+
+    def test_legal_cross_processor_reorder(self):
+        replayed = [self.B1, self.A1, self.DMA1, self.B2, self.A2,
+                    self.DMA2]
+        assert self.both(replayed) == (0, None)
+
+    def test_swapped_pair_on_one_processor(self):
+        # Processor 1 commits its chunks in the wrong order; processor
+        # 0's commit #0 was reproduced, recorded commit #1 was not.
+        replayed = [self.B2, self.A1, self.DMA1, self.A2, self.DMA2,
+                    self.B1]
+        assert self.both(replayed) == (0, 1)
+
+    def test_dropped_dma_burst(self):
+        assert self.both([self.A1, self.B1, self.A2, self.DMA2,
+                          self.B2]) == (2, 2)
+        # Reordered elsewhere: only the DMA stream is wrong.
+        assert self.both([self.B1, self.A1, self.A2, self.DMA2,
+                          self.B2]) == (0, 2)
+
+    def test_partial_prefix(self):
+        # A missing commit is a difference: the first recorded commit
+        # the partial replay never made.
+        assert self.both([self.A1, self.B1, self.DMA1]) == (3, 3)
+        assert self.both([self.B1, self.A1]) == (0, 2)
+        assert self.both([]) == (0, 0)
+
+    def test_extra_commit(self):
+        assert self.both(self.RECORDED + [self.A3]) == (6, 6)
+        assert self.both([self.B1, self.A1, self.DMA1, self.B2,
+                          self.A2, self.DMA2, self.A3]) == (0, 6)
+
+    def test_idle_processor(self):
+        recorded = [self.A1, self.B1, self.A2]
+        assert self.both([self.B1, self.A1, self.A2], recorded,
+                         procs=3) == (0, None)
+        # A processor idle in the recording commits during replay:
+        # every recorded commit reproduced, one extra.
+        c1 = _chunk_fp(2, 1)
+        assert self.both([self.A1, c1, self.B1, self.A2], recorded,
+                         procs=3) == (1, 3)
+
+    def test_aligned_replay_lines_streams_up(self):
+        config = small_config(num_processors=2)
+        assert aligned_replay(self.RECORDED, [self.B1, self.A1]) == \
+            [self.B1, self.A1]
+        assert aligned_replay(
+            self.RECORDED, [self.B1, self.A1, self.A3], config) == [
+                self.A1, self.B1, None, self.A3, None, None]
+        assert aligned_replay(
+            self.RECORDED[:2], [self.B1, self.A1, self.A3], config) == [
+                self.A1, self.B1, self.A3]
+
+    def test_report_locates_under_both_disciplines(self):
+        """``first_mismatch`` is the rule's index, per processor too,
+        and None when the commits match (even if the final memory
+        does not)."""
+        recording = make_recording(
+            fingerprints=list(self.RECORDED), final_memory={0x10: 1},
+            final_thread_keys={})
+        config = recording.machine_config
+        for replayed in ([self.B2, self.A1, self.DMA1, self.A2,
+                          self.DMA2, self.B1],
+                         [self.B1, self.A1, self.A2, self.DMA2, self.B2],
+                         self.RECORDED + [self.A3],
+                         [self.A1, self.B1]):
+            for ordered in (True, False):
+                report = verify_determinism(
+                    recording, replayed, {0x10: 1}, {}, ordered=ordered)
+                assert not report.matches
+                assert report.first_mismatch == first_divergence(
+                    self.RECORDED, replayed,
+                    None if ordered else config)
+        reordered = [self.B1, self.A1, self.DMA1, self.B2, self.A2,
+                     self.DMA2]
+        report = verify_determinism(recording, reordered, {0x10: 2}, {},
+                                    ordered=False)
+        assert not report.matches
+        assert report.first_mismatch is None
 
 
 class TestPerturbation:
