@@ -1167,7 +1167,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "until it finishes")
     submit.add_argument("--wait", type=float, default=None,
                         metavar="SECONDS",
-                        help="poll until terminal, up to SECONDS")
+                        help="wait (on the job's SSE stream) until "
+                             "terminal, up to SECONDS")
     add_client_options(submit)
     submit.set_defaults(func=_cmd_submit)
 

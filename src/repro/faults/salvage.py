@@ -18,7 +18,9 @@ The state machine (documented in ``docs/INTERNALS.md``):
    reproduce, by :func:`~repro.core.replayer.first_divergence` under
    the replay's discipline, so a stratified replay credits its prefix
    too) and record a detected fault.  A replay that reproduced every
-   commit but failed its final-state or log audit credits nothing.
+   commit but failed its final-state or log audit credits every
+   commit it replayed: the fault stays detected (the report is not
+   ``clean``), but no commit is to blame.
 4. **Resync**: pick the earliest interval checkpoint strictly past the
    first bad commit and go to 1.  Without such a checkpoint (or
    without forward progress), stop.
@@ -161,10 +163,11 @@ def salvage_replay(recording: Recording,
             report.faults_detected.append(
                 f"replay from GCC {base}: {determinism.summary()}")
             if determinism.first_mismatch is None:
-                # Every commit reproduced, but the final state or the
-                # log audit failed: no prefix is to blame, none credited.
-                break
-            first_bad = base + determinism.first_mismatch
+                # Every commit reproduced; only the final state or the
+                # log audit failed.
+                first_bad = total
+            else:
+                first_bad = base + determinism.first_mismatch
         except ReproError as error:
             report.faults_detected.append(
                 f"replay from GCC {base}: "

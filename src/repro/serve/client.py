@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 
 from repro.errors import ServeError
@@ -140,19 +141,32 @@ class ServeClient:
             "worker": worker, "job_id": job_id, "lease_id": lease_id,
             "envelope": envelope, "artifact_digest": artifact_digest})
 
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll: float = 0.25) -> dict:
-        """Poll until the job reaches a terminal state."""
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
+        """Follow the job's SSE stream to its terminal event and
+        return that snapshot as soon as the server publishes it.
+
+        A stream the server drops early is resumed after the last
+        event seen (event ids are journal LSNs).  Raises
+        :class:`ServeError` if the job is still not terminal after
+        ``timeout`` seconds (naming its last state seen, or
+        ``unanswered`` when the server sent none in time), or
+        (``status=404``) if the server has no such job.
+        """
         deadline = time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if time.monotonic() > deadline:
-                raise ServeError(
-                    f"job {job_id} still {job['state']} after "
-                    f"{timeout:g}s")
-            time.sleep(poll)
+        state, after = "unanswered", 0
+        try:
+            while True:  # until terminal; a dropped stream resumes
+                for after, data in self._events(
+                        f"/v1/jobs/{job_id}/events?after={after}",
+                        deadline=deadline):
+                    job = data["job"]
+                    if job["state"] in TERMINAL_STATES:
+                        return job
+                    state = job["state"]
+        except socket.timeout:
+            pass
+        raise ServeError(f"job {job_id} still {state} after "
+                         f"{timeout:g}s")
 
     def stream(self, job_id: str | None = None, after: int = 0,
                timeout: float | None = None):
@@ -166,23 +180,56 @@ class ServeClient:
                 else "/v1/events")
         if after:
             path += f"?after={after}"
-        conn = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=timeout if timeout is not None else self.timeout)
+        yield from self._events(
+            path, timeout=timeout if timeout is not None
+            else self.timeout)
+
+    def _events(self, path: str, *, timeout: float | None = None,
+                deadline: float | None = None):
+        """Yield the SSE stream at ``path`` until the server closes it.
+
+        Each socket operation waits at most ``timeout`` seconds or,
+        given a monotonic ``deadline`` instead, until that deadline.
+        A read that runs out of time raises :class:`socket.timeout`;
+        so does connecting or awaiting the response headers past the
+        deadline (without one, that is "cannot reach").
+        """
+        if deadline is not None:
+            timeout = max(deadline - time.monotonic(), 0.001)
+        conn = http.client.HTTPConnection(self.host, self.port,
+                                          timeout=timeout)
         try:
             try:
                 conn.request("GET", path,
                              headers=self._auth_headers())
+                # getresponse() detaches the socket from ``conn`` (the
+                # server closes after the stream); the response keeps
+                # reading from it.
+                sock = conn.sock
                 response = conn.getresponse()
             except OSError as error:
+                if deadline is not None \
+                        and isinstance(error, socket.timeout):
+                    raise  # out of time, not out of reach
                 raise ServeError(
                     f"cannot reach serve at {self.host}:{self.port}: "
                     f"{error}") from error
             if response.status >= 400:
-                raise ServeError(f"HTTP {response.status} on {path}",
-                                 status=response.status)
+                try:
+                    message = json.loads(response.read())["error"]
+                except (ValueError, KeyError, TypeError):
+                    message = f"HTTP {response.status} on {path}"
+                raise ServeError(message, status=response.status)
             event_id = 0
-            for raw in response:
+            while True:
+                if deadline is not None:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise socket.timeout(f"deadline passed on {path}")
+                    sock.settimeout(left)
+                raw = response.readline()
+                if not raw:
+                    return
                 line = raw.decode().rstrip("\n").rstrip("\r")
                 if line.startswith("id:"):
                     event_id = int(line[3:].strip())

@@ -50,10 +50,14 @@ answered with the full retained snapshot instead of a silent gap.
 Job execution happens on worker tasks (one per configured worker)
 that pull from the durable queue through ``asyncio.to_thread``, so a
 long simulation never blocks the accept loop: submissions, listings
-and streams stay responsive while jobs run.  In fleet mode those
-tasks idle while remote workers are heartbeating and take over
-automatically when none is (graceful degradation); a once-a-second
-sweeper task expires abandoned leases either way.
+and streams stay responsive while jobs run.  An idle worker task
+sleeps until a job enters ``queued`` (a submit, a lease-expiry
+requeue or a punt) wakes it.  In fleet mode those tasks idle while
+remote workers are heartbeating and take over automatically when none
+is (graceful degradation).  A once-a-second sweeper task expires
+abandoned leases and, while the fleet is degraded, wakes the worker
+tasks: degradation is time-based and fires no transition, so the
+sweeper is what notices it.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError
 from repro.serve.lease import heartbeat_interval
-from repro.serve.model import Job
+from repro.serve.model import STATE_QUEUED, TERMINAL_STATES, Job
 from repro.serve.queue import read_journal_dir
 from repro.serve.service import ReproService
 from repro.serve.sse import EventLog, format_sse
@@ -114,14 +118,17 @@ class ServeServer:
         self.port = port
         self.events: EventLog | None = None
         self._server: asyncio.AbstractServer | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._workers: list[asyncio.Task] = []
         self._stopping = asyncio.Event()
+        #: Set (from any thread) when a job enters ``queued``.
+        self._wake = asyncio.Event()
 
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
         """Bind, seed the event log, launch worker + sweeper tasks."""
-        loop = asyncio.get_running_loop()
+        self._loop = loop = asyncio.get_running_loop()
         # Seed from every journal segment so SSE resume spans restarts
         # (and compactions), then attach live; the lsn guard in
         # EventLog dedupes any transition that lands in between.
@@ -132,6 +139,7 @@ class ServeServer:
             self.events.seed(record["lsn"],
                              Job.from_dict(record["job"]))
         self.service.queue.subscribe(self.events.append)
+        self.service.queue.subscribe(self._wake_on_enqueue)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -160,18 +168,34 @@ class ServeServer:
         self.service.close()
 
     async def _worker(self, index: int) -> None:
-        """Pull-and-run loop; the 20ms idle nap bounds poll cost."""
+        """Pull-and-run loop, woken by enqueues.
+
+        The wake event is cleared *before* each claim, so a job queued
+        while the claim runs sets it again and is never missed.  With
+        nothing to claim the task sleeps until the next wake.
+        """
         while not self._stopping.is_set():
+            self._wake.clear()
             job = await asyncio.to_thread(self.service.process_one)
             if job is None:
-                await asyncio.sleep(0.02)
+                await self._wake.wait()
+
+    def _wake_on_enqueue(self, _lsn: int, job: Job) -> None:
+        """Queue observer (any thread): wake the idle worker tasks
+        when a job enters ``queued``."""
+        if job.state == STATE_QUEUED:
+            self._loop.call_soon_threadsafe(self._wake.set)
 
     async def _sweeper(self) -> None:
-        """Expire abandoned leases and refresh the SSE compaction
-        horizon once a second."""
+        """Once a second: expire abandoned leases, wake the worker
+        tasks while the fleet is degraded (how its queue gets served)
+        and refresh the SSE compaction horizon."""
         while not self._stopping.is_set():
             await asyncio.sleep(SWEEP_INTERVAL)
             await asyncio.to_thread(self.service.sweep_leases)
+            if self.service.fleet is not None \
+                    and self.service.fleet_degraded():
+                self._wake.set()
             if self.events is not None:
                 self.events.compacted_through = max(
                     self.events.compacted_through,
@@ -487,12 +511,10 @@ class ServeServer:
         after = self._after(query, headers)
         await self._start_sse(writer)
         assert self.events is not None
-        async for lsn, data in self.events.stream(after):
-            if data["job"]["id"] != job_id:
-                continue
+        async for lsn, data in self.events.stream(after, job_id):
             writer.write(format_sse(lsn, data))
             await writer.drain()
-            if data["job"]["state"] in ("done", "failed"):
+            if data["job"]["state"] in TERMINAL_STATES:
                 break
 
     async def _stream_all(self, writer, query, headers) -> None:

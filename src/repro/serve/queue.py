@@ -58,7 +58,15 @@ time rather than handed to a worker.
 
 Thread-safety: all mutation happens under one lock (HTTP accept loop
 and worker threads share the queue).  Each journaled transition also
-notifies registered observers -- the SSE event log rides on these.
+notifies registered observers -- the SSE event log and the server's
+worker wake-up ride on these.
+
+**The census** (:meth:`JobQueue.counts`) is kept running rather than
+recounted: ``_append``, the one journaled-transition path, moves a job
+from its last journaled state to its new one; compaction subtracts the
+terminal jobs it drops; recovery counts once.  Admission and the stats
+endpoints therefore cost the same at 10 jobs and at 10,000, although
+``_jobs`` never shrinks unless ``retain_terminal`` is set.
 """
 
 from __future__ import annotations
@@ -83,7 +91,9 @@ from repro.serve.model import (
     STATE_QUEUED,
     STATE_RUNNING,
     STATES,
+    TERMINAL_STATES,
     Job,
+    QueueCounts,
     census,
     job_id,
 )
@@ -223,6 +233,10 @@ class JobQueue:
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._job_lsn: dict[str, int] = {}
+        #: Each job's last journaled state and the running census of
+        #: those states (see the module docstring).
+        self._job_state: dict[str, str] = {}
+        self._census = QueueCounts()
         #: Claim order: (priority, enqueue LSN, job id) min-heap.
         self._ready: list[tuple[int, int, str]] = []
         self._observers: list = []
@@ -296,6 +310,9 @@ class JobQueue:
                 else:
                     requeue.append(job)
         self.recovered_jobs = len(self._jobs)
+        self._job_state = {job.id: job.state
+                           for job in self._jobs.values()}
+        self._census = census(self._jobs.values())
         # Requeues are journaled below, after the handle opens -- done
         # lazily in recover_running() so callers observe the crashed
         # state first if they want to.  Leased running jobs are not
@@ -337,13 +354,32 @@ class JobQueue:
         return requeued
 
     def _append(self, job: Job) -> None:
-        """Journal ``job``'s current snapshot durably (lock held)."""
+        """Journal ``job``'s current snapshot durably and move it in
+        the census (lock held)."""
         self._lsn += 1
         payload = json.dumps({"lsn": self._lsn, "job": job.as_dict()},
                              sort_keys=True, separators=(",", ":"))
         self._write_line(payload)
         self._job_lsn[job.id] = self._lsn
+        previous = self._job_state.get(job.id)
+        if previous != job.state:
+            if previous is not None:
+                self._count(previous, job.tenant, -1)
+            self._count(job.state, job.tenant, 1)
+            self._job_state[job.id] = job.state
         self._maybe_roll()
+
+    def _count(self, state: str, tenant: str, delta: int) -> None:
+        """Add ``delta`` jobs of ``tenant`` in ``state`` to the census
+        (lock held); tenants are counted over non-terminal jobs only."""
+        counts = self._census
+        setattr(counts, state, getattr(counts, state) + delta)
+        if state not in TERMINAL_STATES:
+            live = counts.by_tenant.get(tenant, 0) + delta
+            if live:
+                counts.by_tenant[tenant] = live
+            else:
+                del counts.by_tenant[tenant]
 
     def _write_line(self, payload: str) -> None:
         line = _frame(payload)
@@ -401,6 +437,7 @@ class JobQueue:
         for job in drop:
             del self._jobs[job.id]
             del self._job_lsn[job.id]
+            self._count(self._job_state.pop(job.id), job.tenant, -1)
         snapshots = sorted(self._jobs.values(),
                            key=lambda j: self._job_lsn[j.id])
         seq = self._next_segment
@@ -665,10 +702,15 @@ class JobQueue:
             selected = [j for j in selected if j.state == state]
         return selected
 
-    def counts(self):
-        """Point-in-time state census (admission + gauges)."""
+    def counts(self) -> QueueCounts:
+        """Point-in-time state census (admission + gauges): a copy of
+        the running census, equal to :func:`census` over the retained
+        jobs at a fraction of its cost."""
         with self._lock:
-            return census(self._jobs.values())
+            counts = self._census
+            return QueueCounts(counts.queued, counts.running,
+                               counts.done, counts.failed,
+                               dict(counts.by_tenant))
 
     def lease_census(self, now: float) -> dict:
         """Live-lease snapshot for stats endpoints."""

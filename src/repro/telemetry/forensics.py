@@ -4,17 +4,20 @@ When a replay diverges, the aggregate determinism report answers
 *whether* it happened; this module answers *where and why*.  Two
 evidence sources feed one :class:`DivergenceForensics` report:
 
-* a raised :class:`~repro.errors.ReplayDivergenceError`, whose
-  structured fields (proc_id, chunk index, expected/actual) and
-  attached :class:`DivergenceContext` (the partial replay state the
-  machine snapshots before re-raising) localize a hard failure; or
+* a raised :class:`~repro.errors.ReplayDivergenceError` (or a
+  deadlock), whose attached :class:`DivergenceContext` (the partial
+  replay state the machine snapshots before re-raising) localizes a
+  hard failure; or
 * the replay's verdict (:func:`~repro.machine.system.verify_replay`),
   when replay runs to completion but commits the wrong thing -- the
   first recorded commit it did not reproduce is the divergence point.
 
-Every location a raised error does not name comes from one rule,
+Every location comes from one rule,
 :func:`~repro.core.replayer.first_divergence`, under the discipline the
-replay used: ordered, or per processor for a stratified replay.
+replay used: ordered, or per processor for a stratified replay.  A
+raised error's own ``chunk_index`` is never a location, because raise
+sites store other counters in it (a DMA-log cursor, a per-processor
+chunkID, a stratum index); the error's message stays the reason.
 
 The rendered report shows the diverging processor and chunk, the
 expected vs. actual commit record, the last N committed chunks per
@@ -145,8 +148,6 @@ class DivergenceForensics:
 def _window(fingerprints: list[tuple], center: int,
             radius: int = 4) -> list[tuple]:
     """(index, proc, is_center) triples around a global commit."""
-    if center is None:
-        return []
     start = max(0, center - radius)
     end = min(len(fingerprints), center + radius + 1)
     return [(index, fingerprints[index][0], index == center)
@@ -187,34 +188,6 @@ def _diverged_at(recording, replayed: list[tuple], index: int, config,
     )
 
 
-def _from_error(recording, error: ReplayDivergenceError, config,
-                radius: int) -> DivergenceForensics:
-    context: DivergenceContext | None = error.context
-    chunk_index = error.chunk_index
-    if chunk_index is None and context is not None:
-        chunk_index = _first_bad(recording, context.fingerprints, config)
-    expected = error.expected
-    proc_id = error.proc_id
-    if (expected is None and chunk_index is not None
-            and chunk_index < len(recording.fingerprints)):
-        expected = recording.fingerprints[chunk_index]
-        if proc_id is None:
-            proc_id = expected[0]
-    return DivergenceForensics(
-        diverged=True,
-        reason=str(error),
-        proc_id=proc_id,
-        chunk_index=chunk_index,
-        expected=expected,
-        actual=error.actual,
-        cycle=context.cycle if context is not None else None,
-        last_commits=(_last_commits(recording, context.fingerprints)
-                      if context is not None else {}),
-        interleaving_window=_window(recording.fingerprints,
-                                    chunk_index, radius),
-    )
-
-
 def diagnose_replay(recording, perturbation=None,
                     use_strata: bool | None = None,
                     tracer=None, radius: int = 4,
@@ -236,15 +209,13 @@ def diagnose_replay(recording, perturbation=None,
     config = recording.machine_config if machine.use_strata else None
     try:
         result = machine.run(max_events)
-    except ReplayDivergenceError as error:
-        return _from_error(recording, error, config, radius)
-    except DeadlockError as error:
-        reason = f"replay deadlocked: {error}"
-        context = getattr(error, "context", None)
-        if context is None:
-            return DivergenceForensics(diverged=True, reason=reason)
-        # The first recorded commit the stuck machine did not reproduce:
-        # a wrong commit before it wedged, or the next one it never made.
+    except (ReplayDivergenceError, DeadlockError) as error:
+        # The machine attaches a context to every such error.  It is
+        # located at the first recorded commit the partial replay did
+        # not reproduce: a wrong commit, or the next one it never made.
+        context: DivergenceContext = error.context
+        reason = (str(error) if isinstance(error, ReplayDivergenceError)
+                  else f"replay deadlocked: {error}")
         return _diverged_at(
             recording, context.fingerprints,
             _first_bad(recording, context.fingerprints, config), config,

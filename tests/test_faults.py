@@ -430,6 +430,27 @@ class TestSalvage:
         owner = fingerprint[0]
         assert report.first_bad_gcc[owner] == 12
 
+    @pytest.mark.parametrize("corruption", ["extra-io",
+                                            "edited-final-memory"])
+    def test_audit_only_failure_credits_every_commit(self, corruption):
+        """Every fingerprint matched; only the log audit (one I/O value
+        never consumed) or the final-state check (one edited word)
+        failed.  All 24 commits are credited, and the fault stays
+        detected, so the report is not clean."""
+        recording = DeLoreanSystem(mode=ExecutionMode.ORDER_ONLY).record(
+            app_program("fft", scale=0.2, seed=3), checkpoint_every=15)
+        if corruption == "extra-io":
+            recording.io_logs[0].values.append(12345)
+        else:
+            recording.final_memory[min(recording.final_memory)] += 1
+        report = salvage_replay(recording)
+        assert report.total_commits == report.verified_commits == 24
+        assert report.segments == [SalvageSegment(0, 24)]
+        assert len(report.faults_detected) == 1
+        assert not report.clean and report.recovered
+        assert all(gcc is None
+                   for gcc in report.first_bad_gcc.values())
+
     def test_salvage_wires_telemetry_counters(self):
         _, recording = make_recording(threads=3, increments=12,
                                       checkpoint_every=8)

@@ -195,6 +195,27 @@ def test_forensics_agrees_with_the_replay_verdict(app, variant,
         assert not report.diverged
 
 
+def test_a_raised_error_is_located_by_the_rule():
+    """The error's own ``chunk_index`` is the DMA-log cursor here (9),
+    not a commit: with sweb2005's first DMA burst deleted, the replay
+    applies each burst's successor and runs out of log, but the first
+    recorded commit it did not reproduce is #1, the first burst."""
+    recording = copy.deepcopy(_app_recording("sweb2005", "ordered"))
+    _drop_dma(recording)
+    with pytest.raises(ReplayDivergenceError) as raised:
+        replay_execution(recording)
+    assert raised.value.chunk_index == 9
+    report = diagnose_replay(recording)
+    assert report.diverged
+    assert report.reason == "DMA commit due but the DMA log is exhausted"
+    assert report.chunk_index == 1
+    assert report.proc_id == "dma"
+    assert report.expected == recording.fingerprints[1]
+    assert report.actual[0] == "dma" and report.actual != report.expected
+    assert report.summary().startswith(
+        "replay DIVERGED at dma at commit #1:")
+
+
 @pytest.mark.parametrize("app,seed", [("sjbb2k", 3), ("sweb2005", 7)])
 def test_stratified_replay_that_verifies_reports_no_divergence(app,
                                                                seed):

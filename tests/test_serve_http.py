@@ -223,6 +223,116 @@ class TestEndpoints:
             assert stats["metrics"]["serve_rejected"] == 1
 
 
+class TestWakeOnEnqueue:
+    """Idle workers sleep on the wake event, not on a poll timer:
+    outside fleet mode nothing else wakes them, so these jobs run
+    only because entering ``queued`` did."""
+
+    def test_a_submit_wakes_the_idle_worker(self, tmp_path):
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            time.sleep(0.2)  # the worker's first claim found nothing
+            for seed in (1, 2):
+                job = client.submit("record", {"seed": seed})
+                assert client.wait(job["id"], timeout=10)["state"] \
+                    == "done"
+
+    def test_a_lease_expiry_requeue_wakes_the_idle_worker(
+            self, tmp_path):
+        service = make_service(tmp_path)
+        job, _ = service.submit("record", {"seed": 1})
+        # A worker that claims and vanishes: only the sweeper's
+        # requeue can hand the job back.
+        service.queue.claim(time.time(), worker="ghost", lease_ttl=0.2)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            final = client.wait(job.id, timeout=10)
+        assert final["state"] == "done"
+        assert final["requeues"] == 1 and final["attempts"] == 2
+
+    def test_the_sweeper_wakes_workers_for_a_degraded_fleet(
+            self, tmp_path):
+        """Degradation is time-based and fires no transition: a job
+        the fleet left queued is taken over at the next sweep."""
+        service = make_service(tmp_path, executor="remote",
+                               degraded_after=0.5)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            assert client.claim("w1")["job"] is None  # fleet is live
+            job = client.submit("record", {"seed": 1})
+            time.sleep(0.1)  # its wake found the fleet healthy
+            assert client.job(job["id"])["state"] == "queued"
+            # w1 never calls again.
+            final = client.wait(job["id"], timeout=10)
+        assert final["state"] == "done" and final["attempts"] == 1
+
+
+class TestClientWait:
+    def test_returns_the_terminal_snapshot(self, tmp_path):
+        def failing_job(spec, cache=None):
+            if spec.seed == 2:
+                raise RuntimeError("no")
+            return fake_job(spec)
+
+        service = make_service(tmp_path, job_fn=failing_job)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            ok = client.submit("record", {"seed": 1})
+            bad = client.submit("record", {"seed": 2})
+            done = client.wait(ok["id"], timeout=10)
+            failed = client.wait(bad["id"], timeout=10)
+            assert done == client.job(ok["id"])
+            assert done["state"] == "done" and done["artifact_hash"]
+            assert failed == client.job(bad["id"])
+            assert failed["state"] == "failed"
+            assert "RuntimeError: no" in failed["error"]
+            # An already terminal job answers from its history.
+            assert client.wait(ok["id"], timeout=10) == done
+
+    def test_times_out_on_a_job_that_does_not_end(self, tmp_path):
+        gate = threading.Event()
+
+        def gated_job(spec, cache=None):
+            gate.wait(15)
+            return fake_job(spec)
+
+        service = make_service(tmp_path, job_fn=gated_job)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            job = client.submit("record", {"seed": 1})
+            started = time.monotonic()
+            with pytest.raises(ServeError) as err:
+                client.wait(job["id"], timeout=0.5)
+            assert time.monotonic() - started < 5
+            assert str(err.value) == \
+                f"job {job['id']} still running after 0.5s"
+            gate.set()
+            assert client.wait(job["id"], timeout=10)["state"] == \
+                "done"
+
+    def test_a_server_that_never_answers_times_out_on_time(self):
+        # Accepted by the kernel's backlog, never answered.
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            client = ServeClient(port=listener.getsockname()[1])
+            started = time.monotonic()
+            with pytest.raises(ServeError) as err:
+                client.wait("j1", timeout=0.3)
+            assert time.monotonic() - started < 2
+        assert str(err.value) == "job j1 still unanswered after 0.3s"
+
+    def test_unknown_job_is_a_404(self, tmp_path):
+        service = make_service(tmp_path)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            with pytest.raises(ServeError) as err:
+                client.wait("j999999-000000000000", timeout=5)
+            assert err.value.status == 404
+            assert str(err.value) == "no job 'j999999-000000000000'"
+
+
 class TestAuthOverHTTP:
     def test_writes_need_the_token_reads_stay_open(self, tmp_path):
         service = make_service(tmp_path, executor="remote",

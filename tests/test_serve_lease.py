@@ -429,8 +429,90 @@ class TestEventLogCompactionResume:
         asyncio.run(scenario())
 
 
-def _job_stub(lsn):
+class TestEventLogJobIndex:
+    def test_job_stream_equals_the_filtered_global_stream(self):
+        """A per-job stream reads only its job's index; it yields what
+        filtering the global stream by job id yields -- from the
+        start, from mid-history and from a cursor older than the
+        compaction horizon (which falls back to the full snapshot) --
+        and then wakes for that job's next live event."""
+        horizon = 20
+
+        async def first(stream, count):
+            return [await stream.__anext__() for _ in range(count)]
+
+        async def scenario():
+            log = EventLog(asyncio.get_running_loop(),
+                           compacted_through=horizon)
+            jobs = {name: _job_stub(0, name) for name in "abc"}
+            # One compacted snapshot per job, then live history.
+            for lsn, name in ((4, "b"), (9, "a"), (17, "c")):
+                log.seed(lsn, jobs[name])
+            for lsn in range(21, 41):
+                log.seed(lsn, jobs["abc"[lsn % 3]])
+            # Live appends arrive from queue threads; one duplicate of
+            # a seeded LSN is dropped.
+            for lsn, name in ((40, "a"), (41, "b"), (43, "a")):
+                await asyncio.to_thread(log.append, lsn, jobs[name])
+            await asyncio.sleep(0)
+            assert log.last_id == 43
+            for name in jobs:
+                job_id = jobs[name].id
+                for after in (0, 30, 5):
+                    expected = [(lsn, data)
+                                for lsn, data in log.replay(after)
+                                if data["job"]["id"] == job_id]
+                    assert expected
+                    assert log.replay(after, job_id) == expected
+                    stream = log.stream(after, job_id)
+                    assert await first(stream, len(expected)) == \
+                        expected
+                    with pytest.raises(asyncio.TimeoutError):
+                        await asyncio.wait_for(stream.__anext__(), 0.05)
+            assert [lsn for lsn, _ in log.replay(5, jobs["a"].id)] == \
+                [9, 21, 24, 27, 30, 33, 36, 39, 43]
+            # A parked job stream wakes for its own job's next event.
+            stream = log.stream(43, jobs["c"].id)
+            waiter = asyncio.ensure_future(stream.__anext__())
+            await asyncio.to_thread(log.append, 44, jobs["a"])
+            await asyncio.to_thread(log.append, 45, jobs["c"])
+            lsn, data = await asyncio.wait_for(waiter, 5)
+            assert (lsn, data["job"]["id"]) == (45, jobs["c"].id)
+            assert log.replay(0, "no-such-job") == []
+
+        asyncio.run(scenario())
+
+    def test_a_job_below_the_horizon_is_sent_once(self):
+        """A queued job whose only event was compacted into the
+        snapshot: its stream sends that event once and then parks,
+        also when a compaction passes the stream's cursor."""
+        async def scenario():
+            log = EventLog(asyncio.get_running_loop(),
+                           compacted_through=20)
+            job = _job_stub(9, "a")
+            log.seed(9, job)
+            stream = log.stream(0, job.id)
+            lsn, _ = await asyncio.wait_for(stream.__anext__(), 5)
+            assert lsn == 9
+            waiter = asyncio.ensure_future(stream.__anext__())
+            await asyncio.sleep(0.05)
+            assert not waiter.done()
+            # The horizon rises while the stream is parked, and another
+            # job's transition wakes it.
+            log.compacted_through = 30
+            await asyncio.to_thread(log.append, 31, _job_stub(31, "b"))
+            await asyncio.sleep(0.05)
+            assert not waiter.done()
+            await asyncio.to_thread(log.append, 32, job)
+            lsn, _ = await asyncio.wait_for(waiter, 5)
+            assert lsn == 32
+
+        asyncio.run(scenario())
+
+
+def _job_stub(lsn, name=None):
     from repro.serve.model import Job
 
-    return Job(id=f"j{lsn}", seq=lsn, tenant="t", kind="record",
-               params={}, spec_hash=HASH_A, submitted_at=0.0)
+    return Job(id=f"j{name or lsn}", seq=lsn, tenant="t",
+               kind="record", params={}, spec_hash=HASH_A,
+               submitted_at=0.0)

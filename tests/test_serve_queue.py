@@ -11,8 +11,12 @@ transitions.
 from __future__ import annotations
 
 import json
+import sys
+import tempfile
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.serve.model import (
     STATE_DONE,
@@ -233,6 +237,108 @@ class TestOperations:
         assert counts.depth == 3
         assert counts.by_tenant == {"alice": 2, "bob": 1}
         queue.close()
+
+
+#: Every way a job can move, for the running-census property.
+_CENSUS_STEPS = ("submit", "submit-cached", "claim", "claim-leased",
+                 "finish-ok", "finish-failed", "expire-leases", "punt",
+                 "reopen", "compact")
+
+
+@settings(max_examples=40, deadline=None)
+@given(retain=st.sampled_from([None, 0, 1, 3]),
+       steps=st.lists(st.tuples(st.sampled_from(_CENSUS_STEPS),
+                                st.integers(0, 1 << 16)),
+                      min_size=20, max_size=60))
+def test_running_census_equals_a_recount(retain, steps):
+    """After any sequence of transitions -- deadline failures at
+    claim, lease expiries that requeue or poison, punts, restarts
+    that requeue running jobs, compactions that drop terminal jobs,
+    and automatic rotation -- ``counts()`` equals :func:`census` over
+    the jobs the queue retains."""
+    with tempfile.TemporaryDirectory() as root:
+        def reopen():
+            return JobQueue(root, segment_bytes=4096, compact_after=2,
+                            retain_terminal=retain)
+
+        queue = reopen()
+        now = 0.0
+        try:
+            for step, pick in steps:
+                now += 1.0
+                running = [job for job in queue.jobs()
+                           if job.state == STATE_RUNNING]
+                leased = [job for job in running if job.leased]
+                if step == "submit":
+                    # Every fourth job's deadline passes before the
+                    # next claim, which then fails it.
+                    queue.submit(f"t{pick % 3}", "record", {},
+                                 f"{pick:064x}", now,
+                                 priority=pick % 2,
+                                 deadline_at=now + 0.5
+                                 if pick % 4 == 0 else None)
+                elif step == "submit-cached":
+                    queue.submit_resolved(f"t{pick % 3}", "record", {},
+                                          HASH_A, now, HASH_A)
+                elif step == "claim":
+                    queue.claim(now)
+                elif step == "claim-leased":
+                    queue.claim(now, worker=f"w{pick % 2}",
+                                lease_ttl=1.5)
+                elif step in ("finish-ok", "finish-failed") and running:
+                    job = running[pick % len(running)]
+                    if step == "finish-ok":
+                        queue.finish(job, now=now, artifact_hash=HASH_A)
+                    else:
+                        queue.finish(job, now=now, error="Boom: no")
+                elif step == "expire-leases":
+                    queue.expire_leases(now, max_expiries=2)
+                elif step == "punt" and leased:
+                    queue.punt(leased[pick % len(leased)].id, now,
+                               max_expiries=2)
+                elif step == "reopen":
+                    queue.close()
+                    queue = reopen()
+                    assert queue.counts() == census(queue.jobs())
+                    queue.recover_running(now)
+                elif step == "compact":
+                    queue.compact()
+                assert queue.counts() == census(queue.jobs()), step
+        finally:
+            queue.close()
+
+
+def test_running_census_survives_concurrent_transitions(tmp_path):
+    """Four threads (more than cores) submit, claim and finish at once
+    under a tiny switch interval: a census update lost outside the
+    queue lock would leave ``counts()`` off a recount."""
+    queue = build_queue(tmp_path / "q")
+
+    def traffic(thread: int) -> None:
+        for index in range(40):
+            queue.submit(f"t{thread}", "record", {},
+                         f"{thread * 100 + index:064x}", float(index))
+            claimed = queue.claim(float(index))
+            if claimed is not None and index % 3:
+                queue.finish(claimed, now=float(index),
+                             artifact_hash=HASH_A)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=traffic, args=(n,))
+                   for n in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    counts = queue.counts()
+    assert counts == census(queue.jobs())
+    assert counts.queued + counts.running + counts.done == 160
+    queue.close()
 
 
 class TestStateMachine:
