@@ -183,6 +183,8 @@ class SpeculativeCache:
         """Coherence invalidation caused by a remote chunk commit.
 
         Returns True when the line was resident and has been removed.
+        ``CommitDirectory.propagate_commit`` inlines the same step for
+        every written line of a commit.
         """
         cache_set = self.sets[line & self.set_mask]
         if line in cache_set:

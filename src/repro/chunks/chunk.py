@@ -122,18 +122,6 @@ class Chunk:
         step), which keeps the footprint's per-set counts in step."""
         return self.write_footprint.lines
 
-    def conflicts_with_commit(self, committing: "Chunk") -> bool:
-        """Hardware conflict test against a committing chunk.
-
-        A chunk is squashed when the committing chunk's *write* signature
-        intersects this chunk's read or write signature (Appendix A).
-        Signature aliasing can make this a false positive; it can never
-        be a false negative for true conflicts.
-        """
-        return (committing.write_signature.intersects(self.read_signature)
-                or committing.write_signature.intersects(
-                    self.write_signature))
-
     def truly_conflicts_with(self, committing: "Chunk") -> bool:
         """Exact-set conflict test (used by tests to bound false
         positives, never by the simulated hardware)."""

@@ -81,16 +81,30 @@ class CommitDirectory:
         """Make a commit visible: W signature to the directory, then
         invalidate the written lines in every other cache.
 
-        Returns the number of invalidations performed.
+        The per-line step is :meth:`SpeculativeCache.invalidate` made
+        inline: each other cache's ``sets`` and ``set_mask`` are bound
+        once, and its ``coherence_invalidations`` grows once by the
+        lines found, so a wrapper on ``invalidate`` sees no call from
+        here.  Returns the number of invalidations performed.
         """
         self.traffic.signature_bytes += self.signature_bytes_each
+        lines = chunk.write_lines
+        writer = chunk.processor
         invalidations = 0
         for proc_id, cache in caches.items():
-            if proc_id == chunk.processor:
+            if proc_id == writer:
                 continue
-            for line in chunk.write_lines:
-                if cache.invalidate(line):
-                    invalidations += 1
+            sets = cache.sets
+            set_mask = cache.set_mask
+            found = 0
+            for line in lines:
+                cache_set = sets[line & set_mask]
+                if line in cache_set:
+                    del cache_set[line]
+                    found += 1
+            if found:
+                cache.coherence_invalidations += found
+                invalidations += found
         self.traffic.invalidation_bytes += invalidations * _HEADER_BYTES
         # Committed dirty lines eventually move to the shared cache.
         self.traffic.data_bytes += len(chunk.write_lines) * self.line_bytes

@@ -76,17 +76,19 @@ class SignatureConfig:
 class Signature:
     """A Bloom filter over cache-line addresses, stored sparsely."""
 
-    __slots__ = ("config", "_keys", "_count")
+    __slots__ = ("config", "keys", "_count")
 
     def __init__(self, config: SignatureConfig | None = None) -> None:
         self.config = config or SignatureConfig()
-        self._keys: set[int] = set()
+        #: The hashed keys.  Conflict tests on the commit path read it
+        #: directly (``isdisjoint``); only this class's methods change it.
+        self.keys: set[int] = set()
         self._count = 0  # lines inserted, for occupancy diagnostics
 
     def insert(self, line_address: int) -> None:
         """Add a cache-line address to the signature."""
         mask = self.config.size_bits - 1
-        keys = self._keys
+        keys = self.keys
         for index in range(self.config.num_hashes):
             keys.add(_hash(line_address, index) & mask)
         self._count += 1
@@ -95,7 +97,7 @@ class Signature:
         """Add every cache-line address in ``lines``: the same keys and
         count as one :meth:`insert` per element, in one call."""
         mask = self.config.size_bits - 1
-        keys = self._keys
+        keys = self.keys
         for index in range(self.config.num_hashes):
             offset = index + 1
             multiplier = _MULTIPLIERS[index]
@@ -109,7 +111,7 @@ class Signature:
         negatives."""
         mask = self.config.size_bits - 1
         for index in range(self.config.num_hashes):
-            if (_hash(line_address, index) & mask) not in self._keys:
+            if (_hash(line_address, index) & mask) not in self.keys:
                 return False
         return True
 
@@ -117,37 +119,38 @@ class Signature:
         """The arbiter's conflict test: do the filters share a set bit?
 
         ``False`` proves the underlying address sets are disjoint;
-        ``True`` means *possible* overlap.
+        ``True`` means *possible* overlap.  The commit path (squash
+        tests, arbitration overlap, stratification) makes the same test
+        inline, as ``isdisjoint`` on :attr:`keys`, which walks the
+        smaller set.
         """
-        if len(self._keys) > len(other._keys):
-            return not other._keys.isdisjoint(self._keys)
-        return not self._keys.isdisjoint(other._keys)
+        return not self.keys.isdisjoint(other.keys)
 
     def union_update(self, other: "Signature") -> None:
         """OR another signature into this one (Stratifier SR update)."""
-        self._keys |= other._keys
+        self.keys |= other.keys
         self._count += other._count
 
     def clear(self) -> None:
         """Reset to the empty signature."""
-        self._keys.clear()
+        self.keys.clear()
         self._count = 0
 
     def is_empty(self) -> bool:
         """True when no address has been inserted."""
-        return not self._keys
+        return not self.keys
 
     def copy(self) -> "Signature":
         """An independent copy with identical contents."""
         duplicate = Signature(self.config)
-        duplicate._keys = set(self._keys)
+        duplicate.keys = set(self.keys)
         duplicate._count = self._count
         return duplicate
 
     @property
     def population(self) -> int:
         """Number of set bits (occupancy diagnostic)."""
-        return len(self._keys)
+        return len(self.keys)
 
     @property
     def inserted_lines(self) -> int:

@@ -122,11 +122,13 @@ class ArrivalOrderPolicy:
 
     @staticmethod
     def _overlaps(chunk: Chunk, committing: Chunk) -> bool:
-        return (chunk.write_signature.intersects(committing.write_signature)
-                or chunk.write_signature.intersects(
-                    committing.read_signature)
-                or chunk.read_signature.intersects(
-                    committing.write_signature))
+        """Do the chunks' signatures overlap (W/W, W/R or R/W)?  The
+        same tests as ``Signature.intersects``, on the key sets."""
+        written = chunk.write_signature.keys
+        committed = committing.write_signature.keys
+        return not (written.isdisjoint(committed)
+                    and written.isdisjoint(committing.read_signature.keys)
+                    and chunk.read_signature.keys.isdisjoint(committed))
 
     def on_grant(self, chunk: Chunk, now: float) -> None:
         """Arrival order keeps no state."""
@@ -370,16 +372,19 @@ class RoundRobinPolicy:
     def _skip_idle(self, now: float) -> bool:
         """Move the token past permanently-idle processors.
 
-        Returns False -- without burning token hops -- when no
-        processor can ever commit again.
+        Scans from the token holder for the first eligible processor
+        and makes one token hop per processor passed.  Returns False --
+        without burning token hops -- when no processor can ever commit
+        again.  Eligibility does not depend on the token, so finding
+        the holder before hopping gives the hops a hop-then-test walk
+        would make.
         """
-        if not any(self._eligible(proc)
-                   for proc in range(self.num_processors)):
-            return False
-        for _ in range(self.num_processors):
-            if self._eligible(self.pointer):
+        count = self.num_processors
+        for hops in range(count):
+            if self._eligible((self.pointer + hops) % count):
+                for _ in range(hops):
+                    self._advance(now)
                 return True
-            self._advance(now)
         return False
 
     def select(self, pending: list[Chunk], committing: list[Chunk],
@@ -611,7 +616,11 @@ class CommitArbiter:
         self.try_grant(now)
 
     def drop_stale(self) -> None:
-        """Purge squashed chunks from the pending queue."""
+        """Purge squashed chunks from the pending queue.
+
+        Every site that squashes chunks must call this before the next
+        arbitration: :meth:`try_grant` does not purge, and relies on
+        the pending queue holding no squashed request."""
         self.pending = [c for c in self.pending
                         if c.state is not ChunkState.SQUASHED]
 
@@ -623,10 +632,10 @@ class CommitArbiter:
 
     def try_grant(self, now: float) -> None:
         """Grant as many pending requests as policy and concurrency
-        allow."""
+        allow.  The pending queue holds no squashed chunk here: every
+        squash site purges it (:meth:`drop_stale`)."""
         if self.halted:
             return
-        self.drop_stale()
         while len(self.committing) < self.max_concurrent:
             chunk = self._select(now)
             if chunk is None:

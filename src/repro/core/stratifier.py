@@ -87,15 +87,19 @@ class Stratifier:
         read_sig: Signature,
         write_sig: Signature,
     ) -> bool:
-        """Dependence test against every other processor's SRs."""
+        """Dependence test against every other processor's SRs: the
+        ``Signature.intersects`` tests, made on the bound key sets."""
+        written = write_sig.keys
+        read = read_sig.keys
+        read_srs = self._read_srs
+        write_srs = self._write_srs
         for other in range(self.num_slots):
             if other == proc:
                 continue
-            if write_sig.intersects(self._read_srs[other]):
-                return True
-            if write_sig.intersects(self._write_srs[other]):
-                return True
-            if read_sig.intersects(self._write_srs[other]):
+            other_written = write_srs[other].keys
+            if not (written.isdisjoint(read_srs[other].keys)
+                    and written.isdisjoint(other_written)
+                    and read.isdisjoint(other_written)):
                 return True
         return False
 

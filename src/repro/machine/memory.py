@@ -8,7 +8,9 @@ words read as zero.
 
 Chunk isolation is implemented above this layer: a chunk's stores live
 in its private write buffer until commit, at which point the system
-calls :meth:`MainMemory.apply` with the buffered writes.
+calls :meth:`MainMemory.commit` with the buffered writes (already
+masked to 64 bits); DMA bursts, whose values are raw, go through
+:meth:`MainMemory.apply`, which masks them.
 """
 
 from __future__ import annotations
@@ -34,9 +36,19 @@ class MainMemory:
         self._words[address] = value & WORD_MASK
 
     def apply(self, writes: dict[int, int]) -> None:
-        """Commit a chunk's write buffer atomically."""
+        """Commit a DMA burst atomically, masking each value to a word:
+        a :class:`~repro.machine.events.DmaTransfer` may carry any
+        int."""
         for address, value in writes.items():
             self._words[address] = value & WORD_MASK
+
+    def commit(self, buffer: dict[int, int]) -> None:
+        """Commit a chunk's write buffer atomically: one dict update.
+
+        The chunk interpreter masks every value it buffers, so nothing
+        is masked here; an unmasked burst goes through :meth:`apply`.
+        """
+        self._words.update(buffer)
 
     def snapshot(self) -> dict[int, int]:
         """Copy of the full committed state (for checkpoints and

@@ -75,6 +75,12 @@ _PRIO_DEFAULT = 1
 #: Dispatches between the engine queue-depth samples of a traced run.
 _ENGINE_SAMPLE_STRIDE = 64
 
+#: States of a processor's oldest chunk that count it as ready in the
+#: per-grant sample.  A tuple, not a frozenset: ``Enum.__hash__`` is a
+#: Python-level call, while tuple membership compares identities.
+_READY_STATES = (ChunkState.COMPLETED, ChunkState.REQUESTED,
+                 ChunkState.COMMITTING)
+
 
 class _RecordIOSource:
     """Record-phase I/O: values come from the modeled device."""
@@ -857,9 +863,7 @@ class ChunkMachine:
                 seq=chunk.logical_seq, piece=chunk.piece_index)
         ready = sum(
             1 for p in self.processors
-            if p.outstanding and p.outstanding[0].state in (
-                ChunkState.COMPLETED, ChunkState.REQUESTED,
-                ChunkState.COMMITTING))
+            if p.outstanding and p.outstanding[0].state in _READY_STATES)
         self.stats.ready_procs_samples.append(ready)
         self.stats.commit_parallelism_samples.append(
             len(self.arbiter.committing))
@@ -881,12 +885,16 @@ class ChunkMachine:
             # the halt is abandoned with the rest of the speculation.
             return
         now = self.engine.now
-        self.memory.apply(chunk.write_buffer)
+        is_dma = chunk.processor == self.config.dma_proc_id
+        if is_dma:
+            self.memory.apply(chunk.write_buffer)
+        else:
+            self.memory.commit(chunk.write_buffer)
         self.directory.propagate_commit(chunk, self._caches)
         self._squash_remote_conflicts(chunk, now)
         chunk.state = ChunkState.COMMITTED
         chunk.commit_time = now
-        if chunk.processor == self.config.dma_proc_id:
+        if is_dma:
             self._finalize_dma_commit(chunk, now)
             return
         proc = self.processors[chunk.processor]
@@ -953,12 +961,20 @@ class ChunkMachine:
 
     def _squash_remote_conflicts(self, committing: Chunk,
                                  now: float) -> None:
+        """Squash every other processor's chunks from the oldest one
+        the commit conflicts with.  A commit that wrote nothing, or a
+        processor with nothing outstanding, needs no test.  Each squash
+        purges the arbiter's pending queue before the next arbitration,
+        which ``CommitArbiter.try_grant`` relies on."""
+        if not committing.write_signature.keys:
+            return
         flush = self.config.timing.squash_flush_cycles
         cause = ("collision:dma"
                  if committing.processor == self.config.dma_proc_id
                  else f"collision:p{committing.processor}")
         for other in self.processors:
-            if other.proc_id == committing.processor:
+            if (other.proc_id == committing.processor
+                    or not other.outstanding):
                 continue
             victims = other.squash_if_conflicts(committing, now,
                                                 cause=cause)

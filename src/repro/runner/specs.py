@@ -66,12 +66,30 @@ def _canon(value):
 
 class _ContentHashed:
     """The cache-key surface shared by both spec types: the SHA-256 of
-    the canonical JSON encoding of :meth:`canonical`."""
+    the canonical JSON encoding of :meth:`canonical`.
+
+    Specs are frozen, so the encoding is computed once per spec object
+    and kept in its ``__dict__`` under a name that is not a dataclass
+    field: ``==``, ``hash`` and :func:`dataclasses.replace` see only
+    fields, and :meth:`__getstate__` leaves it out of pickles and
+    copies.  Only the immutable string is kept; :meth:`canonical`
+    still builds a fresh dict on every call, since callers embed it in
+    artifacts.
+    """
 
     def canonical_json(self) -> str:
         """Canonical JSON encoding (the hashed byte stream)."""
-        return json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
+        encoded = self.__dict__.get("_canonical_json")
+        if encoded is None:
+            encoded = json.dumps(self.canonical(), sort_keys=True,
+                                 separators=(",", ":"))
+            object.__setattr__(self, "_canonical_json", encoded)
+        return encoded
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_canonical_json", None)
+        return state
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical encoding; the cache key."""

@@ -66,7 +66,10 @@ recounted: ``_append``, the one journaled-transition path, moves a job
 from its last journaled state to its new one; compaction subtracts the
 terminal jobs it drops; recovery counts once.  Admission and the stats
 endpoints therefore cost the same at 10 jobs and at 10,000, although
-``_jobs`` never shrinks unless ``retain_terminal`` is set.
+``_jobs`` never shrinks unless ``retain_terminal`` is set.  The same
+three points keep the set of leased job ids, so the lease sweep
+(:meth:`JobQueue.expire_leases`) and :meth:`JobQueue.lease_census` walk
+only the live leases.
 """
 
 from __future__ import annotations
@@ -237,6 +240,9 @@ class JobQueue:
         #: those states (see the module docstring).
         self._job_state: dict[str, str] = {}
         self._census = QueueCounts()
+        #: Ids of the jobs a remote worker holds (``Job.leased``), kept
+        #: at the same points as the census.
+        self._leased: set[str] = set()
         #: Claim order: (priority, enqueue LSN, job id) min-heap.
         self._ready: list[tuple[int, int, str]] = []
         self._observers: list = []
@@ -313,6 +319,8 @@ class JobQueue:
         self._job_state = {job.id: job.state
                            for job in self._jobs.values()}
         self._census = census(self._jobs.values())
+        self._leased = {job.id for job in self._jobs.values()
+                        if job.leased}
         # Requeues are journaled below, after the handle opens -- done
         # lazily in recover_running() so callers observe the crashed
         # state first if they want to.  Leased running jobs are not
@@ -354,8 +362,8 @@ class JobQueue:
         return requeued
 
     def _append(self, job: Job) -> None:
-        """Journal ``job``'s current snapshot durably and move it in
-        the census (lock held)."""
+        """Journal ``job``'s current snapshot durably, move it in the
+        census and file it in or out of the leased set (lock held)."""
         self._lsn += 1
         payload = json.dumps({"lsn": self._lsn, "job": job.as_dict()},
                              sort_keys=True, separators=(",", ":"))
@@ -367,6 +375,10 @@ class JobQueue:
                 self._count(previous, job.tenant, -1)
             self._count(job.state, job.tenant, 1)
             self._job_state[job.id] = job.state
+        if job.leased:
+            self._leased.add(job.id)
+        else:
+            self._leased.discard(job.id)
         self._maybe_roll()
 
     def _count(self, state: str, tenant: str, delta: int) -> None:
@@ -438,6 +450,7 @@ class JobQueue:
             del self._jobs[job.id]
             del self._job_lsn[job.id]
             self._count(self._job_state.pop(job.id), job.tenant, -1)
+            self._leased.discard(job.id)
         snapshots = sorted(self._jobs.values(),
                            key=lambda j: self._job_lsn[j.id])
         seq = self._next_segment
@@ -598,18 +611,23 @@ class JobQueue:
                       ) -> tuple[list[Job], list[Job]]:
         """The requeue sweep: take back every job whose lease expired.
 
-        Returns ``(requeued, poisoned)``.  A job whose leases have
-        expired ``max_expiries`` times is poison -- it has killed (or
-        outlived) that many workers -- and is failed with a structured
-        record instead of being requeued forever.
+        Walks only the leased jobs, and takes the expired ones in
+        submission order.  Returns ``(requeued, poisoned)``.  A job
+        whose leases have expired ``max_expiries`` times is poison --
+        it has killed (or outlived) that many workers -- and is failed
+        with a structured record instead of being requeued forever.
         """
         requeued: list[Job] = []
         poisoned: list[Job] = []
         with self._lock:
-            for job in list(self._jobs.values()):
-                if not job.leased or job.lease_expires_at is None \
-                        or job.lease_expires_at > now:
-                    continue
+            # Submission order, so requeued jobs take their requeue
+            # LSNs (their claim order) in the order they were accepted.
+            expired = sorted(
+                (job for job in map(self._jobs.__getitem__, self._leased)
+                 if job.lease_expires_at is not None
+                 and job.lease_expires_at <= now),
+                key=lambda job: job.seq)
+            for job in expired:
                 self._expire_one(job, now, max_expiries,
                                  requeued, poisoned)
         for job in requeued + poisoned:
@@ -713,10 +731,11 @@ class JobQueue:
                                dict(counts.by_tenant))
 
     def lease_census(self, now: float) -> dict:
-        """Live-lease snapshot for stats endpoints."""
+        """Live-lease snapshot for stats endpoints (a walk over the
+        leased jobs only)."""
         with self._lock:
-            leased = [job for job in self._jobs.values()
-                      if job.leased]
+            jobs = self._jobs
+            leased = [jobs[identifier] for identifier in self._leased]
             holders = Counter(job.worker for job in leased)
             return {
                 "leased": len(leased),

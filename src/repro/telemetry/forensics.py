@@ -22,6 +22,10 @@ chunkID, a stratum index); the error's message stays the reason.
 The rendered report shows the diverging processor and chunk, the
 expected vs. actual commit record, the last N committed chunks per
 processor, and the recorded interleaving window around the divergence.
+When the expected and actual commits differ but their one-line
+summaries are alike (a DMA burst replayed with another burst's data,
+a chunk that wrote one wrong value), the report also names the first
+write that differs.
 """
 
 from __future__ import annotations
@@ -76,6 +80,41 @@ def _describe_commit(fingerprint) -> str:
             f"{len(writes)} writes{suffix}")
 
 
+def _writes_of(fingerprint) -> tuple | None:
+    """The sorted ``(address, value)`` writes of a DMA or chunk commit
+    fingerprint, or None for anything else."""
+    if not isinstance(fingerprint, tuple):
+        return None
+    if fingerprint[0] == "dma" and len(fingerprint) == 3:
+        return fingerprint[2]
+    if len(fingerprint) == 7:
+        return fingerprint[5]
+    return None
+
+
+def _first_write_difference(expected, actual) -> str | None:
+    """Where two commit fingerprints that render alike differ: the
+    first write, in address order, whose value differs or that only
+    one of them made.  None unless both are commit fingerprints."""
+    recorded_writes = _writes_of(expected)
+    replayed_writes = _writes_of(actual)
+    if recorded_writes is None or replayed_writes is None:
+        return None
+    recorded = dict(recorded_writes)
+    replayed = dict(replayed_writes)
+    for address in sorted(recorded.keys() | replayed.keys()):
+        if address not in replayed:
+            return (f"0x{address:x} = {recorded[address]} recorded, "
+                    f"not written by the replay")
+        if address not in recorded:
+            return (f"0x{address:x} = {replayed[address]} written by "
+                    f"the replay, not recorded")
+        if recorded[address] != replayed[address]:
+            return (f"0x{address:x}: recorded {recorded[address]}, "
+                    f"replayed {replayed[address]}")
+    return "none (the writes match; the end thread state differs)"
+
+
 @dataclass
 class DivergenceForensics:
     """Everything known about a replay's first divergence."""
@@ -115,8 +154,15 @@ class DivergenceForensics:
         if self.expected is not None or self.actual is not None:
             lines.append("")
             lines.append("Expected vs. actual commit:")
-            lines.append(f"  expected: {_describe_commit(self.expected)}")
-            lines.append(f"  actual:   {_describe_commit(self.actual)}")
+            expected = _describe_commit(self.expected)
+            actual = _describe_commit(self.actual)
+            lines.append(f"  expected: {expected}")
+            lines.append(f"  actual:   {actual}")
+            if expected == actual and self.expected != self.actual:
+                difference = _first_write_difference(self.expected,
+                                                     self.actual)
+                if difference is not None:
+                    lines.append(f"  first differing write: {difference}")
         if self.interleaving_window:
             lines.append("")
             lines.append("Recorded interleaving around the divergence:")

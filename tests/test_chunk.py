@@ -50,25 +50,27 @@ class TestFootprintTracking:
 
 
 class TestConflictDetection:
+    """The exact-set test; the hardware's signature test, which squashes
+    on it, is :meth:`ChunkProcessor.squash_if_conflicts`
+    (tests/test_processor.py)."""
+
     def test_write_write_conflict(self):
         a, b = make_chunk(0), make_chunk(1)
         a.record_write(5)
         b.record_write(5)
-        assert b.conflicts_with_commit(a)
         assert b.truly_conflicts_with(a)
 
     def test_write_read_conflict(self):
         committing, inflight = make_chunk(0), make_chunk(1)
         committing.record_write(9)
         record_reads(inflight, 9)
-        assert inflight.conflicts_with_commit(committing)
+        assert inflight.truly_conflicts_with(committing)
 
     def test_read_read_no_conflict(self):
         a, b = make_chunk(0), make_chunk(1)
         record_reads(a, 5)
         record_reads(b, 5)
         # a commits: its WRITE set is empty, so b survives.
-        assert not b.conflicts_with_commit(a)
         assert not b.truly_conflicts_with(a)
 
     def test_disjoint_no_true_conflict(self):
@@ -77,15 +79,6 @@ class TestConflictDetection:
         b.record_write(2)
         record_reads(b, 3)
         assert not b.truly_conflicts_with(a)
-
-    def test_signature_conflict_superset_of_true_conflict(self):
-        """Whenever sets truly conflict, signatures must agree."""
-        a, b = make_chunk(0), make_chunk(1)
-        for line in range(20):
-            a.record_write(line)
-        record_reads(b, 7)
-        assert b.truly_conflicts_with(a)
-        assert b.conflicts_with_commit(a)
 
 
 class TestTruncationReasons:

@@ -216,6 +216,63 @@ def test_a_raised_error_is_located_by_the_rule():
         "replay DIVERGED at dma at commit #1:")
 
 
+def test_alike_dma_commits_name_their_first_differing_write():
+    """Without sweb2005's first DMA burst, burst #1 is replayed with
+    burst 2's data: both render as "dma burst #1 (24 writes)", so the
+    report names the first address the recorded burst wrote and the
+    replayed one did not."""
+    recording = copy.deepcopy(_app_recording("sweb2005", "ordered"))
+    _drop_dma(recording)
+    report = diagnose_replay(recording)
+    recorded, replayed = dict(report.expected[2]), dict(report.actual[2])
+    address = min(recorded)
+    assert address < min(replayed)
+    lines = report.render().splitlines()
+    assert "  expected: dma burst #1 (24 writes)" in lines
+    assert "  actual:   dma burst #1 (24 writes)" in lines
+    assert (f"  first differing write: 0x{address:x} = "
+            f"{recorded[address]} recorded, not written by the replay"
+            in lines)
+
+
+def _chunk_fingerprint(writes, end_key=("end",), instructions=10):
+    return (1, 4, 0, False, instructions, tuple(sorted(writes.items())),
+            end_key)
+
+
+@pytest.mark.parametrize("actual,line", [
+    (_chunk_fingerprint({0x10: 1, 0x18: 3}),
+     "  first differing write: 0x18: recorded 2, replayed 3"),
+    (_chunk_fingerprint({0x10: 1, 0x20: 2}),
+     "  first differing write: 0x18 = 2 recorded, not written by the "
+     "replay"),
+    (_chunk_fingerprint({0x08: 5, 0x10: 1}),
+     "  first differing write: 0x8 = 5 written by the replay, not "
+     "recorded"),
+    (_chunk_fingerprint({0x10: 1, 0x18: 2}, end_key=("other",)),
+     "  first differing write: none (the writes match; the end thread "
+     "state differs)"),
+])
+def test_alike_chunk_commits_name_their_first_differing_write(actual,
+                                                              line):
+    expected = _chunk_fingerprint({0x10: 1, 0x18: 2})
+    report = DivergenceForensics(diverged=True, reason="mismatch",
+                                 proc_id=1, chunk_index=3,
+                                 expected=expected, actual=actual)
+    lines = report.render().splitlines()
+    assert "  expected: p1 chunk 4: 10 instructions, 2 writes" in lines
+    assert "  actual:   p1 chunk 4: 10 instructions, 2 writes" in lines
+    assert line in lines
+
+
+def test_commits_that_render_differently_get_no_write_line():
+    report = DivergenceForensics(
+        diverged=True, reason="mismatch", proc_id=1, chunk_index=3,
+        expected=_chunk_fingerprint({0x10: 1}),
+        actual=_chunk_fingerprint({0x10: 2}, instructions=11))
+    assert "first differing write" not in report.render()
+
+
 @pytest.mark.parametrize("app,seed", [("sjbb2k", 3), ("sweb2005", 7)])
 def test_stratified_replay_that_verifies_reports_no_divergence(app,
                                                                seed):

@@ -11,6 +11,10 @@ interleaved baseline executor compute for small fixed inputs:
 * the recordings' network traffic per byte category, and so their
   invalidation and refill counts, and the same for a racey program
   whose commits invalidate hundreds of lines in other caches;
+* a digest of what each of those recordings logged (its bit-packed
+  PI, CS, interrupt, I/O and DMA logs, strata and commit
+  fingerprints), and the PicoLog token-passing summary of each record
+  and replay;
 * lu, sjbb2k and a small program that spins at locks and barriers
   under the RC, SC and PC interleaved executor, with digests of their
   final memory and access trace.
@@ -146,6 +150,118 @@ SHARED_TRAFFIC = {
     ("tight", "picolog"): (58880, 984, 5720, 54272, 112832),
 }
 
+#: (geometry, app, mode) -> SHA-256 of what the recording logged:
+#: its bit-packed PI, CS, interrupt, I/O and DMA logs, its strata
+#: and its commit fingerprints (see ``_logged``).
+RECORDING_DIGESTS = {
+    ("table5", "fft", "order_and_size"):
+        "87e5dd73922a1ed7af3629c4bfac3d8228602e1af3bce42f428c544298340f83",
+    ("table5", "fft", "order_only"):
+        "46a8727b2786d689d402d2fc6a7a8d70ed7aa02694c95fff0fb44c958ce3635e",
+    ("table5", "fft", "picolog"):
+        "b1a4da039953b59ce5b9f7df474c42abf5a4474d144e3680e22b619613b21f39",
+    ("table5", "fft", "size_only"):
+        "4d274670a41eea9fc33644feaed9638747b0450c0697ce314ef7dee29fc5d635",
+    ("table5", "radix", "order_and_size"):
+        "f9737084ee9ac5e12f42ae97b6451097eb518fee8de520eec50bbe92f77615f4",
+    ("table5", "radix", "order_only"):
+        "5475ba4114d2dc6ed224ebec3373715b90210c5c4401cd444c1bc11250b49309",
+    ("table5", "radix", "picolog"):
+        "f897b8345929915cd2717fc7d4b1d03c9700aac61f464c6742c625a224a7af85",
+    ("table5", "radix", "size_only"):
+        "1753de10cc8b669d03a56f52800e0dd89641c360fa22282010528e9632b9421c",
+    ("table5", "sjbb2k", "order_and_size"):
+        "7b18b56697f005f3bcc1037b675111c40b7eccfd343f8a6ca8aa7dabeaf451dd",
+    ("table5", "sjbb2k", "order_only"):
+        "0bdf32e0f64f1f11d74f07953a94de02ce77501f00e57ac4dccddb2113f4db65",
+    ("table5", "sjbb2k", "picolog"):
+        "f94ccb7f2d63e9b214124ff33e4ed51cfb44d452040faf5c2c06fae61d879050",
+    ("table5", "sjbb2k", "size_only"):
+        "1656bbfa866dbf60da34a8b5cf789d35d5ae6cc3d33a9142ab49947653be996f",
+    ("tight", "fft", "order_and_size"):
+        "b36705ad1b3c634f04732d26b1224401687a0227bef95114b40a3829ce4b674c",
+    ("tight", "fft", "order_only"):
+        "d7508c103cb7414289f727ef07195a0322a3f0f33fec6f0b11435e0dd154462f",
+    ("tight", "fft", "picolog"):
+        "e1be3490231a470483677e703aadf40f4b0ac643fa960e2dbd7a45c7d7369b7e",
+    ("tight", "fft", "size_only"):
+        "4c077a4a8a05dfe250a8c0bdb751ce2bd5817e3540cec4e59b87b9d6abbbad1b",
+    ("tight", "radix", "order_and_size"):
+        "8ef9f2a4010d8aeb6d3bd1dc7863b71abfdea21bf0a535f7986bf8b2f5e982e9",
+    ("tight", "radix", "order_only"):
+        "a2d9e94e4445a2e8e89ae9da749a4626b87b613896f4acee1ff02d99a0c44176",
+    ("tight", "radix", "picolog"):
+        "bfa6e3db935b9a2526cc6dbaba172cac697bdb6525b2cb76ed74c569d8613dbf",
+    ("tight", "radix", "size_only"):
+        "b830f7fbeff732f763a9bf37a7d961fd90b7130bf51cb802701684d222f23844",
+    ("tight", "sjbb2k", "order_and_size"):
+        "1762dc57c25cb8808b8e3fe9981a29971d9bd24699b7b05f1929195cfb1008fa",
+    ("tight", "sjbb2k", "order_only"):
+        "ebafb892c71036b44944c07e9afa5befad7e565e4ad538f1d3bcd0acd1f6a062",
+    ("tight", "sjbb2k", "picolog"):
+        "1ba22cd98875f7884f35001c60cfa9c5f6e3ef66f13df0c814cdb3ba9a0145bb",
+    ("tight", "sjbb2k", "size_only"):
+        "f2409e2074ab0a962d50bdfda076ddd5b4ca9f243bcc597111dd03e6e93843d7",
+}
+
+#: PicoLog (geometry, app) -> the token summary of the recording and
+#: of its replay, in ``TOKEN_FIELDS`` order.  They are means of float
+#: samples taken with ``sum()``, whose rounding differs between Python
+#: versions (3.12 compensates), so they are compared to a relative
+#: 1e-12, not bit for bit.
+TOKEN_FIELDS = ("ready_procs_avg", "actual_commit_avg",
+                "proc_ready_pct", "wait_token_cycles",
+                "wait_complete_cycles", "token_roundtrip_cycles")
+TOKEN_SUMMARIES = {
+    ("table5", "fft"): (
+        (4.525, 1.75, 70.0, 985.1964285714286, 473.7083333333333, 1957.375),
+        (5.075, 1.825, 82.5, 1206.5757575757557, 478.09523809523773,
+         2131.6666666666647),
+    ),
+    ("table5", "radix"): (
+        (5.4375, 1.84375, 75.0, 1068.4791666666667, 524.375, 1490.0),
+        (5.65625, 1.90625, 90.625, 1325.0057471264372, 917.777777777777,
+         1752.2222222222215),
+    ),
+    ("table5", "sjbb2k"): (
+        (3.8, 1.6888888888888889, 66.66666666666666, 1224.1923076923076,
+         611.8076923076923, 2158.7),
+        (4.333333333333333, 1.794871794871795, 84.61538461538461,
+         1221.4494949494936, 872.0277777777786, 2350.0333333333315),
+    ),
+    ("tight", "fft"): (
+        (4.967213114754099, 1.7868852459016393, 81.9672131147541,
+         882.4720000000001, 321.06363636363625, 1363.8142857142855),
+        (6.114754098360656, 1.901639344262295, 95.08196721311475,
+         1477.9649425287344, 365.6666666666668, 1769.119047619046),
+    ),
+    ("tight", "radix"): (
+        (6.931506849315069, 1.904109589041096, 94.52054794520548,
+         1161.5753623188402, 337.875, 1084.5),
+        (7.219178082191781, 1.917808219178082, 97.26027397260275,
+         2301.42863849765, 442.16666666666663, 1733.3333333333321),
+    ),
+    ("tight", "sjbb2k"): (
+        (5.292307692307692, 1.9076923076923078, 84.7457627118644,
+         1457.9560000000004, 694.8222222222224, 1741.5571428571432),
+        (6.016949152542373, 1.7966101694915255, 89.83050847457628,
+         1762.3855345911932, 425.92222222222273, 1943.0285714285696),
+    ),
+}
+
+#: (geometry, mode) -> the same digest of the racey recordings of
+#: SHARED_TRAFFIC, whose commits invalidate hundreds of lines.
+SHARED_DIGESTS = {
+    ("table5", "order_only"):
+        "734725c1191123d5310af9a1d03d2ef6fd9148176a1bb05f7b8f6da352c3f38e",
+    ("table5", "picolog"):
+        "2bbd636a19a17bc06734759feb86afdd0d439d10608615aba56ef2051da91a68",
+    ("tight", "order_only"):
+        "22e5859ec0c474e8f0b791c44f1a44a90a6a4c10c424de402e51f5f265654e89",
+    ("tight", "picolog"):
+        "2bbd636a19a17bc06734759feb86afdd0d439d10608615aba56ef2051da91a68",
+}
+
 #: (app, model) -> the interleaved executor's cycles, total
 #: instructions, spin instructions, per-processor instructions and the
 #: SHA-256 of its final memory and of its access trace (every
@@ -246,6 +362,12 @@ def test_record_replay_statistics(geometry, app, mode):
     )
     assert observed == RECORD_REPLAY[geometry, app, mode]
     assert _traffic(recording) == TRAFFIC[geometry, app, mode]
+    assert _logged(recording) == RECORDING_DIGESTS[geometry, app, mode]
+    if mode == "picolog":
+        recorded, replayed = TOKEN_SUMMARIES[geometry, app]
+        assert _tokens(recording.stats) == pytest.approx(recorded,
+                                                         rel=1e-12)
+        assert _tokens(result.stats) == pytest.approx(replayed, rel=1e-12)
 
 
 @pytest.mark.parametrize("geometry,mode", sorted(SHARED_TRAFFIC))
@@ -254,6 +376,7 @@ def test_shared_line_traffic(geometry, mode):
                             machine_config=GEOMETRIES[geometry])
     recording = system.record(racey_program(threads=8, rounds=60, seed=3))
     assert _traffic(recording) == SHARED_TRAFFIC[geometry, mode]
+    assert _logged(recording) == SHARED_DIGESTS[geometry, mode]
 
 
 def _traffic(recording) -> tuple:
@@ -261,6 +384,23 @@ def _traffic(recording) -> tuple:
     return tuple(traffic[category] for category in (
         "signature_bytes", "control_bytes", "invalidation_bytes",
         "data_bytes", "squash_refetch_bytes"))
+
+
+def _logged(recording) -> str:
+    """Digest of what the simulator logged, and only that: the saved
+    blob also holds run statistics (float means) and zlib output, whose
+    bytes depend on the interpreter and the zlib build."""
+    logs = [recording.pi_log]
+    for per_proc in (recording.cs_logs, recording.interrupt_logs,
+                     recording.io_logs):
+        logs += [per_proc[proc] for proc in sorted(per_proc)]
+    logs.append(recording.dma_log)
+    return _digest(([log.encode() for log in logs], recording.strata,
+                    recording.fingerprints))
+
+
+def _tokens(stats) -> tuple:
+    return tuple(stats.token_summary[name] for name in TOKEN_FIELDS)
 
 
 def _digest(value) -> str:

@@ -11,6 +11,11 @@ before their loop: on Python 3.11 every attribute read on an enum class
 goes through ``EnumType.__getattr__``, several times the cost of a
 local.  Another check fails on any ``OpKind.X``, ``TruncationReason.X``
 or ``ChunkState.X`` read inside a ``while`` loop of either interpreter.
+
+Commit propagation walks every written line of a commit in every other
+cache, hundreds of thousands of steps per run of which a fraction of a
+percent find the line.  A third check fails on any method call inside
+the per-line loop of ``CommitDirectory.propagate_commit``.
 """
 
 from __future__ import annotations
@@ -127,3 +132,46 @@ def test_per_op_loops_read_no_enum_class_attribute():
         for line, name in enum_reads_in_loops(source, cls, method):
             offenders.append(f"{module}:{line}: {name}")
     assert offenders == []
+
+
+def _innermost_for_loops(function: ast.FunctionDef) -> list[ast.For]:
+    return [loop for loop in ast.walk(function)
+            if isinstance(loop, ast.For)
+            and not any(isinstance(inner, ast.For)
+                        for inner in ast.walk(loop) if inner is not loop)]
+
+
+def method_calls_in_innermost_loops(source: str, cls: str,
+                                    method: str) -> list[tuple[int, str]]:
+    """(line, callee) of every method call inside an innermost ``for``
+    loop of ``cls.method`` in ``source``; raises when it has none."""
+    loops = _innermost_for_loops(_method(ast.parse(source), cls, method))
+    if not loops:
+        raise LookupError(f"{cls}.{method} has no for loop")
+    return sorted({
+        (node.lineno, ast.unparse(node.func))
+        for loop in loops for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)})
+
+
+def test_call_detector_flags_calls_in_the_innermost_loop_only():
+    source = ("class Directory:\n"
+              "    def walk(self, caches, lines):\n"
+              "        for cache in caches.values():\n"
+              "            cache.prepare()\n"
+              "            for line in lines:\n"
+              "                if cache.invalidate(line):\n"
+              "                    found = len(lines)\n"
+              "    def flat(self):\n"
+              "        return 1\n")
+    assert method_calls_in_innermost_loops(
+        source, "Directory", "walk") == [(6, "cache.invalidate")]
+    with pytest.raises(LookupError):
+        method_calls_in_innermost_loops(source, "Directory", "flat")
+
+
+def test_commit_propagation_per_line_loop_calls_no_method():
+    source = (PACKAGE / "chunks/directory.py").read_text()
+    assert method_calls_in_innermost_loops(
+        source, "CommitDirectory", "propagate_commit") == []

@@ -4,9 +4,11 @@ These drive :class:`ChunkProcessor` directly -- no arbiter, no engine --
 so each op's chunk semantics can be pinned down precisely.
 """
 
+import random
+
 import pytest
 
-from conftest import small_config
+from conftest import record_reads, small_config
 
 from repro.chunks.cache import CacheConfig, SpeculativeCache
 from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
@@ -402,6 +404,77 @@ class TestSignaturesAtBuildEnd:
         assert chunk.write_signature.may_contain(written)
         assert chunk.read_signature.inserted_lines == 1
         assert chunk.write_signature.inserted_lines == 1
+
+
+def remote_chunk(proc, written=(), read=()):
+    """A chunk of processor 1 that wrote and read ``proc``'s lines."""
+    chunk = Chunk(processor=1, logical_seq=1,
+                  start_state=ThreadState(thread_id=1),
+                  signature_config=proc.config.signature)
+    for line in written:
+        chunk.record_write(line)
+    record_reads(chunk, *read)
+    return chunk
+
+
+class TestSquashOnRemoteCommit:
+    """``squash_if_conflicts``: a remote commit squashes from the oldest
+    uncommitted chunk whose signatures its write signature hits."""
+
+    def test_write_write_conflict_squashes(self):
+        proc, memory = make_processor([
+            Op(OpKind.STORE, address=128, value=1)])
+        chunk = build(proc, memory)
+        remote = remote_chunk(proc, written=[proc.config.line_of(128)])
+        assert proc.squash_if_conflicts(remote, 1.0) == [chunk]
+        assert chunk.state is ChunkState.SQUASHED
+
+    def test_read_read_does_not_squash(self):
+        proc, memory = make_processor([Op(OpKind.LOAD, address=64)])
+        chunk = build(proc, memory)
+        remote = remote_chunk(proc, read=[proc.config.line_of(64)])
+        assert proc.squash_if_conflicts(remote, 1.0) == []
+        assert proc.outstanding == [chunk]
+
+    def test_squashes_from_the_oldest_conflicting_chunk(self):
+        proc, memory = make_processor([
+            Op(OpKind.LOAD, address=64),
+            Op(OpKind.STORE, address=128, value=1)])
+        first = build(proc, memory, target=1)
+        second = build(proc, memory, target=1)
+        remote = remote_chunk(proc, written=[proc.config.line_of(128)])
+        assert proc.squash_if_conflicts(remote, 1.0) == [second]
+        assert proc.outstanding == [first]
+
+    def test_a_chunk_granted_commit_is_not_squashed(self):
+        proc, memory = make_processor([
+            Op(OpKind.STORE, address=128, value=1)])
+        chunk = build(proc, memory)
+        chunk.state = ChunkState.COMMITTING
+        remote = remote_chunk(proc, written=[proc.config.line_of(128)])
+        assert proc.squash_if_conflicts(remote, 1.0) == []
+        assert chunk.state is ChunkState.COMMITTING
+
+    def test_every_true_conflict_squashes(self):
+        # Signatures may alias into a false squash, never miss a true
+        # conflict: compare with the exact line sets on random chunks.
+        rng = random.Random(29)
+        conflicts = 0
+        for _ in range(300):
+            ops = [Op(OpKind.STORE, address=rng.randrange(512), value=1)
+                   if rng.random() < 0.5
+                   else Op(OpKind.LOAD, address=rng.randrange(512))
+                   for _ in range(rng.randint(1, 8))]
+            proc, memory = make_processor(ops)
+            chunk = build(proc, memory)
+            remote = remote_chunk(proc, written=[
+                proc.config.line_of(rng.randrange(512))
+                for _ in range(rng.randint(1, 8))])
+            squashed = proc.squash_if_conflicts(remote, 1.0)
+            if chunk.truly_conflicts_with(remote):
+                conflicts += 1
+                assert squashed == [chunk]
+        assert 0 < conflicts < 300
 
 
 class TestInterrupts:

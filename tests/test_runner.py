@@ -10,8 +10,11 @@ replay job reuse its cached recording.
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -133,6 +136,25 @@ class TestRunSpec:
             with pytest.raises(ConfigurationError,
                                match="scale must be finite and above 0"):
                 build()
+
+    @pytest.mark.parametrize("build", [
+        record_spec, lambda: build_job_spec("chaos", {"app": "lu"})])
+    def test_encoding_computed_once_and_kept_out_of_identity(self, build):
+        """The canonical encoding is built once per spec object and is
+        not part of the spec: equality, hashing, ``replace``, pickles
+        and copies see only the fields."""
+        spec, fresh = build(), build()
+        digest = spec.content_hash()
+        assert spec.canonical_json() is spec.canonical_json()
+        assert spec == fresh and hash(spec) == hash(fresh)
+        assert pickle.dumps(spec) == pickle.dumps(fresh)
+        for copied in (pickle.loads(pickle.dumps(spec)),
+                       copy.deepcopy(spec), copy.copy(spec),
+                       dataclasses.replace(spec)):
+            assert "_canonical_json" not in vars(copied)
+            assert copied == spec and copied.content_hash() == digest
+        # The mutable dict artifacts embed is still built per call.
+        assert spec.canonical() is not spec.canonical()
 
     def test_hash_stable_across_processes(self):
         spec = record_spec()

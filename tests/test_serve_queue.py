@@ -14,6 +14,7 @@ import json
 import sys
 import tempfile
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,18 +245,17 @@ _CENSUS_STEPS = ("submit", "submit-cached", "claim", "claim-leased",
                  "finish-ok", "finish-failed", "expire-leases", "punt",
                  "reopen", "compact")
 
+_RANDOM_STEPS = dict(
+    retain=st.sampled_from([None, 0, 1, 3]),
+    steps=st.lists(st.tuples(st.sampled_from(_CENSUS_STEPS),
+                             st.integers(0, 1 << 16)),
+                   min_size=20, max_size=60))
 
-@settings(max_examples=40, deadline=None)
-@given(retain=st.sampled_from([None, 0, 1, 3]),
-       steps=st.lists(st.tuples(st.sampled_from(_CENSUS_STEPS),
-                                st.integers(0, 1 << 16)),
-                      min_size=20, max_size=60))
-def test_running_census_equals_a_recount(retain, steps):
-    """After any sequence of transitions -- deadline failures at
-    claim, lease expiries that requeue or poison, punts, restarts
-    that requeue running jobs, compactions that drop terminal jobs,
-    and automatic rotation -- ``counts()`` equals :func:`census` over
-    the jobs the queue retains."""
+
+def _drive(retain, steps, check) -> None:
+    """Run ``steps`` against a fresh queue, calling ``check(queue,
+    step, now)`` after every step and after each reopen's recovery
+    (before its running jobs are requeued)."""
     with tempfile.TemporaryDirectory() as root:
         def reopen():
             return JobQueue(root, segment_bytes=4096, compact_after=2,
@@ -299,13 +299,49 @@ def test_running_census_equals_a_recount(retain, steps):
                 elif step == "reopen":
                     queue.close()
                     queue = reopen()
-                    assert queue.counts() == census(queue.jobs())
+                    check(queue, step, now)
                     queue.recover_running(now)
                 elif step == "compact":
                     queue.compact()
-                assert queue.counts() == census(queue.jobs()), step
+                check(queue, step, now)
         finally:
             queue.close()
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_RANDOM_STEPS)
+def test_running_census_equals_a_recount(retain, steps):
+    """After any sequence of transitions -- deadline failures at
+    claim, lease expiries that requeue or poison, punts, restarts
+    that requeue running jobs, compactions that drop terminal jobs,
+    and automatic rotation -- ``counts()`` equals :func:`census` over
+    the jobs the queue retains."""
+    def check(queue, step, now):
+        assert queue.counts() == census(queue.jobs()), step
+
+    _drive(retain, steps, check)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_RANDOM_STEPS)
+def test_leased_set_equals_a_recount(retain, steps):
+    """After the same transitions, the queue's set of leased job ids
+    is exactly the ids of the retained jobs whose ``leased`` is true,
+    and ``lease_census`` equals a walk over every job."""
+    def check(queue, step, now):
+        jobs = queue.jobs()
+        leased = [job for job in jobs if job.leased]
+        assert queue._leased == {job.id for job in leased}, step
+        assert queue.lease_census(now) == {
+            "leased": len(leased),
+            "by_worker": dict(sorted(
+                Counter(job.worker for job in leased).items())),
+            "expiring_soon": sum(
+                1 for job in leased
+                if job.lease_expires_at - now < job.lease_ttl / 3.0),
+        }, step
+
+    _drive(retain, steps, check)
 
 
 def test_running_census_survives_concurrent_transitions(tmp_path):

@@ -147,5 +147,5 @@ def test_insert_all_equals_one_insert_per_line(num_hashes):
     for line in lines:
         one_by_one.insert(line)
     bulk.insert_all(lines)
-    assert bulk._keys == one_by_one._keys
+    assert bulk.keys == one_by_one.keys
     assert bulk.inserted_lines == one_by_one.inserted_lines == len(lines)
