@@ -87,9 +87,9 @@ class Op:
 
     An immutable, hashable ``__slots__`` record: the interpreter reads
     ``kind`` and ``address`` on every op, and slot reads are the
-    cheapest attribute access there is.  Construction validates; a
-    decoder that has validated whole columns builds ops with
-    :func:`trusted_op` instead.  Equality is class-sensitive.
+    cheapest attribute access there is.  Construction validates; the
+    program decoder and generator, which validate whole columns, build
+    ops with :func:`trusted_op` instead.  Equality is class-sensitive.
     """
 
     __slots__ = ("kind", "address", "value", "count")
@@ -151,14 +151,15 @@ class _OpDraft:
     __slots__ = Op.__slots__
 
 
-_new_draft = object.__new__
-
-
 def trusted_op(kind: OpKind, address: int, value: int | None,
                count: int) -> Op:
-    """An :class:`Op` built without validation, for decoders that have
-    already checked whole columns (address >= 0, count >= 1)."""
-    op = _new_draft(_OpDraft)
+    """An :class:`Op` built without validation, for callers that check
+    whole columns instead (address >= 0, count >= 1): the DLRN program
+    decoder before it builds the ops, and the synthetic program
+    generator (:func:`repro.workloads.synthetic.build_program`) once
+    its threads are finished."""
+    # Calling the class allocates faster than object.__new__(_OpDraft).
+    op = _OpDraft()
     op.kind = kind
     op.address = address
     op.value = value

@@ -45,12 +45,16 @@ class DivergenceContext:
 
 
 def _last_commits(recording, fingerprints: list[tuple]) -> dict:
-    """Replayed commits of each processor that committed any."""
+    """Replayed commits of each processor that committed any, and of
+    the DMA engine (under ``"dma"``) if it committed any."""
     # Imported here: repro.core.recorder imports this package.
     from repro.core.recorder import commits_by_processor
 
-    return {proc: entries for proc, entries in commits_by_processor(
-        fingerprints, recording.machine_config).items() if entries}
+    dma = recording.machine_config.dma_proc_id
+    return {"dma" if proc == dma else proc: entries
+            for proc, entries in commits_by_processor(
+                fingerprints, recording.machine_config).items()
+            if entries}
 
 
 def _describe_commit(fingerprint) -> str:

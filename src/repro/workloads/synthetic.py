@@ -27,14 +27,18 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import ConfigurationError
 from repro.machine.events import DmaTransfer, InterruptEvent
-from repro.machine.program import Op, OpKind, Program
+from repro.machine.program import Op, OpKind, Program, trusted_op
 from repro.workloads.program_builder import (
-    barrier_address,
-    lock_address,
-    private_address,
+    BARRIER_REGION,
+    LOCK_REGION,
+    PRIVATE_REGION,
+    PRIVATE_STRIDE,
+    SHARED_REGION,
+    SYNC_STRIDE,
     shared_address,
 )
 
@@ -162,8 +166,8 @@ def _other_thread(spec: SyntheticSpec, thread: int,
     return other
 
 
-def _shared_line(spec: SyntheticSpec, thread: int,
-                 rng: random.Random, locality: dict) -> tuple[int, bool]:
+def _shared_line(spec: SyntheticSpec, thread: int, rng: random.Random,
+                 item: int) -> tuple[int, bool]:
     """Pick a shared line for one item's cluster.
 
     Returns ``(line_index, writable)``: remote-partition reads are
@@ -177,7 +181,7 @@ def _shared_line(spec: SyntheticSpec, thread: int,
     if roll < spec.hot_fraction:
         return rng.randrange(max(1, spec.hot_lines)), True
     base = spec.hot_lines
-    frontier = locality.get("item", 0) // max(1, spec.publish_every)
+    frontier = item // max(1, spec.publish_every)
     if roll < spec.hot_fraction + spec.remote_read_fraction:
         # Consume a lagged publish-ring slot of another thread.  Peer
         # progress is approximated by this thread's own item progress
@@ -206,93 +210,121 @@ def _shared_line(spec: SyntheticSpec, thread: int,
             + rng.randrange(max(1, partition - ring)), True)
 
 
-def _item_ops(spec: SyntheticSpec, thread: int,
-              rng: random.Random,
-              locality: dict) -> list[Op]:
-    """Ops for one work item of one thread.
-
-    ``locality`` carries the thread's last-used shared line between
-    items (see ``shared_reuse``).
-    """
-    ops: list[Op] = []
-    compute = max(1, int(rng.gauss(spec.compute_per_item,
-                                   spec.compute_per_item * 0.25)))
-    ops.append(Op(OpKind.COMPUTE, count=compute))
-    # Private accesses: clustered on one private line per item.
-    base = rng.randrange(spec.private_lines) * spec.line_words
-    for index in range(spec.private_accesses_per_item):
-        address = private_address(thread, base + index % spec.line_words)
-        if rng.random() < spec.write_fraction:
-            ops.append(Op(OpKind.STORE, address=address))
-        else:
-            ops.append(Op(OpKind.LOAD, address=address))
-    # Shared accesses: clustered on one shared line per item.
-    if rng.random() < spec.sharing_fraction:
-        if ("line" in locality
-                and rng.random() < spec.shared_reuse):
-            line, writable = locality["line"], locality["writable"]
-        else:
-            line, writable = _shared_line(spec, thread, rng, locality)
-            locality["line"] = line
-            locality["writable"] = writable
-        base = line * spec.line_words
-        for index in range(spec.shared_accesses_per_item):
-            address = shared_address(base + index % spec.line_words)
-            if writable and rng.random() < spec.write_fraction:
-                ops.append(Op(OpKind.STORE, address=address))
-            else:
-                ops.append(Op(OpKind.LOAD, address=address))
-    # Lock-protected critical section.
-    if spec.lock_count and rng.random() < spec.lock_probability:
-        if rng.random() < spec.hot_lock_fraction:
-            lock_index = 0
-        else:
-            lock_index = rng.randrange(spec.lock_count)
-        lock = lock_address(lock_index)
-        counter = shared_address(
-            (spec.hot_lines + spec.shared_lines + 64) * spec.line_words
-            + lock_index * spec.line_words)
-        ops.append(Op(OpKind.LOCK, address=lock))
-        ops.append(Op(OpKind.RMW, address=counter, value=1))
-        for _ in range(spec.critical_accesses - 1):
-            ops.append(Op(OpKind.LOAD, address=counter))
-        ops.append(Op(OpKind.UNLOCK, address=lock))
-    # Rare deterministic truncation sources.
-    roll = rng.random()
-    if roll < spec.io_rate:
-        ops.append(Op(OpKind.IO_LOAD, address=thread % 4))
-    elif roll < spec.io_rate + spec.special_rate:
-        ops.append(Op(OpKind.SPECIAL))
-    if rng.random() < spec.trap_rate:
-        ops.append(Op(OpKind.TRAP, count=16))
-    return ops
-
-
 def build_program(spec: SyntheticSpec) -> Program:
     """Generate the concrete Program for a spec (deterministic in the
-    spec, including its seed)."""
+    spec, including its seed).
+
+    Replay reruns the program the recording ran, so a spec must give
+    equal programs on every supported Python: every draw is a public
+    :class:`random.Random` method call, never a private helper such as
+    ``_randbelow``, and moving, adding or dropping a draw changes the
+    programs ``tests/test_generator_pins.py`` pins.
+
+    Each thread's items are generated by one loop over locals: the op
+    kinds, the spec's fields and the thread generator's methods are
+    bound before it.  Ops are built with :func:`trusted_op`, and one
+    check of the finished threads' address and count columns raises
+    :class:`~repro.errors.ConfigurationError` where ``Op()`` would.
+    Ops are immutable, so COMPUTE ops are shared by count within one
+    build.
+    """
+    LOAD, STORE, COMPUTE, RMW = (
+        OpKind.LOAD, OpKind.STORE, OpKind.COMPUTE, OpKind.RMW)
+    LOCK, UNLOCK, BARRIER = OpKind.LOCK, OpKind.UNLOCK, OpKind.BARRIER
+    IO_LOAD, SPECIAL, TRAP = OpKind.IO_LOAD, OpKind.SPECIAL, OpKind.TRAP
+    make = trusted_op
+    num_threads = spec.num_threads
+    compute_mean = spec.compute_per_item
+    compute_sigma = compute_mean * 0.25
+    private_lines = spec.private_lines
+    line_words = spec.line_words
+    private_offsets = [index % line_words
+                       for index in range(spec.private_accesses_per_item)]
+    shared_offsets = [index % line_words
+                      for index in range(spec.shared_accesses_per_item)]
+    write_fraction = spec.write_fraction
+    sharing_fraction = spec.sharing_fraction
+    shared_reuse = spec.shared_reuse
+    lock_count = spec.lock_count
+    lock_probability = spec.lock_probability
+    hot_lock_fraction = spec.hot_lock_fraction
+    counter_base = (spec.hot_lines + spec.shared_lines + 64) * line_words
+    counter_loads = range(spec.critical_accesses - 1)
+    io_rate = spec.io_rate
+    io_or_special = spec.io_rate + spec.special_rate
+    trap_rate = spec.trap_rate
+    # Barriers only make sense with balanced work.
+    barrier_every = spec.barrier_every if spec.imbalance == 0.0 else 0
+    barrier_last = barrier_every - 1
+    compute_ops: dict[int, Op] = {}
     rng = random.Random(spec.seed)
     threads: list[list[Op]] = []
-    for thread in range(spec.num_threads):
+    for thread in range(num_threads):
         thread_rng = random.Random(rng.randrange(1 << 62) + thread)
-        if spec.num_threads > 1:
-            skew = 1.0 + spec.imbalance * thread / (spec.num_threads - 1)
+        draw = thread_rng.random
+        randrange = thread_rng.randrange
+        gauss = thread_rng.gauss
+        if num_threads > 1:
+            skew = 1.0 + spec.imbalance * thread / (num_threads - 1)
         else:
             skew = 1.0
         items = max(1, int(spec.work_items * skew))
+        private_base = PRIVATE_REGION + thread * PRIVATE_STRIDE
+        io_port = thread % 4
         ops: list[Op] = []
-        locality: dict = {}
+        append = ops.append
+        # The item's shared line, kept for the next (``shared_reuse``).
+        line = None
+        writable = False
         for item in range(items):
-            locality["item"] = item
-            ops.extend(_item_ops(spec, thread, thread_rng, locality))
-            if (spec.barrier_every
-                    and item % spec.barrier_every == spec.barrier_every - 1
-                    and spec.imbalance == 0.0):
-                # Barriers only make sense with balanced work.
-                ops.append(Op(OpKind.BARRIER,
-                              address=barrier_address(0),
-                              count=spec.num_threads))
+            count = int(gauss(compute_mean, compute_sigma))
+            if count < 1:
+                count = 1
+            op = compute_ops.get(count)
+            if op is None:
+                op = compute_ops[count] = make(COMPUTE, 0, None, count)
+            append(op)
+            # Private accesses: clustered on one private line per item.
+            base = private_base + randrange(private_lines) * line_words
+            for offset in private_offsets:
+                append(make(STORE if draw() < write_fraction else LOAD,
+                            base + offset, None, 1))
+            # Shared accesses: clustered on one shared line per item.
+            if draw() < sharing_fraction:
+                if line is None or not draw() < shared_reuse:
+                    line, writable = _shared_line(spec, thread,
+                                                  thread_rng, item)
+                base = SHARED_REGION + line * line_words
+                for offset in shared_offsets:
+                    append(make(
+                        STORE if writable and draw() < write_fraction
+                        else LOAD, base + offset, None, 1))
+            # Lock-protected critical section.
+            if lock_count and draw() < lock_probability:
+                if draw() < hot_lock_fraction:
+                    lock_index = 0
+                else:
+                    lock_index = randrange(lock_count)
+                lock = LOCK_REGION + lock_index * SYNC_STRIDE
+                counter = SHARED_REGION + (counter_base
+                                           + lock_index * line_words)
+                append(make(LOCK, lock, None, 1))
+                append(make(RMW, counter, 1, 1))
+                for _ in counter_loads:
+                    append(make(LOAD, counter, None, 1))
+                append(make(UNLOCK, lock, None, 1))
+            # Rare deterministic truncation sources.
+            roll = draw()
+            if roll < io_rate:
+                append(make(IO_LOAD, io_port, None, 1))
+            elif roll < io_or_special:
+                append(make(SPECIAL, 0, None, 1))
+            if draw() < trap_rate:
+                append(make(TRAP, 0, None, 16))
+            if barrier_every and item % barrier_every == barrier_last:
+                append(make(BARRIER, BARRIER_REGION, None, num_threads))
         threads.append(ops)
+    _check_columns(threads)
     initial_memory = {
         shared_address(offset * spec.line_words): offset + 1
         for offset in range(min(spec.shared_lines, 256))}
@@ -306,6 +338,22 @@ def build_program(spec: SyntheticSpec) -> Program:
         dma_transfers=dma_transfers,
         io_seed=spec.seed,
     )
+
+
+_address_of = attrgetter("address")
+_count_of = attrgetter("count")
+
+
+def _check_columns(threads: list[list[Op]]) -> None:
+    """Raise :class:`ConfigurationError`, as ``Op()`` does, for an op
+    with a negative address or a count below 1."""
+    for ops in threads:
+        if ops and min(map(_address_of, ops)) < 0:
+            bad = next(op for op in ops if op.address < 0)
+            raise ConfigurationError(f"negative address in {bad!r}")
+        if ops and min(map(_count_of, ops)) < 1:
+            bad = next(op for op in ops if op.count < 1)
+            raise ConfigurationError(f"non-positive count in {bad!r}")
 
 
 def _estimated_duration_cycles(spec: SyntheticSpec) -> float:

@@ -235,6 +235,24 @@ def test_alike_dma_commits_name_their_first_differing_write():
             in lines)
 
 
+def test_the_dma_engine_stream_is_listed_as_dma():
+    """The replayed DMA bursts are listed under "dma", after every
+    processor, not under the DMA engine's processor slot (p8)."""
+    recording = copy.deepcopy(_app_recording("sweb2005", "ordered"))
+    _drop_dma(recording)
+    report = diagnose_replay(recording)
+    slot = recording.machine_config.dma_proc_id
+    assert slot not in report.last_commits
+    assert list(report.last_commits) == [*range(8), "dma"]
+    assert all(fingerprint[0] == "dma"
+               for fingerprint in report.last_commits["dma"])
+    heads = [line for line in report.render().splitlines()
+             if line.endswith(" committed")]
+    assert heads[:-1] == [f"  p{proc}: {len(report.last_commits[proc])} "
+                          f"committed" for proc in range(8)]
+    assert heads[-1] == "  dma: 9 committed"
+
+
 def _chunk_fingerprint(writes, end_key=("end",), instructions=10):
     return (1, 4, 0, False, instructions, tuple(sorted(writes.items())),
             end_key)

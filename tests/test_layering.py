@@ -7,10 +7,12 @@ Supervision, debugging and exploration are observers on
 ``self._machine._x`` access in a module outside ``machine/``.
 
 The two per-op interpreters bind the enum members they test to locals
-before their loop: on Python 3.11 every attribute read on an enum class
+before their loop, and so does the synthetic program generator before
+its per-item loop: on Python 3.11 every attribute read on an enum class
 goes through ``EnumType.__getattr__``, several times the cost of a
 local.  Another check fails on any ``OpKind.X``, ``TruncationReason.X``
-or ``ChunkState.X`` read inside a ``while`` loop of either interpreter.
+or ``ChunkState.X`` read inside a ``while`` or ``for`` loop of any of
+the three.
 
 Commit propagation walks every written line of a commit in every other
 cache, hundreds of thousands of steps per run of which a fraction of a
@@ -72,33 +74,54 @@ def test_no_private_machine_access_outside_machine_package():
     assert offenders == []
 
 
-#: The per-op interpreter loops: (module, class, method).
+#: Functions whose loops run once per op or per generated work item:
+#: (module, class, method), with class None for a module function.
 PER_OP_LOOPS = [
     ("chunks/processor.py", "ChunkProcessor", "_execute_into"),
     ("baselines/consistency.py", "InterleavedExecutor", "run"),
+    ("workloads/synthetic.py", None, "build_program"),
 ]
 
 ENUM_CLASSES = frozenset({"OpKind", "TruncationReason", "ChunkState"})
 
 
-def _method(tree: ast.AST, cls: str, method: str) -> ast.FunctionDef:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == cls:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == method:
-                    return item
-    raise LookupError(f"{cls}.{method} is not defined")
+def _method(tree: ast.Module, cls: str | None,
+            method: str) -> ast.FunctionDef:
+    """``cls.method``, or the module function ``method`` when ``cls``
+    is None."""
+    if cls is None:
+        body = tree.body
+    else:
+        body = [item for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == cls
+                for item in node.body]
+    for item in body:
+        if isinstance(item, ast.FunctionDef) and item.name == method:
+            return item
+    raise LookupError(f"{cls or 'module'}.{method} is not defined")
 
 
-def enum_reads_in_loops(source: str, cls: str,
+def _per_iteration_parts(loop: ast.While | ast.For) -> list[ast.AST]:
+    """What a loop evaluates on every pass: a ``while`` loop's test and
+    body, a ``for`` loop's body (its iterable is evaluated once)."""
+    if isinstance(loop, ast.While):
+        return [loop.test, *loop.body]
+    return loop.body
+
+
+def enum_reads_in_loops(source: str, cls: str | None,
                         method: str) -> list[tuple[int, str]]:
     """(line, ``Enum.member``) of every attribute read on an enum class
-    inside a ``while`` loop of ``cls.method`` in ``source``."""
+    on each pass of a ``while`` or ``for`` loop of ``cls.method`` (of
+    the module function ``method`` when ``cls`` is None) in
+    ``source``."""
     function = _method(ast.parse(source), cls, method)
     return sorted({
         (node.lineno, f"{node.value.id}.{node.attr}")
-        for loop in ast.walk(function) if isinstance(loop, ast.While)
-        for node in ast.walk(loop)
+        for loop in ast.walk(function)
+        if isinstance(loop, (ast.While, ast.For))
+        for part in _per_iteration_parts(loop)
+        for node in ast.walk(part)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in ENUM_CLASSES})
@@ -123,6 +146,27 @@ def test_enum_detector_flags_reads_inside_the_loop_only():
         (7, "ChunkState.BUILDING")]
     with pytest.raises(LookupError):
         enum_reads_in_loops(source, "Interpreter", "missing")
+
+
+def test_enum_detector_flags_reads_in_a_module_function_for_loop():
+    source = ("def generate(threads, items):\n"
+              "    LOAD = OpKind.LOAD\n"
+              "    for thread in (OpKind.TRAP,):\n"
+              "        kind = OpKind.SPECIAL\n"
+              "        for item in items:\n"
+              "            ops.append(make(OpKind.COMPUTE))\n"
+              "            ops.append(make(LOAD))\n"
+              "    return OpKind.RMW\n"
+              "class Generator:\n"
+              "    def generate(self, items):\n"
+              "        for item in items:\n"
+              "            OpKind.LOCK\n")
+    assert enum_reads_in_loops(source, None, "generate") == [
+        (4, "OpKind.SPECIAL"), (6, "OpKind.COMPUTE")]
+    assert enum_reads_in_loops(source, "Generator", "generate") == [
+        (12, "OpKind.LOCK")]
+    with pytest.raises(LookupError):
+        enum_reads_in_loops(source, None, "missing")
 
 
 def test_per_op_loops_read_no_enum_class_attribute():

@@ -128,6 +128,19 @@ class TestSyntheticGeneration:
             SyntheticSpec(name="t", hot_fraction=0.6,
                           remote_read_fraction=0.6)
 
+    def test_column_check_refuses_what_op_refuses(self):
+        from repro.machine.program import trusted_op
+        from repro.workloads.synthetic import _check_columns
+
+        good = [trusted_op(OpKind.LOAD, 8, None, 1)]
+        _check_columns([good, []])
+        with pytest.raises(ConfigurationError,
+                           match="non-positive count in Op"):
+            _check_columns([good, [trusted_op(OpKind.COMPUTE, 0, None, 0)]])
+        with pytest.raises(ConfigurationError,
+                           match="negative address in Op"):
+            _check_columns([[trusted_op(OpKind.STORE, -8, None, 1)]])
+
     def test_estimated_instructions_positive(self):
         spec = SyntheticSpec(name="t", work_items=50)
         assert spec.estimated_instructions_per_thread() > 0
