@@ -156,10 +156,7 @@ def _cmd_record_supervised(args) -> int:
     print("supervised record:")
     print(report.summary())
     if report.ok and args.output:
-        if report.recording is not None:
-            blob = save_recording(report.recording)
-        else:
-            blob = save_segmented(report.segmented)
+        blob = save_segmented(report.segmented)
         with open(args.output, "wb") as handle:
             handle.write(blob)
         print(f"wrote {len(blob):,} bytes to {args.output}")
@@ -493,13 +490,12 @@ def _cmd_debug(args) -> int:
         load_debug_target,
     )
 
-    recording, start_checkpoint, stop_after = load_debug_target(
+    recording, stop_after = load_debug_target(
         args.artifact, segment=args.segment)
     controller = ReplayController(
         recording,
         checkpoint_every=args.checkpoint_every,
         verify=not args.no_verify,
-        start_checkpoint=start_checkpoint,
         stop_after=stop_after,
     )
     print(f"loaded {recording.program.name}: "
@@ -981,13 +977,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="time-travel debug a recording (interactive REPL over "
              "deterministic replay)")
     debug.add_argument("artifact",
-                       help="a .dlrn recording, a runner record "
-                            "artifact (JSON), or a stitched segmented "
-                            "recording")
+                       help="a .dlrn recording (a degraded record "
+                            "holds several segments) or a runner "
+                            "record artifact (JSON)")
     debug.add_argument("--segment", type=int, default=None,
                        metavar="N",
-                       help="for stitched recordings: debug segment N "
-                            "(default 0)")
+                       help="debug the file's recording N (default 0)")
     debug.add_argument("--script", metavar="FILE",
                        help="run debugger commands from FILE instead "
                             "of interactively")

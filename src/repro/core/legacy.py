@@ -13,9 +13,9 @@ classes a trailer holds (:data:`TRAILER_GLOBALS`) and refuses every
 other global with :class:`~repro.errors.LogFormatError`, before
 anything is imported or called.
 
-The envelope of a segmented ``DLRNSEG1`` recording
-(:mod:`repro.guard.degrade`) is a pickle too.  It is read the same
-way, resolving only :data:`ENVELOPE_GLOBALS` and refusing every other
+Earlier releases stored a degraded recording (:mod:`repro.guard.degrade`)
+in a pickled ``DLRNSEG1`` envelope too.  It is read the same way,
+resolving only :data:`ENVELOPE_GLOBALS` and refusing every other
 global with :class:`~repro.errors.SalvageError`.
 """
 
@@ -197,7 +197,7 @@ _MODE_VALUES = frozenset(mode.value for mode in ExecutionMode)
 def unpickle_envelope(payload: bytes) -> dict:
     """A DLRNSEG1 envelope (the bytes after its magic), decoded without
     running anything outside :data:`ENVELOPE_GLOBALS` and checked for
-    the shape :func:`repro.guard.degrade.save_segmented` writes."""
+    the shape earlier releases' ``save_segmented`` wrote."""
     envelope = _restricted_load(payload, ENVELOPE_GLOBALS, SalvageError,
                                 "segmented recording envelope", {})
     segments = (envelope.get("segments")

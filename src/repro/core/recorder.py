@@ -12,7 +12,8 @@ execution:
   its commit slot) and its PI entry.
 
 The resulting :class:`Recording` bundles the memory-ordering log, the
-input logs, the initial checkpoint, and -- clearly separated --
+input logs, the start checkpoint of a segment that does not begin at
+its program's initial state, and -- clearly separated --
 *verification instrumentation* (commit fingerprints and the final
 memory image) that a real hardware recorder would not keep but that our
 test suite uses to prove replay determinism.
@@ -215,6 +216,8 @@ class Recording:
     memory_ordering: MemoryOrderingLog | None = None
     # Commit-boundary checkpoints for interval replay (Appendix B).
     interval_checkpoints: object | None = None
+    # A degraded segment's commit-index-0 start (repro.guard.degrade).
+    start_checkpoint: object | None = None
 
     @property
     def total_commits(self) -> int:

@@ -37,6 +37,12 @@ and *not* verified:
   checkpoints.  Per-processor fingerprints are derived on load: the
   machine appends every fingerprint to both lists.
 
+Only a degraded segment's recording has a fourth, **start** (zlib
+level 1): its start checkpoint, less the memory image, which is the
+program's initial memory.  A container ends at its END frame, so
+:func:`load_recording` refuses bytes after it; :func:`load_recordings`
+reads containers written back to back (a degraded recording).
+
 Integer columns are little-endian fixed-width (1, 2, 4 or 8 bytes,
 signed or not, the narrowest that fits) or, for values wider than 64
 bits, hex text; every count is checked against the bytes that remain
@@ -126,6 +132,8 @@ _SECTION_FLUSH = 7
 _SECTION_PROGRAM = 8
 _SECTION_CONFIG = 9
 _SECTION_VERIFY = 10
+#: Optional: a degraded segment's start checkpoint.
+_SECTION_START = 11
 _SECTION_END = 255
 
 _SECTION_NAMES = {
@@ -139,6 +147,7 @@ _SECTION_NAMES = {
     _SECTION_PROGRAM: "program",
     _SECTION_CONFIG: "config",
     _SECTION_VERIFY: "verify",
+    _SECTION_START: "start",
     _SECTION_END: "end",
 }
 
@@ -683,11 +692,37 @@ def _decode_verify(payload: bytes, header: dict) -> dict:
     }
 
 
+def _encode_start(recording: Recording) -> bytes:
+    """The start checkpoint as a one-entry checkpoint store whose
+    memory image is empty: it is the program's initial memory."""
+    checkpoint = recording.start_checkpoint
+    if checkpoint.memory_image != recording.program.initial_memory:
+        raise LogFormatError("a start checkpoint's memory image must "
+                             "be its program's initial memory")
+    handlers = _HandlerTable()
+    body = _Writer()
+    _put_checkpoints(body, IntervalCheckpointStore(checkpoints=[
+        dataclasses.replace(checkpoint, memory_image={})]), handlers)
+    out = _Writer()
+    handlers.put(out)
+    return _compress(out.getvalue() + body.getvalue())
+
+
+def _decode_start(payload: bytes, header: dict) -> dict:
+    inp = _Reader(_inflate(payload, "start"), "start")
+    handlers = _HandlerTable.get(inp)
+    (checkpoint,) = _get_checkpoints(inp, handlers).checkpoints
+    inp.finish()
+    return {"start_checkpoint": checkpoint}
+
+
 #: State section tag -> decoder of its payload into Recording fields.
+#: Every v3 recording holds each of them but the start section.
 _STATE_DECODERS = {
     _SECTION_PROGRAM: _decode_program,
     _SECTION_CONFIG: _decode_config,
     _SECTION_VERIFY: _decode_verify,
+    _SECTION_START: _decode_start,
 }
 
 
@@ -718,8 +753,8 @@ def _preamble(mode: ModeConfig, machine: MachineConfig) -> bytes:
 
 def _sections(recording: Recording, program: bool = True):
     """Yield ``(tag, proc, payload, bit_length)`` in container order;
-    with ``program=False``, all but the program section (a journal
-    writes the program once)."""
+    with ``program=False``, all but the program and start sections,
+    which never change during a run (a journal writes them once)."""
     payload, bits = recording.pi_log.encode()
     yield _SECTION_PI, 0, payload, bits
     for tag, logs in ((_SECTION_CS, recording.cs_logs),
@@ -732,6 +767,8 @@ def _sections(recording: Recording, program: bool = True):
     yield _SECTION_DMA, 0, payload, bits
     if program:
         yield _SECTION_PROGRAM, 0, _program_section(recording.program), 0
+        if recording.start_checkpoint is not None:
+            yield _SECTION_START, 0, _encode_start(recording), 0
     yield _SECTION_CONFIG, 0, _encode_config(recording), 0
     yield _SECTION_VERIFY, 0, _encode_verify(recording), 0
 
@@ -824,21 +861,20 @@ def _parse_frame_at(blob: bytes, pos: int) -> SectionFrame | None:
                         bit_length=bits, payload=payload, crc_ok=crc_ok)
 
 
-def scan_frames(blob: bytes,
-                data_start: int) -> tuple[list[SectionFrame],
-                                          list[SectionDamage]]:
-    """Walk the frame stream from ``data_start``, resyncing past
-    damage.
+def scan_frames(blob: bytes, data_start: int) -> tuple[
+        list[SectionFrame], list[SectionDamage], int]:
+    """Walk the frame stream from ``data_start`` to the first CRC-valid
+    END frame, resyncing past damage.
 
     Returns every structurally recovered frame (``crc_ok`` says whether
-    its contents are trustworthy) plus a damage report for each region
-    that had to be skipped.  Used by both the strict and the tolerant
-    loaders -- strictness is a policy decision of the caller.
+    its contents are trustworthy), a damage report for each region
+    that had to be skipped, and the offset one past the END frame (the
+    blob's length without one).  Used by both the strict and the
+    tolerant loaders -- strictness is a policy decision of the caller.
     """
     frames: list[SectionFrame] = []
     damage: list[SectionDamage] = []
     pos = data_start
-    saw_end = False
     while pos < len(blob):
         frame = _parse_frame_at(blob, pos)
         if frame is None:
@@ -860,15 +896,13 @@ def scan_frames(blob: bytes,
                 tag=frame.tag, proc=frame.proc))
         if frame.tag == _SECTION_END:
             if frame.crc_ok:
-                saw_end = True
-                break
+                return frames, damage, frame.end
         else:
             frames.append(frame)
         pos = frame.end
-    if not saw_end:
-        damage.append(SectionDamage(
-            offset=len(blob), reason="missing end-of-container frame"))
-    return frames, damage
+    damage.append(SectionDamage(
+        offset=len(blob), reason="missing end-of-container frame"))
+    return frames, damage, len(blob)
 
 
 def container_frames(blob: bytes) -> tuple[list[SectionFrame],
@@ -884,7 +918,7 @@ def container_frames(blob: bytes) -> tuple[list[SectionFrame],
     if version == 1:
         raise LogFormatError(
             "section framing requires a v2 or v3 container")
-    return scan_frames(blob, data_start)
+    return scan_frames(blob, data_start)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -996,7 +1030,8 @@ def _assemble(version: int, header: dict, frames: list[SectionFrame],
     in strict mode decode failures raise.  The state -- a v3 program,
     config and verify section, or a v1/v2 trailer -- cannot be
     replaced: without it the loader raises
-    :class:`~repro.errors.SalvageError`.
+    :class:`~repro.errors.SalvageError`.  A start section that fails
+    to decode raises in both modes.
     """
     mode_config = _mode_config_from_header(header)
     num_processors = header["num_processors"]
@@ -1052,7 +1087,7 @@ def _assemble(version: int, header: dict, frames: list[SectionFrame],
                 raise LogFormatError(
                     f"unknown section tag {frame.tag}")
         except ReproError:
-            if not tolerant:
+            if not tolerant or frame.tag == _SECTION_START:
                 raise
             damage.append(SectionDamage(
                 offset=frame.start, reason="section failed to decode",
@@ -1061,7 +1096,7 @@ def _assemble(version: int, header: dict, frames: list[SectionFrame],
         seen.add((frame.tag, frame.proc))
 
     for tag in state_tags:
-        if tag not in state:
+        if tag not in state and tag != _SECTION_START:
             raise SalvageError(
                 f"the {section_name(tag)} section is damaged or "
                 f"missing; without it nothing can be replayed")
@@ -1090,8 +1125,12 @@ def _assemble(version: int, header: dict, frames: list[SectionFrame],
             io_logs.setdefault(proc, IOLog())
 
     fields: dict = {}
-    for tag in state_tags:
-        fields.update(state[tag])
+    for decoded in state.values():
+        fields.update(decoded)
+    start = fields.get("start_checkpoint")
+    if start is not None:  # its memory image is the program's
+        fields["start_checkpoint"] = dataclasses.replace(
+            start, memory_image=dict(fields["program"].initial_memory))
     ordering = fields["memory_ordering"]
     if version >= 3 and ordering is not None:
         fields["memory_ordering"] = MemoryOrderingLog(
@@ -1113,7 +1152,13 @@ def _load(blob: bytes, tolerant: bool,
     if version == 1:
         frames = _frames_v1(blob, data_start)
     else:
-        frames, damage = scan_frames(blob, data_start)
+        frames, damage, end = scan_frames(blob, data_start)
+        if end < len(blob):
+            reason = f"{len(blob) - end} bytes after the END frame"
+            if blob.startswith(_MAGIC, end):
+                reason += ("; another recording follows: load a "
+                           "degraded recording with load_segmented")
+            damage.append(SectionDamage(offset=end, reason=reason))
         if damage and not tolerant:
             first = damage[0]
             if first.reason == "CRC32 mismatch":
@@ -1152,10 +1197,28 @@ def load_recording(blob: bytes, *, legacy: bool = True) -> Recording:
 
     ``legacy=False`` refuses v1/v2 containers, whose trailers are
     pickles: pass it for bytes that arrived from another process or
-    host.
+    host.  Bytes after the END frame are refused too (a degraded
+    recording's segments load with :func:`load_recordings`).
     """
     recording, _ = _typed_load(blob, tolerant=False, legacy=legacy)
     return recording
+
+
+def load_recordings(blob: bytes) -> list[Recording]:
+    """Every recording in ``blob``: one or more containers written back
+    to back, each loaded by :func:`load_recording` (so, like it, this
+    reads local files).  A degraded recording's segments are stored
+    this way (:func:`repro.guard.degrade.save_segmented`), and a plain
+    recording is a list of one."""
+    recordings = []
+    while True:
+        version, _header, data_start = _read_preamble(blob)
+        end = (scan_frames(blob, data_start)[2] if version > 1
+               else len(blob))
+        recordings.append(load_recording(blob[:end]))
+        blob = blob[end:]
+        if not blob:
+            return recordings
 
 
 def load_recording_tolerant(blob: bytes) -> tuple[Recording,

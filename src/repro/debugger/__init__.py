@@ -19,10 +19,7 @@ from repro.debugger.controller import (
     ReplayController,
     StopInfo,
 )
-from repro.debugger.loading import (
-    load_debug_target,
-    load_recording_artifact,
-)
+from repro.debugger.loading import load_debug_target
 from repro.debugger.repl import DebuggerShell
 
 __all__ = [
@@ -34,5 +31,4 @@ __all__ = [
     "ReplayController",
     "StopInfo",
     "load_debug_target",
-    "load_recording_artifact",
 ]

@@ -24,7 +24,7 @@ costs the same bounded re-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.recorder import Recording
 from repro.debugger.breakpoints import BreakpointTable
@@ -191,14 +191,9 @@ class ReplayController:
         checkpoint_every: int = 64,
         verify: bool = True,
         tracer: Tracer | None = None,
-        start_checkpoint=None,
         stop_after: int = 0,
     ) -> None:
         self.recording = recording
-        #: Segment support: a commit-index-0 interval checkpoint that
-        #: anchors the machine's initial state (a stitched recording's
-        #: later segments start mid-program; see repro.guard.degrade).
-        self._start_checkpoint = start_checkpoint
         #: A cut segment's commit count: the program goes on past it,
         #: so every machine halts there.  0 replays to the program end.
         self._stop_after = stop_after
@@ -236,14 +231,13 @@ class ReplayController:
         return self._machine
 
     def _rebuild(self, checkpoint) -> None:
-        """Fresh replay machine from ``checkpoint`` (None = GCC 0).
+        """Fresh replay machine from ``checkpoint`` (None = GCC 0, from
+        the recording's start checkpoint if it is a degraded segment).
 
         ``use_strata=False`` always: a checkpoint may fall inside a
         stratum, and the debugger needs the totally-ordered PI log for
         exact GCC positioning.
         """
-        if checkpoint is None:
-            checkpoint = self._start_checkpoint
         self._base = checkpoint.commit_index if checkpoint else 0
         self._machine = build_replay_machine(
             self.recording,

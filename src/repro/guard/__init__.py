@@ -19,14 +19,15 @@ with a classified diagnosis and a salvageable on-disk prefix*:
   salvage-replayable prefix.
 * :mod:`repro.guard.degrade` -- graceful degradation: checkpoint and
   restart the remaining segment in a safer mode (PicoLog -> OrderOnly
-  -> Order&Size), stitching the segments into one replayable artifact.
+  -> Order&Size); each segment is a recording that carries its start
+  checkpoint, and the segments' containers, back to back, make one
+  replayable artifact.
 * :mod:`repro.guard.supervisor` -- runs a session under all of the
   above and reports a structured :class:`SupervisionReport`.
 """
 
 from repro.guard.degrade import (
     SegmentedRecording,
-    RecordedSegment,
     load_segmented,
     replay_stitched,
     safer_mode,
@@ -46,7 +47,6 @@ __all__ = [
     "BudgetMeter",
     "Budgets",
     "JournalInfo",
-    "RecordedSegment",
     "RecordingJournal",
     "SegmentedRecording",
     "SupervisionReport",

@@ -14,10 +14,12 @@ quiescent chunk boundary, snapshots the committed prefix as a
 :class:`~repro.core.recorder.Recording` (the segment), captures the
 boundary's architectural state (:func:`capture_boundary`), and
 re-records the *remaining* execution as a fresh derived program in the
-safer mode.  The segments are stitched into a
-:class:`SegmentedRecording`; :func:`replay_stitched` replays them
-end-to-end -- each from its boundary checkpoint, verifying determinism
-per segment and architectural continuity across the seams.
+safer mode, whose recording carries the boundary as its start
+checkpoint.  The segments' recordings make a
+:class:`SegmentedRecording`, stored as their DLRN containers back to
+back; :func:`replay_stitched` replays them end-to-end, verifying
+determinism per segment and architectural continuity across the
+seams.
 
 Per-segment numbering is *fresh*: the derived program starts new chunk
 sequence numbers, commit slots and log cursors, so each segment is a
@@ -28,24 +30,30 @@ indexed by architectural counters, and we reset the counters).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field, replace
 
 from repro.core.interval import IntervalCheckpoint
-from repro.core.modes import ExecutionMode, ModeConfig, preferred_config
+from repro.core.modes import ExecutionMode, ModeConfig
 from repro.core.recorder import Recording
-from repro.core.serialization import load_recording, save_recording
+from repro.core.serialization import (
+    load_recording,
+    load_recordings,
+    save_recording,
+)
 from repro.errors import (
     ConfigurationError,
     DeadlockError,
     IntegrityError,
     ReplayDivergenceError,
-    SalvageError,
 )
 from repro.machine.program import Program
 from repro.machine.system import ChunkMachine, replay_execution
 
-_SEGMENT_MAGIC = b"DLRNSEG1"
+#: The magic of the pickled envelope earlier releases wrote.
+_LEGACY_MAGIC = b"DLRNSEG1"
+#: Why a cut segment ended: the log-bytes budget is the only one
+#: :func:`repro.guard.supervisor.supervise_record` cuts on.
+CUT_REASON = "degraded:log-bytes"
 
 #: The escalation ladder, safest-last.  ``None`` means "already at the
 #: most constrained mode; nothing safer exists".
@@ -75,7 +83,6 @@ class SegmentBoundary:
     the new segment's t=0.
     """
 
-    cycle: float
     gcc: int
     start_checkpoint: IntervalCheckpoint
     pending_handlers: dict[int, list]
@@ -128,7 +135,6 @@ def capture_boundary(machine) -> SegmentBoundary:
     dma = [replace(t, time=max(0.0, t.time - now))
            for t in arrivals[committed_dma:]]
     return SegmentBoundary(
-        cycle=now,
         gcc=gcc,
         start_checkpoint=start_checkpoint,
         pending_handlers=pending_handlers,
@@ -157,71 +163,59 @@ def derive_segment_program(program: Program,
 
 def build_segment_record_machine(
     program: Program,
-    boundary: SegmentBoundary,
+    boundary: SegmentBoundary | None,
     machine_config,
-    mode: ExecutionMode,
-    mode_config: ModeConfig | None = None,
+    mode_config: ModeConfig,
     stochastic_overflow_rate: float = 0.0,
     checkpoint_every: int = 0,
     tracer=None,
-) -> tuple[ChunkMachine, Program]:
-    """A fresh recording machine resuming from ``boundary`` in
-    ``mode`` (not yet started): the machine restores the boundary's
-    start checkpoint, and the carried handlers queue for injection."""
-    seg_mode_config = mode_config or preferred_config(mode)
-    seg_machine_config = replace(
-        machine_config,
-        standard_chunk_size=seg_mode_config.standard_chunk_size)
-    seg_program = derive_segment_program(program, boundary)
+    schedule=None,
+) -> ChunkMachine:
+    """A fresh recording machine for one segment (not yet started), at
+    ``mode_config``'s chunk size.  The first segment (``boundary``
+    None) runs ``program``; a later one resumes from ``boundary``: the
+    machine restores its start checkpoint, so its recording carries
+    it, and the carried handlers queue for injection."""
+    if boundary is not None:
+        program = derive_segment_program(program, boundary)
     machine = ChunkMachine(
-        seg_program, seg_machine_config, seg_mode_config,
+        program,
+        replace(machine_config,
+                standard_chunk_size=mode_config.standard_chunk_size),
+        mode_config,
         stochastic_overflow_rate=stochastic_overflow_rate,
         checkpoint_every=checkpoint_every,
-        start_checkpoint=boundary.start_checkpoint,
-        tracer=tracer)
-    for proc_id, events in boundary.pending_handlers.items():
-        machine.processors[proc_id].pending_handlers.extend(events)
-    return machine, seg_program
-
-
-@dataclass
-class RecordedSegment:
-    """One stitch of a degraded recording.
-
-    ``start_checkpoint`` is ``None`` for the first segment (it starts
-    from the program's own initial state) and a commit-index-0 interval
-    checkpoint for every later one.  ``reason`` says why this segment
-    ended (``degraded:log-bytes`` for a cut, ``completed`` for the
-    last one).
-    """
-
-    recording: Recording
-    mode: ExecutionMode
-    start_checkpoint: IntervalCheckpoint | None = None
-    reason: str = ""
-
-    @property
-    def commits(self) -> int:
-        """Logical commits recorded in this segment."""
-        return len(self.recording.fingerprints)
+        start_checkpoint=None if boundary is None
+        else boundary.start_checkpoint,
+        tracer=tracer, schedule=schedule)
+    if boundary is not None:
+        for proc_id, events in boundary.pending_handlers.items():
+            machine.processors[proc_id].pending_handlers.extend(events)
+    return machine
 
 
 @dataclass
 class SegmentedRecording:
-    """A multi-segment recording stitched across mode escalations."""
+    """A recording stitched across mode escalations: its segments'
+    recordings, in order.  Every segment after the first carries its
+    boundary as its ``start_checkpoint``."""
 
-    segments: list[RecordedSegment] = field(default_factory=list)
-    program_name: str = ""
+    segments: list[Recording] = field(default_factory=list)
+
+    @property
+    def program_name(self) -> str:
+        """The recorded program's name (segment 0's)."""
+        return self.segments[0].program.name if self.segments else ""
 
     @property
     def total_commits(self) -> int:
         """Logical commits across all segments."""
-        return sum(seg.commits for seg in self.segments)
+        return sum(len(seg.fingerprints) for seg in self.segments)
 
     @property
     def modes(self) -> list[ExecutionMode]:
         """Per-segment recording modes, in order."""
-        return [seg.mode for seg in self.segments]
+        return [seg.mode_config.mode for seg in self.segments]
 
     def replay_bound(self, index: int) -> int | None:
         """The ``stop_after`` that replays segment ``index`` no further
@@ -234,62 +228,34 @@ class SegmentedRecording:
         """
         if index == len(self.segments) - 1:
             return 0
-        return self.segments[index].commits or None
-
-    def summary(self) -> str:
-        """One line for reports and CLI output."""
-        chain = " -> ".join(
-            f"{seg.mode.value}[{seg.commits}]" for seg in self.segments)
-        return (f"segmented recording '{self.program_name}': "
-                f"{len(self.segments)} segments, "
-                f"{self.total_commits} commits ({chain})")
+        return len(self.segments[index].fingerprints) or None
 
 
 def save_segmented(segmented: SegmentedRecording) -> bytes:
-    """Serialize a stitched recording.
-
-    Each segment's Recording goes through the regular DLRN container
-    (CRC-framed, independently loadable); the stitch metadata rides in
-    a pickled envelope behind its own magic.
-    """
-    envelope = {
-        "program_name": segmented.program_name,
-        "segments": [
-            {
-                "blob": save_recording(seg.recording),
-                "mode": seg.mode.value,
-                "start_checkpoint": seg.start_checkpoint,
-                "reason": seg.reason,
-            }
-            for seg in segmented.segments
-        ],
-    }
-    return _SEGMENT_MAGIC + pickle.dumps(envelope, protocol=4)
+    """Serialize a stitched recording: its segments' DLRN containers
+    back to back, so a one-segment recording is exactly its
+    :func:`~repro.core.serialization.save_recording` bytes."""
+    return b"".join(map(save_recording, segmented.segments))
 
 
 def load_segmented(blob: bytes) -> SegmentedRecording:
-    """Invert :func:`save_segmented`.  The envelope is read by
+    """Invert :func:`save_segmented`.  This reads local files, so
+    earlier releases' formats load too: a v1/v2 recording as one
+    segment, and a ``DLRNSEG1`` file (the pickled envelope degraded
+    recordings used to be) through
     :func:`repro.core.legacy.unpickle_envelope`, which refuses every
-    global a segmented recording never holds."""
-    if not blob.startswith(_SEGMENT_MAGIC):
-        raise SalvageError(
-            "not a segmented recording (missing DLRNSEG1 magic)")
-    # Imported on first use: only a segmented file needs it.
+    global such an envelope never holds; each envelope checkpoint
+    becomes its recording's start checkpoint."""
+    if not blob.startswith(_LEGACY_MAGIC):
+        return SegmentedRecording(load_recordings(blob))
+    # Imported on first use: only a legacy file needs it.
     from repro.core.legacy import unpickle_envelope
 
-    envelope = unpickle_envelope(blob[len(_SEGMENT_MAGIC):])
-    segments = [
-        RecordedSegment(
-            recording=load_recording(entry["blob"]),
-            mode=ExecutionMode(entry["mode"]),
-            start_checkpoint=entry["start_checkpoint"],
-            reason=entry["reason"],
-        )
-        for entry in envelope["segments"]
-    ]
-    return SegmentedRecording(
-        segments=segments,
-        program_name=envelope.get("program_name", ""))
+    envelope = unpickle_envelope(blob[len(_LEGACY_MAGIC):])
+    return SegmentedRecording([
+        replace(load_recording(entry["blob"]),
+                start_checkpoint=entry["start_checkpoint"])
+        for entry in envelope["segments"]])
 
 
 @dataclass
@@ -314,23 +280,17 @@ class StitchReport:
                 f"{len(self.continuity_breaks)} continuity breaks")
 
 
-def _nonzero(image: dict[int, int]) -> dict[int, int]:
-    return {addr: value for addr, value in image.items() if value}
-
-
-def replay_segment(recording: Recording,
-                   start_checkpoint: IntervalCheckpoint | None,
-                   stop_after: int, max_events: int | None = None,
+def replay_segment(recording: Recording, stop_after: int,
+                   max_events: int | None = None,
                    tracer=None) -> tuple[bool, str]:
-    """Replay-verify one segment from its start checkpoint (``None``
-    for the first segment), PI-ordered.  ``stop_after`` is 0 for a
-    complete segment and the commit count for a cut one.  Returns the
-    verdict and its text; a replay that raises fails with the error's
-    text instead of propagating it."""
+    """Replay-verify one segment from its start checkpoint (the
+    program's initial state for the first segment), PI-ordered.
+    ``stop_after`` is 0 for a complete segment and the commit count
+    for a cut one.  Returns the verdict and its text; a replay that
+    raises fails with the error's text instead of propagating it."""
     try:
         result = replay_execution(
-            recording, use_strata=False,
-            start_checkpoint=start_checkpoint, stop_after=stop_after,
+            recording, use_strata=False, stop_after=stop_after,
             max_events=max_events, tracer=tracer)
     except (ReplayDivergenceError, DeadlockError,
             IntegrityError) as error:
@@ -343,7 +303,7 @@ def replay_stitched(segmented: SegmentedRecording,
                     tracer=None) -> StitchReport:
     """Replay every segment in order and verify the whole chain.
 
-    Each segment replays from its boundary checkpoint.  Intermediate
+    Each segment replays from its start checkpoint.  Intermediate
     segments are partial recordings (the machine was cut mid-program),
     so they replay only to :meth:`SegmentedRecording.replay_bound`, and
     the determinism check compares the recorded prefix; the final segment
@@ -356,38 +316,37 @@ def replay_stitched(segmented: SegmentedRecording,
         raise ConfigurationError("a segmented recording needs segments")
     report = StitchReport()
     for index, seg in enumerate(segmented.segments):
-        if index:
-            checkpoint = seg.start_checkpoint
-            if checkpoint is None:
-                report.continuity_breaks.append(
-                    f"segment {index} has no start checkpoint")
-            else:
-                previous = segmented.segments[index - 1].recording
-                if (_nonzero(checkpoint.memory_image)
-                        != dict(previous.final_memory)):
-                    report.continuity_breaks.append(
-                        f"segment {index} does not start from segment "
-                        f"{index - 1}'s committed memory")
+        checkpoint = seg.start_checkpoint
+        if index and checkpoint is None:
+            report.continuity_breaks.append(
+                f"segment {index} has no start checkpoint")
+        elif index and segmented.segments[index - 1].final_memory != {
+                address: value for address, value
+                in checkpoint.memory_image.items() if value}:
+            report.continuity_breaks.append(
+                f"segment {index} does not start from segment "
+                f"{index - 1}'s committed memory")
         stop_after = segmented.replay_bound(index)
         if stop_after is None:  # a cut segment that committed nothing
             matches, detail = True, "empty segment (skipped)"
         else:
             matches, detail = replay_segment(
-                seg.recording, seg.start_checkpoint, stop_after,
-                max_events=max_events, tracer=tracer)
+                seg, stop_after, max_events=max_events, tracer=tracer)
+        commits = len(seg.fingerprints)
         report.segments.append({
-            "mode": seg.mode.value,
-            "commits": seg.commits,
-            "reason": seg.reason,
+            "mode": seg.mode_config.mode.value,
+            "commits": commits,
+            "reason": ("completed" if index == len(segmented.segments) - 1
+                       else CUT_REASON),
             "matches": matches,
             "determinism": detail,
         })
-        report.total_commits += seg.commits
+        report.total_commits += commits
     return report
 
 
 __all__ = [
-    "RecordedSegment",
+    "CUT_REASON",
     "SegmentBoundary",
     "SegmentedRecording",
     "StitchReport",

@@ -7,13 +7,14 @@ chunk boundaries the supervisor appends the *current section set* --
 the same CRC-framed frames the container format uses (see
 :mod:`repro.core.serialization`) -- followed by a tiny ``flush``
 marker frame, then flushes and fsyncs.  The program never changes, so
-only epoch 0 carries its section; every later epoch carries the rest.
+only epoch 0 carries its section, and a degraded segment's start
+checkpoint section with it; every later epoch carries the rest.
 The file is therefore a valid container, of the version
 :func:`~repro.core.serialization.save_recording` writes, at every
 flush point:
 
-    preamble | epoch 0 sections + PROGRAM | FLUSH | epoch 1 sections
-    | FLUSH | ... | END
+    preamble | epoch 0 sections + PROGRAM (+ START) | FLUSH
+    | epoch 1 sections | FLUSH | ... | END
 
 A SIGKILL mid-epoch tears only the tail; :func:`load_journal` scans
 the frames, discards everything past the last intact flush marker,
@@ -93,10 +94,10 @@ class RecordingJournal:
         return True
 
     def flush(self) -> None:
-        """Append one epoch: the current section set (the program in
-        epoch 0 only) plus a flush marker, then flush+fsync.  The file
-        is a loadable container of the committed prefix the moment
-        this returns."""
+        """Append one epoch: the current section set (the program and
+        any start checkpoint in epoch 0 only) plus a flush marker, then
+        flush+fsync.  The file is a loadable container of the
+        committed prefix the moment this returns."""
         if self.closed:
             raise ConfigurationError("journal is closed")
         snapshot = partial_recording(self.machine)
@@ -138,18 +139,6 @@ class JournalInfo:
     complete: bool  # the journal was closed with an END frame
     damage: list[SectionDamage] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        """JSON-friendly form for reports."""
-        return {
-            "flushes": self.flushes,
-            "flushed_commits": self.flushed_commits,
-            "flushed_cycle": self.flushed_cycle,
-            "total_bytes": self.total_bytes,
-            "tail_bytes_discarded": self.tail_bytes_discarded,
-            "complete": self.complete,
-            "damage": [d.describe() for d in self.damage],
-        }
-
 
 def load_journal(blob: bytes) -> tuple[Recording, JournalInfo]:
     """Recover the last fully-flushed prefix from a journal blob.
@@ -176,7 +165,7 @@ def _load_journal(blob: bytes) -> tuple[Recording, JournalInfo]:
     if version == 1:
         raise SalvageError("recording journals are framed (v2 or later) "
                            "containers, not v1")
-    frames, scan_damage = scan_frames(blob, data_start)
+    frames, scan_damage, _end = scan_frames(blob, data_start)
     complete = not any(
         d.reason == "missing end-of-container frame"
         for d in scan_damage)

@@ -26,7 +26,7 @@ state, and the resulting recording artifact.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.modes import ExecutionMode, ModeConfig, preferred_config
 from repro.core.recorder import Recording
@@ -39,7 +39,7 @@ from repro.errors import (
     StallError,
 )
 from repro.guard.degrade import (
-    RecordedSegment,
+    CUT_REASON,
     SegmentedRecording,
     build_segment_record_machine,
     capture_boundary,
@@ -51,7 +51,6 @@ from repro.guard.journal import RecordingJournal
 from repro.guard.limits import BudgetMeter, Budgets
 from repro.guard.watchdog import Watchdog, WatchdogConfig
 from repro.machine.system import (
-    ChunkMachine,
     MachineObserver,
     build_replay_machine,
     finish_recording,
@@ -85,7 +84,9 @@ class SupervisionReport:
     global_commits: int = 0
     journal: dict | None = None
     verification: dict | None = None
+    #: A completed session's recording, when it has one segment.
     recording: Recording | None = None
+    #: Every completed session's segments (one when none was cut).
     segmented: SegmentedRecording | None = None
 
     @property
@@ -285,7 +286,7 @@ def supervise_record(
     current_config = mode_config or preferred_config(mode)
     budgets = budgets or Budgets()
 
-    segments: list[RecordedSegment] = []
+    segments: list[Recording] = []
     boundary = None
     verify_failures = 0
     modes_seen: list[str] = []
@@ -294,13 +295,17 @@ def supervise_record(
 
     def make_report(outcome: str, **kw) -> SupervisionReport:
         kw.setdefault("global_commits", machine.commit_count)
+        # Every segment was cut but the last of a completed session.
+        done = outcome in ("completed", "degraded-completed")
         return SupervisionReport(
             outcome=outcome, phase="record",
             mode=current_config.mode.value,
             modes=modes_seen or [current_config.mode.value],
             segments=[{
-                "mode": seg.mode.value, "commits": seg.commits,
-                "reason": seg.reason} for seg in segments],
+                "mode": seg.mode_config.mode.value,
+                "commits": len(seg.fingerprints),
+                "reason": ("completed" if done and seg is segments[-1]
+                           else CUT_REASON)} for seg in segments],
             wall_seconds=round(total_wall, 3),
             events=total_events,
             budgets=meter.consumption(machine),
@@ -310,25 +315,12 @@ def supervise_record(
     while True:
         if current_config.mode.value not in modes_seen:
             modes_seen.append(current_config.mode.value)
-        if boundary is None:
-            seg_machine_config = replace(
-                machine_config,
-                standard_chunk_size=current_config.standard_chunk_size)
-            machine = ChunkMachine(
-                program, seg_machine_config, current_config,
-                stochastic_overflow_rate=stochastic_overflow_rate,
-                checkpoint_every=checkpoint_every,
-                tracer=tracer,
-                schedule=schedule)
-            seg_checkpoint = None
-        else:
-            machine, _ = build_segment_record_machine(
-                program, boundary, machine_config,
-                current_config.mode, mode_config=current_config,
-                stochastic_overflow_rate=stochastic_overflow_rate,
-                checkpoint_every=checkpoint_every,
-                tracer=tracer)
-            seg_checkpoint = boundary.start_checkpoint
+        # A degraded continuation segment records naturally.
+        machine = build_segment_record_machine(
+            program, boundary, machine_config, current_config,
+            stochastic_overflow_rate=stochastic_overflow_rate,
+            checkpoint_every=checkpoint_every, tracer=tracer,
+            schedule=schedule if boundary is None else None)
 
         watchdog = Watchdog(machine, watchdog_config)
         meter = BudgetMeter(budgets)
@@ -355,11 +347,7 @@ def supervise_record(
                     and next_mode is not None):
                 # Cut here: the budget raised at a quiescent boundary,
                 # so the committed prefix is a clean segment.
-                segments.append(RecordedSegment(
-                    recording=partial_recording(machine),
-                    mode=current_config.mode,
-                    start_checkpoint=seg_checkpoint,
-                    reason=f"degraded:{error.budget}"))
+                segments.append(partial_recording(machine))
                 boundary = capture_boundary(machine)
                 _close_journal(journal, machine)
                 m_segments.inc()
@@ -377,8 +365,7 @@ def supervise_record(
         journal_info = _close_journal(journal, machine)
 
         if verify_segments:
-            matches, detail = replay_segment(
-                recording, seg_checkpoint, stop_after=0)
+            matches, detail = replay_segment(recording, stop_after=0)
             if not matches:
                 verify_failures += 1
                 next_mode = safer_mode(current_config.mode)
@@ -395,28 +382,19 @@ def supervise_record(
                     error=detail,
                     journal=journal_info)
 
-        segments.append(RecordedSegment(
-            recording=recording,
-            mode=current_config.mode,
-            start_checkpoint=seg_checkpoint,
-            reason="completed"))
+        segments.append(recording)
         m_segments.inc()
-
-        if len(segments) == 1:
-            report = make_report("completed", journal=journal_info)
-            report.recording = recording
-            if verify_segments:
-                report.verification = {"matches": True}
-            return report
-
-        segmented = SegmentedRecording(
-            segments=segments, program_name=program.name)
+        segmented = SegmentedRecording(segments)
         report = make_report(
-            "degraded-completed",
+            "completed" if len(segments) == 1 else "degraded-completed",
             global_commits=segmented.total_commits,
             journal=journal_info)
         report.segmented = segmented
-        if verify_segments:
+        if len(segments) == 1:
+            report.recording = recording
+            if verify_segments:
+                report.verification = {"matches": True}
+        elif verify_segments:
             stitched = replay_stitched(segmented)
             report.verification = {
                 "matches": stitched.matches,

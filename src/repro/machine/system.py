@@ -1223,7 +1223,8 @@ class ChunkMachine:
 
 def _assemble_recording(machine: ChunkMachine, result: RunResult,
                         strata: list, stratified: bool) -> Recording:
-    """A record-mode machine's logs plus a run capture as a Recording."""
+    """A record-mode machine's logs plus a run capture as a Recording,
+    which starts from the machine's start checkpoint, if any."""
     recorder = machine.recorder
     return Recording(
         mode_config=machine.mode_config,
@@ -1242,6 +1243,7 @@ def _assemble_recording(machine: ChunkMachine, result: RunResult,
         stats=result.stats,
         memory_ordering=recorder.memory_ordering_log(),
         interval_checkpoints=machine.interval_checkpoints,
+        start_checkpoint=machine.start_checkpoint,
     )
 
 
@@ -1325,10 +1327,14 @@ def build_replay_machine(
 ) -> ChunkMachine:
     """A replay-configured :class:`ChunkMachine`, not yet run.
 
+    It starts from ``start_checkpoint`` (interval replay) or, when
+    none is passed, from the recording's own start checkpoint (a
+    degraded segment's), else from the program's initial state.
     Shared by :func:`replay_execution` and the forensics layer
     (:func:`repro.telemetry.forensics.diagnose_replay`), which needs
     direct access to the machine's replay source and partial state.
     """
+    start_checkpoint = start_checkpoint or recording.start_checkpoint
     if use_strata is None:
         use_strata = recording.stratified and start_checkpoint is None
     source = ReplaySource(recording, start_checkpoint)
@@ -1385,7 +1391,8 @@ def replay_execution(
 ) -> ReplayResult:
     """Deterministically replay a Recording (optionally an interval
     I(n, m) from a commit-boundary checkpoint, optionally halting after
-    ``stop_after`` commits) and verify it."""
+    ``stop_after`` commits) and verify it.  A degraded segment replays
+    from its own start checkpoint unless another is passed."""
     machine = build_replay_machine(
         recording,
         perturbation=perturbation,

@@ -139,6 +139,7 @@ class ServeServer:
             self.events.seed(record["lsn"],
                              Job.from_dict(record["job"]))
         self.service.queue.subscribe(self.events.append)
+        self.service.queue.subscribe_compaction(self.events.compacted)
         self.service.queue.subscribe(self._wake_on_enqueue)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
@@ -187,19 +188,15 @@ class ServeServer:
             self._loop.call_soon_threadsafe(self._wake.set)
 
     async def _sweeper(self) -> None:
-        """Once a second: expire abandoned leases, wake the worker
-        tasks while the fleet is degraded (how its queue gets served)
-        and refresh the SSE compaction horizon."""
+        """Once a second: expire abandoned leases and wake the worker
+        tasks while the fleet is degraded (how its queue gets
+        served)."""
         while not self._stopping.is_set():
             await asyncio.sleep(SWEEP_INTERVAL)
             await asyncio.to_thread(self.service.sweep_leases)
             if self.service.fleet is not None \
                     and self.service.fleet_degraded():
                 self._wake.set()
-            if self.events is not None:
-                self.events.compacted_through = max(
-                    self.events.compacted_through,
-                    self.service.queue.compacted_through)
 
     # -- request plumbing -----------------------------------------------
 

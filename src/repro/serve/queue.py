@@ -246,6 +246,7 @@ class JobQueue:
         #: Claim order: (priority, enqueue LSN, job id) min-heap.
         self._ready: list[tuple[int, int, str]] = []
         self._observers: list = []
+        self._compaction_observers: list = []
         self._lsn = 0
         self._next_seq = 0
         self._next_segment = 1
@@ -451,8 +452,8 @@ class JobQueue:
             del self._job_lsn[job.id]
             self._count(self._job_state.pop(job.id), job.tenant, -1)
             self._leased.discard(job.id)
-        snapshots = sorted(self._jobs.values(),
-                           key=lambda j: self._job_lsn[j.id])
+        records = sorted((self._job_lsn[job.id], job.as_dict())
+                         for job in self._jobs.values())
         seq = self._next_segment
         self._next_segment += 1
         sealed = self.data_dir / _segment_name(seq)
@@ -460,15 +461,14 @@ class JobQueue:
         marker = json.dumps(
             {"lsn": self._lsn,
              "meta": {"compacted_through": self._lsn,
-                      "jobs": len(snapshots),
+                      "jobs": len(records),
                       "dropped_terminal": len(drop)}},
             sort_keys=True, separators=(",", ":"))
         with open(tmp, "w", encoding="utf-8", newline="\n") as out:
             out.write(_frame(marker))
-            for job in snapshots:
+            for lsn, snapshot in records:
                 out.write(_frame(json.dumps(
-                    {"lsn": self._job_lsn[job.id],
-                     "job": job.as_dict()},
+                    {"lsn": lsn, "job": snapshot},
                     sort_keys=True, separators=(",", ":"))))
             out.flush()
             os.fsync(out.fileno())
@@ -486,6 +486,8 @@ class JobQueue:
         self._active_bytes = 0
         self.compacted_through = self._lsn
         self.compactions += 1
+        for observer in list(self._compaction_observers):
+            observer(self._lsn, records)
         after = sealed.stat().st_size
         return max(0, before - after)
 
@@ -496,6 +498,12 @@ class JobQueue:
     def subscribe(self, observer) -> None:
         """``observer(lsn, job)`` fires after each durable transition."""
         self._observers.append(observer)
+
+    def subscribe_compaction(self, observer) -> None:
+        """``observer(horizon, records)`` fires after each compaction
+        (lock held), with the ``(lsn, job snapshot)`` records, in LSN
+        order, that now stand for the history up to ``horizon``."""
+        self._compaction_observers.append(observer)
 
     # -- operations -----------------------------------------------------
 

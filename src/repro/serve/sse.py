@@ -27,7 +27,9 @@ never received are simply gone.  :meth:`EventLog.replay` therefore
 treats such a cursor as "too old to resume" and falls back to the full
 retained snapshot (``after = 0``): the client re-receives everything
 still known, which is exactly the newest state of every job, instead
-of missing transitions it cannot know it missed.
+of missing transitions it cannot know it missed.  A live compaction
+does the same to the in-memory log, so it holds what a restarted
+server would read back from the journal, and no more.
 """
 
 from __future__ import annotations
@@ -87,10 +89,27 @@ class EventLog:
         """Queue observer: record a transition and wake streamers."""
         self._loop.call_soon_threadsafe(self._publish, lsn, job.as_dict())
 
-    def _publish(self, lsn: int, snapshot: dict) -> None:
-        if not self._file(lsn, snapshot):
-            return  # already seeded from the journal
+    def compacted(self, horizon: int, records: list) -> None:
+        """Queue compaction observer: the ``(lsn, job snapshot)``
+        records replace every event at or below ``horizon``, and
+        ``horizon`` becomes :attr:`compacted_through`."""
+        self._loop.call_soon_threadsafe(self._compact, horizon, records)
 
+    def _compact(self, horizon: int, records: list) -> None:
+        # Nothing above the horizon is logged yet: a later transition
+        # publishes after the compaction that preceded it.
+        self._events, self._by_job = [], {}
+        for lsn, snapshot in records:
+            self._file(lsn, snapshot)
+        self.compacted_through = horizon
+        self._wake()
+
+    def _publish(self, lsn: int, snapshot: dict) -> None:
+        # Not what the journal seeded or a compaction dissolved.
+        if lsn > self.compacted_through and self._file(lsn, snapshot):
+            self._wake()
+
+    def _wake(self) -> None:
         async def wake() -> None:
             async with self._cond:
                 self._cond.notify_all()

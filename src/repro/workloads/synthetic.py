@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 from repro.errors import ConfigurationError
@@ -41,6 +41,18 @@ from repro.workloads.program_builder import (
     SYNC_STRIDE,
     shared_address,
 )
+
+
+#: The least value of each integer field that :func:`build_program`
+#: can generate from (it draws from or divides by those held at 1).  A
+#: negative ``line_words`` fails its address check; 0 fails here.
+_INT_MINIMUMS = dict(
+    num_threads=1, work_items=1, private_lines=1, publish_lines=1,
+    interrupt_handler_ops=1, compute_per_item=0,
+    private_accesses_per_item=0, shared_accesses_per_item=0,
+    shared_lines=0, hot_lines=0, publish_every=0, consume_lag=0,
+    lock_count=0, critical_accesses=0, barrier_every=0, dma_bursts=0,
+    dma_words_per_burst=0)
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,13 @@ class SyntheticSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_threads < 1:
-            raise ConfigurationError("need at least one thread")
-        if self.work_items < 1:
-            raise ConfigurationError("need at least one work item")
+        for name, least in _INT_MINIMUMS.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigurationError(
+                    f"{name} must be at least {least}, got {value}")
+        if self.line_words == 0:
+            raise ConfigurationError("line_words must not be 0")
         for name in ("sharing_fraction", "write_fraction",
                      "lock_probability", "hot_lock_fraction", "io_rate",
                      "special_rate", "trap_rate", "hot_fraction",
@@ -130,15 +145,15 @@ class SyntheticSpec:
             raise ConfigurationError(
                 f"scale must be finite and above 0, got {scale!r}")
         items = max(1, int(self.work_items * scale))
-        return dataclass_replace(self, work_items=items)
+        return replace(self, work_items=items)
 
     def with_threads(self, num_threads: int) -> "SyntheticSpec":
         """The same workload on a different processor count."""
-        return dataclass_replace(self, num_threads=num_threads)
+        return replace(self, num_threads=num_threads)
 
     def with_seed(self, seed: int) -> "SyntheticSpec":
         """The same workload with a different random seed."""
-        return dataclass_replace(self, seed=seed)
+        return replace(self, seed=seed)
 
     def estimated_instructions_per_thread(self) -> int:
         """Rough dynamic instruction count (spin-free lower bound)."""
@@ -149,12 +164,6 @@ class SyntheticSpec:
                         8 + 2 * self.critical_accesses)
                     + self.trap_rate * 16)
         return int(self.work_items * per_item)
-
-
-def dataclass_replace(spec: SyntheticSpec, **changes) -> SyntheticSpec:
-    """`dataclasses.replace` without the import noise at call sites."""
-    from dataclasses import replace
-    return replace(spec, **changes)
 
 
 def _other_thread(spec: SyntheticSpec, thread: int,

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.debugger import (
     CheckpointIndex,
     DebuggerShell,
     ReplayController,
-    load_recording_artifact,
+    load_debug_target,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.telemetry.tracer import EventTracer
@@ -441,7 +442,7 @@ class TestLoading:
         recording = self.serializable_recording()
         path = tmp_path / "app.dlrn"
         path.write_bytes(save_recording(recording))
-        loaded = load_recording_artifact(str(path))
+        loaded, _ = load_debug_target(str(path))
         assert loaded.fingerprints == recording.fingerprints
 
     def test_runner_record_artifact(self, tmp_path):
@@ -455,21 +456,30 @@ class TestLoading:
         }
         path = tmp_path / "artifact.json"
         path.write_text(json.dumps(artifact))
-        loaded = load_recording_artifact(str(path))
+        loaded, _ = load_debug_target(str(path))
         assert loaded.fingerprints == recording.fingerprints
+
+    def test_legacy_dlrn_file(self):
+        """A local v2 file opens as a list of one recording, as it did
+        before a file could hold several."""
+        path = Path(__file__).parent / "data" / "counter-v2.dlrn"
+        loaded, stop_after = load_debug_target(str(path))
+        assert stop_after == 0
+        stop = ReplayController(loaded).cont()
+        assert stop.gcc == len(loaded.fingerprints) > 0
 
     def test_non_record_artifact_rejected(self, tmp_path):
         path = tmp_path / "artifact.json"
         path.write_text(json.dumps({"payload_codec": "pickle",
                                     "payload": ""}))
         with pytest.raises(ReproError):
-            load_recording_artifact(str(path))
+            load_debug_target(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty"
         path.write_bytes(b"")
         with pytest.raises(ReproError):
-            load_recording_artifact(str(path))
+            load_debug_target(str(path))
 
 
 class TestAllModes:

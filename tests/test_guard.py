@@ -35,8 +35,14 @@ from repro.core.serialization import (
     _SECTION_FLUSH,
     _frame_bytes,
     container_frames,
+    save_recording,
 )
-from repro.errors import DeadlockError, SalvageError, StallError
+from repro.errors import (
+    DeadlockError,
+    LogFormatError,
+    SalvageError,
+    StallError,
+)
 from repro.faults.salvage import salvage_replay
 from repro.guard import (
     Budgets,
@@ -61,6 +67,7 @@ from repro.runner import Runner, RunSpec
 from repro.runner import jobs as jobs_module
 from repro.runner.pool import overdue_futures, sweep_deadline
 from repro.runner.retry import RetryPolicy
+from repro.telemetry import diagnose_replay
 from repro.telemetry.tracer import EventTracer
 from repro.workloads import app_program, splash2_program
 from repro.workloads.stress import (
@@ -68,6 +75,11 @@ from repro.workloads.stress import (
     squash_livelock_program,
     starvation_program,
 )
+
+DATA = Path(__file__).parent / "data"
+#: racey's degraded recording as earlier releases stored it: the
+#: pickled DLRNSEG1 envelope (see tests/data/README.md).
+LEGACY_SEGMENTED = DATA / "racey-degraded-dlrnseg1.dlrnseg"
 
 #: Detection thresholds scaled down so stalls classify in well under a
 #: second instead of after the production-sized event horizons.
@@ -352,7 +364,7 @@ class TestDegradation:
         assert replay_stitched(loaded).matches
 
     def test_load_segmented_rejects_garbage(self):
-        with pytest.raises(SalvageError):
+        with pytest.raises(LogFormatError, match="bad magic"):
             load_segmented(b"not a segmented recording at all")
 
     def test_envelope_calling_a_foreign_global_never_runs(self):
@@ -383,9 +395,9 @@ class TestDegradation:
         with pytest.raises(SalvageError):
             load_segmented(b"DLRNSEG1" + payload)
 
-    def test_envelope_holds_a_boundary_inside_a_handler(self):
+    def test_start_section_holds_a_boundary_inside_a_handler(self):
         """A thread cut inside an interrupt handler carries the
-        handler's ops, so ``Op`` and ``OpKind`` are envelope globals."""
+        handler's ops in its start checkpoint's thread state."""
         segmented = degraded_report().segmented
         segment = segmented.segments[1]
         states = dict(segment.start_checkpoint.thread_states)
@@ -402,7 +414,7 @@ class TestDegradation:
                                                         monkeypatch):
         attempts = []
 
-        def forced_verify(recording, start_checkpoint, stop_after):
+        def forced_verify(recording, stop_after):
             attempts.append(recording.mode_config.mode)
             if recording.mode_config.mode is ExecutionMode.PICOLOG:
                 return False, "forced divergence"
@@ -443,7 +455,7 @@ class TestDegradation:
         assert len(report.segments) == 3
         loaded = load_segmented(save_segmented(report.segmented))
         segment = loaded.segments[1]
-        segment.recording.io_logs[4].values.clear()
+        segment.io_logs[4].values.clear()
         stitched = replay_stitched(loaded)
         error = ("ReplayDivergenceError: processor 4 performed an I/O "
                  "load with an empty I/O log (port 0)")
@@ -451,8 +463,7 @@ class TestDegradation:
         assert [seg["matches"] for seg in stitched.segments] == [
             True, False, True]
         assert stitched.segments[1]["determinism"] == error
-        assert replay_segment(segment.recording,
-                              segment.start_checkpoint,
+        assert replay_segment(segment,
                               loaded.replay_bound(1)) == (False, error)
 
     def test_carried_interrupt_handlers_run_in_the_next_segment(self):
@@ -467,7 +478,7 @@ class TestDegradation:
         assert len(report.segments) == 3
         segments = report.segmented.segments
         handlers = sum(len(log.entries) for seg in segments
-                       for log in seg.recording.interrupt_logs.values())
+                       for log in seg.interrupt_logs.values())
         assert handlers == len(program.interrupts)
         assert replay_stitched(report.segmented).matches
 
@@ -477,12 +488,9 @@ class TestDegradation:
         report = degraded_report()
         path = tmp_path / "run.dlrnseg"
         path.write_bytes(save_segmented(report.segmented))
-        recording, checkpoint, stop_after = load_debug_target(
-            str(path), segment=1)
-        assert checkpoint is not None
-        assert checkpoint.commit_index == 0
-        controller = ReplayController(
-            recording, start_checkpoint=checkpoint, stop_after=stop_after)
+        recording, stop_after = load_debug_target(str(path), segment=1)
+        assert recording.start_checkpoint.commit_index == 0
+        controller = ReplayController(recording, stop_after=stop_after)
         stop = controller.cont()
         assert stop.reason == "end"
         assert controller.gcc == len(recording.fingerprints)
@@ -504,12 +512,11 @@ class TestDegradation:
         path = tmp_path / "run.dlrnseg"
         path.write_bytes(save_segmented(report.segmented))
         for index in (0, 1):
-            recording, checkpoint, stop_after = load_debug_target(
+            recording, stop_after = load_debug_target(
                 str(path), segment=index)
             assert stop_after == len(recording.fingerprints) > 0
             controller = ReplayController(
-                recording, checkpoint_every=4,
-                start_checkpoint=checkpoint, stop_after=stop_after)
+                recording, checkpoint_every=4, stop_after=stop_after)
             stop = controller.cont()
             assert (stop.reason, stop.message) == (
                 "end", "replay complete")
@@ -533,26 +540,55 @@ class TestDegradation:
 
     def test_an_empty_cut_segment_has_nothing_to_replay(
             self, tmp_path, monkeypatch):
-        from repro.debugger import load_debug_target
+        from repro.debugger import load_debug_target, loading
         from repro.errors import ReproError
         from repro.guard import degrade
 
         # A cut before its first commit, a cut after two, and the last.
         segmented = degrade.SegmentedRecording(segments=[
-            degrade.RecordedSegment(
-                recording=SimpleNamespace(fingerprints=fingerprints),
-                mode=ExecutionMode.PICOLOG)
+            SimpleNamespace(fingerprints=fingerprints)
             for fingerprints in ([], ["a", "b"], [])])
         assert [segmented.replay_bound(index)
                 for index in range(3)] == [None, 2, 0]
         path = tmp_path / "run.dlrnseg"
-        path.write_bytes(b"DLRNSEG1")
-        monkeypatch.setattr(degrade, "load_segmented",
+        path.write_bytes(b"DLRN")
+        monkeypatch.setattr(loading, "load_segmented",
                             lambda blob: segmented)
         with pytest.raises(ReproError, match="nothing to replay"):
             load_debug_target(str(path), segment=0)
-        assert load_debug_target(str(path), segment=1)[2] == 2
-        assert load_debug_target(str(path), segment=2)[2] == 0
+        assert load_debug_target(str(path), segment=1)[1] == 2
+        assert load_debug_target(str(path), segment=2)[1] == 0
+
+
+class TestLegacySegmentedFixture:
+    def test_it_loads_and_replays(self):
+        blob = LEGACY_SEGMENTED.read_bytes()
+        assert blob.startswith(b"DLRNSEG1")
+        segmented = load_segmented(blob)
+        assert len(segmented.segments) == 2
+        assert segmented.total_commits == 127
+        assert segmented.program_name == "racey"
+        first, second = segmented.segments
+        assert first.start_checkpoint is None
+        assert second.start_checkpoint.commit_index == 0
+        assert replay_stitched(segmented).matches
+
+    def test_the_debugger_opens_its_second_segment(self):
+        from repro.debugger import ReplayController, load_debug_target
+
+        recording, stop_after = load_debug_target(
+            str(LEGACY_SEGMENTED), segment=1)
+        assert stop_after == 0
+        stop = ReplayController(recording).cont()
+        assert (stop.reason, stop.message) == ("end", "replay complete")
+        assert stop.gcc == len(recording.fingerprints)
+
+    def test_resaving_gives_the_back_to_back_bytes(self):
+        legacy = load_segmented(LEGACY_SEGMENTED.read_bytes())
+        current = save_segmented(degraded_report().segmented)
+        assert save_segmented(legacy) == current
+        assert current == b"".join(
+            save_recording(segment) for segment in legacy.segments)
 
 
 # -- journals ---------------------------------------------------------
@@ -895,6 +931,62 @@ class TestSupervisedCli:
         recording, info = load_journal_file(str(journal))
         assert info.complete
         assert salvage_replay(recording).coverage == 1.0
+
+    def test_degraded_record_writes_segments_that_stand_alone(
+            self, tmp_path, capsys):
+        """Every later segment carries its start checkpoint: its
+        journal salvages in full (the pickled-envelope release
+        salvaged 3/10 and 0/10 commits of the two later journals), it
+        replays with no checkpoint argument and the debugger opens
+        it.  The file is the segments' containers back to back, so
+        the single-recording reader refuses it with a typed error."""
+        out, journal = tmp_path / "S", tmp_path / "J"
+        code = main(["record", "sjbb2k", "--mode", "picolog",
+                     "--scale", "0.2", "--seed", "3",
+                     "--max-log-bytes", "40", "--journal", str(journal),
+                     "--flush-every", "4", "-o", str(out)])
+        assert code == 0
+        blob = out.read_bytes()
+        segmented = load_segmented(blob)
+        assert [len(seg.fingerprints) for seg in segmented.segments] \
+            == [11, 10, 10]
+        # The pickled envelope of the same session took 94,626 bytes.
+        assert len(blob) < 80_000
+        assert blob == b"".join(map(save_recording, segmented.segments))
+        for index, segment in enumerate(segmented.segments):
+            assert (segment.start_checkpoint is None) == (index == 0)
+            result = replay_execution(
+                segment, stop_after=segmented.replay_bound(index))
+            assert result.determinism.matches
+            path = Path(f"{journal}.seg{index}" if index else journal)
+            recording, info = load_journal_file(str(path))
+            assert recording.start_checkpoint == segment.start_checkpoint
+            # Written once, in epoch 0, with the program.
+            names = [f.name for f in container_frames(
+                path.read_bytes())[0]]
+            assert names.count("start") == (1 if index else 0)
+            assert names.count("program") == 1
+            if index:
+                assert names.index("start") < names.index("flush")
+            salvage = salvage_replay(recording, info.damage)
+            assert salvage.coverage == 1.0
+            assert salvage.verified_commits == len(segment.fingerprints)
+        # The last segment runs to its program's end: forensics and
+        # supervised replay take it as it is.
+        last = segmented.segments[-1]
+        assert not diagnose_replay(last).diverged
+        assert supervise_replay(last).outcome == "completed"
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 2
+        error = capsys.readouterr().err
+        assert "bytes after the END frame" in error
+        assert "load_segmented" in error
+        script = tmp_path / "session.txt"
+        script.write_text("info\nrun\nquit\n")
+        for index in range(3):
+            assert main(["debug", str(out), "--segment", str(index),
+                         "--script", str(script)]) == 0
+            assert "replay complete" in capsys.readouterr().out
 
     def test_stress_workloads_reachable_from_parser(self):
         from repro.cli import build_parser

@@ -18,6 +18,10 @@ Commit propagation walks every written line of a commit in every other
 cache, hundreds of thousands of steps per run of which a fraction of a
 percent find the line.  A third check fails on any method call inside
 the per-line loop of ``CommitDirectory.propagate_commit``.
+
+No format that crosses a process, disk or network boundary is a
+pickle, so a fourth check fails on an ``import pickle`` outside the
+modules allowed one.
 """
 
 from __future__ import annotations
@@ -219,3 +223,37 @@ def test_commit_propagation_per_line_loop_calls_no_method():
     source = (PACKAGE / "chunks/directory.py").read_text()
     assert method_calls_in_innermost_loops(
         source, "CommitDirectory", "propagate_commit") == []
+
+
+#: The only modules that may import pickle: the restricted readers of
+#: legacy files, and the runner's replay and consistency payloads,
+#: which have no typed encoding yet.
+PICKLE_IMPORTERS = {"core/legacy.py", "runner/jobs.py"}
+
+
+def pickle_imports(source: str) -> list[int]:
+    """Lines of every ``import pickle`` or ``from pickle import``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "pickle"
+                    for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "pickle"]
+
+
+def test_pickle_detector_flags_each_import_form():
+    source = ("import pickle\n"
+              "from pickle import loads\n"
+              "import json, pickle as p\n"
+              "import pickletools\n"
+              "def f():\n"
+              "    import pickle\n")
+    assert pickle_imports(source) == [1, 2, 3, 6]
+
+
+def test_only_the_legacy_reader_and_runner_payloads_import_pickle():
+    importers = {
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if pickle_imports(path.read_text())}
+    assert importers == PICKLE_IMPORTERS

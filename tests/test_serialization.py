@@ -28,9 +28,17 @@ from repro.core.serialization import (
     container_frames,
     load_recording,
     load_recording_tolerant,
+    load_recordings,
     save_recording,
 )
 from repro.errors import IntegrityError, LogFormatError
+from repro.guard import (
+    Budgets,
+    load_segmented,
+    replay_stitched,
+    save_segmented,
+    supervise_record,
+)
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.program import Op, OpKind, Program
 from repro.machine.system import replay_execution
@@ -43,6 +51,19 @@ DATA = Path(__file__).parent / "data"
 #: counter program with an interrupt and a DMA burst (v1 and v2), the
 #: counter program with interval checkpoints, and sjbb2k in PicoLog.
 LEGACY_FIXTURES = sorted(path.name for path in DATA.glob("*.dlrn"))
+
+
+def degraded_segments():
+    """The segments of a degraded sjbb2k record: a log-bytes budget
+    of 40 per processor cuts it twice (PicoLog -> OrderOnly ->
+    Order&Size), and each cut carries delivered interrupt handlers
+    into the next segment."""
+    report = supervise_record(
+        commercial_program("sjbb2k", scale=0.2, seed=3),
+        mode=ExecutionMode.PICOLOG,
+        budgets=Budgets(max_log_bytes_per_proc=40))
+    assert report.outcome == "degraded-completed"
+    return report.segmented
 
 
 def make_recording(mode=ExecutionMode.ORDER_ONLY, with_system=False,
@@ -146,6 +167,24 @@ class TestFormatErrors:
         blob[4] = 99
         with pytest.raises(LogFormatError):
             load_recording(bytes(blob))
+
+    def test_bytes_after_the_end_frame_are_refused(self):
+        """A container ends at its END frame: junk after it, or a
+        second recording, is not silently dropped."""
+        blob = save_recording(make_recording()[1])
+        with pytest.raises(LogFormatError, match="4 bytes after") as junk:
+            load_recording(blob + b"junk")
+        assert "load_segmented" not in str(junk.value)
+        with pytest.raises(LogFormatError, match="load_segmented"):
+            load_recording(blob + blob)
+        for extra in (b"junk", blob):
+            loaded, damage = load_recording_tolerant(blob + extra)
+            assert [(d.offset, d.reason.split()[:2]) for d in damage] \
+                == [(len(blob), [str(len(extra)), "bytes"])]
+            assert loaded.fingerprints == make_recording()[1].fingerprints
+        assert len(load_recordings(blob + blob)) == 2
+        with pytest.raises(LogFormatError, match="bad magic"):
+            load_recordings(blob + b"junk")
 
     def test_blob_is_compact(self):
         """Logs are bit-packed and the program and verification state
@@ -356,6 +395,85 @@ class TestNoPickle:
         assert_same_state(loaded, recording)
         assert system.replay(loaded).determinism.matches
 
+    def test_segmented_round_trip_never_touches_pickle(self,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle used on the segmented path")
+
+        segmented = degraded_segments()
+        for name in ("dumps", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        loaded = load_segmented(save_segmented(segmented))
+        assert len(loaded.segments) == 3
+        for segment, original in zip(loaded.segments,
+                                     segmented.segments):
+            assert_same_state(segment, original)
+            assert segment.start_checkpoint == original.start_checkpoint
+        assert replay_stitched(loaded).matches
+
+
+class TestStartSection:
+    """A degraded segment's start checkpoint travels in its own
+    recording, and no other recording's bytes change."""
+
+    def test_a_plain_recording_is_a_one_segment_recording(self):
+        _, recording = make_recording()
+        blob = save_recording(recording)
+        assert "start" not in {f.name for f in container_frames(blob)[0]}
+        segmented = load_segmented(blob)
+        assert len(segmented.segments) == 1
+        assert save_segmented(segmented) == blob
+
+    def test_later_segments_carry_their_start(self):
+        segmented = degraded_segments()
+        first, *later = segmented.segments
+        assert first.start_checkpoint is None
+        for segment in later:
+            blob = save_recording(segment)
+            names = [f.name for f in container_frames(blob)[0]]
+            assert names.count("start") == 1
+            loaded = load_recording(blob, legacy=False)
+            assert loaded.start_checkpoint == segment.start_checkpoint
+            assert save_recording(loaded) == blob
+            # Replay needs no checkpoint argument.
+            bound = len(loaded.fingerprints) if segment is not \
+                later[-1] else 0
+            result = replay_execution(loaded, stop_after=bound)
+            assert result.determinism.matches
+
+    def test_the_memory_image_is_the_programs(self):
+        segment = degraded_segments().segments[1]
+        image = dict(segment.start_checkpoint.memory_image)
+        image[max(image) + 8] = 1
+        moved = replace(segment, start_checkpoint=replace(
+            segment.start_checkpoint, memory_image=image))
+        with pytest.raises(LogFormatError, match="initial memory"):
+            save_recording(moved)
+
+    def test_a_duplicate_start_section_is_refused(self):
+        blob = save_recording(degraded_segments().segments[1])
+        frames, _ = container_frames(blob)
+        start = next(f for f in frames if f.name == "start")
+        doubled = (blob[:start.end] + blob[start.start:start.end]
+                   + blob[start.end:])
+        with pytest.raises(LogFormatError, match="duplicate start"):
+            load_recording(doubled)
+
+    def test_an_undecodable_start_section_is_not_salvaged(self):
+        """Without its start checkpoint a segment cannot replay, so
+        the tolerant loader refuses it rather than replay from the
+        program's initial state."""
+        blob = save_recording(degraded_segments().segments[1])
+        frames, _ = container_frames(blob)
+        start = next(f for f in frames if f.name == "start")
+        broken = reframe(blob, start, start.payload[:-3])
+        for load in (load_recording, load_recording_tolerant):
+            with pytest.raises(LogFormatError, match="start section"):
+                load(broken)
+        # A recording that loses the whole frame loses its start.
+        dropped = blob[:start.start] + blob[start.end:]
+        assert load_recording(dropped).start_checkpoint is None
+
 
 def _evil_trailer_ran():
     _evil_trailer_ran.calls += 1
@@ -470,9 +588,6 @@ class TestHostileV3:
         with monkeypatch.context() as patch:
             patch.setattr(serialization._Reader, "_u32", watch)
             load_recording(blob)
-        # Config is canonical JSON, with no length fields to watch.
-        assert sorted(seen) == ["program", "verify"], (
-            f"a state section decoder never ran: saw only {sorted(seen)}")
         return seen
 
     def check(self, blob):
@@ -500,47 +615,79 @@ class TestHostileV3:
         # reuse it and never run the program decoder.
         del program
         fields = self.length_fields(monkeypatch, blob)
+        # Config is canonical JSON, with no length fields to watch.
+        assert sorted(fields) == ["program", "verify"], (
+            f"a state section decoder never ran: saw only {sorted(fields)}")
         frames, _ = container_frames(blob)
         rng = random.Random(17)
         for frame in frames:
-            if frame.name not in ("program", "config", "verify"):
-                continue
-            compressed = frame.name != "config"
-            content = (zlib.decompress(frame.payload[4:]) if compressed
-                       else frame.payload)
+            if frame.name in ("program", "config", "verify"):
+                self.mutate(blob, frame, fields.get(frame.name, []), rng)
 
-            def rebuilt(mutated, compressed=compressed):
-                if not compressed:
-                    return mutated
-                return (struct.pack("<I", len(mutated))
-                        + zlib.compress(mutated, 1))
+    def test_start_section_mutations_decode_or_raise_typed(
+            self, monkeypatch):
+        blob = save_recording(degraded_segments().segments[1])
+        fields = self.length_fields(monkeypatch, blob)
+        assert fields["start"]
+        frames, _ = container_frames(blob)
+        start = next(f for f in frames if f.name == "start")
+        self.mutate(blob, start, fields["start"], random.Random(17))
 
-            for _ in range(self.CASES_PER_KIND):
-                flipped = bytearray(content)
-                flipped[rng.randrange(len(flipped))] ^= (
-                    1 << rng.randrange(8))
-                self.check(reframe(blob, frame, rebuilt(bytes(flipped))))
-                cut = content[:rng.randrange(len(content))]
-                self.check(reframe(blob, frame, rebuilt(cut)))
-                # The raw payload too: deflate stream and size prefix.
-                raw = bytearray(frame.payload)
-                raw[rng.randrange(len(raw))] = rng.randrange(256)
-                self.check(reframe(blob, frame, bytes(raw)))
-            for offset in fields.get(frame.name, []):
-                (declared,) = struct.unpack_from("<I", content, offset)
-                for value in (0, declared - 1, declared + 1,
-                              declared * 7, 0xFFFFFFFF):
-                    edited = bytearray(content)
-                    struct.pack_into("<I", edited, offset,
-                                     value & 0xFFFFFFFF)
-                    self.check(reframe(blob, frame,
-                                       rebuilt(bytes(edited))))
-            if compressed:
-                for value in (0, len(content) - 1, len(content) + 1,
-                              0xFFFFFFFF):
-                    self.check(reframe(
-                        blob, frame,
-                        struct.pack("<I", value) + frame.payload[4:]))
+    def test_a_later_segment_survives_every_truncation(self):
+        """Exhaustive: every prefix of a segment with a start section
+        raises a typed error, and so does every cut inside that
+        section under the tolerant loader."""
+        blob = save_recording(degraded_segments().segments[1])
+        frames, _ = container_frames(blob)
+        start = next(f for f in frames if f.name == "start")
+        started = time.perf_counter()
+        for cut in range(len(blob)):
+            with pytest.raises(IntegrityError):
+                load_recording(blob[:cut])
+            if start.start <= cut < start.end:
+                with pytest.raises(IntegrityError):
+                    load_recording_tolerant(blob[:cut])
+        assert time.perf_counter() - started < 60
+
+    def mutate(self, blob, frame, length_offsets, rng):
+        """Seeded bit flips, cuts and byte edits inside ``frame``'s
+        content and raw payload, and edits of each u32 length field
+        at ``length_offsets``, each checked by :meth:`check`."""
+        compressed = frame.name != "config"
+        content = (zlib.decompress(frame.payload[4:]) if compressed
+                   else frame.payload)
+
+        def rebuilt(mutated):
+            if not compressed:
+                return mutated
+            return (struct.pack("<I", len(mutated))
+                    + zlib.compress(mutated, 1))
+
+        for _ in range(self.CASES_PER_KIND):
+            flipped = bytearray(content)
+            flipped[rng.randrange(len(flipped))] ^= (
+                1 << rng.randrange(8))
+            self.check(reframe(blob, frame, rebuilt(bytes(flipped))))
+            cut = content[:rng.randrange(len(content))]
+            self.check(reframe(blob, frame, rebuilt(cut)))
+            # The raw payload too: deflate stream and size prefix.
+            raw = bytearray(frame.payload)
+            raw[rng.randrange(len(raw))] = rng.randrange(256)
+            self.check(reframe(blob, frame, bytes(raw)))
+        for offset in length_offsets:
+            (declared,) = struct.unpack_from("<I", content, offset)
+            for value in (0, declared - 1, declared + 1,
+                          declared * 7, 0xFFFFFFFF):
+                edited = bytearray(content)
+                struct.pack_into("<I", edited, offset,
+                                 value & 0xFFFFFFFF)
+                self.check(reframe(blob, frame, rebuilt(bytes(edited))))
+        if compressed:
+            for value in (0, len(content) - 1, len(content) + 1,
+                          0xFFFFFFFF):
+                self.check(reframe(
+                    blob, frame,
+                    struct.pack("<I", value) + frame.payload[4:]))
 
     @pytest.mark.parametrize("stream", ["interrupts", "dma"])
     @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf],

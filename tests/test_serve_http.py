@@ -32,6 +32,7 @@ from repro.runner.jobs import build_job_spec, execute_spec
 from repro.serve import http as http_module
 from repro.serve.client import ServeClient
 from repro.serve.http import ServeServer
+from repro.serve.queue import read_journal_dir
 from repro.serve.service import ReproService
 from repro.serve.worker import ServeWorker
 from repro.telemetry.metrics import MetricsRegistry
@@ -573,6 +574,35 @@ class TestCompactionResumeOverHTTP:
             # A cursor at the tip resumes normally: nothing new.
             tip = max(event_id for event_id, _ in full)
             assert _drain_events(server.port, after=tip) == []
+        again.close()
+
+
+    def test_live_log_holds_what_a_restart_reads(self, tmp_path):
+        """A live compaction leaves the in-memory event log holding
+        exactly the journal's records (one per retained job below the
+        horizon), so the live feed from 0 equals a restarted server's
+        and the log does not grow for the server's whole life."""
+        service = make_service(tmp_path, segment_bytes=4096,
+                               compact_after=1)
+        with running_server(service) as server:
+            client = ServeClient(port=server.port)
+            for seed in range(20):
+                job = client.submit("record",
+                                    {"seed": seed, "scale": 0.05})
+                client.wait(job["id"], timeout=60)
+            assert service.queue.compactions >= 1
+            live = _drain_events(server.port, after=0)
+            records, horizon = read_journal_dir(service.queue.data_dir)
+            assert server.events.compacted_through == horizon > 0
+            logged = [{"lsn": lsn, "job": data["job"]}
+                      for lsn, data in server.events.replay(0)]
+            assert json.loads(json.dumps(logged)) == records
+        service.close()
+
+        again = make_service(tmp_path, segment_bytes=4096,
+                             compact_after=1)
+        with running_server(again) as server:
+            assert _drain_events(server.port, after=0) == live
         again.close()
 
 

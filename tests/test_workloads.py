@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,18 @@ class TestSyntheticGeneration:
         with pytest.raises(ConfigurationError):
             SyntheticSpec(name="t", hot_fraction=0.6,
                           remote_read_fraction=0.6)
+
+    @pytest.mark.parametrize("field,value", [
+        ("private_lines", 0), ("lock_count", -1), ("line_words", 0),
+        ("publish_lines", 0), ("hot_lines", -5000)])
+    def test_integer_geometry_is_validated(self, field, value):
+        """Each of these once built a program silently or failed deep
+        in the generator (randrange on an empty range, division by
+        zero); the spec now refuses it, naming the field."""
+        fft = replace(splash2_spec("fft", scale=0.1), work_items=30)
+        build_program(fft)
+        with pytest.raises(ConfigurationError, match=field):
+            replace(fft, **{field: value})
 
     def test_column_check_refuses_what_op_refuses(self):
         from repro.machine.program import trusted_op
