@@ -33,7 +33,7 @@ def compute_figure():
     results = {}
     for app in ALL_APPS:
         rc = rc_cycles(app)
-        sc = consistency_run(app, ConsistencyModel.SC).cycles
+        sc = consistency_run(app, ConsistencyModel.SC)["cycles"]
         _, order_size = record_app(app, ExecutionMode.ORDER_AND_SIZE)
         _, order_only = record_app(app, ExecutionMode.ORDER_ONLY)
         _, picolog = record_app(app, ExecutionMode.PICOLOG)

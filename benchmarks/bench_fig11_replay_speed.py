@@ -38,10 +38,10 @@ def compute_figure():
         pico_replay = replay_app(app, ExecutionMode.PICOLOG)
         results[app] = {
             "OO exec": rc / order_only.stats.cycles,
-            "OO replay": rc / oo_replay.cycles,
-            "StratOO replay": rc / strat_replay.cycles,
+            "OO replay": rc / oo_replay["cycles"],
+            "StratOO replay": rc / strat_replay["cycles"],
             "Pico exec": rc / picolog.stats.cycles,
-            "Pico replay": rc / pico_replay.cycles,
+            "Pico replay": rc / pico_replay["cycles"],
         }
     return results
 

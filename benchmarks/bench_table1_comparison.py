@@ -31,13 +31,13 @@ from harness import (
 
 def _conventional_logs(app):
     sc = consistency_run(app, ConsistencyModel.SC, collect_trace=True)
-    instructions = sc.total_instructions
+    instructions = sc["total_instructions"]
     fdr = FDRRecorder(8)
-    fdr.process(sc.trace)
+    fdr.process(sc["trace"])
     rtr = RTRRecorder(8)
-    rtr.process(sc.trace)
+    rtr.process(sc["trace"])
     strata = StrataRecorder(8)
-    strata.process(sc.trace)
+    strata.process(sc["trace"])
     strata.finish()
     return {
         "FDR": fdr.bits_per_proc_per_kiloinst(instructions),
@@ -54,7 +54,7 @@ def compute_table():
     for app in SPLASH2:
         rc = rc_cycles(app)
         speed["SC"][app] = rc / consistency_run(
-            app, ConsistencyModel.SC).cycles
+            app, ConsistencyModel.SC)["cycles"]
         conventional = _conventional_logs(app)
         for scheme, bits in conventional.items():
             logs[scheme][app] = bits
@@ -63,7 +63,7 @@ def compute_table():
             _, recording = record_app(app, mode)
             speed[name][app] = rc / recording.stats.cycles
             logs[name][app] = recording.log_bits_per_proc_per_kiloinst()
-            replay[name][app] = rc / replay_app(app, mode).cycles
+            replay[name][app] = rc / replay_app(app, mode)["cycles"]
     return speed, logs, replay
 
 

@@ -42,22 +42,22 @@ def compute_rows():
     for app in SPLASH2:
         rc = rc_cycles(app, scale_key=_SCALE)
         pc = consistency_run(app, ConsistencyModel.PC,
-                             scale_key=_SCALE).cycles
+                             scale_key=_SCALE)["cycles"]
         sc = consistency_run(app, ConsistencyModel.SC,
-                             scale_key=_SCALE).cycles
+                             scale_key=_SCALE)["cycles"]
         tso = TSOExecutor(program_for(app, scale=_SCALE),
                           MachineConfig()).run()
         trace_run = consistency_run(app, ConsistencyModel.SC,
                                     collect_trace=True,
                                     scale_key=_SCALE)
-        instructions = trace_run.total_instructions
+        instructions = trace_run["total_instructions"]
         rtr = RTRRecorder(8)
-        rtr.process(trace_run.trace)
+        rtr.process(trace_run["trace"])
         basic_bits = rtr.bits_per_proc_per_kiloinst(instructions)
         violation_bits = (tso.sc_violations * 64 * 1000.0
                           / max(1, tso.total_instructions))
         bugnet = BugNetRecorder(8)
-        bugnet.process(trace_run.trace)
+        bugnet.process(trace_run["trace"])
         _, order_only = record_app(app, ExecutionMode.ORDER_ONLY,
                                    scale_key=_SCALE)
         results[app] = {

@@ -34,12 +34,11 @@ def compute_ratios():
     for app in SPLASH2:
         sc = consistency_run(app, ConsistencyModel.SC,
                              collect_trace=True)
-        instructions = sc.total_instructions
-        memory_ops = len(sc.trace)
+        instructions = sc["total_instructions"]
         rtr = RTRRecorder(8)
-        rtr.process(sc.trace)
+        rtr.process(sc["trace"])
         strata = StrataRecorder(8)
-        strata.process(sc.trace)
+        strata.process(sc["trace"])
         strata.finish()
         rtr_bits = rtr.bits_per_proc_per_kiloinst(instructions)
         strata_bits = strata.compressed_size_bits()

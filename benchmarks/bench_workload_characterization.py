@@ -38,8 +38,8 @@ def profile(app: str):
     trace_run = consistency_run(app, ConsistencyModel.SC,
                                 collect_trace=True, scale_key=_SCALE)
     fdr = FDRRecorder(8)
-    fdr.process(trace_run.trace)
-    instructions = max(1, trace_run.total_instructions)
+    fdr.process(trace_run["trace"])
+    instructions = max(1, trace_run["total_instructions"])
     spin = sum(p.spin_instructions
                for p in stats.per_processor.values())
     return {

@@ -10,11 +10,13 @@ pay for them once, and a re-run of the whole suite with a warm cache
 is near-instant.
 
 Unlike the old ``lru_cache`` scheme, callers never share mutable
-result objects across figures: every ``record_app``/``replay_app``/
-``consistency_run`` call materializes a *fresh* object from the
-immutable cached artifact, and the artifact encoding is deterministic
-(same spec hash => byte-identical bytes), so one figure mutating a
-recording can no longer contaminate another.
+result objects across figures: every ``record_app`` call materializes a
+*fresh* recording from the immutable cached artifact, and every
+``replay_app``/``consistency_run`` call returns a fresh copy of the
+run's ``metrics`` (plus, for a traced run, its decoded access trace);
+the artifact encoding is deterministic (same spec hash =>
+byte-identical bytes), so one figure mutating a result can no longer
+contaminate another.
 
 Environment knobs:
 
@@ -38,10 +40,7 @@ from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
 from repro.runner import ResultCache, Runner, RunSpec
 from repro.runner.figures import FIGURES, specs_for
-from repro.runner.jobs import (
-    recording_from_artifact,
-    result_from_artifact,
-)
+from repro.runner.jobs import recording_from_artifact, trace_from_artifact
 from repro.workloads import SPLASH2_APPS, app_program
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -143,37 +142,41 @@ def record_app(app: str, mode: ExecutionMode, chunk_size: int = 0,
 
 
 def replay_app(app: str, mode: ExecutionMode, use_strata: bool = False,
-               scale_key: float = -1.0):
-    """Cached perturbed replay of one app (Section 6.2.1 methodology)."""
+               scale_key: float = -1.0) -> dict:
+    """Cached perturbed replay of one app (Section 6.2.1 methodology):
+    its artifact's ``metrics`` (``cycles``, ``matches``, ...)."""
     scale = SCALE if scale_key < 0 else scale_key
     spec = RunSpec.replay(app, mode, use_strata=use_strata,
                           scale=scale, seed=SEED)
-    result = result_from_artifact(_artifact(spec))
-    assert result.determinism.matches, (
-        f"replay diverged for {app}/{mode}: "
-        f"{result.determinism.summary()}")
-    return result
+    metrics = dict(_artifact(spec)["metrics"])
+    assert metrics["matches"], (
+        f"replay diverged for {app}/{mode}: {metrics['summary']}")
+    return metrics
 
 
 def consistency_run(app: str, model: ConsistencyModel,
                     num_threads: int = 8, collect_trace: bool = False,
-                    scale_key: float = -1.0):
-    """Cached interleaved (conventional-machine) run of one app."""
+                    scale_key: float = -1.0) -> dict:
+    """Cached interleaved (conventional-machine) run of one app: its
+    artifact's ``metrics`` (``cycles``, ``total_instructions``, ...),
+    plus its access trace under ``"trace"`` with ``collect_trace``."""
     scale = SCALE if scale_key < 0 else scale_key
     spec = RunSpec.consistency(app, model, num_threads=num_threads,
                                collect_trace=collect_trace,
                                scale=scale, seed=SEED)
-    return result_from_artifact(_artifact(spec))
+    artifact = _artifact(spec)
+    metrics = dict(artifact["metrics"])
+    if collect_trace:
+        metrics["trace"] = trace_from_artifact(artifact)
+    return metrics
 
 
 def rc_cycles(app: str, num_threads: int = 8,
               scale_key: float = -1.0) -> float:
     """RC-baseline cycle count (the Figure 10/11/12 normalizer)."""
-    scale = SCALE if scale_key < 0 else scale_key
-    spec = RunSpec.consistency(app, ConsistencyModel.RC,
-                               num_threads=num_threads, scale=scale,
-                               seed=SEED)
-    return _artifact(spec)["metrics"]["cycles"]
+    return consistency_run(app, ConsistencyModel.RC,
+                           num_threads=num_threads,
+                           scale_key=scale_key)["cycles"]
 
 
 def splash2_gm(values_by_app: dict[str, float]) -> float:

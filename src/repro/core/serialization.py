@@ -1209,13 +1209,21 @@ def load_recordings(blob: bytes) -> list[Recording]:
     to back, each loaded by :func:`load_recording` (so, like it, this
     reads local files).  A degraded recording's segments are stored
     this way (:func:`repro.guard.degrade.save_segmented`), and a plain
-    recording is a list of one."""
+    recording is a list of one.  Every segment after the first starts
+    mid-program, so one without a START section raises
+    :class:`~repro.errors.LogFormatError`."""
     recordings = []
     while True:
         version, _header, data_start = _read_preamble(blob)
         end = (scan_frames(blob, data_start)[2] if version > 1
                else len(blob))
-        recordings.append(load_recording(blob[:end]))
+        recording = load_recording(blob[:end])
+        if recordings and recording.start_checkpoint is None:
+            raise LogFormatError(
+                f"segment {len(recordings)} has no start section, so it "
+                f"cannot replay from where segment "
+                f"{len(recordings) - 1} was cut")
+        recordings.append(recording)
         blob = blob[end:]
         if not blob:
             return recordings

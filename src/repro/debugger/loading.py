@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 from repro.core.recorder import Recording
-from repro.errors import ReproError
+from repro.errors import LogFormatError, ReproError
 from repro.guard.degrade import SegmentedRecording, load_segmented
 from repro.runner.jobs import recording_from_artifact
 
@@ -63,18 +63,11 @@ def load_debug_target(path: str, segment: int | None = None):
 
 
 def _from_artifact_doc(artifact: dict, path: str) -> Recording:
-    if not isinstance(artifact, dict):
-        raise ReproError(
-            f"{path}: expected an artifact object, got "
-            f"{type(artifact).__name__}")
     # Cache envelopes wrap the artifact under "artifact".
     if "payload_codec" not in artifact and \
             isinstance(artifact.get("artifact"), dict):
         artifact = artifact["artifact"]
-    codec = artifact.get("payload_codec")
-    if codec != "dlrn":
-        raise ReproError(
-            f"{path} is not a record artifact (payload_codec "
-            f"{codec!r}; the debugger replays recordings, so pass the "
-            f"record artifact or a .dlrn file)")
-    return recording_from_artifact(artifact)
+    try:
+        return recording_from_artifact(artifact)
+    except LogFormatError as error:
+        raise LogFormatError(f"{path}: {error}") from None

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.core.replayer import first_divergence
 from repro.core.serialization import load_recording
+from repro.runner.jobs import recording_from_artifact
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,7 @@ def minimize_schedule(app: str, mode, grant_order, *,
     divergence = first_divergence(minimal_order, natural_order)
     if divergence is None:
         divergence = len(minimal_order)
-    recording = load_recording(
-        base64.b64decode(hi_artifact["payload"]))
+    recording = recording_from_artifact(hi_artifact)
     verified, digest, message = _verify_with_debugger(
         recording, divergence)
     if tracer is not None:

@@ -31,6 +31,7 @@ indexed by architectural counters, and we reset the counters).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.interval import IntervalCheckpoint
 from repro.core.modes import ExecutionMode, ModeConfig
@@ -312,6 +313,14 @@ def replay_stitched(segmented: SegmentedRecording,
     start from exactly the memory image segment k committed.  A segment
     whose replay raises does not match; its entry carries the error.
     """
+    return _stitch(segmented, partial(replay_segment,
+                                      max_events=max_events,
+                                      tracer=tracer))
+
+
+def _stitch(segmented: SegmentedRecording, replay) -> StitchReport:
+    """:func:`replay_stitched`'s report, taking each replayed segment's
+    verdict from ``replay(recording, stop_after)``."""
     if not segmented.segments:
         raise ConfigurationError("a segmented recording needs segments")
     report = StitchReport()
@@ -330,8 +339,7 @@ def replay_stitched(segmented: SegmentedRecording,
         if stop_after is None:  # a cut segment that committed nothing
             matches, detail = True, "empty segment (skipped)"
         else:
-            matches, detail = replay_segment(
-                seg, stop_after, max_events=max_events, tracer=tracer)
+            matches, detail = replay(seg, stop_after)
         commits = len(seg.fingerprints)
         report.segments.append({
             "mode": seg.mode_config.mode.value,

@@ -41,10 +41,10 @@ from repro.errors import (
 from repro.guard.degrade import (
     CUT_REASON,
     SegmentedRecording,
+    _stitch,
     build_segment_record_machine,
     capture_boundary,
     replay_segment,
-    replay_stitched,
     safer_mode,
 )
 from repro.guard.journal import RecordingJournal
@@ -395,7 +395,13 @@ def supervise_record(
             if verify_segments:
                 report.verification = {"matches": True}
         elif verify_segments:
-            stitched = replay_stitched(segmented)
+            def replay(seg, stop_after):
+                # The final segment was verified when it completed.
+                if seg is recording:
+                    return matches, detail
+                return replay_segment(seg, stop_after)
+
+            stitched = _stitch(segmented, replay)
             report.verification = {
                 "matches": stitched.matches,
                 "summary": stitched.summary(),

@@ -32,7 +32,7 @@ from repro.runner.jobs import (
     build_job_spec,
     execute_spec,
     recording_from_artifact,
-    result_from_artifact,
+    trace_from_artifact,
 )
 from repro.runner.pool import JobOutcome, Runner, RunnerError
 from repro.runner.reporting import (
@@ -71,6 +71,6 @@ __all__ = [
     "build_job_spec",
     "execute_spec",
     "recording_from_artifact",
-    "result_from_artifact",
     "source_tree_salt",
+    "trace_from_artifact",
 ]

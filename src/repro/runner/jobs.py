@@ -20,21 +20,23 @@ runs one job and packages the outcome as a JSON-serializable
       "spec": {...canonical spec...},
       "spec_hash": "...",
       "metrics": {...figure-ready numbers...},
-      "payload_codec": "dlrn" | "pickle",
-      "payload": "<base64>",
+      "payload_codec": "dlrn" | "none",
+      "payload": "<base64>" | "",
+      "trace": {...}   # collect_trace consistency artifacts only
     }
 
 ``metrics`` carries every number the figure renderers need, so sweeps
-can tabulate results without touching the payload.  ``payload`` holds
-the full result object -- a DLRN v3 container (``save_recording``, no
-pickle) for recordings, a fixed-protocol pickle for
-replay/consistency results -- so the benchmark harness can hand
-callers real ``Recording`` / ``ReplayResult`` / ``InterleavedResult``
-instances reconstructed from cache.  Both encodings are
-deterministic: executing the same spec twice yields byte-identical
-artifacts (the cache determinism guard).  Record artifacts travel
-from remote workers over HTTP, so :func:`recording_from_artifact`
-reads v3 only and never the pickle-bearing legacy containers.
+tabulate results without a payload.  Only a recording has a payload:
+its DLRN v3 container (``save_recording``), base64-encoded.  A replay
+or consistency result is its metrics (codec ``"none"``), and a
+``collect_trace`` consistency artifact adds its SC access trace as
+integer columns (:data:`TRACE_COLUMNS`).  No artifact holds a pickle.
+Artifacts travel from remote workers over HTTP, so the two readers,
+:func:`recording_from_artifact` (v3 only, never the pickle-bearing
+legacy containers) and :func:`trace_from_artifact`, check what they
+decode and raise :class:`~repro.errors.LogFormatError` on anything
+malformed.  Every encoding is deterministic: executing the same spec
+twice yields byte-identical artifacts (the cache determinism guard).
 
 :func:`invoke` is the actual pool entry point: it wraps
 :func:`execute_spec` with a hard per-job timeout -- SIGALRM on a unix
@@ -49,19 +51,18 @@ where no in-process exception can land.
 from __future__ import annotations
 
 import base64
-import pickle
 import signal
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.baselines import InterleavedExecutor
+from repro.baselines import AccessRecord, InterleavedExecutor
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
 from repro.core.replayer import ReplayPerturbation
 from repro.core.serialization import load_recording, save_recording
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LogFormatError
 from repro.runner.specs import CampaignSpec, RunSpec
 from repro.workloads import app_program
 # perfbench/layers.py wraps these two by name in this module as well.
@@ -70,8 +71,11 @@ from repro.workloads import (  # noqa: F401
     splash2_program,
 )
 
-#: Pickle protocol pinned for byte-stable payloads across interpreters.
-_PICKLE_PROTOCOL = 4
+#: The columns of a traced consistency artifact's ``"trace"``: the
+#: :class:`~repro.baselines.consistency.AccessRecord` fields after
+#: ``index``, which is a record's position.
+TRACE_COLUMNS = ("processor", "line", "is_write", "instruction",
+                 "operation", "address", "value")
 
 
 class JobTimeout(Exception):
@@ -162,9 +166,8 @@ def _run_replay(spec: RunSpec, cache=None) -> dict:
         "record_cycles": recording.stats.cycles,
         "run_stats": result.stats.as_dict(),
     }
-    artifact["payload_codec"] = "pickle"
-    artifact["payload"] = base64.b64encode(
-        pickle.dumps(result, protocol=_PICKLE_PROTOCOL)).decode("ascii")
+    artifact["payload_codec"] = "none"
+    artifact["payload"] = ""
     return artifact
 
 
@@ -184,9 +187,12 @@ def _run_consistency(spec: RunSpec, cache=None) -> dict:
         "spin_instructions": result.spin_instructions,
         "trace_length": len(result.trace),
     }
-    artifact["payload_codec"] = "pickle"
-    artifact["payload"] = base64.b64encode(
-        pickle.dumps(result, protocol=_PICKLE_PROTOCOL)).decode("ascii")
+    artifact["payload_codec"] = "none"
+    artifact["payload"] = ""
+    if spec.collect_trace:
+        artifact["trace"] = {
+            name: [int(getattr(access, name)) for access in result.trace]
+            for name in TRACE_COLUMNS}
     return artifact
 
 
@@ -392,25 +398,74 @@ def execute_spec(spec, cache=None) -> dict:
 def recording_from_artifact(artifact: dict):
     """Materialize a fresh :class:`Recording` from a record artifact.
 
-    Artifacts may come from another host, so only DLRN v3 payloads are
-    read; a v1/v2 payload (a pickled trailer) raises
+    Artifacts may come from another host, so only a base64 DLRN v3
+    payload is read: anything else -- another codec, a missing or
+    non-text payload, text that is not strict base64, a v1/v2 payload
+    (a pickled trailer) -- raises :class:`~repro.errors.LogFormatError`.
+    """
+    codec = (artifact.get("payload_codec")
+             if isinstance(artifact, dict) else None)
+    if codec != "dlrn":
+        raise LogFormatError(
+            f"not a record artifact (payload_codec {codec!r})")
+    payload = artifact.get("payload")
+    if not isinstance(payload, str):
+        raise LogFormatError(
+            f"record artifact payload is {type(payload).__name__}, "
+            f"not base64 text")
+    try:
+        blob = base64.b64decode(payload, validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise LogFormatError(
+            f"record artifact payload is not base64: {error}") from None
+    return load_recording(blob, legacy=False)
+
+
+def trace_from_artifact(artifact: dict) -> list[AccessRecord]:
+    """The SC access trace of a ``collect_trace`` consistency artifact,
+    as the :class:`~repro.baselines.consistency.AccessRecord` list the
+    executor returned.
+
+    The ``"trace"`` columns come from another host as often as not, so
+    they are checked before any record is built: exactly the
+    :data:`TRACE_COLUMNS`, each a list of non-negative integers
+    (``is_write`` 0 or 1), all of one length.  Anything else raises
     :class:`~repro.errors.LogFormatError`.
     """
-    if artifact.get("payload_codec") != "dlrn":
-        raise ValueError(
-            f"not a record artifact (codec "
-            f"{artifact.get('payload_codec')!r})")
-    return load_recording(base64.b64decode(artifact["payload"]),
-                          legacy=False)
-
-
-def result_from_artifact(artifact: dict):
-    """Materialize the replay/consistency result object."""
-    if artifact.get("payload_codec") != "pickle":
-        raise ValueError(
-            f"not a pickled-result artifact (codec "
-            f"{artifact.get('payload_codec')!r})")
-    return pickle.loads(base64.b64decode(artifact["payload"]))
+    columns = artifact.get("trace") if isinstance(artifact, dict) \
+        else None
+    if not isinstance(columns, dict):
+        raise LogFormatError(
+            f"artifact carries no trace columns (trace "
+            f"{type(columns).__name__})")
+    if set(columns) != set(TRACE_COLUMNS):
+        raise LogFormatError(
+            f"trace columns {sorted(columns)} are not "
+            f"{sorted(TRACE_COLUMNS)}")
+    for name in TRACE_COLUMNS:
+        column = columns[name]
+        if not isinstance(column, list):
+            raise LogFormatError(
+                f"trace column {name!r} is {type(column).__name__}, "
+                f"not a list")
+        for value in column:
+            if type(value) is not int or value < 0:
+                raise LogFormatError(
+                    f"trace column {name!r} holds {value!r}, not a "
+                    f"non-negative integer")
+    if not set(columns["is_write"]) <= {0, 1}:
+        raise LogFormatError(
+            "trace column 'is_write' holds a value other than 0 or 1")
+    lengths = {len(columns[name]) for name in TRACE_COLUMNS}
+    if len(lengths) > 1:
+        raise LogFormatError(
+            f"trace columns are ragged (lengths {sorted(lengths)})")
+    return [AccessRecord(index, processor, line, bool(is_write),
+                         instruction, operation, address, value)
+            for index, (processor, line, is_write, instruction,
+                        operation, address, value)
+            in enumerate(zip(*(columns[name]
+                               for name in TRACE_COLUMNS)))]
 
 
 def _raise_timeout(signum, frame):

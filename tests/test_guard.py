@@ -444,6 +444,34 @@ class TestDegradation:
         assert report.modes == ["picolog", "order_only"]
         assert report.verification["matches"]
 
+    def test_verified_degraded_session_replays_each_segment_once(
+            self, monkeypatch):
+        """The final segment is verified when it completes, and the
+        stitched report reuses that verdict instead of replaying it
+        again; the report reads as a fresh stitched replay's."""
+        from repro.guard import degrade
+
+        replayed = []
+
+        def counting(recording, *args, **kwargs):
+            replayed.append(recording.mode_config.mode.value)
+            return replay_execution(recording, *args, **kwargs)
+
+        monkeypatch.setattr(degrade, "replay_execution", counting)
+        report = supervise_record(
+            app_program("sjbb2k", scale=0.2, seed=3),
+            mode=ExecutionMode.PICOLOG,
+            budgets=Budgets(max_log_bytes_per_proc=40),
+            verify_segments=True)
+        assert report.outcome == "degraded-completed"
+        assert sorted(replayed) == [
+            "order_and_size", "order_only", "picolog"]
+        stitched = replay_stitched(report.segmented)
+        assert report.verification == {"matches": True,
+                                       "summary": stitched.summary()}
+        assert stitched.summary() == ("stitched replay OK: 3 segments, "
+                                      "31 commits, 0 continuity breaks")
+
     def test_stitched_replay_reports_a_segment_that_raises(self):
         """A segment whose replay raises is a failed segment carrying
         the error, exactly as the supervisor's segment check sees it,

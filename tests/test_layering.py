@@ -20,8 +20,8 @@ percent find the line.  A third check fails on any method call inside
 the per-line loop of ``CommitDirectory.propagate_commit``.
 
 No format that crosses a process, disk or network boundary is a
-pickle, so a fourth check fails on an ``import pickle`` outside the
-modules allowed one.
+pickle, so a fourth check fails on an ``import pickle`` anywhere but
+the restricted reader of legacy files.
 """
 
 from __future__ import annotations
@@ -225,10 +225,9 @@ def test_commit_propagation_per_line_loop_calls_no_method():
         source, "CommitDirectory", "propagate_commit") == []
 
 
-#: The only modules that may import pickle: the restricted readers of
-#: legacy files, and the runner's replay and consistency payloads,
-#: which have no typed encoding yet.
-PICKLE_IMPORTERS = {"core/legacy.py", "runner/jobs.py"}
+#: The only module that may import pickle: the restricted readers of
+#: legacy files.
+PICKLE_IMPORTERS = {"core/legacy.py"}
 
 
 def pickle_imports(source: str) -> list[int]:
@@ -251,7 +250,7 @@ def test_pickle_detector_flags_each_import_form():
     assert pickle_imports(source) == [1, 2, 3, 6]
 
 
-def test_only_the_legacy_reader_and_runner_payloads_import_pickle():
+def test_only_the_legacy_reader_imports_pickle():
     importers = {
         str(path.relative_to(PACKAGE))
         for path in sorted(PACKAGE.rglob("*.py"))

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -22,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import ConsistencyModel
+from repro.baselines import ConsistencyModel, InterleavedExecutor
+from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
-from repro.errors import ConfigurationError
+from repro.core.replayer import ReplayPerturbation
+from repro.errors import ConfigurationError, LogFormatError
 from repro.runner import (
     ResultCache,
     Runner,
@@ -37,10 +40,11 @@ from repro.runner.executors import ProcessPoolBackend
 from repro.runner.figures import resolve_figures, specs_for
 from repro.runner.jobs import (
     KINDS,
+    TRACE_COLUMNS,
     build_job_spec,
     program_for,
     recording_from_artifact,
-    result_from_artifact,
+    trace_from_artifact,
     validate_params,
 )
 from repro.runner.reporting import Reporter
@@ -229,6 +233,9 @@ class TestResultCache:
                            scale=SCALE, seed=SEED),
             RunSpec.consistency("fft", ConsistencyModel.SC,
                                 scale=SCALE, seed=SEED),
+            RunSpec.consistency("fft", ConsistencyModel.SC,
+                                collect_trace=True, scale=SCALE,
+                                seed=SEED),
         ]
         for spec in specs:
             first = encode_artifact(execute_spec(spec))
@@ -265,16 +272,31 @@ class TestJobs:
         # Fresh object per materialization: no shared mutable state.
         assert recording is not recording_from_artifact(artifact)
 
-    def test_replay_artifact_materializes_result(self, tmp_path):
+    def test_replay_artifact_is_its_metrics(self, tmp_path):
         cache = fresh_cache(tmp_path)
         spec = RunSpec.replay("fft", ExecutionMode.ORDER_ONLY,
                               scale=SCALE, seed=SEED)
         artifact = execute_spec(spec, cache)
-        result = result_from_artifact(artifact)
-        assert result.determinism.matches
-        assert artifact["metrics"]["matches"] is True
+        assert (artifact["payload_codec"], artifact["payload"]) == (
+            "none", "")
         # The record dependency went through the cache.
-        assert cache.load(spec.record_spec()) is not None
+        record_artifact = cache.load(spec.record_spec())
+        recording = recording_from_artifact(record_artifact)
+        result = DeLoreanSystem(
+            mode=recording.mode_config.mode,
+            machine_config=recording.machine_config,
+            mode_config=recording.mode_config,
+        ).replay(recording, perturbation=ReplayPerturbation(
+            seed=spec.perturb_seed))
+        assert result.determinism.matches
+        assert artifact["metrics"] == {
+            "cycles": result.cycles,
+            "matches": True,
+            "compared_chunks": result.determinism.compared_chunks,
+            "summary": result.determinism.summary(),
+            "record_cycles": record_artifact["metrics"]["cycles"],
+            "run_stats": result.stats.as_dict(),
+        }
 
     def test_consistency_artifact(self):
         spec = RunSpec.consistency("fft", ConsistencyModel.RC,
@@ -282,6 +304,141 @@ class TestJobs:
         artifact = execute_spec(spec)
         assert artifact["metrics"]["cycles"] > 0
         assert artifact["metrics"]["trace_length"] == 0  # no trace
+        assert (artifact["payload_codec"], artifact["payload"]) == (
+            "none", "")
+        assert "trace" not in artifact
+        with pytest.raises(LogFormatError, match="no trace columns"):
+            trace_from_artifact(artifact)
+
+
+def traced_artifact(app: str, scale: float = SCALE) -> dict:
+    """A ``collect_trace`` SC artifact as a reader gets it: through its
+    canonical JSON bytes."""
+    spec = RunSpec.consistency(app, ConsistencyModel.SC,
+                               collect_trace=True, scale=scale,
+                               seed=SEED)
+    return json.loads(encode_artifact(execute_spec(spec)))
+
+
+class TestTraceColumns:
+    """A traced consistency artifact carries its access trace as
+    integer columns, and :func:`trace_from_artifact` reads back exactly
+    the executor's trace or raises :class:`LogFormatError`."""
+
+    @pytest.mark.parametrize("app", ["lu", "sweb2005"])
+    def test_trace_is_the_executors(self, app):
+        spec = RunSpec.consistency(app, ConsistencyModel.SC,
+                                   collect_trace=True, scale=0.2,
+                                   seed=SEED)
+        artifact = traced_artifact(app, scale=0.2)
+        expected = InterleavedExecutor(
+            program_for(spec), spec.machine_config(),
+            spec.consistency_model(), collect_trace=True).run().trace
+        trace = trace_from_artifact(artifact)
+        assert len(trace) == artifact["metrics"]["trace_length"] > 0
+        assert trace == expected
+        assert any(access.is_write for access in trace)
+        assert {type(access.is_write) for access in trace} == {bool}
+
+    def test_an_empty_trace_round_trips(self):
+        artifact = traced_artifact("fft")
+        artifact["trace"] = {name: [] for name in TRACE_COLUMNS}
+        assert trace_from_artifact(artifact) == []
+
+    def test_seeded_column_mutations_raise_log_format_errors(self):
+        artifact = traced_artifact("fft")
+        rng = random.Random(33)
+
+        def missing(trace):
+            del trace[rng.choice(TRACE_COLUMNS)]
+
+        def extra(trace):
+            trace[rng.choice(["index", "cycle", ""])] = list(
+                trace["line"])
+
+        def ragged(trace):
+            column = trace[rng.choice(TRACE_COLUMNS)]
+            if rng.random() < 0.5:
+                column.pop(rng.randrange(len(column)))
+            else:
+                column.insert(rng.randrange(len(column)), 1)
+
+        def set_value(make):
+            def mutate(trace):
+                column = trace[rng.choice(TRACE_COLUMNS)]
+                index = rng.randrange(len(column))
+                column[index] = make(column[index])
+            return mutate
+
+        def non_list(trace):
+            trace[rng.choice(TRACE_COLUMNS)] = rng.choice(
+                [None, 3, "1,2", {"0": 1}])
+
+        mutations = {
+            "missing": missing,
+            "extra": extra,
+            "ragged": ragged,
+            "float": set_value(float),
+            "bool": set_value(lambda value: rng.random() < 0.5),
+            "negative": set_value(lambda value: -1 - value),
+            "string": set_value(str),
+            "non-list": non_list,
+        }
+        seen = set()
+        for _ in range(200):
+            name = rng.choice(sorted(mutations) + ["non-dict"])
+            seen.add(name)
+            mutated = copy.deepcopy(artifact)
+            if name == "non-dict":
+                mutated["trace"] = rng.choice(
+                    [None, [], "trace", list(mutated["trace"].values())])
+            else:
+                mutations[name](mutated["trace"])
+            with pytest.raises(LogFormatError):
+                trace_from_artifact(mutated)
+        assert seen == set(mutations) | {"non-dict"}
+        # A write flag is 0 or 1, so it decodes to a bool exactly.
+        mutated = copy.deepcopy(artifact)
+        mutated["trace"]["is_write"][0] = 2
+        with pytest.raises(LogFormatError, match="is_write"):
+            trace_from_artifact(mutated)
+        assert trace_from_artifact(artifact)
+
+
+class TestRecordArtifacts:
+    """Every malformed record artifact raises LogFormatError."""
+
+    MALFORMED = {
+        "wrong codec": {"payload_codec": "pickle", "payload": ""},
+        "no codec": {"payload": ""},
+        "no payload": {"payload_codec": "dlrn"},
+        "non-string payload": {"payload_codec": "dlrn", "payload": 7},
+        "non-base64 payload": {"payload_codec": "dlrn",
+                               "payload": "RExSTg==!"},
+        "non-ascii payload": {"payload_codec": "dlrn",
+                              "payload": "RExSTg\u00e9="},
+        "not a container": {"payload_codec": "dlrn",
+                            "payload": "RExSTg=="},
+        "not an object": ["payload_codec", "dlrn"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_record_artifacts(self, name):
+        with pytest.raises(LogFormatError):
+            recording_from_artifact(copy.deepcopy(self.MALFORMED[name]))
+
+    # The debugger reads a file as JSON when it starts with "{".
+    @pytest.mark.parametrize("name", sorted(
+        name for name, document in MALFORMED.items()
+        if isinstance(document, dict)))
+    def test_malformed_record_artifacts_in_the_debugger(self, name,
+                                                        tmp_path):
+        from repro.debugger import load_debug_target
+
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(self.MALFORMED[name]))
+        with pytest.raises(LogFormatError, match=str(path)):
+            load_debug_target(str(path))
 
 
 # -- job kinds --------------------------------------------------------

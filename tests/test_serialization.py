@@ -20,6 +20,7 @@ import pytest
 
 from conftest import counter_program, small_config
 
+from repro.baselines import ConsistencyModel
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
 from repro.core.replayer import ReplayPerturbation
@@ -31,6 +32,7 @@ from repro.core.serialization import (
     load_recordings,
     save_recording,
 )
+from repro.debugger import load_debug_target
 from repro.errors import IntegrityError, LogFormatError
 from repro.guard import (
     Budgets,
@@ -42,7 +44,8 @@ from repro.guard import (
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.program import Op, OpKind, Program
 from repro.machine.system import replay_execution
-from repro.runner.jobs import recording_from_artifact
+from repro.runner import ResultCache, RunSpec, execute_spec
+from repro.runner.jobs import recording_from_artifact, trace_from_artifact
 from repro.workloads import commercial_program, splash2_program
 from repro.workloads.program_builder import shared_address
 
@@ -182,7 +185,9 @@ class TestFormatErrors:
             assert [(d.offset, d.reason.split()[:2]) for d in damage] \
                 == [(len(blob), [str(len(extra)), "bytes"])]
             assert loaded.fingerprints == make_recording()[1].fingerprints
-        assert len(load_recordings(blob + blob)) == 2
+        # A second recording with no START section is not a segment.
+        with pytest.raises(LogFormatError, match="segment 1 has no start"):
+            load_recordings(blob + blob)
         with pytest.raises(LogFormatError, match="bad magic"):
             load_recordings(blob + b"junk")
 
@@ -411,6 +416,35 @@ class TestNoPickle:
             assert segment.start_checkpoint == original.start_checkpoint
         assert replay_stitched(loaded).matches
 
+    @pytest.mark.parametrize("spec", [
+        RunSpec.replay("fft", ExecutionMode.ORDER_ONLY, scale=0.05,
+                       seed=3),
+        RunSpec.consistency("fft", ConsistencyModel.SC, scale=0.05,
+                            seed=3),
+        RunSpec.consistency("fft", ConsistencyModel.SC,
+                            collect_trace=True, scale=0.05, seed=3),
+    ], ids=["replay", "consistency", "traced-consistency"])
+    def test_result_artifact_round_trip_never_touches_pickle(
+            self, spec, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle used on a result artifact")
+
+        for name in ("dumps", "loads", "Unpickler"):
+            monkeypatch.setattr(pickle, name, refuse)
+        cache = ResultCache(tmp_path, salt="no-pickle")
+        artifact = cache.get_or_compute(spec, execute_spec)
+        loaded = cache.load(spec)
+        assert loaded == artifact
+        assert (loaded["payload_codec"], loaded["payload"]) == ("none",
+                                                                "")
+        if spec.kind == "replay":
+            assert loaded["metrics"]["matches"] is True
+        elif spec.collect_trace:
+            trace = trace_from_artifact(loaded)
+            assert len(trace) == loaded["metrics"]["trace_length"] > 0
+        else:
+            assert "trace" not in loaded
+
 
 class TestStartSection:
     """A degraded segment's start checkpoint travels in its own
@@ -458,6 +492,28 @@ class TestStartSection:
                    + blob[start.end:])
         with pytest.raises(LogFormatError, match="duplicate start"):
             load_recording(doubled)
+
+    def test_a_later_segment_without_its_start_section_is_refused(
+            self, tmp_path):
+        """A segment after a cut starts mid-program: loaded without its
+        START section it would replay from the program's start and
+        diverge, so the reader of back-to-back segments refuses it,
+        naming the segment, and so does ``repro debug --segment``."""
+        segments = degraded_segments().segments
+        blob = save_recording(segments[1])
+        frames, _ = container_frames(blob)
+        start = next(f for f in frames if f.name == "start")
+        cut = b"".join([save_recording(segments[0]),
+                        blob[:start.start] + blob[start.end:],
+                        save_recording(segments[2])])
+        for load in (load_recordings, load_segmented):
+            with pytest.raises(LogFormatError,
+                               match="segment 1 has no start section"):
+                load(cut)
+        path = tmp_path / "cut.dlrnseg"
+        path.write_bytes(cut)
+        with pytest.raises(LogFormatError, match="segment 1"):
+            load_debug_target(str(path), segment=2)
 
     def test_an_undecodable_start_section_is_not_salvaged(self):
         """Without its start checkpoint a segment cannot replay, so
