@@ -28,7 +28,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 
-from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
+from repro.chunks.cache import CacheConfig, SharedL2Filter, l1_group
 from repro.errors import DeadlockError
 from repro.machine.events import IODevice, build_handler_ops
 from repro.machine.memory import MainMemory
@@ -63,13 +63,20 @@ class ConsistencyModel(enum.Enum):
         return timing.rc_load_exposure, timing.rc_store_exposure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AccessRecord:
     """One memory access in the global (SC) order.
 
     ``instruction`` is the per-processor dynamic instruction count at
     the access (what FDR/RTR put in their log entries); ``operation``
     is the per-processor memory-operation count (what Strata counts).
+
+    A frozen, slotted dataclass built the way
+    :class:`~repro.machine.program.Op` is: ``__new__`` fills a mutable
+    twin with the same slots and then gives it this class, which costs
+    a third of a frozen dataclass ``__init__`` (one
+    ``object.__setattr__`` per field), and a traced run builds one
+    record per access.
     """
 
     index: int
@@ -82,6 +89,32 @@ class AccessRecord:
     # logs load values rather than orderings).
     address: int = 0
     value: int = 0
+
+    def __new__(cls, index: int, processor: int, line: int,
+                is_write: bool, instruction: int, operation: int,
+                address: int = 0, value: int = 0) -> "AccessRecord":
+        record = _AccessDraft()
+        record.index = index
+        record.processor = processor
+        record.line = line
+        record.is_write = is_write
+        record.instruction = instruction
+        record.operation = operation
+        record.address = address
+        record.value = value
+        record.__class__ = AccessRecord
+        return record
+
+    def __reduce__(self):
+        return (AccessRecord, (self.index, self.processor, self.line,
+                               self.is_write, self.instruction,
+                               self.operation, self.address, self.value))
+
+
+class _AccessDraft:
+    """A mutable twin of :class:`AccessRecord` with the same slots."""
+
+    __slots__ = AccessRecord.__slots__
 
 
 @dataclass
@@ -119,11 +152,10 @@ class InterleavedExecutor:
         self.collect_trace = collect_trace
         self.memory = MainMemory(program.initial_memory)
         self.io_device = IODevice(program.io_seed)
-        shared_l2 = SharedL2Filter(self.config.l2_lines)
-        cache_config = CacheConfig(self.config.l1_sets,
-                                   self.config.l1_ways)
-        self._caches = [SpeculativeCache(cache_config, shared_l2)
-                        for _ in range(program.num_threads)]
+        self._caches = l1_group(
+            program.num_threads,
+            CacheConfig(self.config.l1_sets, self.config.l1_ways),
+            SharedL2Filter(self.config.l2_lines))
 
     def run(self, max_steps: int | None = None) -> InterleavedResult:
         """Execute to completion; returns timing and the access trace.
@@ -151,7 +183,14 @@ class InterleavedExecutor:
                        "memory": timing.memory_cycles * store_exposure}
         memory = self.memory
         read, write = memory.read, memory.write
-        accesses = [cache.access for cache in self._caches]
+        caches = self._caches
+        accesses = [cache.access for cache in caches]
+        # The line each L1 touched last: a load or store of it again is
+        # an L1 hit on its set's most recently used line, so it costs
+        # only the hit count (no other processor touches this L1).
+        # Every other access to the L1 updates it too.
+        last_lines = [-1] * num_threads
+        load_hit, store_hit = load_stall["l1"], store_stall["l1"]
         mix = compute_mix
         heapreplace = heapq.heapreplace
         LOAD, STORE, COMPUTE, TRAP, RMW, LOCK = (
@@ -231,14 +270,24 @@ class InterleavedExecutor:
                 if collect_trace:
                     record(proc, line, False, address, value)
                 state.retired += 1
-                cost = base + load_stall[accesses[proc](line)]
+                if line == last_lines[proc]:
+                    caches[proc].hits += 1
+                    cost = base + load_hit
+                else:
+                    last_lines[proc] = line
+                    cost = base + load_stall[accesses[proc](line)]
             elif kind is STORE:
                 value = op.value if op.value is not None else state.accumulator
                 write(address, value)
                 if collect_trace:
                     record(proc, line, True, address, value)
                 state.retired += 1
-                cost = base + store_stall[accesses[proc](line)]
+                if line == last_lines[proc]:
+                    caches[proc].hits += 1
+                    cost = base + store_hit
+                else:
+                    last_lines[proc] = line
+                    cost = base + store_stall[accesses[proc](line)]
             elif kind is COMPUTE or kind is TRAP:
                 count = state.compute_remaining or op.count
                 state.accumulator = mix(state.accumulator, count)
@@ -254,9 +303,11 @@ class InterleavedExecutor:
                 state.accumulator = old
                 state.retired += 1
                 # An atomic exposes its full round trip under every model.
+                last_lines[proc] = line
                 cost = base + load_stall[accesses[proc](line)]
             elif kind is LOCK:
                 value = read(address)
+                last_lines[proc] = line
                 cost = LOCK_SPIN_COST * base + load_stall[accesses[proc](line)]
                 state.retired += LOCK_SPIN_COST
                 if value != 0:
@@ -274,6 +325,7 @@ class InterleavedExecutor:
                 if collect_trace:
                     record(proc, line, True, address, 0)
                 state.retired += 1
+                last_lines[proc] = line
                 cost = base + store_stall[accesses[proc](line)]
             elif kind is BARRIER:
                 if state.stage == _STAGE_START:
@@ -284,10 +336,12 @@ class InterleavedExecutor:
                     state.barrier_target = (old // op.count + 1) * op.count
                     state.stage = _STAGE_BARRIER_WAIT
                     state.retired += 1
+                    last_lines[proc] = line
                     cost = base + load_stall[accesses[proc](line)]
                     heapreplace(heap, (clock + cost, proc))
                     continue
                 value = read(address)
+                last_lines[proc] = line
                 cost = (BARRIER_SPIN_COST * base
                         + load_stall[accesses[proc](line)])
                 state.retired += BARRIER_SPIN_COST

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
+from repro.chunks.cache import CacheConfig, SharedL2Filter, l1_group
 from repro.errors import ConfigurationError, DeadlockError
 from repro.machine.events import IODevice, build_handler_ops
 from repro.machine.memory import MainMemory
@@ -89,11 +89,10 @@ class TSOExecutor:
         self.drain_cycles = drain_cycles
         self.memory = MainMemory(program.initial_memory)
         self.io_device = IODevice(program.io_seed)
-        shared_l2 = SharedL2Filter(self.config.l2_lines)
-        cache_config = CacheConfig(self.config.l1_sets,
-                                   self.config.l1_ways)
-        self._caches = [SpeculativeCache(cache_config, shared_l2)
-                        for _ in range(program.num_threads)]
+        self._caches = l1_group(
+            program.num_threads,
+            CacheConfig(self.config.l1_sets, self.config.l1_ways),
+            SharedL2Filter(self.config.l2_lines))
         # addr -> (writer proc, memory-visible time): the observability
         # test for SC violations.
         self._last_writer: dict[int, tuple[int, float]] = {}

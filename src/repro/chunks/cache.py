@@ -24,6 +24,12 @@ Like the hardware, which notices the overflow at the cache set itself,
 the footprint keeps a running count of speculative lines per set
 (:class:`WriteFootprint`), so the check is one lookup per store rather
 than a scan of everything the chunk has written.
+
+One machine's L1s (:func:`l1_group`) also share a *sharer table*: each
+resident line maps to the bitmask of the L1s holding it, L1 ``p``
+owning bit ``1 << p``.  It is the directory's sharer list (Figure 4,
+after BulkSC): commit propagation looks each written line up once and
+invalidates it only where it is held, instead of probing every L1.
 """
 
 from __future__ import annotations
@@ -105,36 +111,52 @@ class SharedL2Filter:
         if capacity_lines < 1:
             raise ConfigurationError("L2 capacity must be positive")
         self.capacity = capacity_lines
-        self._lines: OrderedDict[int, None] = OrderedDict()
+        #: The lines, least recently used first.  The chunk interpreter
+        #: serves its loads' and stores' L1 misses with an inline copy
+        #: of :meth:`access` on it.
+        self.lines: OrderedDict[int, None] = OrderedDict()
 
     def access(self, line: int) -> bool:
         """Touch ``line``; returns True on hit."""
-        hit = line in self._lines
+        hit = line in self.lines
         if hit:
-            self._lines.move_to_end(line)
+            self.lines.move_to_end(line)
         else:
-            self._lines[line] = None
-            if len(self._lines) > self.capacity:
-                self._lines.popitem(last=False)
+            self.lines[line] = None
+            if len(self.lines) > self.capacity:
+                self.lines.popitem(last=False)
         return hit
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self.lines)
 
 
 class SpeculativeCache:
-    """Private L1: LRU timing state plus speculative write tracking."""
+    """Private L1: LRU timing state plus speculative write tracking.
+
+    ``sharers`` is the sharer table of the machine's L1s and
+    ``sharer_bit`` this L1's bit in it (:func:`l1_group` builds such a
+    group); a cache built alone is a group of one with bit 1.  A line's
+    entry has this L1's bit exactly when the line is in one of
+    :attr:`sets`: every fill, eviction and invalidation, here and in
+    the inline copies of the chunk interpreter and of
+    ``CommitDirectory.propagate_commit``, updates both together.
+    """
 
     def __init__(
         self,
         config: CacheConfig | None = None,
         shared_l2: SharedL2Filter | None = None,
+        sharers: dict[int, int] | None = None,
+        sharer_bit: int = 1,
     ) -> None:
         self.config = config or CacheConfig()
         self.shared_l2 = shared_l2
         # Each set's lines, least recently used first.
         self.sets: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self.config.sets)]
+        self.sharers: dict[int, int] = {} if sharers is None else sharers
+        self.sharer_bit = sharer_bit
         # Geometry read on every access, derived once (the same mapping
         # as CacheConfig.set_of).
         self.set_mask = self.config.sets - 1
@@ -171,8 +193,16 @@ class SpeculativeCache:
             level = "l2"
         cache_set = self.sets[line & self.set_mask]
         cache_set[line] = None
+        sharers = self.sharers
+        bit = self.sharer_bit
+        sharers[line] = sharers.get(line, 0) | bit
         if len(cache_set) > self._ways:
-            cache_set.popitem(last=False)
+            victim = cache_set.popitem(last=False)[0]
+            others = sharers[victim] ^ bit
+            if others:
+                sharers[victim] = others
+            else:
+                del sharers[victim]
         if level == "l2":
             self.l2_hits += 1
         else:
@@ -184,11 +214,16 @@ class SpeculativeCache:
 
         Returns True when the line was resident and has been removed.
         ``CommitDirectory.propagate_commit`` inlines the same step for
-        every written line of a commit.
+        the sharers of every written line of a commit.
         """
         cache_set = self.sets[line & self.set_mask]
         if line in cache_set:
             del cache_set[line]
+            others = self.sharers[line] ^ self.sharer_bit
+            if others:
+                self.sharers[line] = others
+            else:
+                del self.sharers[line]
             self.coherence_invalidations += 1
             return True
         return False
@@ -220,3 +255,16 @@ class SpeculativeCache:
             "memory_accesses": self.memory_accesses,
             "coherence_invalidations": self.coherence_invalidations,
         }
+
+
+def l1_group(
+    count: int,
+    config: CacheConfig | None = None,
+    shared_l2: SharedL2Filter | None = None,
+) -> list[SpeculativeCache]:
+    """The private L1s of one machine's ``count`` processors: one
+    geometry, one shared L2 filter and one sharer table, in which
+    processor ``p``'s L1 owns bit ``1 << p``."""
+    sharers: dict[int, int] = {}
+    return [SpeculativeCache(config, shared_l2, sharers, 1 << proc_id)
+            for proc_id in range(count)]

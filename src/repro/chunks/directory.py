@@ -3,7 +3,8 @@
 When the arbiter lets a chunk commit, its write signature is forwarded
 to the directory, which makes the commit visible to all processors
 (Figure 4, messages 5/8): lines written by the chunk are invalidated in
-every other processor's cache.  The directory also meters network
+the other processors' caches that share them, which the L1s' sharer
+table (:func:`repro.chunks.cache.l1_group`) names.  The directory also meters network
 traffic in bytes so the Section 6.3 traffic comparisons (OrderOnly vs.
 RC, PicoLog vs. OrderOnly) can be regenerated.
 
@@ -79,32 +80,43 @@ class CommitDirectory:
         caches: dict[int, SpeculativeCache],
     ) -> int:
         """Make a commit visible: W signature to the directory, then
-        invalidate the written lines in every other cache.
+        invalidate the written lines in every other cache that holds
+        them.
 
-        The per-line step is :meth:`SpeculativeCache.invalidate` made
-        inline: each other cache's ``sets`` and ``set_mask`` are bound
-        once, and its ``coherence_invalidations`` grows once by the
-        lines found, so a wrapper on ``invalidate`` sees no call from
-        here.  Returns the number of invalidations performed.
+        ``caches`` maps each processor id to its L1, one machine's
+        group built by :func:`~repro.chunks.cache.l1_group`, so
+        processor ``p``'s L1 owns bit ``1 << p`` of the shared sharer
+        table.  Each written line is looked up once there; only the
+        L1s whose bits it holds, other than the writer's, lose it, by
+        an inline copy of :meth:`SpeculativeCache.invalidate`, so a
+        wrapper on ``invalidate`` sees no call from here.  (A DMA
+        chunk's processor owns no L1: every holder loses the line.)
+        Returns the number of invalidations performed.
         """
         self.traffic.signature_bytes += self.signature_bytes_each
-        lines = chunk.write_lines
-        writer = chunk.processor
+        sharers = next(iter(caches.values())).sharers
+        others = ~(1 << chunk.processor)
         invalidations = 0
-        for proc_id, cache in caches.items():
-            if proc_id == writer:
+        for line in chunk.write_lines:
+            if line not in sharers:
                 continue
-            sets = cache.sets
-            set_mask = cache.set_mask
-            found = 0
-            for line in lines:
-                cache_set = sets[line & set_mask]
-                if line in cache_set:
-                    del cache_set[line]
-                    found += 1
-            if found:
-                cache.coherence_invalidations += found
-                invalidations += found
+            holders = sharers[line]
+            held = holders & others
+            if not held:
+                continue
+            if holders == held:
+                del sharers[line]
+            else:
+                sharers[line] = holders ^ held
+            proc_id = 0
+            while held:
+                if held & 1:
+                    cache = caches[proc_id]
+                    del cache.sets[line & cache.set_mask][line]
+                    cache.coherence_invalidations += 1
+                    invalidations += 1
+                held >>= 1
+                proc_id += 1
         self.traffic.invalidation_bytes += invalidations * _HEADER_BYTES
         # Committed dirty lines eventually move to the shared cache.
         self.traffic.data_bytes += len(chunk.write_lines) * self.line_bytes

@@ -27,7 +27,7 @@ recording and replaying.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 
 from repro.chunks.cache import SpeculativeCache, WriteFootprint
@@ -316,22 +316,34 @@ class ChunkProcessor:
         """Run the thread into ``chunk`` until a truncation condition.
 
         The loop body runs once per op.  A LOAD, STORE or COMPUTE op
-        calls no method of the chunk, the cache or the signatures: only
-        an L1 miss calls ``SpeculativeCache.fill``, a load that no write
-        buffer holds ``MainMemory.read``, and COMPUTE ``compute_mix``.
+        calls no method of the chunk, the cache or the signatures: a
+        load that no write buffer holds calls ``MainMemory.read``,
+        COMPUTE ``compute_mix``, and nothing else is a call.
         Everything that stays fixed while one chunk builds is bound
         before the loop: the enum members it tests, the line shift, the
-        load stall per miss level, the L1's sets, the chunk's footprint
-        and the write buffers of older uncommitted chunks.  The
-        instruction, cycle, retired and L1-hit counts live in locals and
-        are written back on every exit.
+        load stall per miss level, the L1's sets and sharer table, the
+        L2 filter's lines, the chunk's footprint and the write buffers
+        of older uncommitted chunks.  The op cursor and the
+        instruction, cycle, retired, L1-hit, L2-hit and memory-access
+        counts live in locals and are written back on every exit.
 
-        The L1 hit check (a miss calls ``SpeculativeCache.fill``) and
-        the footprint overflow check are inline copies of
+        A load's or store's L1 hit check, its L1 miss (an inline copy of
+        ``SpeculativeCache.fill``, sharer table included) and the
+        store's footprint overflow check are inline copies of
         ``SpeculativeCache.access`` and ``write_would_overflow``, so
         wrappers on those methods see only calls made outside this
-        loop.  ``compute_mix`` is still looked up here by name, never
-        at import, so a wrapper installed on it before the build sees
+        loop; the rarer RMW, LOCK, UNLOCK and BARRIER ops call
+        ``SpeculativeCache.fill`` on a miss.  A load of the line this
+        L1 touched last, when that touch also put it in the read set,
+        and a store to it, when the touch put it in the footprint, are
+        the L1 hits they must be, and cost one comparison: the line is
+        already its set's most recently used, and nothing else touches
+        this L1 while the chunk builds.  ``last_read`` and
+        ``last_written`` name that line (-1 when the touch did not
+        add it to that set); any other touch of the L1 resets them.
+
+        ``compute_mix`` is still looked up here by name, never at
+        import, so a wrapper installed on it before the build sees
         every call.  The chunk's read and write signatures are built
         once, from its exact line sets, when the loop ends: a build is
         a single engine event, so no commit can test them earlier.
@@ -355,7 +367,19 @@ class ChunkProcessor:
         cache = self.cache
         sets = cache.sets
         set_mask = cache.set_mask
+        ways = cache.config.ways
         fill = cache.fill
+        sharers = cache.sharers
+        holders_of = sharers.get
+        sharer_bit = cache.sharer_bit
+        if cache.shared_l2 is not None:
+            l2_lines = cache.shared_l2.lines
+            l2_capacity = cache.shared_l2.capacity
+        else:
+            # No L2 filter serves every miss from memory, as an empty
+            # one that keeps no line does.
+            l2_lines = OrderedDict()
+            l2_capacity = 0
         # The footprint has this cache's geometry (build_chunk makes it
         # so): a line's set index is the same in both.
         written = chunk.write_footprint.lines
@@ -371,19 +395,21 @@ class ChunkProcessor:
         # Timing for a load that misses the L1: the exposed fraction of
         # the miss latency.  A hit adds nothing.
         timing = self.config.timing
-        miss_stall = {
-            "l2": timing.l2_hit_cycles * timing.chunk_load_exposure,
-            "memory": timing.memory_cycles * timing.chunk_load_exposure,
-        }
+        l2_stall = timing.l2_hit_cycles * timing.chunk_load_exposure
+        memory_stall = timing.memory_cycles * timing.chunk_load_exposure
+        miss_stall = {"l2": l2_stall, "memory": memory_stall}
+        index = state.op_index
         instructions = chunk.instructions
         cycles = chunk.exec_cycles
         retired = state.retired
-        hits = 0
+        hits = l2_hits = memory_accesses = 0
+        last_read = last_written = -1
         try:
             while True:
-                if state.handler_ops is None and state.op_index < op_count:
-                    op = ops[state.op_index]
+                if state.handler_ops is None and index < op_count:
+                    op = ops[index]
                 else:
+                    state.op_index = index
                     op = self._current_op(state)
                     if op is None:
                         chunk.truncation = PROGRAM_END
@@ -405,13 +431,37 @@ class ChunkProcessor:
                                 break
                         else:
                             state.accumulator = read_memory(address)
-                    read.add(line)
-                    cache_set = sets[line & set_mask]
-                    if line in cache_set:
-                        cache_set.move_to_end(line)
+                    if line == last_read:
                         hits += 1
                     else:
-                        cycles += miss_stall[fill(line)]
+                        read.add(line)
+                        cache_set = sets[line & set_mask]
+                        if line in cache_set:
+                            cache_set.move_to_end(line)
+                            hits += 1
+                        else:
+                            if line in l2_lines:
+                                l2_lines.move_to_end(line)
+                                l2_hits += 1
+                                cycles += l2_stall
+                            else:
+                                l2_lines[line] = None
+                                if len(l2_lines) > l2_capacity:
+                                    l2_lines.popitem(last=False)
+                                memory_accesses += 1
+                                cycles += memory_stall
+                            cache_set[line] = None
+                            sharers[line] = holders_of(line, 0) | sharer_bit
+                            if len(cache_set) > ways:
+                                victim = cache_set.popitem(last=False)[0]
+                                holders = sharers[victim] ^ sharer_bit
+                                if holders:
+                                    sharers[victim] = holders
+                                else:
+                                    del sharers[victim]
+                        if last_written != line:
+                            last_written = -1
+                        last_read = line
                     instructions += 1
                     retired += 1
                 elif kind is STORE:
@@ -419,23 +469,46 @@ class ChunkProcessor:
                         chunk.truncation = reason_at_target
                         break
                     line = op.address >> line_shift
-                    slot = line & set_mask
-                    if line not in written:
-                        if per_set[slot] >= speculative_ways:
-                            chunk.truncation = OVERFLOW
-                            break
-                        written.add(line)
-                        per_set[slot] += 1
+                    if line == last_written:
+                        hits += 1
+                    else:
+                        slot = line & set_mask
+                        if line not in written:
+                            if per_set[slot] >= speculative_ways:
+                                chunk.truncation = OVERFLOW
+                                break
+                            written.add(line)
+                            per_set[slot] += 1
+                        # Stores are fully buffered: LRU update, no
+                        # stall.
+                        cache_set = sets[slot]
+                        if line in cache_set:
+                            cache_set.move_to_end(line)
+                            hits += 1
+                        else:
+                            if line in l2_lines:
+                                l2_lines.move_to_end(line)
+                                l2_hits += 1
+                            else:
+                                l2_lines[line] = None
+                                if len(l2_lines) > l2_capacity:
+                                    l2_lines.popitem(last=False)
+                                memory_accesses += 1
+                            cache_set[line] = None
+                            sharers[line] = holders_of(line, 0) | sharer_bit
+                            if len(cache_set) > ways:
+                                victim = cache_set.popitem(last=False)[0]
+                                holders = sharers[victim] ^ sharer_bit
+                                if holders:
+                                    sharers[victim] = holders
+                                else:
+                                    del sharers[victim]
+                        if last_read != line:
+                            last_read = -1
+                        last_written = line
                     value = (op.value if op.value is not None
                              else state.accumulator)
                     buffer[op.address] = value & WORD_MASK
-                    # Stores are fully buffered: LRU update, no stall.
-                    cache_set = sets[slot]
-                    if line in cache_set:
-                        cache_set.move_to_end(line)
-                        hits += 1
-                    else:
-                        fill(line)
                     instructions += 1
                     retired += 1
                 elif kind is COMPUTE or kind is TRAP:
@@ -469,6 +542,7 @@ class ChunkProcessor:
                     buffer[op.address] = (old + delta) & WORD_MASK
                     read.add(line)
                     cache_set = sets[slot]
+                    last_read = last_written = -1
                     if line in cache_set:
                         cache_set.move_to_end(line)
                         hits += 1
@@ -491,6 +565,7 @@ class ChunkProcessor:
                     value = self._read_value(op.address, chunk, memory)
                     read.add(line)
                     cache_set = sets[slot]
+                    last_read = last_written = -1
                     if line in cache_set:
                         cache_set.move_to_end(line)
                         hits += 1
@@ -527,6 +602,7 @@ class ChunkProcessor:
                         per_set[slot] += 1
                     buffer[op.address] = 0
                     cache_set = sets[slot]
+                    last_read = last_written = -1
                     if line in cache_set:
                         cache_set.move_to_end(line)
                         hits += 1
@@ -551,6 +627,7 @@ class ChunkProcessor:
                         buffer[op.address] = (old + 1) & WORD_MASK
                         read.add(line)
                         cache_set = sets[slot]
+                        last_read = last_written = -1
                         if line in cache_set:
                             cache_set.move_to_end(line)
                             hits += 1
@@ -569,6 +646,7 @@ class ChunkProcessor:
                     value = self._read_value(op.address, chunk, memory)
                     read.add(line)
                     cache_set = sets[slot]
+                    last_read = last_written = -1
                     if line in cache_set:
                         cache_set.move_to_end(line)
                         hits += 1
@@ -595,14 +673,17 @@ class ChunkProcessor:
                     break
                 # The op completed: step past it (as _advance does).
                 if state.handler_ops is None:
-                    state.op_index += 1
+                    index += 1
                 else:
                     state.handler_index += 1
         finally:
+            state.op_index = index
             chunk.instructions = instructions
             chunk.exec_cycles = cycles
             state.retired = retired
             cache.hits += hits
+            cache.l2_hits += l2_hits
+            cache.memory_accesses += memory_accesses
         chunk.end_state = state.snapshot()
         chunk.exec_cycles += timing.instruction_cycles(instructions)
         chunk.read_signature.insert_all(read)

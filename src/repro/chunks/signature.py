@@ -27,6 +27,7 @@ for traffic purposes remains the 2 Kbit wire format of Table 5
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -47,6 +48,21 @@ def _hash(line_address: int, index: int) -> int:
     signature's hash space)."""
     mixed = ((line_address + index + 1) * _MULTIPLIERS[index]) & _MASK64
     return mixed ^ (mixed >> 29)
+
+
+#: Lines each key memo holds at most.  A key is a pure function of the
+#: line, the hash index and the hash-space size, and a record-replay
+#: benchmark pass inserts ~116k lines of which ~5k are distinct, so
+#: :meth:`Signature.insert_all` reads keys from one memo per (hash
+#: index, hash-space size) instead of hashing each line again.  The
+#: bound holds that pass's lines with room to spare and keeps a memo
+#: under about 1 MB.
+_KEY_MEMO_LINES = 1 << 13
+_KEY_MEMOS: dict[tuple[int, int], dict[int, int]] = {}
+# Serve runs jobs on threads: memo reads need no lock (a stale or
+# cleared memo only sends a call to the miss path, and every stored
+# key is right), but a miss's bound check and its stores hold this.
+_KEY_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -95,15 +111,37 @@ class Signature:
 
     def insert_all(self, lines: Collection[int]) -> None:
         """Add every cache-line address in ``lines``: the same keys and
-        count as one :meth:`insert` per element, in one call."""
-        mask = self.config.size_bits - 1
+        count as one :meth:`insert` per element, in one call.
+
+        Each hash's keys come from its memo (see ``_KEY_MEMO_LINES``)
+        when it holds every line; otherwise every line is hashed and
+        stored, after emptying the memo if the lines would take it
+        past its bound (a call with more lines than the bound stores
+        none).
+        """
+        size = self.config.size_bits
+        mask = size - 1
         keys = self.keys
         for index in range(self.config.num_hashes):
+            memo = _KEY_MEMOS.get((index, size))
+            if memo is None:
+                memo = _KEY_MEMOS.setdefault((index, size), {})
+            try:
+                keys.update(map(memo.__getitem__, lines))
+                continue
+            except KeyError:
+                pass
             offset = index + 1
             multiplier = _MULTIPLIERS[index]
-            for line in lines:
-                mixed = ((line + offset) * multiplier) & _MASK64
-                keys.add((mixed ^ (mixed >> 29)) & mask)
+            with _KEY_MEMO_LOCK:
+                if len(memo) + len(lines) > _KEY_MEMO_LINES:
+                    memo.clear()
+                    if len(lines) > _KEY_MEMO_LINES:
+                        memo = {}
+                for line in lines:
+                    mixed = ((line + offset) * multiplier) & _MASK64
+                    key = memo[line] = (mixed ^ (mixed >> 29)) & mask
+                    keys.add(key)
         self._count += len(lines)
 
     def may_contain(self, line_address: int) -> bool:

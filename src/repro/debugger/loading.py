@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 
 from repro.core.recorder import Recording
-from repro.errors import LogFormatError, ReproError
+from repro.errors import IntegrityError, LogFormatError, ReproError
 from repro.guard.degrade import SegmentedRecording, load_segmented
 from repro.runner.jobs import recording_from_artifact
 
@@ -48,7 +48,12 @@ def load_debug_target(path: str, segment: int | None = None):
         segmented = SegmentedRecording(
             [_from_artifact_doc(artifact, path)])
     else:
-        segmented = load_segmented(blob)
+        try:
+            segmented = load_segmented(blob)
+        except IntegrityError as error:
+            # Keep the loader's type and fields; name the file.
+            error.args = (f"{path}: {error}",)
+            raise
     index = 0 if segment is None else segment
     if not 0 <= index < len(segmented.segments):
         raise ReproError(

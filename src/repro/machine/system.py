@@ -30,7 +30,7 @@ import weakref
 from dataclasses import dataclass, replace
 
 from repro.analysis.stats import RunStats
-from repro.chunks.cache import CacheConfig, SharedL2Filter, SpeculativeCache
+from repro.chunks.cache import CacheConfig, SharedL2Filter, l1_group
 from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
 from repro.chunks.directory import CommitDirectory
 from repro.chunks.processor import ChunkProcessor
@@ -207,14 +207,14 @@ class ChunkMachine:
 
         self.engine = EventEngine()
         self.memory = MainMemory(program.initial_memory)
-        shared_l2 = SharedL2Filter(machine_config.l2_lines)
-        cache_config = CacheConfig(machine_config.l1_sets,
-                                   machine_config.l1_ways)
+        caches = l1_group(
+            machine_config.num_processors,
+            CacheConfig(machine_config.l1_sets, machine_config.l1_ways),
+            SharedL2Filter(machine_config.l2_lines))
         self.processors: list[ChunkProcessor] = []
-        for proc_id in range(machine_config.num_processors):
+        for proc_id, cache in enumerate(caches):
             ops = (program.threads[proc_id]
                    if proc_id < program.num_threads else ())
-            cache = SpeculativeCache(cache_config, shared_l2)
             self.processors.append(
                 ChunkProcessor(proc_id, ops, machine_config, cache,
                                tracer=self.tracer))

@@ -10,6 +10,7 @@ from repro.chunks.cache import (
     SharedL2Filter,
     SpeculativeCache,
     WriteFootprint,
+    l1_group,
 )
 from repro.chunks.chunk import Chunk
 from repro.chunks.signature import SignatureConfig
@@ -150,6 +151,45 @@ class TestFill:
             assert cache.stats() == plain.counts
         assert ([list(lines) for lines in cache.sets]
                 == [list(lines) for lines in plain.sets])
+
+
+class TestSharerTable:
+    """One machine's L1s share a table from each line to the bitmask of
+    the L1s holding it; every fill, eviction and invalidation keeps it
+    equal to what their sets hold."""
+
+    @staticmethod
+    def implied(group):
+        table = {}
+        for cache in group:
+            for cache_set in cache.sets:
+                for line in cache_set:
+                    table[line] = table.get(line, 0) | cache.sharer_bit
+        return table
+
+    def test_group_shares_one_table_with_one_bit_each(self):
+        group = l1_group(3, CacheConfig(sets=2, ways=2))
+        assert [cache.sharer_bit for cache in group] == [1, 2, 4]
+        assert all(cache.sharers is group[0].sharers for cache in group)
+        assert SpeculativeCache().sharer_bit == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_matches_the_sets_after_every_step(self, seed):
+        group = l1_group(4, CacheConfig(sets=2, ways=2),
+                         SharedL2Filter(8))
+        rng = random.Random(f"sharers:{seed}")
+        for _ in range(2000):
+            cache = rng.choice(group)
+            line = rng.randrange(12)
+            action = rng.random()
+            if action < 0.3:
+                cache.invalidate(line)
+            elif (action < 0.5
+                  and line not in cache.sets[line & cache.set_mask]):
+                cache.fill(line)
+            else:
+                cache.access(line)
+            assert cache.sharers == self.implied(group)
 
 
 class TestSharedL2:

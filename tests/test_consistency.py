@@ -11,7 +11,10 @@ from repro.baselines.consistency import (
     ConsistencyModel,
     InterleavedExecutor,
 )
+from repro.chunks.cache import CacheConfig, SharedL2Filter, l1_group
 from repro.machine.events import DmaTransfer, InterruptEvent
+from repro.machine.program import OpKind
+from repro.workloads import splash2_program
 from repro.workloads.program_builder import ProgramBuilder, shared_address
 
 
@@ -147,3 +150,69 @@ class TestTrace:
         reads = [a for a in result.trace
                  if a.line == lock_line and not a.is_write]
         assert reads
+
+
+class TestRepeatLineHits:
+    """A load or store of the line its L1 touched last counts a hit
+    without calling ``SpeculativeCache.access``.  In a program with no
+    BARRIER, every access the executor makes is one trace record, so
+    sending the trace through a fresh L1 group must leave the same
+    sets, L2 filter and counters."""
+
+    @staticmethod
+    def alternation(line_words):
+        """One thread touching line A, then a line B in A's set with
+        each op kind, then A: B's access must end A's run, or A's next
+        load skips its LRU step, and a third line C in the same two-way
+        set then evicts the wrong line."""
+        builder = ProgramBuilder(1, name="alternation")
+        writer = builder.writer(0)
+        a, b, c = 8 * line_words, 16 * line_words, 24 * line_words
+        for touch in ("load", "store", "rmw", "lock", "unlock"):
+            writer.load(a).store(a, 1)
+            if touch == "load":
+                writer.load(b)
+            elif touch == "store":
+                writer.store(b, 2)
+            elif touch == "rmw":
+                writer.rmw(b, 1)
+            elif touch == "lock":
+                writer.lock(b + 1)
+            else:
+                writer.unlock(b + 1)
+            writer.load(a).load(c).load(a).compute(2)
+        return builder.build()
+
+    @pytest.mark.parametrize("model", [ConsistencyModel.SC,
+                                       ConsistencyModel.RC])
+    @pytest.mark.parametrize("app", ["lu", "water-ns", "counter",
+                                     "alternation"])
+    def test_same_l1_state_as_the_access_method(self, app, model):
+        if app == "counter":
+            program = counter_program(4, 15)
+        elif app == "alternation":
+            program = self.alternation(small_config().line_words)
+        else:
+            program = splash2_program(app, scale=0.2, seed=2)
+        assert not any(op.kind is OpKind.BARRIER
+                       for ops in program.threads for op in ops)
+        config = small_config(l1_sets=8, l1_ways=2, l2_lines=64)
+        executor = InterleavedExecutor(program, config, model,
+                                       collect_trace=True)
+        result = executor.run()
+        reference = l1_group(
+            program.num_threads,
+            CacheConfig(config.l1_sets, config.l1_ways),
+            SharedL2Filter(config.l2_lines))
+        for record in result.trace:
+            reference[record.processor].access(record.line)
+        caches = executor._caches
+        assert ([cache.stats() for cache in caches]
+                == [cache.stats() for cache in reference])
+        assert ([list(cache_set) for cache in caches
+                 for cache_set in cache.sets]
+                == [list(cache_set) for cache in reference
+                    for cache_set in cache.sets])
+        assert (list(caches[0].shared_l2.lines)
+                == list(reference[0].shared_l2.lines))
+        assert sum(cache.hits for cache in caches) > len(result.trace) / 2

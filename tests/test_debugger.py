@@ -8,6 +8,7 @@ import pytest
 
 from conftest import counter_program, racy_increment_program
 
+from repro.cli import main
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
 from repro.debugger import (
@@ -16,7 +17,7 @@ from repro.debugger import (
     ReplayController,
     load_debug_target,
 )
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, LogFormatError, ReproError
 from repro.telemetry.tracer import EventTracer
 from repro.workloads import commercial_program
 
@@ -480,6 +481,24 @@ class TestLoading:
         path.write_bytes(b"")
         with pytest.raises(ReproError):
             load_debug_target(str(path))
+
+    @pytest.mark.parametrize("content", [
+        b"not a record!",
+        json.dumps(["payload_codec", "dlrn"]).encode(),
+    ], ids=["garbage", "json-list"])
+    def test_undecodable_file_error_names_the_file(self, tmp_path,
+                                                   capsys, content):
+        """A file that is neither a JSON object nor a DLRN container
+        fails in the container loader, with its type and the file's
+        name, and ``repro debug`` exits 2 saying so."""
+        path = tmp_path / "target.bin"
+        path.write_bytes(content)
+        with pytest.raises(LogFormatError) as caught:
+            load_debug_target(str(path))
+        assert str(caught.value) == (
+            f"{path}: not a DeLorean recording (bad magic)")
+        assert main(["debug", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestAllModes:

@@ -1,12 +1,26 @@
-"""Tests for commit propagation and traffic metering."""
+"""Tests for commit propagation, the L1s' sharer table and traffic
+metering."""
 
-from conftest import record_reads
+import random
 
-from repro.chunks.cache import CacheConfig, SpeculativeCache
+import pytest
+from conftest import counter_program, record_reads
+
+from repro.chunks.cache import CacheConfig, l1_group
 from repro.chunks.chunk import Chunk
 from repro.chunks.directory import CommitDirectory, TrafficMeter
 from repro.chunks.signature import SignatureConfig
+from repro.core.modes import ExecutionMode, preferred_config
 from repro.machine.program import ThreadState
+from repro.machine.system import (
+    ChunkMachine,
+    MachineObserver,
+    build_replay_machine,
+    finish_recording,
+    verify_replay,
+)
+from repro.machine.timing import MachineConfig
+from repro.workloads import commercial_program, splash2_program
 
 
 def chunk_with(proc, writes=(), reads=()):
@@ -20,8 +34,8 @@ def chunk_with(proc, writes=(), reads=()):
 
 
 def caches(count=2):
-    return {proc: SpeculativeCache(CacheConfig(sets=4, ways=2))
-            for proc in range(count)}
+    """One machine's L1s: they share a sharer table."""
+    return dict(enumerate(l1_group(count, CacheConfig(sets=4, ways=2))))
 
 
 class TestTrafficMeter:
@@ -86,6 +100,38 @@ class TestCommitDirectory:
         directory.propagate_commit(committing, caches())
         assert directory.traffic.data_bytes == 3 * 64
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_propagation_invalidates_what_probing_every_cache_would(
+            self, seed):
+        """Against a copy of the group whose commits probe every other
+        cache with ``invalidate``: the same counts and the same sets,
+        DMA commits (processor 4, no L1) included."""
+        rng = random.Random(f"propagate:{seed}")
+        group, probed = caches(4), caches(4)
+        directory = CommitDirectory()
+        for _ in range(400):
+            proc = rng.randrange(4)
+            line = rng.randrange(24)
+            group[proc].access(line)
+            probed[proc].access(line)
+            if rng.random() < 0.2:
+                writer = rng.randrange(5)
+                committing = chunk_with(
+                    writer, writes=rng.sample(range(24), 5))
+                expected = sum(
+                    cache.invalidate(written)
+                    for other, cache in probed.items() if other != writer
+                    for written in committing.write_lines)
+                assert directory.propagate_commit(
+                    committing, group) == expected
+            assert ([list(cache_set) for cache in group.values()
+                     for cache_set in cache.sets]
+                    == [list(cache_set) for cache in probed.values()
+                        for cache_set in cache.sets])
+            assert ([cache.stats() for cache in group.values()]
+                    == [cache.stats() for cache in probed.values()])
+        assert directory.traffic.invalidation_bytes > 0
+
     def test_squash_refetch_accounting(self):
         directory = CommitDirectory(line_bytes=32)
         victim = chunk_with(1, writes=[1], reads=[2, 3])
@@ -96,3 +142,87 @@ class TestCommitDirectory:
         directory = CommitDirectory(line_bytes=32)
         directory.on_data_refill(10)
         assert directory.traffic.data_bytes == 320
+
+
+def sharer_table_of(caches):
+    """The sharer table the L1s' sets imply: line -> holders' bits."""
+    expected = {}
+    for cache in caches:
+        for cache_set in cache.sets:
+            for line in cache_set:
+                expected[line] = expected.get(line, 0) | cache.sharer_bit
+    return expected
+
+
+class _SharerCheck(MachineObserver):
+    """Checks the machine's sharer table against its L1s' sets every
+    ``every`` commits and DMA bursts."""
+
+    def __init__(self, machine, every=1):
+        self.caches = [proc.cache for proc in machine.processors]
+        self.every = every
+        self.events = 0
+        self.checked = 0
+
+    def check(self):
+        table = self.caches[0].sharers
+        assert all(cache.sharers is table for cache in self.caches)
+        assert table == sharer_table_of(self.caches)
+        self.checked += 1
+
+    def tick(self):
+        self.events += 1
+        if self.events % self.every == 0:
+            self.check()
+
+    def on_commit(self, chunk, fingerprint, count):
+        self.tick()
+
+    def on_dma(self, writes, fingerprint, count):
+        self.tick()
+
+
+class TestSharerTable:
+    """Commit propagation trusts the sharer table to name every L1 that
+    holds a written line, so it must match the L1s' sets exactly."""
+
+    @pytest.mark.parametrize("l1_sets", [128, 16])
+    @pytest.mark.parametrize("app", ["fft", "radix", "sjbb2k", "sweb2005",
+                                     "counter"])
+    @pytest.mark.parametrize("mode", list(ExecutionMode),
+                             ids=lambda mode: mode.value)
+    def test_table_matches_the_sets_through_record_and_replay(
+            self, app, mode, l1_sets):
+        """At Table 5's geometry and at a 16-set L1 that evicts
+        constantly."""
+        if app == "counter":
+            # Four threads take turns on one lock and one counter, so
+            # commits invalidate lines other L1s hold.
+            program = counter_program(threads=4, increments=40)
+        elif app in ("fft", "radix"):
+            program = splash2_program(app, scale=0.5, seed=3)
+        else:
+            program = commercial_program(app, scale=0.5, seed=3)
+        mode_config = preferred_config(mode)
+        machine = ChunkMachine(
+            program,
+            MachineConfig(
+                l1_sets=l1_sets,
+                standard_chunk_size=mode_config.standard_chunk_size),
+            mode_config, stochastic_overflow_rate=0.0015)
+        record_check = _SharerCheck(machine)
+        machine.observers.append(record_check)
+        recording = finish_recording(machine, machine.run())
+        record_check.check()
+        replay = build_replay_machine(recording)
+        replay_check = _SharerCheck(replay)
+        replay.observers.append(replay_check)
+        report, _ = verify_replay(replay, replay.run())
+        replay_check.check()
+        assert report.matches
+        assert record_check.checked > 1 and replay_check.checked > 1
+        if app == "counter":
+            assert all(
+                sum(proc.cache.coherence_invalidations
+                    for proc in run.processors) > 0
+                for run in (machine, replay))

@@ -14,10 +14,12 @@ local.  Another check fails on any ``OpKind.X``, ``TruncationReason.X``
 or ``ChunkState.X`` read inside a ``while`` or ``for`` loop of any of
 the three.
 
-Commit propagation walks every written line of a commit in every other
-cache, hundreds of thousands of steps per run of which a fraction of a
-percent find the line.  A third check fails on any method call inside
-the per-line loop of ``CommitDirectory.propagate_commit``.
+Commit propagation looks every written line of a commit up in the L1s'
+sharer table, tens of thousands of lookups per run of which a fraction
+of a percent find another L1 holding the line.  A third check fails on
+any method call inside the per-line loop of
+``CommitDirectory.propagate_commit`` (its innermost ``for`` loop; the
+step that invalidates the line's holders is a ``while`` inside it).
 
 No format that crosses a process, disk or network boundary is a
 pickle, so a fourth check fails on an ``import pickle`` anywhere but

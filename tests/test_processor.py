@@ -4,19 +4,26 @@ These drive :class:`ChunkProcessor` directly -- no arbiter, no engine --
 so each op's chunk semantics can be pinned down precisely.
 """
 
+import copy
 import random
 
 import pytest
 
 from conftest import record_reads, small_config
 
-from repro.chunks.cache import CacheConfig, SpeculativeCache
+from repro.chunks.cache import (
+    CacheConfig,
+    SharedL2Filter,
+    SpeculativeCache,
+    l1_group,
+)
 from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
 from repro.chunks.processor import ChunkProcessor
 from repro.errors import ExecutionError
-from repro.machine.events import InterruptEvent
+from repro.machine.events import InterruptEvent, build_handler_ops
 from repro.machine.memory import MainMemory
 from repro.machine.program import (
+    BARRIER_SPIN_COST,
     LOCK_SPIN_COST,
     Op,
     OpKind,
@@ -585,3 +592,171 @@ class TestZeroInstructionTruncation:
         # And the CS logs encode cleanly.
         for log in machine.recorder.cs_logs.values():
             log.encode()
+
+
+class TestInlineCachePath:
+    """A load's or store's L1 miss is served inline, and a load or store
+    of the line the L1 touched last counts as a hit without touching
+    the L1: chunk after chunk, the interpreter must leave the L1, its
+    L2 filter and sharer table, the chunk's line sets and its cycles as
+    sending every access through ``SpeculativeCache.access`` does."""
+
+    #: Op kind -> (L1 accesses, adds the line to the read set, to the
+    #: write set).  A read stalls on a miss; a one-thread BARRIER
+    #: touches its line twice, arriving and passing.
+    TOUCHES = {OpKind.LOAD: (1, True, False),
+               OpKind.STORE: (1, False, True),
+               OpKind.RMW: (1, True, True),
+               OpKind.LOCK: (1, True, True),
+               OpKind.UNLOCK: (1, False, True),
+               OpKind.BARRIER: (2, True, True)}
+
+    @staticmethod
+    def stream(seed, line_words, length=600):
+        """Mostly loads and stores, three in five to the previous op's
+        line and one in five back to the line before it, with RMW,
+        UNLOCK and COMPUTE mixed in."""
+        rng = random.Random(f"inline-cache:{seed}")
+        ops, line, before = [], 0, 0
+        for _ in range(length):
+            pick = rng.random()
+            if pick < 0.2:
+                line, before = before, line
+            elif pick < 0.4:
+                line, before = rng.randrange(40), line
+            address = line * line_words + rng.randrange(line_words)
+            pick = rng.random()
+            if pick < 0.45:
+                ops.append(Op(OpKind.LOAD, address=address))
+            elif pick < 0.85:
+                ops.append(Op(OpKind.STORE, address=address,
+                              value=rng.randrange(100)))
+            elif pick < 0.9:
+                ops.append(Op(OpKind.RMW, address=address, value=1))
+            elif pick < 0.95:
+                ops.append(Op(OpKind.UNLOCK, address=address))
+            else:
+                ops.append(Op(OpKind.COMPUTE, count=rng.randrange(1, 5)))
+        return ops
+
+    def check_against_access(self, ops, config, l2_lines):
+        """Build chunks until the thread ends, comparing each with the
+        same accesses sent through ``access`` on a copy of the L1;
+        returns the processor and the number of chunks."""
+        cache = l1_group(
+            2, CacheConfig(config.l1_sets, config.l1_ways),
+            SharedL2Filter(l2_lines) if l2_lines else None)[0]
+        proc = ChunkProcessor(0, ops, config, cache)
+        memory = MainMemory()
+        reference = copy.deepcopy(cache)
+        timing = config.timing
+        stall = {"l2": timing.l2_hit_cycles * timing.chunk_load_exposure,
+                 "memory": timing.memory_cycles
+                 * timing.chunk_load_exposure}
+        chunks = 0
+        while proc.can_build():
+            chunk = build(proc, memory, target=10_000)
+            chunks += 1
+            cycles, read, written = 0.0, set(), set()
+            for op in ops[chunk.start_state.op_index:
+                          chunk.end_state.op_index]:
+                if op.kind not in self.TOUCHES:
+                    continue
+                accesses, reads, writes = self.TOUCHES[op.kind]
+                line = config.line_of(op.address)
+                for _ in range(accesses):
+                    level = reference.access(line)
+                    if reads and level != "l1":
+                        cycles += stall[level]
+                if reads:
+                    read.add(line)
+                if writes:
+                    written.add(line)
+            cycles += timing.instruction_cycles(chunk.instructions)
+            assert chunk.read_lines == read
+            assert chunk.write_lines == written
+            assert chunk.exec_cycles == cycles
+            assert ([list(cache_set) for cache_set in cache.sets]
+                    == [list(cache_set) for cache_set in reference.sets])
+            assert cache.stats() == reference.stats()
+            assert cache.sharers == reference.sharers
+            if l2_lines:
+                assert (list(cache.shared_l2.lines)
+                        == list(reference.shared_l2.lines))
+            commit_head(proc)
+        assert proc.spec_state.finished
+        return proc, chunks
+
+    @pytest.mark.parametrize("l2_lines", [16, None])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_l1_state_as_the_access_method(self, seed, l2_lines):
+        config = small_config(l1_sets=2, l1_ways=4)
+        proc, chunks = self.check_against_access(
+            self.stream(seed, config.line_words), config, l2_lines)
+        cache = proc.cache
+        assert chunks > 1
+        assert cache.hits > cache.l2_hits + cache.memory_accesses > 0
+
+    @pytest.mark.parametrize("first", [OpKind.LOAD, OpKind.STORE])
+    @pytest.mark.parametrize("touch", list(TOUCHES),
+                             ids=lambda kind: kind.name)
+    def test_another_line_between_two_touches(self, touch, first):
+        """Line A, then line B with each op kind, then A: B's touch
+        must end A's run, or A's next load or store skips its LRU step,
+        and a third line C in the same two-way set then evicts the
+        wrong line."""
+        config = small_config(l1_sets=2, l1_ways=2)
+        words = config.line_words
+        a, b, c = 0, 2 * words, 4 * words
+
+        def touch_of(kind, address):
+            if kind is OpKind.BARRIER:
+                return Op(kind, address=address, count=1)
+            if kind is OpKind.STORE:
+                return Op(kind, address=address, value=5)
+            return Op(kind, address=address)
+
+        second = OpKind.STORE if first is OpKind.LOAD else OpKind.LOAD
+        ops = [touch_of(first, a), touch_of(second, a), touch_of(touch, b),
+               touch_of(first, a), Op(OpKind.LOAD, address=c),
+               touch_of(first, a), touch_of(second, a)]
+        _, chunks = self.check_against_access(ops, config, 16)
+        assert chunks == 1
+
+    def test_a_resumed_barrier_wait_ends_the_handler_run(self):
+        """A chunk that opens in an interrupt handler and then resumes a
+        BARRIER's wait: the wait's touch of the barrier line must end
+        the run of the handler's line, which the thread stores to
+        next."""
+        config = small_config(l1_sets=2, l1_ways=2)
+        words = config.line_words
+        status = build_handler_ops(3, 0, 8)[0].address
+        handler_line = config.line_of(status)
+        barrier_line, other_line = handler_line + 2, handler_line + 4
+        ops = [Op(OpKind.BARRIER, address=barrier_line * words, count=1),
+               Op(OpKind.STORE, address=status + 1, value=7),
+               Op(OpKind.LOAD, address=other_line * words),
+               Op(OpKind.STORE, address=status + 1, value=8)]
+        cache = l1_group(2, CacheConfig(2, 2), SharedL2Filter(16))[0]
+        proc = ChunkProcessor(0, ops, config, cache)
+        memory = MainMemory()
+        reference = copy.deepcopy(cache)
+        # Arrives (one instruction), then cannot afford a wait iteration.
+        arrived = build(proc, memory, target=BARRIER_SPIN_COST)
+        assert arrived.instructions == 1
+        assert arrived.truncation is TruncationReason.SIZE_LIMIT
+        memory.commit(arrived.write_buffer)
+        commit_head(proc)
+        proc.receive_interrupt(InterruptEvent(
+            time=0, processor=0, vector=3, payload=0, handler_ops=8), 0.0)
+        resumed = build(proc, memory, target=10_000)
+        assert resumed.is_handler and proc.spec_state.finished
+        # Arrival; the handler's load and two stores; the wait; the
+        # thread's store, load and store.
+        for line in (barrier_line, handler_line, handler_line,
+                     handler_line, barrier_line, handler_line, other_line,
+                     handler_line):
+            reference.access(line)
+        assert ([list(cache_set) for cache_set in cache.sets]
+                == [list(cache_set) for cache_set in reference.sets])
+        assert cache.stats() == reference.stats()

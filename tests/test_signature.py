@@ -6,10 +6,13 @@ missed conflict would silently break chunk atomicity.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.chunks import signature
 from repro.chunks.signature import Signature, SignatureConfig
 from repro.errors import ConfigurationError
 
@@ -149,3 +152,77 @@ def test_insert_all_equals_one_insert_per_line(num_hashes):
     bulk.insert_all(lines)
     assert bulk.keys == one_by_one.keys
     assert bulk.inserted_lines == one_by_one.inserted_lines == len(lines)
+
+
+class TestKeyMemo:
+    """``insert_all`` reads keys from one bounded memo per (hash index,
+    hash-space size); the keys must be those ``insert`` hashes."""
+
+    @pytest.fixture
+    def small_bound(self, monkeypatch):
+        monkeypatch.setattr(signature, "_KEY_MEMOS", {})
+        monkeypatch.setattr(signature, "_KEY_MEMO_LINES", 64)
+        return 64
+
+    @pytest.mark.parametrize("size_bits", [1 << 6, 1 << 10, 1 << 21])
+    @pytest.mark.parametrize("num_hashes", [1, 2, 3, 4])
+    def test_memoized_keys_equal_insert_keys(self, small_bound, size_bits,
+                                             num_hashes):
+        config = SignatureConfig(size_bits=size_bits, num_hashes=num_hashes)
+        rng = random.Random(f"memo:{size_bits}:{num_hashes}")
+        pool = [rng.randrange(1 << 30) for _ in range(90)]
+        for _ in range(60):
+            # Sets drawn from a pool above the bound: calls hit the
+            # memo, miss it, and empty it.
+            lines = set(rng.sample(pool, rng.randrange(1, 40)))
+            one_by_one, bulk = Signature(config), Signature(config)
+            for line in lines:
+                one_by_one.insert(line)
+            bulk.insert_all(lines)
+            assert bulk.keys == one_by_one.keys
+            assert bulk.inserted_lines == len(lines)
+            assert set(signature._KEY_MEMOS) == {
+                (index, size_bits) for index in range(num_hashes)}
+            for memo in signature._KEY_MEMOS.values():
+                assert 0 < len(memo) <= small_bound
+
+    def test_a_call_above_the_bound_stores_nothing(self, small_bound):
+        config = SignatureConfig(size_bits=1 << 12)
+        lines = set(range(1000, 1000 + small_bound + 1))
+        bulk, one_by_one = Signature(config), Signature(config)
+        bulk.insert_all(lines)
+        for line in lines:
+            one_by_one.insert(line)
+        assert bulk.keys == one_by_one.keys
+        assert all(not memo for memo in signature._KEY_MEMOS.values())
+
+    def test_threads_sharing_the_memo_get_insert_keys(self, small_bound):
+        config = SignatureConfig(size_bits=1 << 12, num_hashes=2)
+        failures = []
+
+        def worker(seed):
+            rng = random.Random(f"memo-thread:{seed}")
+            for _ in range(300):
+                lines = {rng.randrange(200) for _ in range(20)}
+                bulk, one_by_one = Signature(config), Signature(config)
+                bulk.insert_all(lines)
+                for line in lines:
+                    one_by_one.insert(line)
+                if bulk.keys != one_by_one.keys:
+                    failures.append(seed)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert all(len(memo) <= small_bound
+                   for memo in signature._KEY_MEMOS.values())
