@@ -51,6 +51,11 @@ class RecordingDiff:
         return "\n".join(lines)
 
 
+#: How a diff names its two recordings where their writes differ (see
+#: :func:`repro.telemetry.forensics.first_write_difference`).
+_SIDES = (("left", "written by left"), ("right", "written by right"))
+
+
 def _describe(fingerprint) -> str:
     if fingerprint[0] == "dma":
         return f"DMA burst #{fingerprint[1]}"
@@ -65,10 +70,13 @@ def diff_recordings(left: "Recording", right: "Recording") -> RecordingDiff:
     The comparison walks the global commit sequences
     (:func:`~repro.core.replayer.first_divergence`, ordered) and reports
     the first position where the committing processor, the chunk
-    contents, or (failing those) the final memory differ.
+    contents, or (failing those) the final memory differ.  Where a
+    chunk's or a DMA burst's contents differ, it names the first write
+    that differs.
     """
     # Imported here: repro.core imports this package.
     from repro.core.replayer import first_divergence
+    from repro.telemetry.forensics import first_write_difference
 
     if left.machine_config.num_processors != \
             right.machine_config.num_processors:
@@ -98,8 +106,8 @@ def diff_recordings(left: "Recording", right: "Recording") -> RecordingDiff:
                       f"committer, different instruction counts")
         else:
             kind = "chunk-contents"
-            detail = (f"{_describe(a)}: same committer and size, "
-                      f"different writes or end state")
+            detail = (f"{_describe(a)}: first differing write "
+                      f"{first_write_difference(a, b, _SIDES)}")
     return RecordingDiff(
         identical=False,
         first_divergence=index,

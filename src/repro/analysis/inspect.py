@@ -9,6 +9,7 @@ where the interval checkpoints sit.
 from __future__ import annotations
 
 from repro.analysis.report import format_table
+from repro.chunks.chunk import write_pairs
 from repro.core.recorder import Recording, commits_by_processor
 
 
@@ -71,15 +72,15 @@ def commit_timeline(recording: Recording, limit: int = 40) -> str:
     rows = []
     for index, fingerprint in enumerate(
             recording.fingerprints[:limit]):
+        written = len(write_pairs(fingerprint))
         if fingerprint[0] == "dma":
-            rows.append([index, "DMA", fingerprint[1], "-",
-                         len(fingerprint[2]), "dma burst"])
+            rows.append([index, "DMA", fingerprint[1], "-", written,
+                         "dma burst"])
             continue
-        proc, seq, _piece, is_handler, instructions, writes, _end = \
-            fingerprint
+        proc, seq, _piece, is_handler, instructions, _, _end = fingerprint
         kind = "handler" if is_handler else "chunk"
-        rows.append([index, f"cpu{proc}", seq, instructions,
-                     len(writes), kind])
+        rows.append([index, f"cpu{proc}", seq, instructions, written,
+                     kind])
     table = format_table(
         ["#", "committer", "seq", "instructions", "lines written",
          "kind"],

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.report import format_table
+from repro.chunks.chunk import write_pairs
 
 if TYPE_CHECKING:  # break the recorder <-> analysis import cycle
     from repro.core.recorder import Recording
@@ -121,13 +122,9 @@ def _write_events(recording: Recording) -> dict[int, list[WriteEvent]]:
     """address -> its writes, in global commit order."""
     events: dict[int, list[WriteEvent]] = {}
     for index, fingerprint in enumerate(recording.fingerprints):
-        if fingerprint[0] == "dma":
-            writer: int | str = DMA_WRITER
-            writes = fingerprint[2]
-        else:
-            writer = fingerprint[0]
-            writes = fingerprint[5]
-        for address, value in writes:
+        writer = (DMA_WRITER if fingerprint[0] == "dma"
+                  else fingerprint[0])
+        for address, value in write_pairs(fingerprint):
             events.setdefault(address, []).append(
                 WriteEvent(commit_index=index, writer=writer,
                            value=value))

@@ -25,6 +25,25 @@ from repro.chunks.signature import Signature, SignatureConfig
 from repro.machine.program import Op, ThreadState
 
 
+def write_columns(writes: dict[int, int]) -> tuple[tuple[int, ...],
+                                                  tuple[int, ...]]:
+    """A commit fingerprint's write set: ``(addresses, values)``, two
+    int tuples ascending by address.  One ``(address, value)`` tuple
+    per write would allocate a container per write, and each container
+    allocation brings the cyclic collector's next young collection
+    closer."""
+    addresses = tuple(sorted(writes))
+    return addresses, tuple(map(writes.__getitem__, addresses))
+
+
+def write_pairs(fingerprint: tuple) -> tuple[tuple[int, int], ...]:
+    """A chunk or DMA commit fingerprint's writes as ``(address,
+    value)`` pairs, ascending by address."""
+    addresses, values = (fingerprint[2] if fingerprint[0] == "dma"
+                         else fingerprint[5])
+    return tuple(zip(addresses, values))
+
+
 class ChunkState(enum.Enum):
     """Lifecycle states of a chunk."""
 
@@ -143,9 +162,10 @@ class Chunk:
 
         Covers everything architecturally visible about the chunk: which
         processor, which position in that processor's commit sequence,
-        how many instructions, the exact buffered writes, and the thread
-        state it leaves behind.  Timing fields are deliberately excluded
-        -- replay timing legitimately differs.
+        how many instructions, the exact buffered writes (as
+        :func:`write_columns`), and the thread state it leaves behind.
+        Timing fields are deliberately excluded -- replay timing
+        legitimately differs.
         """
         end_key = (self.end_state.architectural_key()
                    if self.end_state is not None else None)
@@ -155,7 +175,7 @@ class Chunk:
             self.piece_index,
             self.is_handler,
             self.instructions,
-            tuple(sorted(self.write_buffer.items())),
+            write_columns(self.write_buffer),
             end_key,
         )
 

@@ -586,14 +586,17 @@ class CommitArbiter:
         max_concurrent: int,
         on_grant: Callable[[Chunk, float], None],
         dma_proc_id: int | None = None,
-        head_filter: Callable[[Chunk], bool] | None = None,
+        outstanding: list[list[Chunk]] | None = None,
         tracer=None,
     ) -> None:
         self.policy = policy
         self.max_concurrent = max_concurrent
         self._on_grant = on_grant
         self.dma_proc_id = dma_proc_id
-        self._head_filter = head_filter or (lambda chunk: True)
+        # Each processor's uncommitted chunks, oldest first, by
+        # processor id (the processors' own ``outstanding`` lists);
+        # None grants any pending chunk.
+        self._outstanding = outstanding
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._m_grants = self.tracer.metrics.counter("arbiter_grants")
         self.pending: list[Chunk] = []
@@ -675,24 +678,35 @@ class CommitArbiter:
                     chunk.grant_slot = self.grant_count
                     return chunk
             return None  # the continuation has not arrived yet
-        # DMA bypass: the DMA engine is not part of any round-robin or
-        # arrival queue discipline; it commits as soon as its writes do
-        # not conflict with an in-flight commit (Section 3.3).  Its
-        # grant does not advance the chunk-commit slot counter.
-        if self.dma_proc_id is not None:
-            for chunk in self.pending:
-                if chunk.processor != self.dma_proc_id:
+        # One pass over ``pending`` finds the first DMA request and the
+        # commit heads.  DMA bypass: the DMA engine is not part of any
+        # round-robin or arrival queue discipline; its first request
+        # commits as soon as its writes do not conflict with an
+        # in-flight commit (Section 3.3), and its grant does not
+        # advance the chunk-commit slot counter.  Otherwise only a
+        # processor's oldest uncommitted chunk may be granted:
+        # commit-request reordering in flight (e.g. replay stall
+        # noise) must not reorder same-processor commits.
+        dma_proc_id = self.dma_proc_id
+        outstanding = self._outstanding
+        committing = self.committing
+        overlaps = ArrivalOrderPolicy._overlaps
+        dma_blocked = False
+        heads = []
+        for chunk in self.pending:
+            if chunk.processor == dma_proc_id:
+                if not dma_blocked:
+                    if not any(overlaps(chunk, other)
+                               for other in committing):
+                        chunk.grant_slot = self.grant_count
+                        return chunk
+                    dma_blocked = True
+            elif outstanding is not None:
+                window = outstanding[chunk.processor]
+                if not window or window[0] is not chunk:
                     continue
-                if any(ArrivalOrderPolicy._overlaps(chunk, other)
-                       for other in self.committing):
-                    break
-                chunk.grant_slot = self.grant_count
-                return chunk
-        # Only a processor's oldest uncommitted chunk may be granted;
-        # commit-request reordering in flight (e.g. replay stall noise)
-        # must not reorder same-processor commits.
-        heads = [c for c in self.pending if self._head_filter(c)]
-        chunk = self.policy.select(heads, self.committing, now)
+            heads.append(chunk)
+        chunk = self.policy.select(heads, committing, now)
         if chunk is not None:
             self.policy.on_grant(chunk, now)
             chunk.grant_slot = self.grant_count

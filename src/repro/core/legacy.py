@@ -5,7 +5,9 @@ pickled dict: the program, the machine and mode configs, the run
 stats, strata, fingerprints, final memory and thread keys, and the
 interval checkpoints.  :mod:`repro.core.serialization` still reads v1
 and v2 files written locally, and imports this module only when it
-meets one.
+meets one.  A trailer pickles each fingerprint's write set as
+``(address, value)`` pairs; they become the current ``(addresses,
+values)`` columns once, at load.
 
 A pickle can call any importable function, so the trailer goes
 through a restricted unpickler: ``find_class`` resolves only the
@@ -25,6 +27,7 @@ import io
 import pickle
 
 from repro.analysis.stats import RunStats
+from repro.chunks.chunk import write_columns
 from repro.core.interval import IntervalCheckpoint
 from repro.core.modes import ExecutionMode, ModeConfig
 from repro.errors import LogFormatError, ReproError, SalvageError
@@ -152,6 +155,23 @@ def _restricted_load(payload: bytes, allowed: frozenset, error: type,
                     f"{type(failure).__name__}: {failure}") from failure
 
 
+def _column_fingerprints(fingerprints) -> list:
+    """A trailer's fingerprints with each write set, pickled as
+    ``(address, value)`` pairs, in the current ``(addresses, values)``
+    column form."""
+    converted = []
+    try:
+        for fingerprint in fingerprints:
+            position = 2 if fingerprint[0] == "dma" else 5
+            columns = write_columns(dict(fingerprint[position]))
+            converted.append(fingerprint[:position] + (columns,)
+                             + fingerprint[position + 1:])
+    except (TypeError, ValueError, IndexError) as failure:
+        raise LogFormatError(
+            "trailer section holds a malformed fingerprint") from failure
+    return converted
+
+
 def unpickle_trailer(payload: bytes) -> dict:
     """The Recording fields a v1/v2 trailer holds, decoded without
     running anything outside :data:`TRAILER_GLOBALS`."""
@@ -172,7 +192,8 @@ def unpickle_trailer(payload: bytes) -> dict:
         "mode_config": trailer["mode_config"],
         "strata": trailer.get("strata", []),
         "stratified": trailer.get("stratified", False),
-        "fingerprints": trailer.get("fingerprints", []),
+        "fingerprints": _column_fingerprints(
+            trailer.get("fingerprints", [])),
         "final_memory": trailer.get("final_memory", {}),
         "final_thread_keys": trailer.get("final_thread_keys", {}),
         "stats": RunStats() if stats is None else stats,

@@ -195,7 +195,12 @@ class Recording:
     fields are verification instrumentation (see module docstring), not
     part of the hardware log; log-size accounting never includes them.
     ``fingerprints`` is the one commit record, in global commit order;
-    :func:`commits_by_processor` projects each processor's stream.
+    :func:`commits_by_processor` projects each processor's stream.  A
+    chunk's fingerprint is ``(proc, seq, piece, is_handler,
+    instructions, writes, end_key)`` and a DMA burst's ``("dma", seq,
+    writes)``; ``writes`` is ``(addresses, values)``, two int tuples
+    ascending by address (:func:`repro.chunks.chunk.write_columns`),
+    and :func:`repro.chunks.chunk.write_pairs` reads it as pairs.
     """
 
     mode_config: ModeConfig

@@ -34,8 +34,9 @@ and *not* verified:
   strata and the stratified sizes of the memory-ordering log;
 * **verify** (zlib level 1): the global commit fingerprints as columns,
   final memory sorted by address, final thread keys and the interval
-  checkpoints.  Per-processor fingerprints are derived on load: the
-  machine appends every fingerprint to both lists.
+  checkpoints.  A fingerprint's write set is already an address and a
+  value column; every fingerprint's are concatenated into the
+  section's two, and a load gives each fingerprint its slices.
 
 Only a degraded segment's recording has a fourth, **start** (zlib
 level 1): its start checkpoint, less the memory image, which is the
@@ -250,7 +251,8 @@ class _Reader:
         start = self._take(size)
         return self.data[start:start + size]
 
-    def ints(self, expected: int | None = None):
+    def ints(self, expected: int | None = None) -> tuple:
+        """One integer column, as a tuple whatever its code."""
         code = self.data[self._take(1)]
         count = self._u32()
         if expected is not None and count != expected:
@@ -264,7 +266,7 @@ class _Reader:
             tokens = self.raw().split()
             if len(tokens) != count:
                 self.fail("hex column length disagrees with its count")
-            return [int(token, 16) for token in tokens]
+            return tuple(int(token, 16) for token in tokens)
         self.fail(f"unknown integer column code {code}")
 
     def flags(self, expected: int) -> bytes:
@@ -568,7 +570,9 @@ def _put_fingerprints(out: _Writer, fingerprints: list,
     """Columns of the two fingerprint shapes the machine emits: a
     chunk's ``(proc, seq, piece, is_handler, instructions, writes,
     end_key)`` and a DMA burst's ``("dma", seq, writes)``; the owner
-    column holds -1 for DMA."""
+    column holds -1 for DMA.  ``writes`` is already two columns,
+    ``(addresses, values)``, and every fingerprint's columns are
+    concatenated into the section's two."""
     chunks = [fp for fp in fingerprints if fp[0] != "dma"]
     out.ints([-1 if fp[0] == "dma" else fp[0] for fp in fingerprints])
     out.ints([fp[1] for fp in fingerprints])
@@ -578,10 +582,15 @@ def _put_fingerprints(out: _Writer, fingerprints: list,
     out.raw(bytes([end is not None for end in ends]))
     _put_thread_keys(out, [end for end in ends if end is not None],
                      handlers)
-    writes = [fp[2] if fp[0] == "dma" else fp[5] for fp in fingerprints]
-    out.ints([len(pairs) for pairs in writes])
-    out.ints([address for pairs in writes for address, _ in pairs])
-    out.ints([value for pairs in writes for _, value in pairs])
+    sizes, addresses, values = [], [], []
+    for fp in fingerprints:
+        fp_addresses, fp_values = fp[2] if fp[0] == "dma" else fp[5]
+        sizes.append(len(fp_addresses))
+        addresses += fp_addresses
+        values += fp_values
+    out.ints(sizes)
+    out.ints(addresses)
+    out.ints(values)
 
 
 def _get_fingerprints(inp: _Reader, handlers: _HandlerTable,
@@ -603,9 +612,9 @@ def _get_fingerprints(inp: _Reader, handlers: _HandlerTable,
     fingerprints = []
     start = chunk = 0
     for owner, seq, size in zip(owners, seqs, sizes):
-        writes = tuple(zip(addresses[start:start + size],
-                           values[start:start + size]))
-        start += size
+        end = start + size
+        writes = (addresses[start:end], values[start:end])
+        start = end
         if owner < 0:
             fingerprints.append(("dma", seq, writes))
             continue

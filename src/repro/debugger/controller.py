@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chunks.chunk import write_pairs
 from repro.core.recorder import Recording
 from repro.debugger.breakpoints import BreakpointTable
 from repro.debugger.checkpoints import CheckpointIndex
@@ -130,7 +131,7 @@ class _Observer(MachineObserver):
             is_dma=False,
             is_handler=chunk.is_handler,
             instructions=fingerprint[4],
-            writes=dict(fingerprint[5]),
+            writes=dict(write_pairs(fingerprint)),
             read_lines=frozenset(chunk.read_lines),
             write_lines=frozenset(chunk.write_lines),
             fingerprint=fingerprint,

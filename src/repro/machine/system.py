@@ -31,7 +31,12 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.stats import RunStats
 from repro.chunks.cache import CacheConfig, SharedL2Filter, l1_group
-from repro.chunks.chunk import Chunk, ChunkState, TruncationReason
+from repro.chunks.chunk import (
+    Chunk,
+    ChunkState,
+    TruncationReason,
+    write_columns,
+)
 from repro.chunks.directory import CommitDirectory
 from repro.chunks.processor import ChunkProcessor
 from repro.core.arbiter import (
@@ -284,7 +289,8 @@ class ChunkMachine:
         # finished machine -- its caches, memory and program -- alive
         # until a full garbage collection.  The callbacks close over
         # the parts they read, or reach the machine through a weak
-        # proxy.
+        # proxy, and the arbiter's head test reads the processors'
+        # outstanding lists themselves.
         machine = weakref.proxy(self)
         engine = self.engine
         processors = self.processors
@@ -307,15 +313,6 @@ class ChunkMachine:
             if replay_source is not None:
                 return replay_source.has_pending_interrupts(proc_id)
             return False
-
-        def is_commit_head(chunk: Chunk) -> bool:
-            """A chunk may only be granted when it is its processor's
-            oldest uncommitted chunk (same-processor commits are
-            ordered)."""
-            if chunk.processor == dma_proc_id:
-                return True
-            outstanding = processors[chunk.processor].outstanding
-            return bool(outstanding) and outstanding[0] is chunk
 
         if not self.is_replay:
             if mode.predefined_order:
@@ -390,7 +387,7 @@ class ChunkMachine:
             max_concurrent=max_concurrent,
             on_grant=lambda chunk, now: machine._on_grant(chunk, now),
             dma_proc_id=dma_proc_id,
-            head_filter=is_commit_head,
+            outstanding=[proc.outstanding for proc in processors],
             tracer=self.tracer,
         )
 
@@ -1076,7 +1073,7 @@ class ChunkMachine:
             0,
             accum["is_handler"],
             accum["instructions"],
-            tuple(sorted(accum["writes"].items())),
+            write_columns(accum["writes"]),
             end_key,
         )
         del self._piece_accum[proc_id]
@@ -1161,7 +1158,7 @@ class ChunkMachine:
             self.recorder.on_dma_commit(
                 dict(chunk.write_buffer), grant_slot=chunk.grant_slot)
         fingerprint = ("dma", self._dma_sequence,
-                       tuple(sorted(chunk.write_buffer.items())))
+                       write_columns(chunk.write_buffer))
         count = self._emit(fingerprint)
         for observer in self.observers:
             observer.on_dma(dict(chunk.write_buffer), fingerprint, count)
@@ -1184,8 +1181,7 @@ class ChunkMachine:
                 "dma", f"dma burst {self._dma_sequence}", now,
                 category="dma", burst=self._dma_sequence,
                 writes=len(writes))
-        fingerprint = ("dma", self._dma_sequence,
-                       tuple(sorted(writes.items())))
+        fingerprint = ("dma", self._dma_sequence, write_columns(writes))
         count = self._emit(fingerprint)
         for observer in self.observers:
             observer.on_dma(dict(writes), fingerprint, count)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.chunks.chunk import write_pairs
 from repro.errors import DeadlockError, ReplayDivergenceError
 
 
@@ -65,15 +66,12 @@ def _describe_commit(fingerprint) -> str:
     """
     if fingerprint is None:
         return "(none)"
-    if not isinstance(fingerprint, tuple):
+    writes = _writes_of(fingerprint)
+    if writes is None:
         return repr(fingerprint)
-    proc = fingerprint[0]
-    if proc == "dma" and len(fingerprint) == 3:
-        return (f"dma burst #{fingerprint[1]} "
-                f"({len(fingerprint[2])} writes)")
-    if len(fingerprint) != 7:
-        return repr(fingerprint)
-    _, seq, piece, is_handler, instructions, writes, _ = fingerprint
+    if fingerprint[0] == "dma":
+        return f"dma burst #{fingerprint[1]} ({len(writes)} writes)"
+    proc, seq, piece, is_handler, instructions, _, _ = fingerprint
     tags = []
     if piece:
         tags.append(f"piece {piece}")
@@ -85,37 +83,45 @@ def _describe_commit(fingerprint) -> str:
 
 
 def _writes_of(fingerprint) -> tuple | None:
-    """The sorted ``(address, value)`` writes of a DMA or chunk commit
-    fingerprint, or None for anything else."""
-    if not isinstance(fingerprint, tuple):
+    """The ``(address, value)`` writes of a DMA or chunk commit
+    fingerprint, ascending by address, or None for anything else."""
+    if not isinstance(fingerprint, tuple) or len(fingerprint) not in (3, 7):
         return None
-    if fingerprint[0] == "dma" and len(fingerprint) == 3:
-        return fingerprint[2]
-    if len(fingerprint) == 7:
-        return fingerprint[5]
-    return None
+    if (fingerprint[0] == "dma") != (len(fingerprint) == 3):
+        return None
+    return write_pairs(fingerprint)
 
 
-def _first_write_difference(expected, actual) -> str | None:
-    """Where two commit fingerprints that render alike differ: the
-    first write, in address order, whose value differs or that only
-    one of them made.  None unless both are commit fingerprints."""
-    recorded_writes = _writes_of(expected)
-    replayed_writes = _writes_of(actual)
-    if recorded_writes is None or replayed_writes is None:
+#: How a replay's forensics names the two sides of a commit: a label
+#: put before a value both wrote, and the words after a value only
+#: that side wrote.
+_REPLAY_SIDES = (("recorded", "recorded"),
+                ("replayed", "written by the replay"))
+
+
+def first_write_difference(expected, actual,
+                           sides=_REPLAY_SIDES) -> str | None:
+    """Where two commit fingerprints differ: the first write, in
+    address order, whose value differs or that only one of them made,
+    named with ``sides`` (a ``(label, made)`` pair per fingerprint, as
+    ``_REPLAY_SIDES``).  None unless both are commit fingerprints."""
+    first_writes = _writes_of(expected)
+    second_writes = _writes_of(actual)
+    if first_writes is None or second_writes is None:
         return None
-    recorded = dict(recorded_writes)
-    replayed = dict(replayed_writes)
-    for address in sorted(recorded.keys() | replayed.keys()):
-        if address not in replayed:
-            return (f"0x{address:x} = {recorded[address]} recorded, "
-                    f"not written by the replay")
-        if address not in recorded:
-            return (f"0x{address:x} = {replayed[address]} written by "
-                    f"the replay, not recorded")
-        if recorded[address] != replayed[address]:
-            return (f"0x{address:x}: recorded {recorded[address]}, "
-                    f"replayed {replayed[address]}")
+    (first, first_made), (second, second_made) = sides
+    first_values = dict(first_writes)
+    second_values = dict(second_writes)
+    for address in sorted(first_values.keys() | second_values.keys()):
+        if address not in second_values:
+            return (f"0x{address:x} = {first_values[address]} "
+                    f"{first_made}, not {second_made}")
+        if address not in first_values:
+            return (f"0x{address:x} = {second_values[address]} "
+                    f"{second_made}, not {first_made}")
+        if first_values[address] != second_values[address]:
+            return (f"0x{address:x}: {first} {first_values[address]}, "
+                    f"{second} {second_values[address]}")
     return "none (the writes match; the end thread state differs)"
 
 
@@ -163,8 +169,8 @@ class DivergenceForensics:
             lines.append(f"  expected: {expected}")
             lines.append(f"  actual:   {actual}")
             if expected == actual and self.expected != self.actual:
-                difference = _first_write_difference(self.expected,
-                                                     self.actual)
+                difference = first_write_difference(self.expected,
+                                                    self.actual)
                 if difference is not None:
                     lines.append(f"  first differing write: {difference}")
         if self.interleaving_window:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chunks.chunk import write_pairs
 from repro.chunks.signature import SignatureConfig
 from repro.machine.program import Op, OpKind, Program
 from repro.machine.timing import MachineConfig
@@ -137,10 +138,5 @@ def apply_fingerprint_writes(initial: dict[int, int],
     oracle: must reproduce the machine's final memory)."""
     memory = dict(initial)
     for fingerprint in fingerprints:
-        if fingerprint[0] == "dma":
-            writes = fingerprint[2]
-        else:
-            writes = fingerprint[5]
-        for address, value in writes:
-            memory[address] = value
+        memory.update(write_pairs(fingerprint))
     return {a: v for a, v in memory.items() if v != 0}

@@ -296,13 +296,11 @@ class TestStaleAndDma:
         assert arbiter.grant_count == 0
 
     def test_head_filter_blocks_non_heads(self):
-        heads = []
-        arbiter, grants = make_arbiter(
-            ArrivalOrderPolicy(),
-            head_filter=lambda chunk: any(chunk is h for h in heads))
         older = chunk_for(0, seq=1, writes=[1])
         newer = chunk_for(0, seq=2, writes=[2])
-        heads.append(older)
+        window = [older, newer]
+        arbiter, grants = make_arbiter(ArrivalOrderPolicy(),
+                                       outstanding=[window])
         arbiter.receive_request(newer, 0.0)   # arrives first but not head
         assert grants == []
         arbiter.receive_request(older, 1.0)

@@ -1,5 +1,7 @@
 """Tests for recording comparison (diff) tooling."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import small_config
@@ -8,9 +10,11 @@ from repro.analysis.compare import (
     diff_recordings,
     interleaving_prefix_length,
 )
+from repro.chunks.chunk import write_pairs
 from repro.core.delorean import DeLoreanSystem
 from repro.errors import ConfigurationError
 from repro.machine.timing import MachineConfig
+from repro.workloads import commercial_program
 from repro.workloads.stress import racey_program
 
 
@@ -64,6 +68,51 @@ class TestDiff:
         b = record(64, rounds=44)
         diff = diff_recordings(a, b)
         assert not diff.identical
+
+
+class TestFirstDifferingWrite:
+    """Where two commits have the same committer and size, the diff
+    names the first write, in address order, that differs."""
+
+    def test_dma_bursts_name_their_first_differing_write(self):
+        system = DeLoreanSystem()
+        left, right = (
+            system.record(commercial_program("sjbb2k", scale=0.1,
+                                             seed=seed))
+            for seed in (3, 4))
+        diff = diff_recordings(left, right)
+        assert (diff.first_divergence, diff.divergence_kind) == (
+            0, "chunk-contents")
+        ours = dict(write_pairs(left.fingerprints[0]))
+        theirs = dict(write_pairs(right.fingerprints[0]))
+        address = min(a for a in ours.keys() | theirs.keys()
+                      if ours.get(a) != theirs.get(a))
+        assert diff.detail.startswith(
+            f"DMA burst #1: first differing write 0x{address:x}")
+        assert "different writes or end state" not in diff.summary()
+
+    def test_chunk_contents_name_their_first_differing_write(self):
+        left = record(64)
+        index, fingerprint = next(
+            (index, fingerprint)
+            for index, fingerprint in enumerate(left.fingerprints)
+            if fingerprint[0] != "dma" and write_pairs(fingerprint))
+        (address, value), *_ = write_pairs(fingerprint)
+        addresses, values = fingerprint[5]
+        edited = (fingerprint[:5]
+                  + ((addresses, (value + 1,) + values[1:]),)
+                  + fingerprint[6:])
+        fingerprints = list(left.fingerprints)
+        fingerprints[index] = edited
+        diff = diff_recordings(left, replace(left,
+                                             fingerprints=fingerprints))
+        assert (diff.first_divergence, diff.divergence_kind) == (
+            index, "chunk-contents")
+        proc, seq, _, _, instructions, _, _ = fingerprint
+        assert diff.detail == (
+            f"cpu{proc} chunk seq={seq} ({instructions} instructions): "
+            f"first differing write 0x{address:x}: left {value}, "
+            f"right {value + 1}")
 
 
 class TestCliDiff:

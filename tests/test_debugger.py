@@ -8,6 +8,7 @@ import pytest
 
 from conftest import counter_program, racy_increment_program
 
+from repro.chunks.chunk import write_pairs
 from repro.cli import main
 from repro.core.delorean import DeLoreanSystem
 from repro.core.modes import ExecutionMode
@@ -78,7 +79,7 @@ class TestStepping:
         expected = dict(recording.program.initial_memory)
         for index in range(6):
             controller.step()
-            expected.update(dict(recording.fingerprints[index][5]))
+            expected.update(write_pairs(recording.fingerprints[index]))
             view = {a: v for a, v in expected.items() if v}
             got = {a: v for a, v
                    in controller.memory_view().items() if v}
@@ -185,7 +186,7 @@ class TestBreakpoints:
         # Pick an address some commit actually writes.
         address = None
         for fingerprint in recording.fingerprints:
-            if fingerprint[0] != "dma" and fingerprint[5]:
+            if fingerprint[0] != "dma" and fingerprint[5][0]:
                 address = fingerprint[5][0][0]
                 break
         assert address is not None
@@ -196,9 +197,7 @@ class TestBreakpoints:
         assert address in stop.commit.writes
         # The first writing commit, not a later one.
         for fingerprint in recording.fingerprints[:stop.gcc - 1]:
-            writes = dict(fingerprint[5]) if fingerprint[0] != "dma" \
-                else dict(fingerprint[2])
-            assert address not in writes
+            assert address not in dict(write_pairs(fingerprint))
 
     def test_commit_breakpoint_filters_by_processor(self):
         recording = record()
@@ -307,7 +306,7 @@ class TestDivergence:
         # State at gcc 4 is still the converged prefix.
         expected = dict(recording.program.initial_memory)
         for fingerprint in good[:4]:
-            expected.update(dict(fingerprint[5]))
+            expected.update(write_pairs(fingerprint))
         got = {a: v for a, v in controller.memory_view().items() if v}
         assert got == {a: v for a, v in expected.items() if v}
 
@@ -402,7 +401,7 @@ class TestShell:
         recording = record(program=racy_increment_program(2, 20))
         address = None
         for fingerprint in recording.fingerprints:
-            if fingerprint[0] != "dma" and fingerprint[5]:
+            if fingerprint[0] != "dma" and fingerprint[5][0]:
                 address = fingerprint[5][0][0]
                 break
         controller, output = self.run_script(

@@ -32,6 +32,7 @@ import pytest
 
 from repro import DeLoreanSystem, ExecutionMode
 from repro.baselines.consistency import ConsistencyModel, InterleavedExecutor
+from repro.chunks.chunk import write_pairs
 from repro.machine.events import DmaTransfer, InterruptEvent
 from repro.machine.timing import MachineConfig
 from repro.workloads import ProgramBuilder, commercial_program, splash2_program
@@ -389,14 +390,23 @@ def _traffic(recording) -> tuple:
 def _logged(recording) -> str:
     """Digest of what the simulator logged, and only that: the saved
     blob also holds run statistics (float means) and zlib output, whose
-    bytes depend on the interpreter and the zlib build."""
+    bytes depend on the interpreter and the zlib build.  Each
+    fingerprint's write set is hashed as ``(address, value)`` pairs,
+    the form the pinned digests were taken in."""
     logs = [recording.pi_log]
     for per_proc in (recording.cs_logs, recording.interrupt_logs,
                      recording.io_logs):
         logs += [per_proc[proc] for proc in sorted(per_proc)]
     logs.append(recording.dma_log)
     return _digest(([log.encode() for log in logs], recording.strata,
-                    recording.fingerprints))
+                    [_with_write_pairs(fingerprint)
+                     for fingerprint in recording.fingerprints]))
+
+
+def _with_write_pairs(fingerprint: tuple) -> tuple:
+    position = 2 if fingerprint[0] == "dma" else 5
+    return (fingerprint[:position] + (write_pairs(fingerprint),)
+            + fingerprint[position + 1:])
 
 
 def _tokens(stats) -> tuple:

@@ -31,7 +31,7 @@ from repro.core.replayer import (
     make_perturbation_rng,
     verify_determinism,
 )
-from repro.chunks.chunk import TruncationReason
+from repro.chunks.chunk import TruncationReason, write_columns
 from repro.errors import ReplayDivergenceError
 
 from conftest import small_config
@@ -270,9 +270,10 @@ class TestVerifyFullyConsumed:
         assert source.verify_fully_consumed() == []
 
 
-def _chunk_fp(proc: int, seq: int, writes=(), instructions: int = 10,
+def _chunk_fp(proc: int, seq: int, writes=None, instructions: int = 10,
               handler: bool = False):
-    return (proc, seq, 0, handler, instructions, tuple(writes),
+    return (proc, seq, 0, handler, instructions,
+            write_columns(writes or {}),
             ("key", proc, seq))
 
 
@@ -376,7 +377,7 @@ class TestVerifyDeterminism:
         assert report.matches
 
     def test_start_checkpoint_slices_the_prefix(self):
-        dma_fp = ("dma", 1, ((0x10, 1),))
+        dma_fp = ("dma", 1, write_columns({0x10: 1}))
         fps = [_chunk_fp(0, 1), dma_fp, _chunk_fp(0, 2),
                _chunk_fp(1, 1)]
         recording = make_recording(
@@ -407,8 +408,8 @@ class TestFirstDivergence:
     (no machine config) and per processor (the machine config files
     DMA bursts under ``dma_proc_id``)."""
 
-    DMA1 = ("dma", 1, ((0x10, 1),))
-    DMA2 = ("dma", 2, ((0x20, 2),))
+    DMA1 = ("dma", 1, write_columns({0x10: 1}))
+    DMA2 = ("dma", 2, write_columns({0x20: 2}))
     A1, A2, A3 = _chunk_fp(0, 1), _chunk_fp(0, 2), _chunk_fp(0, 3)
     B1, B2 = _chunk_fp(1, 1), _chunk_fp(1, 2)
     RECORDED = [A1, B1, DMA1, A2, DMA2, B2]
